@@ -282,6 +282,15 @@ def _default_budget(args) -> int:
     return DEFAULT_COUNT_BUDGET
 
 
+def _check_workers(args) -> None:
+    """Reject a worker count the machine cannot run, before any pool
+    starts (a process pool starts all its workers at the first task)."""
+    limit = os.cpu_count() or 1
+    if not 1 <= args.workers <= limit:
+        raise DomainError(
+            f"--workers must be between 1 and {limit}, got {args.workers}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -308,6 +317,7 @@ def _configure_count(parser) -> None:
 
 def _run_count(args, form) -> dict:
     budget = _default_budget(args)
+    _check_workers(args)
     if (args.Y is None) == (args.y is None):
         raise DomainError("pass exactly one of --Y (pair run) or --y "
                           "(fixed base point)")
@@ -500,6 +510,7 @@ def _configure_predict(parser) -> None:
 
 def _run_predict(args, form) -> dict:
     budget = _default_budget(args)
+    _check_workers(args)
     if args.y is not None:
         if args.W is None:
             raise DomainError("fixed-y prediction needs --W")

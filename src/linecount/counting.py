@@ -10,12 +10,10 @@ the overflow fallback, so no float ever decides a count.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,11 +26,12 @@ from .errors import (
 )
 from .forms import (
     HomogeneousForm,
-    _rational_rank,
+    echelon,
     evaluate_batch,
     evaluate_form,
+    grid_chunks,
     hessian,
-    integer_slice_form,
+    nonzero_slices,
 )
 from .lattice import (
     box_profile,
@@ -142,21 +141,6 @@ class _Budget:
 # Shared enumeration plumbing
 # ---------------------------------------------------------------------------
 
-def _iter_box_chunks(nvars: int, bound: int,
-                     chunk_rows: int = _CHUNK_ROWS) -> Iterator[np.ndarray]:
-    """The integer box [-bound, bound]^nvars in row chunks (origin included)."""
-    side = 2 * bound + 1
-    total = side ** nvars
-    for start in range(0, total, chunk_rows):
-        idx = np.arange(start, min(start + chunk_rows, total), dtype=np.int64)
-        coords = np.empty((idx.size, nvars), dtype=np.int64)
-        rest = idx
-        for i in range(nvars - 1, -1, -1):
-            coords[:, i] = rest % side - bound
-            rest = rest // side
-        yield coords
-
-
 def _iter_lattice_chunks(lattice, x_bound: int,
                          leading_range: Optional[Tuple[int, int]] = None,
                          chunk_rows: int = _CHUNK_ROWS,
@@ -173,25 +157,11 @@ def _iter_lattice_chunks(lattice, x_bound: int,
         yield np.array(buffer, dtype=np.int64)
 
 
-def _line_conditions(form: HomogeneousForm,
-                     y: IntVector) -> List[object]:
-    """Integer slice forms of degree 2..d that do not vanish identically.
-
-    A point x of the slicing lattice spans a line with y exactly when all
-    of these vanish at x (the degree-1 condition is lattice membership and
-    the degree-0 condition is F(y) = 0, checked by the callers).
-    """
-    conditions = []
-    for j in range(2, form.degree + 1):
-        sliced = integer_slice_form(form, y, j)
-        if not sliced.is_zero:
-            conditions.append(sliced)
-    return conditions
-
-
 def _condition_mask(conditions, chunk: np.ndarray) -> np.ndarray:
+    """Rows of ``chunk`` at which every slice of ``conditions`` (pairs from
+    :func:`nonzero_slices`) vanishes."""
     mask = np.ones(chunk.shape[0], dtype=bool)
-    for condition in conditions:
+    for _, condition in conditions:
         values = evaluate_batch(condition, chunk)
         mask &= (values == 0)
         if not mask.any():
@@ -199,9 +169,20 @@ def _condition_mask(conditions, chunk: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _hits(form: HomogeneousForm, y: IntVector, x_bound: int, meter: _Budget,
+          leading_range: Optional[Tuple[int, int]] = None,
+          ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(chunk, mask) per chunk of candidate x, each chunk charged to the
+    meter; mask marks the x that span a line with y."""
+    conditions = nonzero_slices(form, y)
+    for chunk in _point_chunks(form, y, x_bound, leading_range):
+        meter.charge(chunk.shape[0])
+        yield chunk, _condition_mask(conditions, chunk)
+
+
 def _point_chunks(form: HomogeneousForm, y: IntVector, x_bound: int,
-                  leading_range: Optional[Tuple[int, int]] = None,
-                  warn_fallback: bool = True) -> Iterator[np.ndarray]:
+                  leading_range: Optional[Tuple[int, int]]
+                  ) -> Iterator[np.ndarray]:
     """Chunks of candidate x for the pair condition with base point y.
 
     Normally the slicing lattice stream; when the gradient vanishes at y the
@@ -209,11 +190,8 @@ def _point_chunks(form: HomogeneousForm, y: IntVector, x_bound: int,
     """
     sliced = linear_slice_coefficients(form, y)
     if sliced.all_zero:
-        if warn_fallback:
-            warnings.warn(
-                f"gradient vanishes at y={tuple(y)}; scanning the full box",
-                FallbackFullBox, stacklevel=3)
-        yield from _iter_box_chunks(form.nvars, x_bound)
+        yield from grid_chunks([-x_bound] * form.nvars,
+                               [x_bound] * form.nvars, _CHUNK_ROWS)
         return
     lattice = reduce_basis(kernel_lattice(sliced.vector))
     yield from _iter_lattice_chunks(lattice, x_bound,
@@ -250,38 +228,29 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
         raise DomainError("x_bound must be nonnegative")
     if workers > 1:
         return _count_fixed_y_parallel(form, y, x_bound, workers, budget)
-    meter = _Budget(budget)
-    conditions = _line_conditions(form, y)
-    count = 0
-    for chunk in _point_chunks(form, y, x_bound):
-        meter.charge(chunk.shape[0])
-        count += int(_condition_mask(conditions, chunk).sum())
-    return count
+    if linear_slice_coefficients(form, y).all_zero:
+        warnings.warn(
+            f"gradient vanishes at y={tuple(y)}; scanning the full box",
+            FallbackFullBox, stacklevel=2)
+    return _fixed_y_piece(form, y, x_bound, None, budget)
 
 
-def _leading_ranges(lattice, x_bound: int,
-                    parts: int) -> List[Tuple[int, int]]:
-    """Split the first lattice coordinate's range into contiguous pieces."""
-    radius = box_profile(lattice, x_bound).int_bounds[0]
-    values = list(range(-radius, radius + 1))
-    parts = max(1, min(parts, len(values)))
-    step = math.ceil(len(values) / parts)
-    return [(values[i], values[min(i + step, len(values)) - 1])
-            for i in range(0, len(values), step)]
+def _split_range(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
+    """[lo, hi] cut into at most ``parts`` contiguous inclusive ranges of
+    equal length (the last may be shorter)."""
+    size = hi - lo + 1
+    step = math.ceil(size / max(1, min(parts, size)))
+    return [(start, min(start + step, hi + 1) - 1)
+            for start in range(lo, hi + 1, step)]
 
 
 def _fixed_y_piece(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
-                   leading_range: Tuple[int, int],
+                   leading_range: Optional[Tuple[int, int]],
                    budget: Optional[int]) -> int:
-    meter = _Budget(budget)
-    conditions = _line_conditions(form, y)
-    count = 0
-    for chunk in _point_chunks(form, y, x_bound,
-                               leading_range=leading_range,
-                               warn_fallback=False):
-        meter.charge(chunk.shape[0])
-        count += int(_condition_mask(conditions, chunk).sum())
-    return count
+    """Count over the whole fiber, or over one range of the first lattice
+    coordinate."""
+    return sum(int(mask.sum()) for _, mask in _hits(
+        form, y, x_bound, _Budget(budget), leading_range))
 
 
 def _count_fixed_y_parallel(form: HomogeneousForm, y: IntVector,
@@ -292,9 +261,10 @@ def _count_fixed_y_parallel(form: HomogeneousForm, y: IntVector,
         # degenerate base point: no lattice coordinate to partition on
         return count_fixed_y(form, y, x_bound, budget=budget)
     lattice = reduce_basis(kernel_lattice(sliced.vector))
-    pieces = _leading_ranges(lattice, x_bound, workers)
+    radius = box_profile(lattice, x_bound).int_bounds[0]
+    pieces = _split_range(-radius, radius, workers)
     y = tuple(int(v) for v in y)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(pieces))) as pool:
         futures = [pool.submit(_fixed_y_piece, form, y, x_bound, piece,
                                budget)
                    for piece in pieces]
@@ -307,15 +277,7 @@ def _count_fixed_y_parallel(form: HomogeneousForm, y: IntVector,
 
 def hessian_corank(form: HomogeneousForm, y: IntVector) -> int:
     """Exact dimension of the kernel of the Hessian at y (over Q)."""
-    matrix = hessian(form, y)
-    return form.nvars - _rational_rank([list(row) for row in matrix])
-
-
-def _primitive(vector: Sequence[int]) -> Tuple[int, ...]:
-    g = 0
-    for v in vector:
-        g = math.gcd(g, abs(int(v)))
-    return tuple(int(v) // g for v in vector)
+    return form.nvars - echelon(hessian(form, y)).rank
 
 
 def _proportional_count(y: IntVector, x_bound: int) -> int:
@@ -324,9 +286,9 @@ def _proportional_count(y: IntVector, x_bound: int) -> int:
     Every such x automatically spans a line with y once F(y) = 0, so this
     subcount never needs enumeration.
     """
-    base = _primitive(y)
-    reach = max(abs(v) for v in base)
-    return 2 * (x_bound // reach)
+    # the primitive vector on the line through y has sup norm |y| / content
+    content = math.gcd(*(int(v) for v in y))
+    return 2 * (x_bound // (max(abs(int(v)) for v in y) // content))
 
 
 def stratum_count(form: HomogeneousForm, y_bound: int,
@@ -343,7 +305,7 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
     if y_bound < 1:
         raise DomainError("y_bound must be positive")
     norms: List[int] = []
-    for chunk in _iter_box_chunks(n, y_bound):
+    for chunk in grid_chunks([-y_bound] * n, [y_bound] * n, _CHUNK_ROWS):
         values = evaluate_batch(form, chunk)
         for row in chunk[values == 0]:
             y = tuple(int(v) for v in row)
@@ -371,38 +333,6 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
 # Second-order tangency dimension
 # ---------------------------------------------------------------------------
 
-def _nullspace_basis(matrix: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-    """Exact basis of the rational kernel of an integer matrix."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    ncols = len(rows[0]) if rows else 0
-    pivots: List[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows))
-                      if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        scale = rows[rank][col]
-        rows[rank] = [v / scale for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b
-                           for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for col in free:
-        vector = [Fraction(0)] * ncols
-        vector[col] = Fraction(1)
-        for r, pivot_col in enumerate(pivots):
-            vector[pivot_col] = -rows[r][col]
-        basis.append(vector)
-    return basis
-
-
 def m2_dimension(form: HomogeneousForm, y: IntVector) -> M2Report:
     """Dimension of the space of second-order tangent directions at y.
 
@@ -422,11 +352,8 @@ def m2_dimension(form: HomogeneousForm, y: IntVector) -> M2Report:
         raise ZeroVectorInput("base point must be nonzero")
     if evaluate_form(form, y) != 0:
         raise NotOnHypersurface(f"F{tuple(y)} != 0")
-    matrix = [list(row) for row in hessian(form, y)]
-    kernel = _nullspace_basis(matrix)
-    stacked = [[Fraction(v) for v in vec] for vec in kernel]
-    stacked.append([Fraction(v) for v in y])
-    span_dim = _rational_rank(stacked)
+    matrix = hessian(form, y)
+    span_dim = echelon(echelon(matrix).nullspace() + [list(y)]).rank
 
     sliced = linear_slice_coefficients(form, y)
     if sliced.all_zero:
@@ -441,7 +368,7 @@ def m2_dimension(form: HomogeneousForm, y: IntVector) -> M2Report:
               for i in range(form.nvars)]
     system = [[sum(basis[a][i] * h_rows[i][b] for i in range(form.nvars))
                for b in range(len(basis))] for a in range(len(basis))]
-    system_dim = len(basis) - _rational_rank(system)
+    system_dim = len(basis) - echelon(system).rank
     return M2Report(span_dim=span_dim, system_dim=system_dim)
 
 
@@ -462,7 +389,8 @@ def _pairs_slab(form: HomogeneousForm, x_bound: int, y_bound: int,
     stratified = 0
     per_y: Dict[Tuple[int, ...], int] = {}
     for first in range(first_lo, first_hi + 1):
-        for tail in _iter_box_chunks(n - 1, y_bound):
+        for tail in grid_chunks([-y_bound] * (n - 1), [y_bound] * (n - 1),
+                                _CHUNK_ROWS):
             meter.charge(tail.shape[0])
             chunk = np.concatenate(
                 [np.full((tail.shape[0], 1), first, dtype=np.int64), tail],
@@ -488,15 +416,12 @@ def _pairs_at_base_point(form: HomogeneousForm, y: Tuple[int, ...],
                          stratum_rho: Optional[int],
                          meter: _Budget) -> Tuple[int, int, int]:
     """Pair counts contributed by one base point on the hypersurface."""
-    conditions = _line_conditions(form, y)
     prop_y = _proportional_count(y, x_bound)
     y_in_stratum = (stratum_rho is not None
                     and hessian_corank(form, y) >= stratum_rho)
     count = 0
     strat_count = 0
-    for chunk in _point_chunks(form, y, x_bound, warn_fallback=False):
-        meter.charge(chunk.shape[0])
-        mask = _condition_mask(conditions, chunk)
+    for chunk, mask in _hits(form, y, x_bound, meter):
         count += int(mask.sum())
         if y_in_stratum:
             for row in chunk[mask]:
@@ -537,10 +462,11 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     """
     if x_bound < 1 or y_bound < 1:
         raise DomainError("x_bound and y_bound must be at least 1")
-    slabs = _first_coordinate_slabs(y_bound, workers)
+    slabs = _split_range(-y_bound, y_bound, workers)
     results = []
     if workers > 1 and len(slabs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers,
+                                                 len(slabs))) as pool:
             futures = [
                 pool.submit(_pairs_slab, form, x_bound, y_bound, lo, hi,
                             exclude_proportional, stratum_rho, breakdown,
@@ -566,27 +492,6 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
         stratified=stratified, per_y_breakdown=per_y)
 
 
-def _first_coordinate_slabs(y_bound: int,
-                            workers: int) -> List[Tuple[int, int]]:
-    values = list(range(-y_bound, y_bound + 1))
-    parts = max(1, min(workers, len(values)))
-    step = math.ceil(len(values) / parts)
-    return [(values[i], values[min(i + step, len(values)) - 1])
-            for i in range(0, len(values), step)]
-
-
-def export_breakdown_csv(report: PairCountReport, path: str) -> None:
-    """One row per base point: coordinates then its pair count."""
-    if report.per_y_breakdown is None:
-        raise DomainError("report has no per-base-point breakdown")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        n = len(next(iter(report.per_y_breakdown), ()))
-        writer.writerow([f"y{i + 1}" for i in range(n)] + ["count"])
-        for y, count in sorted(report.per_y_breakdown.items()):
-            writer.writerow(list(y) + [count])
-
-
 # ---------------------------------------------------------------------------
 # Singular-point screen
 # ---------------------------------------------------------------------------
@@ -600,11 +505,11 @@ def singular_points_in_box(form: HomogeneousForm,
     """
     if x_bound < 0:
         raise DomainError("x_bound must be nonnegative")
-    partials = _partial_derivative_forms(form)
     out: List[Tuple[int, ...]] = []
-    for chunk in _iter_box_chunks(form.nvars, x_bound):
+    for chunk in grid_chunks([-x_bound] * form.nvars, [x_bound] * form.nvars,
+                             _CHUNK_ROWS):
         mask = np.ones(chunk.shape[0], dtype=bool)
-        for partial in partials:
+        for partial in form.partials:
             if partial.is_zero:
                 continue
             mask &= (evaluate_batch(partial, chunk) == 0)
@@ -615,26 +520,3 @@ def singular_points_in_box(form: HomogeneousForm,
             if any(point):
                 out.append(point)
     return sorted(out)
-
-
-def _partial_derivative_forms(form: HomogeneousForm):
-    """The n first partial derivatives as integer-coefficient forms."""
-    from .forms import RationalForm
-    out = []
-    for i in range(form.nvars):
-        coeffs = {}
-        for exponents, coefficient in form.coeffs.items():
-            e = exponents[i]
-            if not e:
-                continue
-            reduced = tuple(v - 1 if k == i else v
-                            for k, v in enumerate(exponents))
-            value = coeffs.get(reduced, 0) + coefficient * e
-            if value:
-                coeffs[reduced] = Fraction(value)
-            else:
-                coeffs.pop(reduced, None)
-        out.append(RationalForm(nvars=form.nvars,
-                                degree=max(form.degree - 1, 0),
-                                coeffs=coeffs))
-    return out

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,17 +30,20 @@ from scipy.stats import qmc
 
 from .counting import _Budget
 from .errors import DimensionMismatch, DomainError
-from .expsums import _nonzero_slices, _pullback
+from .exponents import format_rational
 from .forms import (
     HomogeneousForm,
     Polynomial,
     _bounded_compositions,
-    compiled_monomials,
+    echelon,
     evaluate_batch,
     form_to_json,
-    integer_slice_form,
+    grid_chunks,
+    nonzero_slices,
+    pullback,
+    residues_mod,
 )
-from .lattice import IntegerLattice, box_profile, slicing_lattice
+from .lattice import box_profile, slicing_lattice
 
 DEFAULT_COUNT_BUDGET = 10 ** 7
 SCRAMBLES = 16
@@ -96,7 +100,7 @@ class DensityEstimate:
     def to_json(self) -> dict:
         out: Dict[str, object] = {"kind": self.kind}
         if self.is_exact:
-            out["value"] = _format_fraction(self.value)
+            out["value"] = format_rational(self.value)
         else:
             mean = complex(self.mean)
             out["mean"] = (mean.real if mean.imag == 0
@@ -123,16 +127,11 @@ class Prediction:
 
     def to_json(self) -> dict:
         return {
-            "main_term": _format_fraction(self.main_term),
+            "main_term": format_rational(self.main_term),
             "main_term_float": float(self.main_term),
             "tag": self.tag,
             "components": self.components,
         }
-
-
-def _format_fraction(value: Fraction) -> str:
-    return (str(value.numerator) if value.denominator == 1
-            else f"{value.numerator}/{value.denominator}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,27 +164,9 @@ def pencil_coefficient_form(form: HomogeneousForm, j: int) -> HomogeneousForm:
 # Residue enumeration
 # ---------------------------------------------------------------------------
 
-def _grid_chunks(nvars: int, modulus: int, total: int,
-                 chunk_rows: int = 1 << 16) -> Iterator[np.ndarray]:
-    """The grid {0..modulus-1}^nvars in row chunks (mixed-radix decode)."""
-    for start in range(0, total, chunk_rows):
-        stop = min(start + chunk_rows, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        block = np.empty((stop - start, nvars), dtype=np.int64)
-        for t in range(nvars - 1, -1, -1):
-            block[:, t] = idx % modulus
-            idx //= modulus
-        yield block
-
-
-def _lattice_residue_chunks(lattice: IntegerLattice, q: int,
-                            chunk_rows: int = 1 << 16
-                            ) -> Iterator[np.ndarray]:
-    """Ambient representatives of the lattice image mod q, in chunks."""
-    basis = np.asarray(lattice.basis, dtype=np.int64)
-    for block in _grid_chunks(lattice.rank, q, q ** lattice.rank,
-                              chunk_rows):
-        yield (block @ basis) % q
+def _residue_grid(nvars: int, modulus: int) -> Iterator[np.ndarray]:
+    """The residues {0..modulus-1}^nvars in row chunks."""
+    return grid_chunks([0] * nvars, [modulus - 1] * nvars, 1 << 16)
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +191,21 @@ def phase_histogram(form: HomogeneousForm, y: Sequence[int], q: int,
         raise DimensionMismatch(
             f"need {d - 1} phase coefficients, got {len(a)}")
     lattice = slicing_lattice(form, y)
-    slices = _nonzero_slices(form, y)
+    slices = nonzero_slices(form, y)
     ledger = _Budget(budget)
     counts = np.zeros(q, dtype=np.int64)
     coeff = {j: int(a[j - 2]) % q for j in range(2, d + 1)}
-    for block in _lattice_residue_chunks(lattice, q):
+    basis = np.asarray(lattice.basis, dtype=np.int64)
+    for grid in _residue_grid(lattice.rank, q):
+        # ambient representatives of the lattice image mod q
+        block = (grid @ basis) % q
         ledger.charge(block.shape[0])
         total = np.zeros(block.shape[0], dtype=np.int64)
         for j, sliced in slices:
             if coeff[j] == 0:
                 continue
-            values = evaluate_batch(sliced, block)
-            if values.dtype == object:
-                values = (values % q).astype(np.int64)
-            total = (total + coeff[j] * (values % q)) % q
+            residues = residues_mod(evaluate_batch(sliced, block), q)
+            total = (total + coeff[j] * residues) % q
         counts += np.bincount(total, minlength=q)
     return {r: int(c) for r, c in enumerate(counts) if c}
 
@@ -259,55 +241,11 @@ def complete_sum_S(form: HomogeneousForm, y: Sequence[int], q: int,
 # Congruence counting: direct scan and Hensel lifting
 # ---------------------------------------------------------------------------
 
-def _partial(poly: Polynomial, t: int) -> Polynomial:
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    for exponents, coefficient in poly.coeffs.items():
-        e = exponents[t]
-        if e:
-            key = tuple(v - 1 if i == t else v
-                        for i, v in enumerate(exponents))
-            acc = out.get(key, Fraction(0)) + e * coefficient
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return Polynomial(nvars=poly.nvars, coeffs=out)
-
-
-def _rank_mod_p(matrix: List[List[int]], p: int) -> int:
-    rows = [[v % p for v in row] for row in matrix]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows))
-                      if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(v - factor * w) % p
-                           for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def _solution_mask(polys: Sequence[Polynomial], block: np.ndarray,
                    modulus: int) -> np.ndarray:
     mask = np.ones(block.shape[0], dtype=bool)
     for poly in polys:
-        values = evaluate_batch(poly, block)
-        if values.dtype == object:
-            residues = np.array([int(v) % modulus for v in values],
-                                dtype=np.int64)
-        else:
-            residues = values % modulus
-        mask &= residues == 0
+        mask &= residues_mod(evaluate_batch(poly, block), modulus) == 0
         if not mask.any():
             break
     return mask
@@ -342,29 +280,28 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
     if budget is None or direct <= budget:
         ledger.charge(direct)
         total = 0
-        for block in _grid_chunks(nvars, modulus, direct):
+        for block in _residue_grid(nvars, modulus):
             total += int(_solution_mask(active, block, modulus).sum())
         return total
 
     # Hensel route: classify the mod-p solutions by Jacobian rank.
     base = p ** nvars
     ledger.charge(base)
-    jacobian = [[_partial(poly, t) for t in range(nvars)]
-                for poly in active]
+    jacobian = [poly.partials for poly in active]
     r = len(active)
     total = 0
     fiber = p ** ((H - 1) * nvars)
-    for block in _grid_chunks(nvars, p, base):
+    for block in _residue_grid(nvars, p):
         mask = _solution_mask(active, block, p)
         for point in block[mask]:
             rows = [[int(cell(tuple(int(v) for v in point)))
                      for cell in row] for row in jacobian]
-            if _rank_mod_p(rows, p) == r:
+            if echelon(rows, p).rank == r:
                 total += p ** ((H - 1) * (nvars - r))
             else:
                 ledger.charge(fiber)
                 lifted = 0
-                for tail in _grid_chunks(nvars, p ** (H - 1), fiber):
+                for tail in _residue_grid(nvars, p ** (H - 1)):
                     pts = point[None, :] + p * tail
                     lifted += int(_solution_mask(active, pts,
                                                  modulus).sum())
@@ -376,24 +313,14 @@ def _lattice_system(form: HomogeneousForm,
                     y: Sequence[int]) -> Tuple[List[Polynomial], int]:
     """Slice congruences pulled back to lattice coordinates."""
     lattice = slicing_lattice(form, y)
-    s = lattice.rank
-    polys = []
-    for _, sliced in _nonzero_slices(form, y):
-        coeffs = _pullback(sliced, lattice.basis, s)
-        polys.append(Polynomial(nvars=s, coeffs=coeffs))
-    return polys, s
+    return [pullback(sliced, lattice.basis)
+            for _, sliced in nonzero_slices(form, y)], lattice.rank
 
 
 def _fullspace_system(form: HomogeneousForm,
-                      y: Sequence[int]) -> Tuple[List[Polynomial], int]:
+                      y: Sequence[int]) -> Tuple[list, int]:
     """Slice congruences for degrees 1..d in the ambient coordinates."""
-    polys = []
-    for j in range(1, form.degree + 1):
-        sliced = integer_slice_form(form, y, j)
-        if not sliced.is_zero:
-            polys.append(Polynomial(nvars=form.nvars,
-                                    coeffs=dict(sliced.coeffs)))
-    return polys, form.nvars
+    return [sliced for _, sliced in nonzero_slices(form, y, 1)], form.nvars
 
 
 def lattice_congruence_count(form: HomogeneousForm, y: Sequence[int],
@@ -412,7 +339,7 @@ def lattice_congruence_count(form: HomogeneousForm, y: Sequence[int],
                                           factorised[1], budget=budget)
     ledger = _Budget(budget)
     total = 0
-    for block in _grid_chunks(s, modulus, modulus ** s):
+    for block in _residue_grid(s, modulus):
         ledger.charge(block.shape[0])
         total += (int(_solution_mask(polys, block, modulus).sum())
                   if polys else block.shape[0])
@@ -571,19 +498,6 @@ def _combine(kind: str, means: Sequence[complex], samples: int,
                            samples=samples, seed=seed)
 
 
-def _float_values(form, points: np.ndarray) -> np.ndarray:
-    """Float64 evaluation of an integer-coefficient form on many points."""
-    matrix, coefficients = compiled_monomials(form)
-    out = np.zeros(points.shape[0])
-    for row, coefficient in zip(matrix, coefficients):
-        term = np.full(points.shape[0], float(coefficient))
-        for i, e in enumerate(row):
-            if e:
-                term = term * points[:, i] ** int(e)
-        out += term
-    return out
-
-
 def _slab_geometry(form: HomogeneousForm, y: Sequence[int], x_bound):
     """Sampling box, basis matrix, and covolume for the slab at scale X."""
     lattice = slicing_lattice(form, y)
@@ -624,7 +538,7 @@ def oscillatory_v(form: HomogeneousForm, y: Sequence[int], beta,
     d = form.degree
     table = _beta_table(beta, d)
     lattice, radii, basis, root_cov = _slab_geometry(form, y, x_bound)
-    slices = _nonzero_slices(form, y)
+    slices = nonzero_slices(form, y)
     volume = float(np.prod(2 * radii))
     total, batches = _scramble_batches(lattice.rank, samples, seed)
     means = []
@@ -635,7 +549,7 @@ def oscillatory_v(form: HomogeneousForm, y: Sequence[int], beta,
         phase = np.zeros(ambient.shape[0])
         for j, sliced in slices:
             if table[j]:
-                phase += table[j] * _float_values(sliced, ambient)
+                phase += table[j] * evaluate_batch(sliced, ambient)
         values = np.where(inside, np.exp(2j * np.pi * phase), 0)
         means.append(complex(values.mean()) * volume * root_cov)
     return _combine("integral", means, total, seed)
@@ -661,7 +575,7 @@ def singular_integral_truncated(form: HomogeneousForm, y: Sequence[int],
     if samples < 1000:
         raise DomainError("singular integrals need at least 10^3 samples")
     lattice, radii, basis, _ = _slab_geometry(form, y, 1)
-    slices = _nonzero_slices(form, y)
+    slices = nonzero_slices(form, y)
     volume = float(np.prod(2 * radii))
     total, batches = _scramble_batches(lattice.rank, samples, seed)
     means = []
@@ -671,7 +585,7 @@ def singular_integral_truncated(form: HomogeneousForm, y: Sequence[int],
         inside = np.max(np.abs(ambient), axis=1) <= 1.0
         kernel = np.ones(ambient.shape[0])
         for _, sliced in slices:
-            values = _float_values(sliced, ambient)
+            values = evaluate_batch(sliced, ambient)
             kernel *= 2 * window * np.sinc(2 * window * values)
         means.append(float(np.mean(np.where(inside, kernel, 0.0)))
                      * volume)
@@ -687,24 +601,34 @@ def real_density_window(form: HomogeneousForm, y: Sequence[int],
     for every degree j = 1..d, normalised by the product of the window
     widths.  Fourier-free companion of the truncated singular integral.
     """
-    d = form.degree
-    n = form.nvars
-    if len(epsilon) != d:
-        raise DimensionMismatch(f"need {d} window widths, got {len(epsilon)}")
+    eps = _window_widths(epsilon, form.degree)
+    windows = [(eps[j - 1], sliced)
+               for j, sliced in nonzero_slices(form, y, 1)]
+    return _window_density(eps, windows, form.nvars, samples, seed)
+
+
+def _window_widths(epsilon: Sequence[float], count: int) -> List[float]:
+    if len(epsilon) != count:
+        raise DimensionMismatch(
+            f"need {count} window widths, got {len(epsilon)}")
     eps = [float(e) for e in epsilon]
     if any(e <= 0 for e in eps):
         raise DomainError("window widths must be positive")
-    slices = [integer_slice_form(form, y, j) for j in range(1, d + 1)]
-    scale = 2.0 ** n / math.prod(eps)
-    total, batches = _scramble_batches(n, samples, seed)
+    return eps
+
+
+def _window_density(eps: Sequence[float], windows, dim: int, samples: int,
+                    seed: int) -> DensityEstimate:
+    """QMC volume of the points of [-1, 1]^dim at which |g| <= width / 2
+    for every (width, g) in ``windows``, scaled by 2^dim / prod(eps)."""
+    scale = 2.0 ** dim / math.prod(eps)
+    total, batches = _scramble_batches(dim, samples, seed)
     means = []
     for batch in batches:
         points = 2 * batch - 1
         inside = np.ones(points.shape[0], dtype=bool)
-        for width, sliced in zip(eps, slices):
-            if sliced.is_zero:
-                continue
-            inside &= np.abs(_float_values(sliced, points)) <= width / 2
+        for width, g in windows:
+            inside &= np.abs(evaluate_batch(g, points)) <= width / 2
         means.append(float(inside.mean()) * scale)
     return _combine("real", means, total, seed)
 
@@ -740,14 +664,10 @@ def chi_global_padic(form: HomogeneousForm, p: int, H: int = 1, *,
         count = _quadric_pair_count(form, modulus, ledger)
     else:
         pencil = [pencil_coefficient_form(form, j) for j in range(d + 1)]
-        polys = [Polynomial(nvars=2 * n,
-                            coeffs={e: Fraction(c)
-                                    for e, c in g.coeffs.items()})
-                 for g in pencil]
         ledger.charge(modulus ** (2 * n))
         count = 0
-        for block in _grid_chunks(2 * n, modulus, modulus ** (2 * n)):
-            count += int(_solution_mask(polys, block, modulus).sum())
+        for block in _residue_grid(2 * n, modulus):
+            count += int(_solution_mask(pencil, block, modulus).sum())
     value = Fraction(p) ** (H * (d + 1 - 2 * n)) * count
     return DensityEstimate(kind="p-adic", value=value)
 
@@ -758,23 +678,14 @@ def _quadric_pair_count(form: HomogeneousForm, modulus: int,
     n = form.nvars
     ledger.charge(modulus ** n)
     solutions = []
-    for block in _grid_chunks(n, modulus, modulus ** n):
-        mask = _solution_mask([Polynomial(nvars=n,
-                                          coeffs={e: Fraction(c)
-                                                  for e, c
-                                                  in form.coeffs.items()})],
-                              block, modulus)
-        solutions.append(block[mask])
+    for block in _residue_grid(n, modulus):
+        solutions.append(block[_solution_mask([form], block, modulus)])
     points = np.concatenate(solutions, axis=0)
     if points.shape[0] == 0:
         return 0
     gradient_rows = np.stack(
-        [evaluate_batch(_partial(Polynomial(nvars=n,
-                                            coeffs={e: Fraction(c)
-                                                    for e, c
-                                                    in form.coeffs.items()}),
-                                 t), points) % modulus
-         for t in range(n)], axis=1).astype(np.int64)
+        [residues_mod(evaluate_batch(partial, points), modulus)
+         for partial in form.partials], axis=1)
     ledger.charge(points.shape[0] ** 2)
     count = 0
     step = max(1, (1 << 22) // max(1, points.shape[0]))
@@ -792,41 +703,11 @@ def chi_global_real(form: HomogeneousForm, epsilon: Sequence[float],
     the given width; the volume fraction is scaled by 4^n over the product
     of the widths.
     """
-    d = form.degree
-    n = form.nvars
-    if len(epsilon) != d + 1:
-        raise DimensionMismatch(
-            f"need {d + 1} window widths, got {len(epsilon)}")
-    eps = [float(e) for e in epsilon]
-    if any(e <= 0 for e in eps):
-        raise DomainError("window widths must be positive")
-    pencil = [pencil_coefficient_form(form, j) for j in range(d + 1)]
-    scale = 4.0 ** n / math.prod(eps)
-    total, batches = _scramble_batches(2 * n, samples, seed)
-    means = []
-    for batch in batches:
-        points = 2 * batch - 1
-        inside = np.ones(points.shape[0], dtype=bool)
-        for width, g in zip(eps, pencil):
-            inside &= np.abs(_float_values(g, points)) <= width / 2
-        means.append(float(inside.mean()) * scale)
-    return _combine("real", means, total, seed)
-
-
-def chi_global(form: HomogeneousForm, *, p: Optional[int] = None, H: int = 1,
-               epsilon: Optional[Sequence[float]] = None,
-               samples: Optional[int] = None, seed: int = 0,
-               budget: int = 10 ** 9) -> DensityEstimate:
-    """Local pair density at one place: pass p for p-adic, epsilon for real."""
-    padic = p is not None
-    real = epsilon is not None or samples is not None
-    if padic == real:
-        raise DomainError("pass either p or (epsilon, samples), not both")
-    if padic:
-        return chi_global_padic(form, p, H, budget=budget)
-    if epsilon is None or samples is None:
-        raise DomainError("real mode needs both epsilon and samples")
-    return chi_global_real(form, epsilon, samples, seed)
+    eps = _window_widths(epsilon, form.degree + 1)
+    pencil = [pencil_coefficient_form(form, j)
+              for j in range(form.degree + 1)]
+    return _window_density(eps, list(zip(eps, pencil)), 2 * form.nvars,
+                           samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -849,10 +730,7 @@ def predict_fixed_y(form: HomogeneousForm, y: Sequence[int], x_bound: int,
     series = singular_series_truncated(form, y, window, budget=budget)
     integral = singular_integral_truncated(form, y, window, samples, seed)
     power = Fraction(x_bound) ** (s - D + 1)
-    main = power * series.value * Fraction(float(integral.mean.real
-                                                 if isinstance(integral.mean,
-                                                               complex)
-                                                 else integral.mean))
+    main = power * series.value * _real_mean(integral)
     return Prediction(
         main_term=main,
         tag="fixed-y",
@@ -893,7 +771,8 @@ def predict_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
         else:
             missing.append(p)
     if workers > 1 and len(missing) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers,
+                                                len(missing))) as pool:
             computed = pool.map(
                 lambda p: chi_global_padic(form, p, H, budget=budget),
                 missing)
@@ -907,9 +786,7 @@ def predict_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
             cache.put(form, None, p, H, factors[p].value)
     factors = {p: factors[p] for p in primes}
     main = Fraction(x_bound * y_bound) ** (n - D)
-    main *= Fraction(float(chi_inf.mean.real
-                           if isinstance(chi_inf.mean, complex)
-                           else chi_inf.mean))
+    main *= _real_mean(chi_inf)
     for estimate in factors.values():
         main *= estimate.value
     return Prediction(
@@ -925,6 +802,11 @@ def predict_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
             "chi_infinity": chi_inf.to_json(),
             "chi_p": {str(p): est.to_json() for p, est in factors.items()},
         })
+
+
+def _real_mean(estimate: DensityEstimate) -> Fraction:
+    """Real part of a sampled mean, as the exact dyadic rational it is."""
+    return Fraction(complex(estimate.mean).real)
 
 
 def _primes_up_to(limit: int) -> List[int]:
@@ -967,6 +849,15 @@ class EulerCache:
 
     def put(self, form: HomogeneousForm, y: Optional[Sequence[int]],
             p: int, H: int, value: Fraction) -> None:
-        self._table[self._key(form, y, p, H)] = _format_fraction(value)
-        with open(self.path, "w", encoding="utf-8") as handle:
-            json.dump(self._table, handle, indent=2, sort_keys=True)
+        self._table[self._key(form, y, p, H)] = format_rational(value)
+        # write a sibling file and rename it over the cache, so a failed
+        # write leaves the previous cache intact
+        directory = os.path.dirname(os.path.abspath(self.path))
+        handle, temp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(handle, "w", encoding="utf-8") as out:
+                json.dump(self._table, out, indent=2, sort_keys=True)
+            os.replace(temp, self.path)
+        except BaseException:
+            os.unlink(temp)
+            raise

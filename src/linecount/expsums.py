@@ -40,15 +40,13 @@ from .forms import (
     Polynomial,
     RationalForm,
     evaluate_batch,
-    integer_slice_form,
+    grid_chunks,
     iterated_difference,
+    nonzero_slices,
+    pullback,
+    residues_mod,
 )
-from .lattice import (
-    IntegerLattice,
-    box_profile,
-    enumerate_points,
-    slicing_lattice,
-)
+from .lattice import box_profile, enumerate_points, slicing_lattice
 
 #: Comparison slack applied to arc membership when the input frequencies
 #: arrived as binary floats rather than exact rationals.
@@ -121,12 +119,14 @@ class FrequencyPoint:
                 for j, v in sorted(self.alpha.items())}
 
 
-def _coerce_frequency(alpha, d: int) -> FrequencyPoint:
+def _coerce_frequency(alpha, d: Optional[int]) -> FrequencyPoint:
+    """A FrequencyPoint from one or a {j: value} map, of degree d unless
+    d is None."""
     if isinstance(alpha, FrequencyPoint):
         point = alpha
     else:
         point = FrequencyPoint({j: Fraction(v) for j, v in alpha.items()})
-    if point.degree != d:
+    if d is not None and point.degree != d:
         raise DimensionMismatch(
             f"frequency point has degree {point.degree}, form has {d}")
     return point
@@ -135,21 +135,6 @@ def _coerce_frequency(alpha, d: int) -> FrequencyPoint:
 # ---------------------------------------------------------------------------
 # Shared slice machinery
 # ---------------------------------------------------------------------------
-
-def _nonzero_slices(form: HomogeneousForm,
-                    y: Sequence[int]) -> List[Tuple[int, RationalForm]]:
-    """Integer slice forms for degrees 2..d that are not identically zero."""
-    out = []
-    for j in range(2, form.degree + 1):
-        sliced = integer_slice_form(form, y, j)
-        if not sliced.is_zero:
-            out.append((j, sliced))
-    return out
-
-
-def _phase_lattice(form: HomogeneousForm, y: Sequence[int]) -> IntegerLattice:
-    return slicing_lattice(form, y)
-
 
 def _box_fractions(slices: Sequence[Tuple[int, RationalForm]],
                    point: FrequencyPoint,
@@ -160,14 +145,11 @@ def _box_fractions(slices: Sequence[Tuple[int, RationalForm]],
         coeff = point[j]
         if coeff == 0:
             continue
-        values = evaluate_batch(sliced, ambient)
         p, q = coeff.numerator, coeff.denominator
-        if values.dtype != object and p * (q - 1) >= 2 ** 62:
-            values = values.astype(object)
-        residues = (values % q) * p % q
-        if residues.dtype == object:
-            residues = residues.astype(np.float64)
-        out += residues / float(q)
+        residues = residues_mod(evaluate_batch(sliced, ambient), q)
+        if p * (q - 1) >= 2 ** 62:
+            residues = residues.astype(object)
+        out += (residues * p % q).astype(np.float64) / float(q)
     return np.mod(out, 1.0)
 
 
@@ -193,8 +175,8 @@ def exponential_sum_T(form: HomogeneousForm, y: Sequence[int], alpha,
     if x_bound < 1:
         raise DomainError("x_bound must be at least 1")
     point = _coerce_frequency(alpha, form.degree)
-    slices = _nonzero_slices(form, y)
-    lattice = _phase_lattice(form, y)
+    slices = nonzero_slices(form, y)
+    lattice = slicing_lattice(form, y)
     real_parts: List[mpmath.mpf] = []
     imag_parts: List[mpmath.mpf] = []
     with mpmath.mp.workprec(precision):
@@ -232,10 +214,11 @@ def exponential_sum_U(form: HomogeneousForm, y: Sequence[int], alpha,
     if eta_samples < 1:
         raise DomainError("eta_samples must be positive")
     point = _coerce_frequency(alpha, form.degree)
-    lattice = _phase_lattice(form, y)
-    grid = _box_grid(box_profile(lattice, x_bound).int_bounds)
+    lattice = slicing_lattice(form, y)
+    bounds = box_profile(lattice, x_bound).int_bounds
+    grid = next(grid_chunks([-b for b in bounds], bounds))
     ambient = grid @ np.asarray(lattice.basis, dtype=np.int64)
-    base = _box_fractions(_nonzero_slices(form, y), point, ambient)
+    base = _box_fractions(nonzero_slices(form, y), point, ambient)
 
     sampler = qmc.Sobol(d=lattice.rank, scramble=True, seed=seed)
     count = 1 << max(0, (eta_samples - 1).bit_length())
@@ -248,13 +231,6 @@ def exponential_sum_U(form: HomogeneousForm, y: Sequence[int], alpha,
         sums = np.exp(2j * np.pi * phases).sum(axis=1)
         best = max(best, float(np.abs(sums).max()))
     return best
-
-
-def _box_grid(bounds: Sequence[int]) -> np.ndarray:
-    """All integer vectors of the product box, shape (m, len(bounds))."""
-    axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -273,66 +249,11 @@ def phase_polynomial(form: HomogeneousForm, y: Sequence[int],
     n = form.nvars
     if any(len(row) != n for row in basis):
         raise DimensionMismatch("basis rows must have the ambient length")
-    s = len(basis)
-    total: Dict[Tuple[int, ...], Fraction] = {}
-    for j, sliced in _nonzero_slices(form, y):
-        coeff = point[j]
-        if coeff == 0:
-            continue
-        pulled = _pullback(sliced, basis, s)
-        for exponents, value in pulled.items():
-            acc = total.get(exponents, Fraction(0)) + coeff * value
-            if acc:
-                total[exponents] = acc
-            else:
-                total.pop(exponents, None)
-    return Polynomial(nvars=s, coeffs=total)
-
-
-def _pullback(sliced: RationalForm, basis: Sequence[Sequence[int]],
-              s: int) -> Dict[Tuple[int, ...], Fraction]:
-    """Coefficients of the slice composed with x = B^T xi."""
-    linear = []
-    for i in range(len(basis[0])):
-        row = {}
-        for m in range(s):
-            if basis[m][i]:
-                key = tuple(1 if t == m else 0 for t in range(s))
-                row[key] = Fraction(basis[m][i])
-        linear.append(row)
-    zero_exp = (0,) * s
-    total: Dict[Tuple[int, ...], Fraction] = {}
-    for exponents, coefficient in sliced.coeffs.items():
-        term: Dict[Tuple[int, ...], Fraction] = {zero_exp: Fraction(coefficient)}
-        for i, e in enumerate(exponents):
-            for _ in range(e):
-                term = _dict_mul(term, linear[i], s)
-                if not term:
-                    break
-            if not term:
-                break
-        for key, value in term.items():
-            acc = total.get(key, Fraction(0)) + value
-            if acc:
-                total[key] = acc
-            else:
-                total.pop(key, None)
-    return total
-
-
-def _dict_mul(a: Dict[Tuple[int, ...], Fraction],
-              b: Dict[Tuple[int, ...], Fraction],
-              s: int) -> Dict[Tuple[int, ...], Fraction]:
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            acc = out.get(key, Fraction(0)) + ca * cb
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
+    # slices of different degree share no monomial, so the sum is a merge
+    combined = {exponents: point[j] * value
+                for j, sliced in nonzero_slices(form, y) if point[j]
+                for exponents, value in sliced.coeffs.items()}
+    return pullback(Polynomial(nvars=n, coeffs=combined), basis)
 
 
 def differenced_phase(form: HomogeneousForm, y: Sequence[int],
@@ -409,11 +330,11 @@ def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
     if not 1 <= i <= d - 1:
         raise IndexOutOfRange(f"difference count {i} outside 1..{d - 1}")
     point = _coerce_frequency(alpha, d)
-    lattice = _phase_lattice(form, y)
+    lattice = slicing_lattice(form, y)
     bounds = box_profile(lattice, x_bound).int_bounds
-    grid = _box_grid(bounds)
+    grid = next(grid_chunks([-b for b in bounds], bounds))
     ambient = grid @ np.asarray(lattice.basis, dtype=np.int64)
-    slices = _nonzero_slices(form, y)
+    slices = nonzero_slices(form, y)
     box_count = grid.shape[0]
     ledger = _Budget(budget)
 
@@ -430,8 +351,9 @@ def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
     for trial_point in points:
         base = _box_fractions(slices, trial_point, ambient).reshape(shape)
         total_inner = 0.0
-        for h_tuple in itertools.product(
-                _box_grid([2 * b for b in bounds]), repeat=i):
+        shifts = next(grid_chunks([-2 * b for b in bounds],
+                                  [2 * b for b in bounds]))
+        for h_tuple in itertools.product(shifts, repeat=i):
             windows = _difference_window(bounds, h_tuple)
             if windows is None:
                 continue
@@ -520,10 +442,7 @@ def major_arc_witness(alpha, x_bound: int,
     |alpha_j - b_j/q| is at most window * x_bound^-j.  Deterministic: the
     smallest admissible q wins.  Returns None when no q qualifies.
     """
-    if isinstance(alpha, FrequencyPoint):
-        point = alpha
-    else:
-        point = FrequencyPoint({j: Fraction(v) for j, v in alpha.items()})
+    point = _coerce_frequency(alpha, None)
     window = Fraction(window) if not isinstance(window, str) \
         else parse_rational(window)
     if window < 1 or x_bound < 1:
@@ -637,8 +556,7 @@ def arc_geometry(form: HomogeneousForm, y: Sequence[int]) -> Tuple[int, int]:
     y_sup = max(abs(int(v)) for v in y)
     if y_sup == 0:
         raise ZeroVectorInput("base point must be nonzero")
-    lattice = _phase_lattice(form, y)
-    return y_sup, min(lattice.minima_proxy)
+    return y_sup, min(slicing_lattice(form, y).minima_proxy)
 
 
 def nested_arc_membership(alpha, x_bound: int, profile: ExponentProfile,

@@ -2,8 +2,9 @@
 
 A homogeneous form F of degree d in n variables is stored sparsely as a map
 from exponent tuples to coefficients.  Everything in this module is exact:
-coefficients are Python ints or :class:`fractions.Fraction`, and no floating
-point enters any computation.
+coefficients are Python ints or :class:`fractions.Fraction`, and the only
+floating point is the float64 mode of the batch evaluator, which serves the
+quasi-Monte-Carlo estimators and never decides an exact result.
 
 The central identity is the pencil expansion.  Writing Phi for the symmetric
 d-linear form with Phi(x, ..., x) = F(x), substituting a line u*x + v*y into
@@ -17,17 +18,27 @@ exactly when every c_j vanishes.  For fixed y, the degree-j piece
 x -> Phi(x, ..., x, y, ..., y) is the "slice" of F along y; the integer
 rescaling binom(d, j) * slice is what all congruence and exponential-sum
 code in this package works with, because its values are guaranteed integers.
+
+The module also holds the one implementation of three primitives the rest
+of the package shares: :func:`evaluate_batch`, the batch evaluator whose
+mode (int64, exact object, float64) follows the dtype of its points, with
+:func:`residues_mod` for the mod-q reduction of its values; :func:`echelon`,
+the exact Gauss-Jordan elimination over Q or F_p behind every rank, kernel,
+determinant and solve; and :func:`grid_chunks`, the lexicographic integer
+grid in row chunks.  Each form object compiles its monomials and builds
+its partial derivatives once, on first use.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +78,9 @@ def _sorted_items(coeffs: Mapping[Exponent, object]) -> List[Tuple[Exponent, obj
     return sorted(coeffs.items(), key=lambda item: _graded_lex_key(item[0]))
 
 
-def _validate_coeffs(nvars: int, coeffs: Mapping[Exponent, object]) -> None:
+def _validate_coeffs(nvars: int, coeffs: Mapping[Exponent, object],
+                     degree: Optional[int] = None) -> None:
+    """Shape checks; with ``degree`` also homogeneity of that degree."""
     for exponents, coefficient in coeffs.items():
         if len(exponents) != nvars:
             raise DimensionMismatch(
@@ -77,10 +90,102 @@ def _validate_coeffs(nvars: int, coeffs: Mapping[Exponent, object]) -> None:
             raise ValueError(f"negative exponent in {exponents}")
         if coefficient == 0:
             raise ValueError(f"stored zero coefficient at {exponents}")
+    for exponents in coeffs if degree is not None else ():
+        if sum(exponents) != degree:
+            raise NotHomogeneous(
+                f"monomial {exponents} has degree {sum(exponents)}, "
+                f"form degree is {degree}")
+
+
+def _add_term(out: Dict[Exponent, object], key: Exponent, value) -> None:
+    """out[key] += value, dropping the key when the sum vanishes."""
+    value = out.get(key, 0) + value
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
 
 
 @dataclass(frozen=True)
-class HomogeneousForm:
+class CompiledForm:
+    """Monomials of a form laid out for :func:`evaluate_batch`.
+
+    Fields:
+        matrix: row k is the exponent tuple of the k-th monomial (graded-lex).
+        coefficients: the coefficients as ints, in the same order.
+        degree: largest total degree of a monomial (0 for the zero form).
+        weight: sum of the absolute coefficients, for the overflow preflight.
+        integral: True when every coefficient is an integer.
+    """
+
+    matrix: np.ndarray
+    coefficients: Tuple[int, ...]
+    degree: int
+    weight: int
+    integral: bool
+
+
+class _Sparse:
+    """What the three sparse polynomial classes share.
+
+    They are immutable, so their compiled monomials and their partial
+    derivatives are built once, on first use.
+    """
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def monomials(self) -> Tuple[Monomial, ...]:
+        """Terms in graded-lexicographic order (deterministic)."""
+        return tuple(Monomial(e, Fraction(c))
+                     for e, c in _sorted_items(self.coeffs))
+
+    def __call__(self, point: IntVector):
+        """Exact value at an integer point (see :func:`evaluate_form`)."""
+        return evaluate_form(self, point)
+
+    @functools.cached_property
+    def compiled(self) -> CompiledForm:
+        """The monomials compiled for :func:`evaluate_batch`."""
+        matrix, coefficients = compiled_monomials(self)
+        return CompiledForm(
+            matrix=matrix, coefficients=tuple(coefficients),
+            degree=max((int(row.sum()) for row in matrix), default=0),
+            weight=sum(abs(c) for c in coefficients),
+            integral=all(Fraction(c).denominator == 1
+                         for c in self.coeffs.values()))
+
+    @functools.cached_property
+    def partials(self) -> tuple:
+        """The first partial derivatives d/dx_1, ..., d/dx_n, exact.
+
+        A Polynomial differentiates to Polynomials; a homogeneous form to
+        RationalForms of one degree less (degree 0 stays 0).  Coefficients
+        keep their type, so an integer form has integer derivatives.
+        """
+        out = []
+        for t in range(self.nvars):
+            coeffs: Dict[Exponent, object] = {}
+            for exponents, coefficient in self.coeffs.items():
+                e = exponents[t]
+                if not e:
+                    continue
+                _add_term(coeffs, tuple(v - 1 if i == t else v
+                                        for i, v in enumerate(exponents)),
+                          e * coefficient)
+            if isinstance(self, Polynomial):
+                out.append(Polynomial(nvars=self.nvars, coeffs=coeffs))
+            else:
+                out.append(RationalForm(nvars=self.nvars,
+                                        degree=max(self.degree - 1, 0),
+                                        coeffs=coeffs))
+        return tuple(out)
+
+
+@dataclass(frozen=True)
+class HomogeneousForm(_Sparse):
     """Integer homogeneous polynomial of degree >= 1.
 
     Fields:
@@ -96,26 +201,13 @@ class HomogeneousForm:
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError("a form must have degree >= 1")
-        _validate_coeffs(self.nvars, self.coeffs)
-        for exponents, coefficient in self.coeffs.items():
-            if sum(exponents) != self.degree:
-                raise NotHomogeneous(
-                    f"monomial {exponents} has degree {sum(exponents)}, "
-                    f"form degree is {self.degree}")
-            if not isinstance(coefficient, int):
-                raise ValueError("coefficients of a HomogeneousForm are ints")
-
-    @property
-    def monomials(self) -> Tuple[Monomial, ...]:
-        """Terms in graded-lexicographic order (deterministic)."""
-        return tuple(Monomial(e, Fraction(c)) for e, c in _sorted_items(self.coeffs))
-
-    def __call__(self, point: IntVector) -> int:
-        return evaluate_form(self, point)
+        _validate_coeffs(self.nvars, self.coeffs, self.degree)
+        if not all(isinstance(c, int) for c in self.coeffs.values()):
+            raise ValueError("coefficients of a HomogeneousForm are ints")
 
 
 @dataclass(frozen=True)
-class RationalForm:
+class RationalForm(_Sparse):
     """Homogeneous polynomial with exact rational coefficients.
 
     Used for slices of an integer form and other derived forms; the zero
@@ -129,12 +221,7 @@ class RationalForm:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        _validate_coeffs(self.nvars, self.coeffs)
-        for exponents in self.coeffs:
-            if sum(exponents) != self.degree:
-                raise NotHomogeneous(
-                    f"monomial {exponents} has degree {sum(exponents)}, "
-                    f"form degree is {self.degree}")
+        _validate_coeffs(self.nvars, self.coeffs, self.degree)
 
     @property
     def common_denominator(self) -> int:
@@ -144,20 +231,9 @@ class RationalForm:
                 den, coefficient.denominator)
         return den
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def monomials(self) -> Tuple[Monomial, ...]:
-        return tuple(Monomial(e, Fraction(c)) for e, c in _sorted_items(self.coeffs))
-
-    def __call__(self, point: IntVector) -> Fraction:
-        return evaluate_form(self, point)
-
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Sparse):
     """General (possibly inhomogeneous) sparse polynomial, exact rational."""
 
     nvars: int
@@ -172,17 +248,6 @@ class Polynomial:
         if not self.coeffs:
             return -1
         return max(sum(e) for e in self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def monomials(self) -> Tuple[Monomial, ...]:
-        return tuple(Monomial(e, Fraction(c)) for e, c in _sorted_items(self.coeffs))
-
-    def __call__(self, point: IntVector) -> Fraction:
-        return evaluate_form(self, point)
 
 
 @dataclass(frozen=True)
@@ -228,12 +293,7 @@ def _poly_mul(a: Dict[Exponent, Fraction], b: Dict[Exponent, Fraction],
     out: Dict[Exponent, Fraction] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            value = out.get(key, Fraction(0)) + ca * cb
-            if value:
-                out[key] = value
-            else:
-                out.pop(key, None)
+            _add_term(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
     return out
 
 
@@ -241,11 +301,7 @@ def _poly_add(a: Dict[Exponent, Fraction], b: Dict[Exponent, Fraction],
               sign: int = 1) -> Dict[Exponent, Fraction]:
     out = dict(a)
     for e, c in b.items():
-        value = out.get(e, Fraction(0)) + sign * c
-        if value:
-            out[e] = value
-        else:
-            out.pop(e, None)
+        _add_term(out, e, sign * c)
     return out
 
 
@@ -411,8 +467,8 @@ def evaluate_form(form, point: IntVector):
 def compiled_monomials(form) -> Tuple[np.ndarray, List[int]]:
     """Exponent matrix and coefficient list in graded-lex order.
 
-    Shared companion for the vectorised evaluators: row k of the matrix is
-    the exponent tuple of the k-th monomial.
+    Row k of the matrix is the exponent tuple of the k-th monomial.  Every
+    form caches the result in its ``compiled`` attribute.
     """
     items = _sorted_items(form.coeffs)
     if items:
@@ -424,48 +480,92 @@ def compiled_monomials(form) -> Tuple[np.ndarray, List[int]]:
 
 
 def evaluate_batch(form, points: np.ndarray) -> np.ndarray:
-    """Exact values of an integer-coefficient form on many points at once.
+    """Values of an integer-coefficient form on many points at once.
 
-    Uses an int64 fast path when a preflight bound proves no intermediate
-    can overflow, and falls back to object (arbitrary precision) arithmetic
-    otherwise.  The result equals ``[evaluate_form(form, p) for p in points]``
-    in all cases.
+    The dtype of ``points`` picks the mode:
+
+    * integers: exact.  An int64 fast path runs when a preflight bound
+      proves no intermediate can overflow; otherwise the values are
+      computed in object (arbitrary precision) arithmetic.
+    * object: exact, always in object arithmetic.
+    * float: float64, summing the monomials in graded-lex order, each
+      built left to right from its coefficient.
+
+    In the exact modes the result equals
+    ``[evaluate_form(form, p) for p in points]``.
 
     Args:
         form: form with integer coefficients (rational forms must be scaled
             by their common denominator first).
-        points: integer array of shape (m, nvars).
+        points: array of shape (m, nvars).
 
     Returns:
-        Array of shape (m,), dtype int64 when safe, otherwise object.
+        Array of shape (m,): float64 for float points, int64 when the fast
+        path is safe, otherwise object (Python ints).
     """
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[1] != form.nvars:
         raise DimensionMismatch(
             f"points must have shape (m, {form.nvars})")
-    matrix, coefficients = compiled_monomials(form)
-    if any(Fraction(c).denominator != 1 for c in form.coeffs.values()):
+    compiled = form.compiled
+    if not compiled.integral:
         raise ValueError("evaluate_batch needs integer coefficients")
+    if points.dtype.kind == "f":
+        return _sum_monomials(compiled, points, np.float64)
     if points.size == 0:
         return np.zeros(points.shape[0], dtype=np.int64)
-    biggest = int(np.abs(points).max()) if points.size else 0
-    biggest = max(biggest, 1)
-    degree = max((int(row.sum()) for row in matrix), default=0)
-    bound = sum(abs(c) for c in coefficients) * biggest ** degree
-    if bound < 2 ** 62 and points.dtype != object:
-        pts = points.astype(np.int64)
-        values = np.zeros(pts.shape[0], dtype=np.int64)
-        for row, coefficient in zip(matrix, coefficients):
-            term = np.full(pts.shape[0], coefficient, dtype=np.int64)
-            for i, e in enumerate(row):
-                if e:
-                    term = term * pts[:, i] ** int(e)
-            values += term
-        return values
-    values = np.array(
-        [evaluate_form(form, [int(v) for v in p]) for p in points],
-        dtype=object)
+    if points.dtype != object:
+        biggest = max(int(np.abs(points).max()), 1)
+        if compiled.weight * biggest ** compiled.degree < 2 ** 62:
+            return _sum_monomials(compiled, points.astype(np.int64),
+                                  np.int64)
+    return _sum_monomials(compiled, points.astype(object), object)
+
+
+def _sum_monomials(compiled: CompiledForm, points: np.ndarray,
+                   dtype) -> np.ndarray:
+    values = np.zeros(points.shape[0], dtype=dtype)
+    for row, coefficient in zip(compiled.matrix, compiled.coefficients):
+        term = np.full(points.shape[0], coefficient, dtype=dtype)
+        for i, e in enumerate(row):
+            if e:
+                term = term * points[:, i] ** int(e)
+        values += term
     return values
+
+
+def residues_mod(values: np.ndarray, modulus: int) -> np.ndarray:
+    """Exact values from :func:`evaluate_batch` reduced into [0, modulus),
+    as int64, whichever exact mode produced them."""
+    if values.dtype == object:
+        return (values % modulus).astype(np.int64)
+    return values % modulus
+
+
+def grid_chunks(lows: Sequence[int], highs: Sequence[int],
+                chunk_rows: Optional[int] = None) -> Iterator[np.ndarray]:
+    """The integer grid prod_i [lows_i, highs_i] as int64 row blocks.
+
+    Rows run in lexicographic order, last coordinate fastest (the order of
+    ``itertools.product``), decoded from a mixed-radix row index; each
+    block holds ``chunk_rows`` rows (the last may hold fewer), or the whole
+    grid when ``chunk_rows`` is None.
+    """
+    sides = [int(hi) - int(lo) + 1 for lo, hi in zip(lows, highs)]
+    total = math.prod(sides)
+    step = chunk_rows or max(total, 1)
+    return (_grid_block(lows, sides, start, min(start + step, total))
+            for start in range(0, total, step))
+
+
+def _grid_block(lows: Sequence[int], sides: Sequence[int], start: int,
+                stop: int) -> np.ndarray:
+    index = np.arange(start, stop, dtype=np.int64)
+    block = np.empty((stop - start, len(sides)), dtype=np.int64)
+    for i in range(len(sides) - 1, -1, -1):
+        block[:, i] = index % sides[i] + lows[i]
+        index = index // sides[i]
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -577,19 +677,20 @@ def integer_slice_form(form: HomogeneousForm, y: IntVector,
     out: Dict[Exponent, Fraction] = {}
     for exponents, coefficient in form.coeffs.items():
         for k in _bounded_compositions(exponents, j):
-            weight = coefficient
-            for e, kk, yy in zip(exponents, k, y):
-                weight *= math.comb(e, kk)
-                if e - kk:
-                    weight *= yy ** (e - kk)
-            if weight == 0:
-                continue
-            value = out.get(k, Fraction(0)) + weight
-            if value:
-                out[k] = Fraction(value)
-            else:
-                out.pop(k, None)
+            _add_term(out, k,
+                      Fraction(_shifted_weight(coefficient, exponents, k, y)))
     return RationalForm(nvars=form.nvars, degree=j, coeffs=out)
+
+
+def _shifted_weight(coefficient, exponents: Exponent, k: Exponent,
+                    shift: IntVector):
+    """Coefficient of x^k in coefficient * prod_i (x_i + shift_i)^e_i."""
+    weight = coefficient
+    for e, kk, h in zip(exponents, k, shift):
+        weight *= math.comb(e, kk)
+        if e - kk:
+            weight *= h ** (e - kk)
+    return weight
 
 
 def slice_form(form: HomogeneousForm, y: IntVector, j: int) -> RationalForm:
@@ -609,6 +710,50 @@ def slice_form(form: HomogeneousForm, y: IntVector, j: int) -> RationalForm:
         coeffs={e: c / binom for e, c in scaled.coeffs.items()})
 
 
+def nonzero_slices(form: HomogeneousForm, y: IntVector,
+                   lowest: int = 2) -> List[Tuple[int, RationalForm]]:
+    """The integer slices of degree lowest..d that are not identically zero,
+    as (degree, slice) pairs in increasing degree.
+
+    With the default lowest = 2 these are the line conditions: a point x of
+    the slicing lattice spans a line with y exactly when all of them vanish
+    at x (degree 1 is lattice membership and degree 0 is F(y) = 0).
+    """
+    out = []
+    for j in range(lowest, form.degree + 1):
+        sliced = integer_slice_form(form, y, j)
+        if not sliced.is_zero:
+            out.append((j, sliced))
+    return out
+
+
+def pullback(form, basis: Sequence[IntVector]) -> Polynomial:
+    """The form composed with x = B^T xi, as a polynomial in the s lattice
+    coordinates xi (B the s x n matrix whose rows are ``basis``)."""
+    s = len(basis)
+    linear = []
+    for i in range(form.nvars):
+        row = {}
+        for m in range(s):
+            if basis[m][i]:
+                key = tuple(1 if t == m else 0 for t in range(s))
+                row[key] = Fraction(basis[m][i])
+        linear.append(row)
+    total: Dict[Exponent, Fraction] = {}
+    for exponents, coefficient in form.coeffs.items():
+        term: Dict[Exponent, Fraction] = {(0,) * s: Fraction(coefficient)}
+        for i, e in enumerate(exponents):
+            for _ in range(e):
+                term = _poly_mul(term, linear[i])
+                if not term:
+                    break
+            if not term:
+                break
+        for key, value in term.items():
+            _add_term(total, key, value)
+    return Polynomial(nvars=s, coeffs=total)
+
+
 # ---------------------------------------------------------------------------
 # Derivatives
 # ---------------------------------------------------------------------------
@@ -616,21 +761,7 @@ def slice_form(form: HomogeneousForm, y: IntVector, j: int) -> RationalForm:
 def gradient(form: HomogeneousForm, point: IntVector) -> Tuple[int, ...]:
     """Exact gradient vector (dF/dx_1, ..., dF/dx_n) at an integer point."""
     _check_point(form, point)
-    out = []
-    for i in range(form.nvars):
-        total = 0
-        for exponents, coefficient in form.coeffs.items():
-            e = exponents[i]
-            if not e:
-                continue
-            term = coefficient * e
-            for k, (value, ee) in enumerate(zip(point, exponents)):
-                power = ee - 1 if k == i else ee
-                if power:
-                    term *= value ** power
-            total += term
-        out.append(total)
-    return tuple(out)
+    return tuple(evaluate_form(partial, point) for partial in form.partials)
 
 
 def hessian(form: HomogeneousForm, point: IntVector,
@@ -639,22 +770,9 @@ def hessian(form: HomogeneousForm, point: IntVector,
     _check_point(form, point)
     n = form.nvars
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for jj in range(i, n):
-            total = 0
-            for exponents, coefficient in form.coeffs.items():
-                ei, ej = exponents[i], exponents[jj]
-                factor = ei * (ei - 1) if i == jj else ei * ej
-                if not factor:
-                    continue
-                term = coefficient * factor
-                for k, (value, ee) in enumerate(zip(point, exponents)):
-                    power = ee - (2 if (k == i and i == jj) else
-                                  (1 if k in (i, jj) else 0))
-                    if power:
-                        term *= value ** power
-                total += term
-            rows[i][jj] = rows[jj][i] = total
+    for i, partial in enumerate(form.partials):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = evaluate_form(partial.partials[j], point)
     return tuple(tuple(r) for r in rows)
 
 
@@ -684,20 +802,9 @@ def discrete_difference(p, h: IntVector) -> Polynomial:
     for exponents, coefficient in poly.coeffs.items():
         # expand prod_i (x_i + h_i)^{e_i} and subtract the original term
         for k in _all_subexponents(exponents):
-            weight = coefficient
-            for e, kk, hh in zip(exponents, k, h):
-                weight *= math.comb(e, kk)
-                if e - kk:
-                    weight *= hh ** (e - kk)
-            if k == exponents:
-                weight -= coefficient
-            if weight == 0:
-                continue
-            value = out.get(k, Fraction(0)) + weight
-            if value:
-                out[k] = value
-            else:
-                out.pop(k, None)
+            weight = _shifted_weight(coefficient, exponents, k, h)
+            _add_term(out, k, weight - coefficient if k == exponents
+                      else weight)
     return Polynomial(nvars=poly.nvars, coeffs=out)
 
 
@@ -800,7 +907,7 @@ def b_coefficient_vector(form: HomogeneousForm, y: IntVector,
         if sum(g * b for g, b in zip(grad, row)) != 0:
             raise BasisNotSpanning(
                 "basis vector not orthogonal to the gradient at y")
-    if _rational_rank([list(row) for row in basis]) != s:
+    if echelon(basis).rank != s:
         raise BasisNotSpanning("basis rows are linearly dependent")
     if len(shifts) != j - 1:
         raise DimensionMismatch(
@@ -820,24 +927,102 @@ def b_coefficient_vector(form: HomogeneousForm, y: IntVector,
     return tuple(out)
 
 
-def _rational_rank(rows: List[List[int]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    matrix = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    col = 0
+# ---------------------------------------------------------------------------
+# Exact elimination
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Echelon:
+    """Reduced row echelon form of a matrix over Q or over F_p.
+
+    Fields:
+        rows: the reduced rows, pivot rows first; a pivot entry is 1 and the
+            rest of its column is 0.  Entries are Fractions over Q and
+            residues in [0, p) over F_p.
+        pivots: the pivot column of each pivot row, increasing.
+        width: only the first ``width`` columns were searched for pivots.
+        det: determinant of the leading width x width block when the matrix
+            has ``width`` rows, else 0.
+        modulus: p, or None over Q.
+    """
+
+    rows: Tuple[Tuple, ...]
+    pivots: Tuple[int, ...]
+    width: int
+    det: object
+    modulus: Optional[int]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def nullspace(self) -> List[List]:
+        """Basis of the kernel of the first ``width`` columns: one vector per
+        free column, 1 there and 0 at the other free columns."""
+        zero, one = (Fraction(0), Fraction(1)) if self.modulus is None \
+            else (0, 1)
+        basis = []
+        for col in range(self.width):
+            if col in self.pivots:
+                continue
+            vector = [zero] * self.width
+            vector[col] = one
+            for row, pivot in zip(self.rows, self.pivots):
+                vector[pivot] = -row[col] if self.modulus is None \
+                    else -row[col] % self.modulus
+            basis.append(vector)
+        return basis
+
+
+def echelon(rows: Sequence[Sequence[int]], modulus: Optional[int] = None,
+            width: Optional[int] = None) -> Echelon:
+    """Gauss-Jordan elimination over Q (``modulus`` None) or F_p (p prime).
+
+    Pivots are sought in the first ``width`` columns (all by default) and
+    row operations act on whole rows, so eliminating [A | B] with A square
+    and invertible leaves [I | A^-1 B].  Serves ranks, kernels,
+    determinants and linear solves alike.
+    """
+    if modulus is None:
+        matrix = [[Fraction(v) for v in row] for row in rows]
+    else:
+        matrix = [[v % modulus for v in row] for row in rows]
     ncols = len(matrix[0]) if matrix else 0
-    while rank < len(matrix) and col < ncols:
-        pivot = next((r for r in range(rank, len(matrix))
-                      if matrix[r][col] != 0), None)
+    width = ncols if width is None else width
+    pivots: List[int] = []
+    det = 1
+    for col in range(width):
+        rank = len(pivots)
+        if rank == len(matrix):
+            break
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]),
+                     None)
         if pivot is None:
-            col += 1
             continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        for r in range(rank + 1, len(matrix)):
-            if matrix[r][col]:
-                factor = matrix[r][col] / matrix[rank][col]
-                matrix[r] = [a - factor * b
-                             for a, b in zip(matrix[r], matrix[rank])]
-        rank += 1
-        col += 1
-    return rank
+        if pivot != rank:
+            matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+            det = -det
+        lead = matrix[rank][col]
+        det *= lead
+        if modulus is None:
+            row = [v / lead for v in matrix[rank]]
+        else:
+            inverse = pow(lead, -1, modulus)
+            row = [v * inverse % modulus for v in matrix[rank]]
+        matrix[rank] = row
+        for r, other in enumerate(matrix):
+            factor = other[col]
+            if r == rank or not factor:
+                continue
+            if modulus is None:
+                matrix[r] = [a - factor * b for a, b in zip(other, row)]
+            else:
+                matrix[r] = [(a - factor * b) % modulus
+                             for a, b in zip(other, row)]
+        pivots.append(col)
+    if len(pivots) != width or len(matrix) != width:
+        det = 0
+    det = Fraction(det) if modulus is None else det % modulus
+    return Echelon(rows=tuple(tuple(row) for row in matrix),
+                   pivots=tuple(pivots), width=width, det=det,
+                   modulus=modulus)

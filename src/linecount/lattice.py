@@ -14,19 +14,20 @@ mod q, box counts — happens on this lattice, so this module provides:
   * the image of the lattice modulo q with exact cardinality.
 
 All arithmetic here is exact (int / Fraction); determinants are kept
-squared so no square roots ever appear.
+squared so no square roots ever appear.  The covolume, the dual basis and
+the membership test are read off the package's one exact elimination
+routine, :func:`linecount.forms.echelon`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ZeroVectorInput
-from .forms import HomogeneousForm, gradient
+from .forms import HomogeneousForm, echelon, gradient
 
 IntVector = Sequence[int]
 
@@ -145,7 +146,6 @@ def hermite_normal_form(rows: Sequence[IntVector]) -> List[List[int]]:
     for col in range(ncols):
         # find a row at or below pivot_row with nonzero entry in col, and
         # run a gcd sweep so only one survives
-        r = pivot_row
         while True:
             nonzero = [i for i in range(pivot_row, len(matrix))
                        if matrix[i][col] != 0]
@@ -178,65 +178,23 @@ def gram_matrix(rows: Sequence[IntVector]) -> List[List[int]]:
     return [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
 
 
-def _det_fraction(matrix: Sequence[Sequence[int]]) -> Fraction:
-    m = [[Fraction(v) for v in row] for row in matrix]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] / m[col][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def covolume_squared(rows: Sequence[IntVector]) -> int:
     """Exact det(B B^T) for integer basis rows."""
-    det = _det_fraction(gram_matrix(rows))
+    det = echelon(gram_matrix(rows)).det
     assert det.denominator == 1
     return int(det)
 
 
-def _solve_fraction(matrix: List[List[Fraction]],
-                    rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    """Solve a square exact system; None when singular."""
-    size = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
-
-
 def dual_basis(lattice: IntegerLattice) -> List[List[Fraction]]:
-    """Rows d_t with d_t . b_u = delta_{tu}: the matrix (B B^T)^{-1} B."""
-    gram = [[Fraction(v) for v in row] for row in gram_matrix(lattice.basis)]
-    out = []
-    for t in range(lattice.rank):
-        rhs = [Fraction(1 if u == t else 0) for u in range(lattice.rank)]
-        coeffs = _solve_fraction([row[:] for row in gram], rhs)
-        if coeffs is None:  # cannot happen for independent rows
-            raise ValueError("basis rows are dependent")
-        out.append([
-            sum(coeffs[u] * lattice.basis[u][i] for u in range(lattice.rank))
-            for i in range(lattice.ambient_dim)
-        ])
-    return out
+    """Rows d_t with d_t . b_u = delta_{tu}: the matrix (B B^T)^{-1} B,
+    read off one elimination of [B B^T | B]."""
+    s = lattice.rank
+    reduced = echelon([gram + list(row) for gram, row
+                       in zip(gram_matrix(lattice.basis), lattice.basis)],
+                      width=s)
+    if reduced.rank != s:  # cannot happen for independent rows
+        raise ValueError("basis rows are dependent")
+    return [list(row[s:]) for row in reduced.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +491,14 @@ def contains(lattice: IntegerLattice, x: IntVector) -> bool:
     """Exact membership: does x have integer lattice coordinates?"""
     if len(x) != lattice.ambient_dim:
         raise DimensionMismatch("point has wrong ambient dimension")
-    gram = [[Fraction(v) for v in row] for row in gram_matrix(lattice.basis)]
-    rhs = [Fraction(sum(b * xi for b, xi in zip(row, x)))
-           for row in lattice.basis]
-    coeffs = _solve_fraction(gram, rhs)
-    if coeffs is None or any(c.denominator != 1 for c in coeffs):
+    s = lattice.rank
+    reduced = echelon([gram + [sum(b * xi for b, xi in zip(row, x))]
+                       for gram, row in zip(gram_matrix(lattice.basis),
+                                            lattice.basis)], width=s)
+    if reduced.rank != s:
+        return False
+    coeffs = [row[s] for row in reduced.rows]
+    if any(c.denominator != 1 for c in coeffs):
         return False
     recon = [
         sum(int(c) * lattice.basis[t][i] for t, c in enumerate(coeffs))
@@ -590,7 +551,3 @@ def lattice_to_json(lattice: IntegerLattice) -> dict:
         "covolume_sq": str(lattice.covolume_sq),
         "minima_proxy": [str(v) for v in lattice.minima_proxy],
     }
-
-
-def lattice_to_json_text(lattice: IntegerLattice) -> str:
-    return json.dumps(lattice_to_json(lattice), indent=2, sort_keys=True)

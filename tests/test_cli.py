@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from linecount.cli import (
     _minimal_admissible_n,
     main,
 )
+from linecount import counting, density
 from linecount.counting import count_fixed_y, count_pairs
 from linecount.density import chi_global_padic, singular_series_truncated
 from linecount.errors import DomainError
@@ -137,6 +139,46 @@ class TestCount:
                           "--X", "1", "--Y", "1")
         assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) \
             == out["total"]
+
+
+class TestWorkers:
+    """--workers outside 1..cpu_count is refused before any pool exists."""
+
+    @pytest.fixture(autouse=True)
+    def no_pools(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was constructed")
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(density, "ThreadPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("mode", [("--y", "1,0,0,0,0"), ("--Y", "1")])
+    def test_count_rejects_more_workers_than_cpus(self, capsys, mode):
+        code, out = run_json(capsys, "count", "--fixture", "quadric-5",
+                             "--X", "2", *mode,
+                             "--workers", str((os.cpu_count() or 1) + 1))
+        assert code == EXIT_VALIDATION
+        assert "--workers" in out["error"]["message"]
+
+    def test_predict_rejects_more_workers_than_cpus(self, capsys):
+        code, out = run_json(capsys, "predict", "--fixture", "quadric-4",
+                             "--X", "5", "--Y", "5", "--p-max", "3",
+                             "--epsilon", "1,1,1", "--samples", "2048",
+                             "--workers", str((os.cpu_count() or 1) + 1))
+        assert code == EXIT_VALIDATION
+        assert "--workers" in out["error"]["message"]
+
+    def test_count_rejects_zero_workers(self, capsys):
+        code, _ = run_json(capsys, "count", "--fixture", "quadric-5",
+                           "--X", "2", "--y", "1,0,0,0,0", "--workers", "0")
+        assert code == EXIT_VALIDATION
+
+    def test_one_worker_runs_without_a_pool(self, capsys):
+        code, out = run_json(capsys, "count", "--fixture", "quadric-5",
+                             "--X", "2", "--y", "1,0,0,0,0",
+                             "--workers", "1")
+        assert code == EXIT_OK
+        assert out["total"] == count_fixed_y(diagonal_quadric(5),
+                                             (1, 0, 0, 0, 0), 2)
 
 
 class TestExpsum:

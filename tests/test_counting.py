@@ -1,17 +1,17 @@
 """Brute-force pair counts, Hessian strata, and tangency dimensions."""
 
-import csv
 import itertools
 import math
 import random
+from concurrent.futures import Future
 
 import pytest
 
+from linecount import counting
 from linecount.counting import (
     FallbackFullBox,
     count_fixed_y,
     count_pairs,
-    export_breakdown_csv,
     hessian_corank,
     m2_dimension,
     singular_points_in_box,
@@ -30,6 +30,7 @@ from linecount.fixtures import (
     random_dense_form,
 )
 from linecount.forms import is_line_generator_pair, parse_form
+from linecount.lattice import box_profile, slicing_lattice
 
 QUINTIC = fermat_quintic()
 Y0 = QUINTIC_BASE_POINT
@@ -205,25 +206,39 @@ class TestCountPairs:
         with pytest.raises(DomainError):
             count_pairs(QUINTIC, 0, 1)
 
+    def test_pools_are_sized_to_their_pieces(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs each piece in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+        report = count_pairs(QUADRIC, 1, 1, breakdown=True, workers=64)
+        assert sizes == [3]  # one slab per value of y_1 in -1..1
+        assert report == count_pairs(QUADRIC, 1, 1, breakdown=True)
+        sizes.clear()
+        assert count_fixed_y(QUINTIC, Y0, 2, workers=64) \
+            == count_fixed_y(QUINTIC, Y0, 2)
+        radius = box_profile(slicing_lattice(QUINTIC, Y0), 2).int_bounds[0]
+        assert sizes == [2 * radius + 1]
+
     def test_budget_exhaustion(self):
         with pytest.raises(ResourceLimit):
             count_pairs(QUADRIC, 3, 3, budget=50)
-
-    def test_csv_export(self, tmp_path):
-        report = count_pairs(QUINTIC, 1, 1, breakdown=True)
-        path = tmp_path / "breakdown.csv"
-        export_breakdown_csv(report, str(path))
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["y1", "y2", "y3", "y4", "count"]
-        assert len(rows) - 1 == len(report.per_y_breakdown)
-        total = sum(int(row[-1]) for row in rows[1:])
-        assert total == report.total
-
-    def test_csv_requires_breakdown(self, tmp_path):
-        report = count_pairs(QUINTIC, 1, 1)
-        with pytest.raises(DomainError):
-            export_breakdown_csv(report, str(tmp_path / "x.csv"))
 
 
 class TestHessianCorank:

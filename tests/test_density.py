@@ -16,7 +16,6 @@ from linecount.density import (
     DensityEstimate,
     EulerCache,
     Prediction,
-    chi_global,
     chi_global_padic,
     chi_global_real,
     chi_p_fixed_y,
@@ -617,16 +616,6 @@ class TestChiGlobal:
         assert est.mean == pytest.approx(4 ** 4 / 1000.0 ** 3, rel=1e-12)
         assert est.stderr == 0
 
-    def test_dispatcher(self):
-        padic = chi_global(QUADRIC4, p=3)
-        assert padic.value == chi_global_padic(QUADRIC4, 3, 1).value
-        real = chi_global(QUADRIC4, epsilon=[1.0] * 3, samples=2048, seed=2)
-        assert real.kind == "real"
-        with pytest.raises(DomainError):
-            chi_global(QUADRIC4)
-        with pytest.raises(DomainError):
-            chi_global(QUADRIC4, p=3, epsilon=[1.0] * 3, samples=2048)
-
     def test_rejects_composite_p(self):
         with pytest.raises(DomainError):
             chi_global_padic(QUADRIC4, 9, 1)
@@ -675,6 +664,25 @@ class TestPredictions:
         assert out["tag"] == "global"
         assert "2n variables" in out["components"]["convention"]
         assert out["components"]["chi_p"]["2"]["kind"] == "p-adic"
+
+    def test_euler_cache_failed_write_keeps_previous_file(self, tmp_path,
+                                                          monkeypatch):
+        path = os.path.join(tmp_path, "euler.json")
+        cache = EulerCache(path)
+        cache.put(QUADRIC4, None, 2, 1, Fraction(3, 4))
+
+        def crash(obj, handle, **kwargs):
+            handle.write('{"truncated')
+            raise OSError("disk full")
+
+        monkeypatch.setattr("linecount.density.json.dump", crash)
+        with pytest.raises(OSError):
+            cache.put(QUADRIC4, None, 3, 1, Fraction(1, 2))
+        monkeypatch.undo()
+        reloaded = EulerCache(path)
+        assert reloaded.get(QUADRIC4, None, 2, 1) == Fraction(3, 4)
+        assert reloaded.get(QUADRIC4, None, 3, 1) is None
+        assert os.listdir(tmp_path) == ["euler.json"]
 
     def test_euler_cache_round_trip(self, tmp_path):
         path = os.path.join(tmp_path, "euler.json")

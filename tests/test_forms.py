@@ -416,8 +416,8 @@ class TestBCoefficients:
         # build two independent integer vectors orthogonal to grad
         g1, g2, g3 = grad
         basis = [(g2, -g1, 0), (0, g3, -g2)]
-        from linecount.forms import _rational_rank
-        assert _rational_rank([list(b) for b in basis]) == 2
+        from linecount.forms import echelon
+        assert echelon(basis).rank == 2
         j = 2
         h = (2, -3)
         vec = b_coefficient_vector(form, y, basis, j, [h])
