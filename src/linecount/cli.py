@@ -690,7 +690,7 @@ def _run_selftest(args, form=None) -> dict:
 
     def zero_frequency_counts() -> bool:
         from .lattice import enumerate_points
-        points = sum(1 for _ in enumerate_points(
+        points = sum(len(block) for block in enumerate_points(
             slicing_lattice(quintic, yq), 2))
         value = exponential_sum_T(quintic, yq, FrequencyPoint.zero(5), 2)
         return abs(complex(value) - points) < 1e-9

@@ -141,22 +141,6 @@ class _Budget:
 # Shared enumeration plumbing
 # ---------------------------------------------------------------------------
 
-def _iter_lattice_chunks(lattice, x_bound: int,
-                         leading_range: Optional[Tuple[int, int]] = None,
-                         chunk_rows: int = _CHUNK_ROWS,
-                         ) -> Iterator[np.ndarray]:
-    """Lattice points in the box, batched into integer row arrays."""
-    buffer: List[Tuple[int, ...]] = []
-    for point in enumerate_points(lattice, x_bound,
-                                  leading_range=leading_range):
-        buffer.append(point)
-        if len(buffer) >= chunk_rows:
-            yield np.array(buffer, dtype=np.int64)
-            buffer = []
-    if buffer:
-        yield np.array(buffer, dtype=np.int64)
-
-
 def _condition_mask(conditions, chunk: np.ndarray) -> np.ndarray:
     """Rows of ``chunk`` at which every slice of ``conditions`` (pairs from
     :func:`nonzero_slices`) vanishes."""
@@ -194,8 +178,7 @@ def _point_chunks(form: HomogeneousForm, y: IntVector, x_bound: int,
                                [x_bound] * form.nvars, _CHUNK_ROWS)
         return
     lattice = reduce_basis(kernel_lattice(sliced.vector))
-    yield from _iter_lattice_chunks(lattice, x_bound,
-                                    leading_range=leading_range)
+    yield from enumerate_points(lattice, x_bound, leading_range=leading_range)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +199,8 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
         y: nonzero integer base point (need not lie on the hypersurface).
         x_bound: sup-norm box bound X >= 0.
         workers: split the leading lattice coordinate across processes.
-        budget: optional cap on the number of points examined.
+        budget: optional cap on the number of points examined, summed over
+            all workers.
 
     Raises:
         ZeroVectorInput: y = 0.
@@ -232,7 +216,7 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
         warnings.warn(
             f"gradient vanishes at y={tuple(y)}; scanning the full box",
             FallbackFullBox, stacklevel=2)
-    return _fixed_y_piece(form, y, x_bound, None, budget)
+    return _fixed_y_piece(form, y, x_bound, None, budget)[0]
 
 
 def _split_range(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
@@ -246,11 +230,13 @@ def _split_range(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
 
 def _fixed_y_piece(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
                    leading_range: Optional[Tuple[int, int]],
-                   budget: Optional[int]) -> int:
-    """Count over the whole fiber, or over one range of the first lattice
-    coordinate."""
-    return sum(int(mask.sum()) for _, mask in _hits(
-        form, y, x_bound, _Budget(budget), leading_range))
+                   budget: Optional[int]) -> Tuple[int, int]:
+    """(count, points charged) over the whole fiber, or over one range of
+    the first lattice coordinate."""
+    meter = _Budget(budget)
+    count = sum(int(mask.sum()) for _, mask in _hits(
+        form, y, x_bound, meter, leading_range))
+    return count, meter.spent
 
 
 def _count_fixed_y_parallel(form: HomogeneousForm, y: IntVector,
@@ -268,7 +254,10 @@ def _count_fixed_y_parallel(form: HomogeneousForm, y: IntVector,
         futures = [pool.submit(_fixed_y_piece, form, y, x_bound, piece,
                                budget)
                    for piece in pieces]
-        return sum(f.result() for f in futures)
+        results = [f.result() for f in futures]
+    # the pieces' charges add up to the sequential total, whatever the split
+    _Budget(budget).charge(sum(spent for _, spent in results))
+    return sum(count for count, _ in results)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +369,9 @@ def _pairs_slab(form: HomogeneousForm, x_bound: int, y_bound: int,
                 first_lo: int, first_hi: int, exclude_proportional: bool,
                 stratum_rho: Optional[int], breakdown: bool,
                 budget: Optional[int]) -> Tuple[
-                    int, int, int, Dict[Tuple[int, ...], int]]:
-    """Accumulate pair counts over base points with y_1 in [lo, hi]."""
+                    int, int, int, Dict[Tuple[int, ...], int], int]:
+    """Accumulate pair counts over base points with y_1 in [lo, hi]; the
+    last entry is the work charged."""
     n = form.nvars
     meter = _Budget(budget)
     total = 0
@@ -408,7 +398,7 @@ def _pairs_slab(form: HomogeneousForm, x_bound: int, y_bound: int,
                 stratified += strat_y
                 if breakdown:
                     per_y[y] = total_y
-    return total, proportional, stratified, per_y
+    return total, proportional, stratified, per_y, meter.spent
 
 
 def _pairs_at_base_point(form: HomogeneousForm, y: Tuple[int, ...],
@@ -458,7 +448,8 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
 
     Raises:
         DomainError: X < 1 or Y < 1.
-        ResourceLimit: the scan exceeded the budget.
+        ResourceLimit: the scan exceeded the budget (summed over all
+            workers).
     """
     if x_bound < 1 or y_bound < 1:
         raise DomainError("x_bound and y_bound must be at least 1")
@@ -477,6 +468,7 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
         results = [_pairs_slab(form, x_bound, y_bound, -y_bound, y_bound,
                                exclude_proportional, stratum_rho, breakdown,
                                budget)]
+    _Budget(budget).charge(sum(r[4] for r in results))
     total = sum(r[0] for r in results)
     proportional = sum(r[1] for r in results)
     stratified = sum(r[2] for r in results) if stratum_rho is not None \

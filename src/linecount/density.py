@@ -332,8 +332,15 @@ def lattice_congruence_count(form: HomogeneousForm, y: Sequence[int],
     For prime-power moduli the count can fall through to Hensel lifting;
     general moduli are scanned directly.
     """
-    factorised = _prime_power(modulus)
     polys, s = _lattice_system(form, y)
+    return _congruence_count(polys, s, modulus, budget)
+
+
+def _congruence_count(polys: List[Polynomial], s: int, modulus: int,
+                      budget: Optional[int]) -> int:
+    """#{xi mod ``modulus`` in s lattice coordinates: every pulled-back
+    slice in ``polys`` vanishes}."""
+    factorised = _prime_power(modulus)
     if factorised is not None:
         return count_congruence_solutions(polys, s, factorised[0],
                                           factorised[1], budget=budget)
@@ -385,10 +392,9 @@ def singular_series_truncated(form: HomogeneousForm, y: Sequence[int],
     """
     if window < 1:
         raise DomainError("window must be at least 1")
-    lattice = slicing_lattice(form, y)
-    s = lattice.rank
+    polys, s = _lattice_system(form, y)
     d = form.degree
-    counts = {m: lattice_congruence_count(form, y, m, budget=budget)
+    counts = {m: _congruence_count(polys, s, m, budget)
               for m in range(1, window + 1)}
     total = Fraction(0)
     for q in range(1, window + 1):

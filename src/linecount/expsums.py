@@ -180,17 +180,18 @@ def exponential_sum_T(form: HomogeneousForm, y: Sequence[int], alpha,
     real_parts: List[mpmath.mpf] = []
     imag_parts: List[mpmath.mpf] = []
     with mpmath.mp.workprec(precision):
-        for x in enumerate_points(lattice, x_bound):
-            phase = Fraction(0)
-            for j, sliced in slices:
-                coeff = point[j]
-                if coeff:
-                    phase += coeff * sliced(x)
-            phase -= math.floor(phase)
-            value = mpmath.expjpi(
-                2 * mpmath.mpf(phase.numerator) / phase.denominator)
-            real_parts.append(value.real)
-            imag_parts.append(value.imag)
+        for block in enumerate_points(lattice, x_bound):
+            for x in block.tolist():
+                phase = Fraction(0)
+                for j, sliced in slices:
+                    coeff = point[j]
+                    if coeff:
+                        phase += coeff * sliced(x)
+                phase -= math.floor(phase)
+                value = mpmath.expjpi(
+                    2 * mpmath.mpf(phase.numerator) / phase.denominator)
+                real_parts.append(value.real)
+                imag_parts.append(value.imag)
         return mpmath.mpc(mpmath.fsum(real_parts), mpmath.fsum(imag_parts))
 
 

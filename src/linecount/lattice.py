@@ -10,11 +10,13 @@ mod q, box counts — happens on this lattice, so this module provides:
   * exact-rational LLL reduction (Lovasz parameter 3/4),
   * a per-axis coefficient box containing all lattice points of sup-norm
     at most X (computed from the exact dual basis),
-  * a deterministic point stream by recursive interval bounding, and
+  * a deterministic stream of point blocks from a breadth-first interval
+    search (Fincke-Pohst, vectorised per lattice coordinate), and
   * the image of the lattice modulo q with exact cardinality.
 
-All arithmetic here is exact (int / Fraction); determinants are kept
-squared so no square roots ever appear.  The covolume, the dual basis and
+All arithmetic here is exact (int / Fraction, and int64 arrays only where
+a bound proves that no value overflows); determinants are kept squared so
+no square roots ever appear.  The covolume, the dual basis and
 the membership test are read off the package's one exact elimination
 routine, :func:`linecount.forms.echelon`.
 """
@@ -25,6 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DimensionMismatch, ZeroVectorInput
 from .forms import HomogeneousForm, echelon, gradient
@@ -410,16 +414,36 @@ def box_profile(lattice: IntegerLattice, x_bound: int,
     return BoxProfile(half_widths=widths, scale=scale)
 
 
+#: Most rows in one block of :func:`enumerate_points`.
+_BLOCK_ROWS = 1 << 14
+
+
 def enumerate_points(lattice: IntegerLattice, x_bound: int,
                      leading_range: Optional[Tuple[int, int]] = None,
-                     ) -> Iterator[Tuple[int, ...]]:
-    """All lattice points with |x|_inf <= x_bound, each exactly once.
+                     ) -> Iterator[np.ndarray]:
+    """All lattice points with |x|_inf <= x_bound, each exactly once, in
+    blocks of rows.
 
-    The stream is deterministic: lexicographic in the lattice coordinates
-    with respect to the stored basis, most significant coordinate first.
-    Recursive interval bounding keeps the search exact: partial ambient
-    sums are integers, unreachable tails are pruned with precomputed
-    bounds, and a final exact sup-norm check guards the leaves.
+    The search is the interval-pruned enumeration of Fincke and Pohst, run
+    one lattice coordinate at a time over whole arrays.  The frontier holds
+    the exact ambient partial sums sum_{u < t} xi_u b_u of the surviving
+    prefixes.  Each row gets the interval of xi_t that keeps every ambient
+    coordinate within x_bound plus the largest reachable tail, and the
+    frontier is expanded by those intervals; rows with empty intervals drop
+    out, and the intervals of the last coordinate put every point in the
+    cube.
+
+    Order: concatenated, the blocks are lexicographic in the lattice
+    coordinates with respect to the stored basis, most significant
+    coordinate first.  A frontier whose expansion would exceed
+    ``_BLOCK_ROWS`` rows is split depth-first, so no block (and no
+    frontier) has more rows, including when one row's interval alone is
+    longer; no block is empty.
+
+    Dtype: int64 when max_i (x_bound + tail_i) < 2^62, where tail_i bounds
+    the i-th coordinate of every lattice combination in the coefficient
+    box, so no intermediate value can overflow; otherwise object arrays of
+    Python ints (the threshold of :func:`linecount.forms.evaluate_batch`).
 
     Args:
         lattice: the (preferably reduced) lattice.
@@ -428,7 +452,7 @@ def enumerate_points(lattice: IntegerLattice, x_bound: int,
             lattice coordinate, for partitioning across workers.
 
     Yields:
-        Ambient integer points as tuples.
+        Arrays of shape (m, n), one ambient point per row.
     """
     if x_bound < 0:
         return
@@ -441,50 +465,97 @@ def enumerate_points(lattice: IntegerLattice, x_bound: int,
     for t in range(s - 1, -1, -1):
         for i in range(n):
             tail_bound[t][i] = tail_bound[t + 1][i] + box[t] * abs(basis[t][i])
-
-    first_lo, first_hi = -box[0], box[0]
+    # partial sums, slacks and interval ends all stay within 2 * reach
+    reach = max(x_bound + v for v in tail_bound[0])
+    dtype = np.int64 if reach < 2 ** 62 else object
+    ranges = [(-b, b) for b in box]
     if leading_range is not None:
-        first_lo = max(first_lo, leading_range[0])
-        first_hi = min(first_hi, leading_range[1])
-
-    partial = [0] * n
-
-    def rec(t: int) -> Iterator[Tuple[int, ...]]:
-        if t == s:
-            if all(abs(v) <= x_bound for v in partial):
-                yield tuple(partial)
+        ranges[0] = (max(-box[0], leading_range[0]),
+                     min(box[0], leading_range[1]))
+        if ranges[0][0] > ranges[0][1]:
             return
-        lo = first_lo if t == 0 else -box[t]
-        hi = first_hi if t == 0 else box[t]
-        row = basis[t]
-        for i in range(n):
-            b = row[i]
-            slack = x_bound + tail_bound[t + 1][i]
-            if b > 0:
-                # partial[i] + xi*b must lie within +-slack
-                lo = max(lo, _ceil_div(-slack - partial[i], b))
-                hi = min(hi, _floor_div(slack - partial[i], b))
-            elif b < 0:
-                lo = max(lo, _ceil_div(slack - partial[i], b))
-                hi = min(hi, _floor_div(-slack - partial[i], b))
-            elif abs(partial[i]) > slack:
-                return
-        for xi in range(lo, hi + 1):
-            for i in range(n):
-                partial[i] += xi * row[i]
-            yield from rec(t + 1)
-            for i in range(n):
-                partial[i] -= xi * row[i]
-
-    yield from rec(0)
+    levels = [_Level(basis[t], [x_bound + v for v in tail_bound[t + 1]],
+                     ranges[t], dtype) for t in range(s)]
+    yield from _descend(levels, np.zeros((1, n), dtype=dtype))
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
+class _Level:
+    """One lattice coordinate xi_t of the search: the ambient coordinates
+    its basis row moves, their slacks x_bound + tail_bound[t + 1], and the
+    box range of xi_t.
+
+    A coordinate that b_t leaves alone needs no check: its slack is the one
+    of the level before, which every frontier row already meets.
+    """
+
+    def __init__(self, row: Sequence[int], slack: Sequence[int],
+                 bounds: Tuple[int, int], dtype) -> None:
+        moving = [i for i, b in enumerate(row) if b]
+        self.row = np.array(row, dtype=dtype)
+        self.moving = np.array(moving, dtype=np.intp)
+        self.sign = np.array([1 if row[i] > 0 else -1 for i in moving],
+                             dtype=dtype)
+        self.size = np.array([abs(row[i]) for i in moving], dtype=dtype)
+        self.slack = np.array([slack[i] for i in moving], dtype=dtype)
+        self.lo, self.hi = bounds
+
+    def intervals(self, frontier: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """(lowest xi_t, number of xi_t) per frontier row: every xi_t in
+        the interval keeps |partial_i + xi_t b_t[i]| within the slack."""
+        # with q = sign(b) * partial: -slack <= q + xi |b| <= slack
+        q = frontier[:, self.moving] * self.sign
+        lo = np.maximum((-((self.slack + q) // self.size)).max(axis=1),
+                        self.lo)
+        hi = np.minimum(((self.slack - q) // self.size).min(axis=1),
+                        self.hi)
+        # clamp first so that hi - lo cannot overflow
+        return lo, np.maximum(hi, lo - 1) - lo + 1
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+def _descend(levels: Sequence[_Level],
+             frontier: np.ndarray) -> Iterator[np.ndarray]:
+    level = levels[0]
+    lo, counts = level.intervals(frontier)
+    for block in _expansions(frontier, lo, counts, level.row):
+        if len(levels) > 1:
+            yield from _descend(levels[1:], block)
+        else:
+            yield block
+
+
+def _expansions(frontier: np.ndarray, lo: np.ndarray, counts: np.ndarray,
+                row: np.ndarray) -> Iterator[np.ndarray]:
+    """frontier[r] + xi * row for xi in [lo[r], lo[r] + counts[r]), in row
+    then xi order, cut into nonempty pieces of at most _BLOCK_ROWS rows."""
+    cap = _BLOCK_ROWS
+    clipped = np.minimum(counts, cap + 1).astype(np.int64)
+    ends = np.cumsum(clipped)
+    start, done = 0, 0
+    while start < len(clipped):
+        if clipped[start] > cap:
+            # this row's interval alone exceeds the cap: walk it in pieces
+            count = int(counts[start])
+            for offset in range(0, count, cap):
+                yield _expand(frontier[start:start + 1],
+                              lo[start:start + 1] + offset,
+                              np.array([min(cap, count - offset)]), row)
+            done = int(ends[start])
+            start += 1
+            continue
+        stop = int(np.searchsorted(ends, done + cap, side="right"))
+        if ends[stop - 1] > done:
+            yield _expand(frontier[start:stop], lo[start:stop],
+                          clipped[start:stop], row)
+        done = int(ends[stop - 1])
+        start = stop
+
+
+def _expand(frontier: np.ndarray, lo: np.ndarray, counts: np.ndarray,
+            row: np.ndarray) -> np.ndarray:
+    ends = np.cumsum(counts)
+    xi = np.repeat(lo - (ends - counts), counts) + np.arange(int(ends[-1]))
+    return np.repeat(frontier, counts, axis=0) + xi[:, None] * row
 
 
 def contains(lattice: IntegerLattice, x: IntVector) -> bool:

@@ -48,6 +48,7 @@ from linecount.forms import (
     integer_slice_form,
 )
 from linecount.lattice import enumerate_points, slicing_lattice
+from point_blocks import point_tuples
 
 QUINTIC = fermat_quintic()
 YQ = QUINTIC_BASE_POINT
@@ -220,8 +221,8 @@ def test_criterion_04_exponential_sum_ground_truth():
             cases.append((form, y, box))
     assert len(cases) >= 20
     for form, y, box in cases:
-        points = sum(1 for _ in enumerate_points(slicing_lattice(form, y),
-                                                 box))
+        points = len(point_tuples(
+            enumerate_points(slicing_lattice(form, y), box)))
         value = exponential_sum_T(form, y, FrequencyPoint.zero(form.degree),
                                   box)
         assert abs(complex(value) - points) <= 1e-9 * points, (y, box)

@@ -25,6 +25,7 @@ from linecount.errors import (
 )
 from linecount.fixtures import (
     QUINTIC_BASE_POINT,
+    diagonal_quadric,
     fermat_form,
     fermat_quintic,
     random_dense_form,
@@ -106,6 +107,16 @@ class TestCountFixedY:
             count_fixed_y(QUINTIC, Y0, 20, budget=10)
         assert info.value.budget == 10
         assert info.value.needed > 10
+
+    def test_budget_holds_across_workers(self):
+        """The 11^4 = 14641 lattice points split into pieces of 7986 and
+        6655: each fits a budget of 8784, their sum does not."""
+        quadric = diagonal_quadric(5)
+        y = (1, 0, 0, 0, 0)
+        for workers in (1, 2):
+            with pytest.raises(ResourceLimit):
+                count_fixed_y(quadric, y, 5, workers=workers, budget=8784)
+        assert count_fixed_y(quadric, y, 5, workers=2, budget=14641) == 157
 
 
 def _pencil_tail(form, x, y):
@@ -239,6 +250,15 @@ class TestCountPairs:
     def test_budget_exhaustion(self):
         with pytest.raises(ResourceLimit):
             count_pairs(QUADRIC, 3, 3, budget=50)
+
+    def test_budget_holds_across_workers(self):
+        """The two slabs of this scan charge 8485 and 3660 points: each
+        fits a budget of 10000, their sum does not."""
+        for workers in (1, 2):
+            with pytest.raises(ResourceLimit):
+                count_pairs(QUADRIC, 2, 2, workers=workers, budget=10000)
+        assert count_pairs(QUADRIC, 2, 2, workers=2, budget=12145).total \
+            == count_pairs(QUADRIC, 2, 2).total
 
 
 class TestHessianCorank:

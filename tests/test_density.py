@@ -408,6 +408,19 @@ class TestSingularSeries:
         with pytest.raises(ResourceLimit):
             singular_series_truncated(QUINTIC, YQ, 50, budget=100)
 
+    def test_one_lattice_for_all_moduli(self, monkeypatch):
+        from linecount import density
+        builds = []
+
+        def counted(form, y):
+            builds.append(tuple(y))
+            return slicing_lattice(form, y)
+
+        monkeypatch.setattr(density, "slicing_lattice", counted)
+        value = singular_series_truncated(CUBIC7, YC7, 12).value
+        assert builds == [YC7]
+        assert value == Fraction(2774, 49)
+
 
 # ---------------------------------------------------------------------------
 # p-adic densities for fixed y

@@ -34,6 +34,7 @@ from linecount.fixtures import (
 )
 from linecount.forms import b_coefficient_vector, integer_slice_form
 from linecount.lattice import enumerate_points, slicing_lattice
+from point_blocks import point_tuples
 
 QUINTIC = fermat_quintic()
 YQ = QUINTIC_BASE_POINT
@@ -47,7 +48,7 @@ def direct_float_sum(form, y, alpha_map, x_bound):
     slices = {j: integer_slice_form(form, y, j)
               for j in range(2, form.degree + 1)}
     total = 0j
-    for x in enumerate_points(lattice, x_bound):
+    for x in point_tuples(enumerate_points(lattice, x_bound)):
         phase = sum(float(alpha_map.get(j, 0)) * float(slices[j](x))
                     for j in slices)
         total += cmath.exp(2j * cmath.pi * phase)

@@ -3,11 +3,15 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linecount.lattice as lattice_module
 from linecount.errors import ZeroVectorInput
 from linecount.fixtures import (
     QUINTIC_BASE_POINT,
@@ -28,6 +32,7 @@ from linecount.lattice import (
     residue_image,
     slicing_lattice,
 )
+from point_blocks import point_tuples
 
 QUINTIC = fermat_quintic()
 Y0 = QUINTIC_BASE_POINT
@@ -174,21 +179,22 @@ class TestReduction:
 
 class TestEnumeration:
     def test_quintic_fixture_small_box(self):
-        assert len(list(enumerate_points(quintic_lattice(), 1))) == 27
+        assert len(point_tuples(enumerate_points(quintic_lattice(), 1))) \
+            == 27
 
     def test_x_zero(self):
-        assert list(enumerate_points(quintic_lattice(), 0)) \
+        assert point_tuples(enumerate_points(quintic_lattice(), 0)) \
             == [(0, 0, 0, 0)]
 
     def test_membership_and_norm(self):
         lat = reduce_basis(kernel_lattice((1, 2, 3)))
-        for point in enumerate_points(lat, 6):
+        for point in point_tuples(enumerate_points(lat, 6)):
             assert point[0] + 2 * point[1] + 3 * point[2] == 0
             assert max(abs(v) for v in point) <= 6
 
     def test_no_duplicates_and_symmetry(self):
         lat = reduce_basis(kernel_lattice((2, -3, 5, 1)))
-        points = list(enumerate_points(lat, 4))
+        points = point_tuples(enumerate_points(lat, 4))
         as_set = set(points)
         assert len(points) == len(as_set)
         for point in points:
@@ -204,17 +210,18 @@ class TestEnumeration:
                 p for p in product(range(-x_bound, x_bound + 1), repeat=3)
                 if sum(a * b for a, b in zip(l, p)) == 0
             }
-            stream = list(enumerate_points(lat, x_bound))
+            stream = point_tuples(enumerate_points(lat, x_bound))
             assert len(stream) == len(direct)
             assert set(stream) == direct
 
     def test_leading_range_partition(self):
         lat = quintic_lattice()
-        full = list(enumerate_points(lat, 3))
+        full = point_tuples(enumerate_points(lat, 3))
         box = box_profile(lat, 3).int_bounds
         merged = []
         for lo in range(-box[0], box[0] + 1):
-            merged.extend(enumerate_points(lat, 3, leading_range=(lo, lo)))
+            merged.extend(point_tuples(
+                enumerate_points(lat, 3, leading_range=(lo, lo))))
         assert merged == full
 
     def test_growth_rate_matches_covolume(self):
@@ -222,7 +229,7 @@ class TestEnumeration:
         lat = quintic_lattice()
         proxy_max = max(lat.minima_proxy)
         x_bound = 10 * math.isqrt(proxy_max) + 10
-        count = sum(1 for _ in enumerate_points(lat, x_bound))
+        count = len(point_tuples(enumerate_points(lat, x_bound)))
         prediction_sq = Fraction((2 * x_bound + 1) ** (2 * lat.rank),
                                  lat.covolume_sq)
         ratio_sq = Fraction(count * count) / prediction_sq
@@ -233,7 +240,7 @@ class TestEnumeration:
         box = box_profile(lat, 5)
         duals = __import__(
             "linecount.lattice", fromlist=["dual_basis"]).dual_basis(lat)
-        for point in enumerate_points(lat, 5):
+        for point in point_tuples(enumerate_points(lat, 5)):
             for t, dual in enumerate(duals):
                 xi = sum(d * p for d, p in zip(dual, point))
                 assert abs(xi) <= box.half_widths[t]
@@ -279,7 +286,7 @@ class TestResidueImage:
             residues = set(image)
             assert len(residues) == image.cardinality
             # every reduced lattice point is in the image
-            for point in enumerate_points(lat, 2):
+            for point in point_tuples(enumerate_points(lat, 2)):
                 assert tuple(v % q for v in point) in residues
 
     def test_saturated_image_is_full_for_primitive_prime(self):
@@ -389,6 +396,139 @@ def test_enumeration_exact_vs_scan(x_bound, l):
         p for p in product(range(-x_bound, x_bound + 1), repeat=3)
         if sum(a * b for a, b in zip(l, p)) == 0
     }
-    stream = list(enumerate_points(lat, x_bound))
+    stream = point_tuples(enumerate_points(lat, x_bound))
     assert len(stream) == len(set(stream))
     assert set(stream) == direct
+
+
+# ---------------------------------------------------------------------------
+# Block enumerator against the recursive tuple stream
+# ---------------------------------------------------------------------------
+
+def tuple_stream(lattice, x_bound, leading_range=None):
+    """Reference point stream: one tuple per point, by recursive interval
+    bounding over Python ints (the enumerator before it yielded blocks)."""
+    if x_bound < 0:
+        return
+    s = lattice.rank
+    n = lattice.ambient_dim
+    basis = lattice.basis
+    box = box_profile(lattice, x_bound).int_bounds
+    # tail_bound[t][i] = max possible |sum_{u >= t} xi_u * b_u[i]|
+    tail_bound = [[0] * n for _ in range(s + 1)]
+    for t in range(s - 1, -1, -1):
+        for i in range(n):
+            tail_bound[t][i] = tail_bound[t + 1][i] + box[t] * abs(basis[t][i])
+
+    first_lo, first_hi = -box[0], box[0]
+    if leading_range is not None:
+        first_lo = max(first_lo, leading_range[0])
+        first_hi = min(first_hi, leading_range[1])
+
+    partial = [0] * n
+
+    def rec(t):
+        if t == s:
+            if all(abs(v) <= x_bound for v in partial):
+                yield tuple(partial)
+            return
+        lo = first_lo if t == 0 else -box[t]
+        hi = first_hi if t == 0 else box[t]
+        row = basis[t]
+        for i in range(n):
+            b = row[i]
+            slack = x_bound + tail_bound[t + 1][i]
+            if b > 0:
+                # partial[i] + xi*b must lie within +-slack
+                lo = max(lo, _ceil_div(-slack - partial[i], b))
+                hi = min(hi, _floor_div(slack - partial[i], b))
+            elif b < 0:
+                lo = max(lo, _ceil_div(slack - partial[i], b))
+                hi = min(hi, _floor_div(-slack - partial[i], b))
+            elif abs(partial[i]) > slack:
+                return
+        for xi in range(lo, hi + 1):
+            for i in range(n):
+                partial[i] += xi * row[i]
+            yield from rec(t + 1)
+            for i in range(n):
+                partial[i] -= xi * row[i]
+
+    yield from rec(0)
+
+
+def _floor_div(a, b):
+    return a // b
+
+
+def _ceil_div(a, b):
+    return -((-a) // b)
+
+
+def blocks_with_cap(cap, *args):
+    with mock.patch.object(lattice_module, "_BLOCK_ROWS", cap):
+        return list(enumerate_points(*args))
+
+
+SKEWED = st.one_of(st.integers(-3, 3), st.integers(-60, 60))
+LEADING = st.none() | st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+CAPS = st.sampled_from([1, 2, 3, 7, 64, 1 << 14])
+
+
+@st.composite
+def kernel_lattices(draw):
+    """Kernels of random skewed forms, as stored (echelon) or reduced."""
+    n = draw(st.integers(2, 6))
+    l = draw(st.lists(SKEWED, min_size=n, max_size=n).filter(any))
+    lat = kernel_lattice(l)
+    return reduce_basis(lat) if draw(st.booleans()) else lat
+
+
+@given(kernel_lattices(), st.integers(0, 4), LEADING, CAPS)
+@settings(max_examples=150, deadline=None)
+def test_blocks_match_tuple_stream(lat, x_bound, leading_range, cap):
+    blocks = blocks_with_cap(cap, lat, x_bound, leading_range)
+    for block in blocks:
+        assert block.dtype == np.int64
+        assert block.shape[1] == lat.ambient_dim
+        assert 0 < block.shape[0] <= cap
+    assert point_tuples(blocks) \
+        == list(tuple_stream(lat, x_bound, leading_range))
+
+
+@given(st.lists(SKEWED, min_size=1, max_size=4).filter(any),
+       st.integers(0, 60), LEADING, CAPS)
+@settings(max_examples=80, deadline=None)
+def test_rank_one_blocks_match_tuple_stream(row, x_bound, leading_range,
+                                            cap):
+    lat = lattice_from_basis([row])
+    blocks = blocks_with_cap(cap, lat, x_bound, leading_range)
+    assert all(0 < len(block) <= cap for block in blocks)
+    assert point_tuples(blocks) \
+        == list(tuple_stream(lat, x_bound, leading_range))
+
+
+@pytest.mark.parametrize("cap, sizes", [
+    (4, [4, 1] * 5), (5, [5] * 5), (9, [5] * 5), (10, [10, 10, 5]),
+    (24, [20, 5]), (25, [25]), (26, [25])])
+def test_row_cap_boundary(cap, sizes):
+    """Z^2 in the cube of radius 2: five rows of five points each; a row
+    longer than the cap is cut, shorter rows are packed whole."""
+    lat = lattice_from_basis([[1, 0], [0, 1]])
+    blocks = blocks_with_cap(cap, lat, 2)
+    assert [len(block) for block in blocks] == sizes
+    assert point_tuples(blocks) == list(product(range(-2, 3), repeat=2))
+
+
+def test_object_blocks_beyond_int64():
+    """A cube wider than 2^63 switches to object arrays of Python ints."""
+    lat = lattice_from_basis([[1, 2]])
+    x_bound = 2 ** 64 + 3
+    edge = x_bound // 2  # xi (1, 2) lies in the cube iff |xi| <= edge
+    for leading_range in ((edge - 2, edge + 2), (-edge - 2, -edge + 2)):
+        blocks = list(enumerate_points(lat, x_bound, leading_range))
+        assert all(block.dtype == object for block in blocks)
+        stream = point_tuples(blocks)
+        assert stream == list(tuple_stream(lat, x_bound, leading_range))
+        assert stream == [(xi, 2 * xi) for xi in range(
+            max(leading_range[0], -edge), min(leading_range[1], edge) + 1)]
