@@ -356,7 +356,8 @@ def _configure_expsum(parser) -> None:
 
 def _run_expsum(args, form) -> dict:
     alpha = FrequencyPoint.from_values(args.alpha)
-    value = exponential_sum_T(form, args.y, alpha, args.P)
+    value = exponential_sum_T(form, args.y, alpha, args.P,
+                              budget=_default_budget(args))
     return {"P": args.P, "alpha": alpha.to_json(), "y": list(args.y),
             "value": value, "abs": float(abs(value))}
 
@@ -692,7 +693,8 @@ def _run_selftest(args, form=None) -> dict:
         from .lattice import enumerate_points
         points = sum(len(block) for block in enumerate_points(
             slicing_lattice(quintic, yq), 2))
-        value = exponential_sum_T(quintic, yq, FrequencyPoint.zero(5), 2)
+        value = exponential_sum_T(quintic, yq, FrequencyPoint.zero(5), 2,
+                                  budget=budget)
         return abs(complex(value) - points) < 1e-9
 
     def orthogonality() -> bool:

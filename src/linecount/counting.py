@@ -34,6 +34,7 @@ from .forms import (
     nonzero_slices,
 )
 from .lattice import (
+    IntegerLattice,
     box_profile,
     enumerate_points,
     kernel_lattice,
@@ -153,32 +154,37 @@ def _condition_mask(conditions, chunk: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _hits(form: HomogeneousForm, y: IntVector, x_bound: int, meter: _Budget,
+def _hits(form: HomogeneousForm, y: IntVector,
+          lattice: Optional[IntegerLattice], x_bound: int, meter: _Budget,
           leading_range: Optional[Tuple[int, int]] = None,
           ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """(chunk, mask) per chunk of candidate x, each chunk charged to the
-    meter; mask marks the x that span a line with y."""
+    meter; mask marks the x that span a line with y.
+
+    The candidates are the points of ``lattice``, the reduced slicing
+    lattice of y (see :func:`_slice_lattice`), or the full box when it is
+    None.
+    """
     conditions = nonzero_slices(form, y)
-    for chunk in _point_chunks(form, y, x_bound, leading_range):
+    if lattice is None:
+        chunks = grid_chunks([-x_bound] * form.nvars, [x_bound] * form.nvars,
+                             _CHUNK_ROWS)
+    else:
+        chunks = enumerate_points(lattice, x_bound,
+                                  leading_range=leading_range)
+    for chunk in chunks:
         meter.charge(chunk.shape[0])
         yield chunk, _condition_mask(conditions, chunk)
 
 
-def _point_chunks(form: HomogeneousForm, y: IntVector, x_bound: int,
-                  leading_range: Optional[Tuple[int, int]]
-                  ) -> Iterator[np.ndarray]:
-    """Chunks of candidate x for the pair condition with base point y.
-
-    Normally the slicing lattice stream; when the gradient vanishes at y the
-    lattice is undefined and the full box is scanned instead.
-    """
+def _slice_lattice(form: HomogeneousForm,
+                   y: IntVector) -> Optional[IntegerLattice]:
+    """The reduced slicing lattice at y, or None when the gradient vanishes
+    there (the lattice is undefined and the full box is scanned instead)."""
     sliced = linear_slice_coefficients(form, y)
     if sliced.all_zero:
-        yield from grid_chunks([-x_bound] * form.nvars,
-                               [x_bound] * form.nvars, _CHUNK_ROWS)
-        return
-    lattice = reduce_basis(kernel_lattice(sliced.vector))
-    yield from enumerate_points(lattice, x_bound, leading_range=leading_range)
+        return None
+    return reduce_basis(kernel_lattice(sliced.vector))
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +216,15 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
         raise ZeroVectorInput("base point must be nonzero")
     if x_bound < 0:
         raise DomainError("x_bound must be nonnegative")
-    if workers > 1:
-        return _count_fixed_y_parallel(form, y, x_bound, workers, budget)
-    if linear_slice_coefficients(form, y).all_zero:
+    lattice = _slice_lattice(form, y)
+    if lattice is None:
         warnings.warn(
             f"gradient vanishes at y={tuple(y)}; scanning the full box",
             FallbackFullBox, stacklevel=2)
-    return _fixed_y_piece(form, y, x_bound, None, budget)[0]
+    elif workers > 1:
+        return _count_fixed_y_parallel(form, y, lattice, x_bound, workers,
+                                       budget)
+    return _fixed_y_piece(form, y, lattice, x_bound, None, budget)[0]
 
 
 def _split_range(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
@@ -228,31 +236,27 @@ def _split_range(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
             for start in range(lo, hi + 1, step)]
 
 
-def _fixed_y_piece(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
+def _fixed_y_piece(form: HomogeneousForm, y: Tuple[int, ...],
+                   lattice: Optional[IntegerLattice], x_bound: int,
                    leading_range: Optional[Tuple[int, int]],
                    budget: Optional[int]) -> Tuple[int, int]:
     """(count, points charged) over the whole fiber, or over one range of
     the first lattice coordinate."""
     meter = _Budget(budget)
     count = sum(int(mask.sum()) for _, mask in _hits(
-        form, y, x_bound, meter, leading_range))
+        form, y, lattice, x_bound, meter, leading_range))
     return count, meter.spent
 
 
 def _count_fixed_y_parallel(form: HomogeneousForm, y: IntVector,
-                            x_bound: int, workers: int,
-                            budget: Optional[int]) -> int:
-    sliced = linear_slice_coefficients(form, y)
-    if sliced.all_zero:
-        # degenerate base point: no lattice coordinate to partition on
-        return count_fixed_y(form, y, x_bound, budget=budget)
-    lattice = reduce_basis(kernel_lattice(sliced.vector))
+                            lattice: IntegerLattice, x_bound: int,
+                            workers: int, budget: Optional[int]) -> int:
     radius = box_profile(lattice, x_bound).int_bounds[0]
     pieces = _split_range(-radius, radius, workers)
     y = tuple(int(v) for v in y)
     with ProcessPoolExecutor(max_workers=min(workers, len(pieces))) as pool:
-        futures = [pool.submit(_fixed_y_piece, form, y, x_bound, piece,
-                               budget)
+        futures = [pool.submit(_fixed_y_piece, form, y, lattice, x_bound,
+                               piece, budget)
                    for piece in pieces]
         results = [f.result() for f in futures]
     # the pieces' charges add up to the sequential total, whatever the split
@@ -269,15 +273,22 @@ def hessian_corank(form: HomogeneousForm, y: IntVector) -> int:
     return form.nvars - echelon(hessian(form, y)).rank
 
 
+def _primitive_direction(y: IntVector) -> Tuple[int, ...]:
+    """y divided by its content, signed so that the first nonzero entry is
+    positive: the one representative of the line through y."""
+    content = math.gcd(*(int(v) for v in y))
+    direction = tuple(int(v) // content for v in y)
+    first = next(v for v in direction if v)
+    return direction if first > 0 else tuple(-v for v in direction)
+
+
 def _proportional_count(y: IntVector, x_bound: int) -> int:
     """Number of nonzero multiples of y inside [-X, X]^n.
 
     Every such x automatically spans a line with y once F(y) = 0, so this
     subcount never needs enumeration.
     """
-    # the primitive vector on the line through y has sup norm |y| / content
-    content = math.gcd(*(int(v) for v in y))
-    return 2 * (x_bound // (max(abs(int(v)) for v in y) // content))
+    return 2 * (x_bound // max(abs(v) for v in _primitive_direction(y)))
 
 
 def stratum_count(form: HomogeneousForm, y_bound: int,
@@ -344,13 +355,12 @@ def m2_dimension(form: HomogeneousForm, y: IntVector) -> M2Report:
     matrix = hessian(form, y)
     span_dim = echelon(echelon(matrix).nullspace() + [list(y)]).rank
 
-    sliced = linear_slice_coefficients(form, y)
-    if sliced.all_zero:
+    lattice = _slice_lattice(form, y)
+    if lattice is None:
         basis = [[1 if i == k else 0 for k in range(form.nvars)]
                  for i in range(form.nvars)]
     else:
-        basis = [list(row)
-                 for row in reduce_basis(kernel_lattice(sliced.vector)).basis]
+        basis = [list(row) for row in lattice.basis]
     # Gram-like system: M[a][b] = b_a . H . b_b; its kernel is the space of
     # lattice directions h with vanishing degree-2 coefficient vector.
     h_rows = [[sum(h * v for h, v in zip(matrix[i], b)) for b in basis]
@@ -378,6 +388,9 @@ def _pairs_slab(form: HomogeneousForm, x_bound: int, y_bound: int,
     proportional = 0
     stratified = 0
     per_y: Dict[Tuple[int, ...], int] = {}
+    # primitive direction -> (its counts, the points its fiber charged);
+    # every multiple of a direction has the same fiber (see count_pairs)
+    directions: Dict[Tuple[int, ...], Tuple[Tuple[int, int, int], int]] = {}
     for first in range(first_lo, first_hi + 1):
         for tail in grid_chunks([-y_bound] * (n - 1), [y_bound] * (n - 1),
                                 _CHUNK_ROWS):
@@ -390,9 +403,17 @@ def _pairs_slab(form: HomogeneousForm, x_bound: int, y_bound: int,
                 y = tuple(int(v) for v in row)
                 if all(v == 0 for v in y):
                     continue
-                total_y, prop_y, strat_y = _pairs_at_base_point(
-                    form, y, x_bound, exclude_proportional, stratum_rho,
-                    meter)
+                key = _primitive_direction(y)
+                if key in directions:
+                    counts, charged = directions[key]
+                    meter.charge(charged)
+                else:
+                    before = meter.spent
+                    counts = _pairs_at_base_point(
+                        form, y, x_bound, exclude_proportional, stratum_rho,
+                        meter)
+                    directions[key] = counts, meter.spent - before
+                total_y, prop_y, strat_y = counts
                 total += total_y
                 proportional += prop_y
                 stratified += strat_y
@@ -411,7 +432,8 @@ def _pairs_at_base_point(form: HomogeneousForm, y: Tuple[int, ...],
                     and hessian_corank(form, y) >= stratum_rho)
     count = 0
     strat_count = 0
-    for chunk, mask in _hits(form, y, x_bound, meter):
+    for chunk, mask in _hits(form, y, _slice_lattice(form, y), x_bound,
+                             meter):
         count += int(mask.sum())
         if y_in_stratum:
             for row in chunk[mask]:
@@ -445,6 +467,14 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     ``stratum_rho`` set, the ``stratified`` field counts the pairs whose two
     points both have Hessian corank >= rho.  ``breakdown`` records the
     per-base-point counts, whose sum reproduces the total exactly.
+
+    The fiber of y depends only on the line through y (the slice values
+    scale as c_j(x, k y) = k^(d-j) c_j(x, y)), so the x-side is enumerated
+    once per primitive direction +-y and its counts are reused for every
+    other multiple; each base point is still listed in the breakdown and
+    still charged to ``budget`` the points its fiber holds, so the budget
+    is exceeded on exactly the scans that would exceed it counting every
+    base point afresh.
 
     Raises:
         DomainError: X < 1 or Y < 1.

@@ -158,7 +158,8 @@ def _box_fractions(slices: Sequence[Tuple[int, RationalForm]],
 # ---------------------------------------------------------------------------
 
 def exponential_sum_T(form: HomogeneousForm, y: Sequence[int], alpha,
-                      x_bound: int, *, precision: int = 120) -> mpmath.mpc:
+                      x_bound: int, *, precision: int = 120,
+                      budget: Optional[int] = None) -> mpmath.mpc:
     """The lattice-point exponential sum at a frequency point, exactly
 
         sum over x in the slicing lattice with |x| <= x_bound of
@@ -166,21 +167,26 @@ def exponential_sum_T(form: HomogeneousForm, y: Sequence[int], alpha,
 
     where c_j are the integer slice values.  Phases are reduced mod 1 in
     exact rational arithmetic; e(.) is evaluated and compensated-summed at
-    the requested binary precision.
+    the requested binary precision.  Every enumerated lattice point is
+    charged to ``budget`` (no cap when None).
 
     Raises:
         ZeroVectorInput: y = 0 or the gradient vanishes at y.
         DomainError: x_bound < 1.
+        ResourceLimit: the lattice holds more than ``budget`` points of the
+            box.
     """
     if x_bound < 1:
         raise DomainError("x_bound must be at least 1")
     point = _coerce_frequency(alpha, form.degree)
     slices = nonzero_slices(form, y)
     lattice = slicing_lattice(form, y)
+    meter = _Budget(budget)
     real_parts: List[mpmath.mpf] = []
     imag_parts: List[mpmath.mpf] = []
     with mpmath.mp.workprec(precision):
         for block in enumerate_points(lattice, x_bound):
+            meter.charge(len(block))
             for x in block.tolist():
                 phase = Fraction(0)
                 for j, sliced in slices:

@@ -7,7 +7,8 @@ mod q, box counts — happens on this lattice, so this module provides:
 
   * the primitive coefficient vector of the linear condition,
   * a saturated kernel basis in Hermite-style echelon form,
-  * exact-rational LLL reduction (Lovasz parameter 3/4),
+  * LLL reduction (Lovasz parameter 3/4) in integer arithmetic, with the
+    Gram-Schmidt data updated in place (Cohen, Alg. 2.6.7),
   * a per-axis coefficient box containing all lattice points of sup-norm
     at most X (computed from the exact dual basis),
   * a deterministic stream of point blocks from a breadth-first interval
@@ -329,61 +330,75 @@ def slicing_lattice(form: HomogeneousForm, y: IntVector) -> IntegerLattice:
 _LOVASZ = Fraction(3, 4)
 
 
-def _gram_schmidt(basis: List[List[int]]
-                  ) -> Tuple[List[List[Fraction]], List[Fraction]]:
-    s = len(basis)
-    star: List[List[Fraction]] = []
-    norms: List[Fraction] = []
-    mu: List[List[Fraction]] = [[Fraction(0)] * s for _ in range(s)]
-    for i in range(s):
-        vec = [Fraction(v) for v in basis[i]]
-        for j in range(i):
-            if norms[j] == 0:
-                continue
-            mu[i][j] = Fraction(
-                sum(Fraction(a) * b for a, b in zip(basis[i], star[j]))
-            ) / norms[j]
-            vec = [a - mu[i][j] * b for a, b in zip(vec, star[j])]
-        star.append(vec)
-        norms.append(sum(v * v for v in vec))
-    return mu, norms
-
-
 def lll_reduce(rows: Sequence[IntVector],
                lovasz: Fraction = _LOVASZ) -> List[List[int]]:
-    """Textbook LLL over exact rationals; returns new basis rows."""
+    """Textbook LLL in exact integer arithmetic; returns new basis rows.
+
+    The Gram-Schmidt data are kept as integers and updated in place, as in
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7:
+    d[i] = det Gram(b_0, .., b_{i-1}) (d[0] = 1) and
+    lam[k][j] = d[j + 1] * mu_kj for j < k.  Row k is size-reduced against
+    j = k-1, .., 0 whenever |mu_kj| > 1/2, by mu_kj rounded half to even;
+    then it moves on if |b*_k|^2 >= (lovasz - mu_{k,k-1}^2) |b*_{k-1}|^2,
+    and is swapped with row k - 1 otherwise.
+
+    Raises:
+        ZeroVectorInput: the rows are linearly dependent.
+    """
     basis = [list(map(int, row)) for row in rows]
     s = len(basis)
-    if s <= 1:
-        return basis
+    d = [1] * (s + 1)
+    lam = [[0] * s for _ in range(s)]
+    # integral Gram-Schmidt; every division here and in the swap is exact
+    for k in range(s):
+        for j in range(k + 1):
+            u = sum(a * b for a, b in zip(basis[k], basis[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+        if d[k + 1] == 0:
+            raise ZeroVectorInput("basis rows are linearly dependent")
+    p, q = lovasz.numerator, lovasz.denominator
     k = 1
     while k < s:
-        mu, norms = _gram_schmidt(basis)
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = _round_half_even(mu[k][j])
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                r = _round_half_even(lam[k][j], d[j + 1])
                 basis[k] = [a - r * b for a, b in zip(basis[k], basis[j])]
-                mu, norms = _gram_schmidt(basis)
-        if norms[k] >= (lovasz - mu[k][k - 1] ** 2) * norms[k - 1]:
+                lam[k][j] -= r * d[j + 1]
+                for i in range(j):
+                    lam[k][i] -= r * lam[j][i]
+        m = lam[k][k - 1]
+        if q * (d[k + 1] * d[k - 1] + m * m) >= p * d[k] * d[k]:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            k = max(k - 1, 1)
+            continue
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        new_d = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, s):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (new_d * t + m * lam[i][k]) // d[k + 1]
+        d[k] = new_d
+        k = max(k - 1, 1)
     return basis
 
 
-def _round_half_even(x: Fraction) -> int:
-    floor = x.numerator // x.denominator
-    rem = x - floor
-    if rem > Fraction(1, 2):
-        return floor + 1
-    if rem < Fraction(1, 2):
-        return floor
+def _round_half_even(num: int, den: int) -> int:
+    """num / den (den > 0) rounded to the nearest integer, ties to even."""
+    floor, rem = divmod(num, den)
+    if 2 * rem != den:
+        return floor + (2 * rem > den)
     return floor + (floor % 2)
 
 
 def reduce_basis(lattice: IntegerLattice) -> IntegerLattice:
-    """LLL-reduce the basis (Lovasz 3/4); covolume is unchanged.
+    """LLL-reduce the basis with :func:`lll_reduce` (Lovasz 3/4); covolume
+    is unchanged.
 
     The reduced rows' squared norms populate minima_proxy and obey the
     quality bound prod |b_i|^2 <= 2^(s(s-1)/2) * covolume_sq.

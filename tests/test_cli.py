@@ -198,6 +198,14 @@ class TestExpsum:
         assert out["alpha"] == {"2": "1/3", "3": "0", "4": "0", "5": "1/2"}
         assert out["abs"] <= 125 + 1e-9
 
+    def test_budget_overrun_is_resource(self, capsys):
+        """P = 12 enumerates 15,625 lattice points."""
+        code, out = run_json(capsys, "expsum", "--fixture", "quintic",
+                             "--y", "0,0,1,-1", "--alpha", "1/3,1/5,2/7,1/2",
+                             "--P", "12", "--budget", "100")
+        assert code == EXIT_RESOURCE
+        assert out["error"]["type"] == "ResourceLimit"
+
 
 class TestArcs:
     def test_witness_accepts_zero_alpha(self, capsys):

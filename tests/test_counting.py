@@ -53,6 +53,42 @@ def oracle_pair_count(form, x_bound, y_bound):
     return total
 
 
+def inline_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that records each pool size in
+    ``sizes`` and runs each piece in this process."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    return InlinePool
+
+
+def counted(monkeypatch, name):
+    """Wrap ``counting.<name>`` and return the list of its argument
+    tuples, one per call."""
+    calls = []
+    original = getattr(counting, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(counting, name, wrapper)
+    return calls
+
+
 class TestCountFixedY:
     def test_quintic_fixture(self):
         assert count_fixed_y(QUINTIC, Y0, 3) == 49
@@ -117,6 +153,12 @@ class TestCountFixedY:
             with pytest.raises(ResourceLimit):
                 count_fixed_y(quadric, y, 5, workers=workers, budget=8784)
         assert count_fixed_y(quadric, y, 5, workers=2, budget=14641) == 157
+
+    def test_workers_reduce_the_lattice_once(self, monkeypatch):
+        calls = counted(monkeypatch, "reduce_basis")
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", inline_pool([]))
+        assert count_fixed_y(QUINTIC, Y0, 3, workers=2) == 49
+        assert len(calls) == 1
 
 
 def _pencil_tail(form, x, y):
@@ -220,24 +262,8 @@ class TestCountPairs:
     def test_pools_are_sized_to_their_pieces(self, monkeypatch):
         sizes = []
 
-        class InlinePool:
-            """Records the pool size and runs each piece in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(counting, "ProcessPoolExecutor",
+                            inline_pool(sizes))
         report = count_pairs(QUADRIC, 1, 1, breakdown=True, workers=64)
         assert sizes == [3]  # one slab per value of y_1 in -1..1
         assert report == count_pairs(QUADRIC, 1, 1, breakdown=True)
@@ -259,6 +285,41 @@ class TestCountPairs:
                 count_pairs(QUADRIC, 2, 2, workers=workers, budget=10000)
         assert count_pairs(QUADRIC, 2, 2, workers=2, budget=12145).total \
             == count_pairs(QUADRIC, 2, 2).total
+
+    def test_budget_boundary_with_repeated_directions(self):
+        """Multiples of a direction reuse its fiber but are charged as if
+        counted again: the sequential scan needs exactly 12145 points."""
+        with pytest.raises(ResourceLimit):
+            count_pairs(QUADRIC, 2, 2, budget=12144)
+        assert count_pairs(QUADRIC, 2, 2, budget=12145).total \
+            == count_pairs(QUADRIC, 2, 2).total
+
+
+class TestDirectionReuse:
+    """Base points on one line through the origin share one fiber count."""
+
+    def test_one_fiber_per_direction(self, monkeypatch):
+        calls = counted(monkeypatch, "_pairs_at_base_point")
+        report = count_pairs(diagonal_quadric(5), 2, 4, breakdown=True)
+        assert len(report.per_y_breakdown) == 320
+        assert len(calls) == 120
+        assert report.total == report.proportional_pairs == 384
+
+    def test_breakdown_keeps_every_base_point(self):
+        form = diagonal_quadric(5)
+        report = count_pairs(form, 2, 4, breakdown=True)
+        assert len(report.per_y_breakdown) == 320
+        for y, count in report.per_y_breakdown.items():
+            fresh = counting._pairs_at_base_point(
+                form, y, 2, False, None, counting._Budget(None))
+            assert count == fresh[0]
+
+    def test_stratum_with_proportional_excluded(self):
+        report = count_pairs(diagonal_quadric(5), 2, 2, stratum_rho=1,
+                             exclude_proportional=True)
+        assert report.proportional_pairs == 192
+        assert report.total == 0
+        assert report.stratified == 0
 
 
 class TestHessianCorank:

@@ -157,6 +157,16 @@ class TestExponentialSumT:
         with pytest.raises(DomainError):
             exponential_sum_T(QUINTIC, YQ, FrequencyPoint.zero(5), 0)
 
+    def test_budget(self):
+        """The 125 points of the box at X = 2 fit a budget of 125, not 124."""
+        value = exponential_sum_T(QUINTIC, YQ, FrequencyPoint.zero(5), 2,
+                                  budget=125)
+        assert abs(value - 125) < 1e-12
+        with pytest.raises(ResourceLimit) as info:
+            exponential_sum_T(QUINTIC, YQ, FrequencyPoint.zero(5), 2,
+                              budget=124)
+        assert info.value.budget == 124
+
 
 class TestExponentialSumU:
     def test_zero_frequency_equals_box_count(self):

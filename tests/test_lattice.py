@@ -532,3 +532,111 @@ def test_object_blocks_beyond_int64():
         assert stream == list(tuple_stream(lat, x_bound, leading_range))
         assert stream == [(xi, 2 * xi) for xi in range(
             max(leading_range[0], -edge), min(leading_range[1], edge) + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Integral LLL against the Fraction LLL
+# ---------------------------------------------------------------------------
+
+def fraction_lll(rows, lovasz=Fraction(3, 4)):
+    """Reference LLL over Fractions (the reduction before it kept its
+    Gram-Schmidt data as integers): the whole Gram-Schmidt is recomputed
+    after every size reduction."""
+    basis = [list(map(int, row)) for row in rows]
+    s = len(basis)
+    if s <= 1:
+        return basis
+    k = 1
+    while k < s:
+        mu, norms = _gram_schmidt(basis)
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                r = _round_half_even(mu[k][j])
+                basis[k] = [a - r * b for a, b in zip(basis[k], basis[j])]
+                mu, norms = _gram_schmidt(basis)
+        if norms[k] >= (lovasz - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            k = max(k - 1, 1)
+    return basis
+
+
+def _gram_schmidt(basis):
+    s = len(basis)
+    star = []
+    norms = []
+    mu = [[Fraction(0)] * s for _ in range(s)]
+    for i in range(s):
+        vec = [Fraction(v) for v in basis[i]]
+        for j in range(i):
+            if norms[j] == 0:
+                continue
+            mu[i][j] = Fraction(
+                sum(Fraction(a) * b for a, b in zip(basis[i], star[j]))
+            ) / norms[j]
+            vec = [a - mu[i][j] * b for a, b in zip(vec, star[j])]
+        star.append(vec)
+        norms.append(sum(v * v for v in vec))
+    return mu, norms
+
+
+def _round_half_even(x):
+    floor = x.numerator // x.denominator
+    rem = x - floor
+    if rem > Fraction(1, 2):
+        return floor + 1
+    if rem < Fraction(1, 2):
+        return floor
+    return floor + (floor % 2)
+
+
+LLL_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))
+
+
+@st.composite
+def skewed_bases(draw):
+    """Independent rows: a kernel basis, or a random nonsingular square
+    matrix, times a random unimodular skew; entries up to 10^6, and small
+    ones often, so that rounding ties occur."""
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        l = draw(st.lists(LLL_ENTRIES, min_size=n, max_size=n).filter(any))
+        rows = [list(row) for row in kernel_lattice(l).basis]
+    else:
+        rows = draw(st.lists(
+            st.lists(LLL_ENTRIES, min_size=n, max_size=n),
+            min_size=n, max_size=n).filter(
+                lambda m: covolume_squared(m) != 0))
+    # row operations b_i += c * b_j keep the lattice and skew the basis
+    for _ in range(draw(st.integers(0, 3 * len(rows)))):
+        i, j = draw(st.tuples(st.integers(0, len(rows) - 1),
+                              st.integers(0, len(rows) - 1)))
+        if i != j:
+            c = draw(st.integers(-50, 50))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@given(skewed_bases())
+@settings(max_examples=150, deadline=None)
+def test_lll_matches_fraction_lll(rows):
+    assert lll_reduce(rows) == fraction_lll(rows)
+
+
+@given(skewed_bases(), st.sampled_from([Fraction(99, 100), Fraction(1, 2),
+                                        Fraction(1, 4)]))
+@settings(max_examples=60, deadline=None)
+def test_lll_matches_fraction_lll_other_lovasz(rows, lovasz):
+    assert lll_reduce(rows, lovasz) == fraction_lll(rows, lovasz)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0, 0]],
+    [[1, 2, 3], [2, 4, 6]],
+    [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+    [[3, 1], [0, 0]],
+])
+def test_lll_rejects_dependent_rows(rows):
+    with pytest.raises(ZeroVectorInput):
+        lll_reduce(rows)
