@@ -512,33 +512,3 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
         x_bound=x_bound, y_bound=y_bound, total=total,
         proportional_pairs=proportional, stratum_rho=stratum_rho,
         stratified=stratified, per_y_breakdown=per_y)
-
-
-# ---------------------------------------------------------------------------
-# Singular-point screen
-# ---------------------------------------------------------------------------
-
-def singular_points_in_box(form: HomogeneousForm,
-                           x_bound: int) -> List[Tuple[int, ...]]:
-    """All nonzero integer points of the box where the gradient vanishes.
-
-    An empty list is necessary (not sufficient) evidence that the projective
-    hypersurface is non-singular.
-    """
-    if x_bound < 0:
-        raise DomainError("x_bound must be nonnegative")
-    out: List[Tuple[int, ...]] = []
-    for chunk in grid_chunks([-x_bound] * form.nvars, [x_bound] * form.nvars,
-                             _CHUNK_ROWS):
-        mask = np.ones(chunk.shape[0], dtype=bool)
-        for partial in form.partials:
-            if partial.is_zero:
-                continue
-            mask &= (evaluate_batch(partial, chunk) == 0)
-            if not mask.any():
-                break
-        for row in chunk[mask]:
-            point = tuple(int(v) for v in row)
-            if any(point):
-                out.append(point)
-    return sorted(out)

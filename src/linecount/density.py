@@ -26,11 +26,11 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
-from scipy.stats import qmc
 
 from .counting import _Budget
 from .errors import DimensionMismatch, DomainError
 from .exponents import format_rational
+from .expsums import _phase_sum
 from .forms import (
     HomogeneousForm,
     Polynomial,
@@ -217,8 +217,10 @@ def complete_sum_S(form: HomogeneousForm, y: Sequence[int], q: int,
     """The complete exponential sum over the lattice residues mod q.
 
     Sums e((a_2 c_2(x) + ... + a_d c_d(x)) / q) over the image of the
-    slicing lattice in (Z/q)^n, through an exact phase histogram; the only
-    floating-point step is e(.) at the requested precision.
+    slicing lattice in (Z/q)^n: the exact :func:`phase_histogram` goes
+    through the histogram-to-sum step of ``expsums.exponential_sum_T``, so
+    e(.) is evaluated once per residue at the requested precision, weighted
+    by its count exactly, and each part is rounded once.
 
     Satisfies |S| <= q^rank, with equality at a = 0.
 
@@ -226,15 +228,8 @@ def complete_sum_S(form: HomogeneousForm, y: Sequence[int], q: int,
         ZeroVectorInput: degenerate base point.
         ResourceLimit: q^rank residues exceed the budget.
     """
-    histogram = phase_histogram(form, y, q, a, budget=budget)
-    with mpmath.mp.workprec(precision):
-        real = []
-        imag = []
-        for r, count in sorted(histogram.items()):
-            value = mpmath.expjpi(2 * mpmath.mpf(r) / q)
-            real.append(count * value.real)
-            imag.append(count * value.imag)
-        return mpmath.mpc(mpmath.fsum(real), mpmath.fsum(imag))
+    return _phase_sum(phase_histogram(form, y, q, a, budget=budget), q,
+                      precision)
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +349,27 @@ def _congruence_count(polys: List[Polynomial], s: int, modulus: int,
 
 
 def _prime_power(q: int) -> Optional[Tuple[int, int]]:
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)
+    """(p, h) when q = p^h for a prime p, else None."""
+    factors = _factorise(q)
+    return factors[0] if len(factors) == 1 else None
+
+
+def _factorise(q: int) -> List[Tuple[int, int]]:
+    """The prime powers (p, h) exactly dividing q >= 1, by trial division,
+    in increasing order of p."""
+    factors = []
+    p = 2
+    while p * p <= q:
         if q % p == 0:
             h = 0
             while q % p == 0:
                 q //= p
                 h += 1
-            return (p, h) if q == 1 else None
-    return None
+            factors.append((p, h))
+        p += 1
+    if q > 1:
+        factors.append((q, 1))
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +388,28 @@ def singular_series_truncated(form: HomogeneousForm, y: Sequence[int],
         A_y(q) = sum_{e | q, e squarefree} mu(e) e^s (q/e)^{d-1} N(q/e),
 
     where N(m) counts lattice residues mod m on which every slice value
-    vanishes; each N(m) comes from an exact residue scan, so the result is
-    an exact rational.
+    vanishes.  N(1) and N(p^k) come from exact residue scans (or Hensel
+    lifting); every other N(m) is, by the Chinese remainder theorem, the
+    product of N(p^k) over the prime powers exactly dividing m.  So the
+    result is an exact rational.  Each such m still charges the m^s
+    residues a scan would visit to ``budget``, so the budget fails on the
+    same windows as a scan of every modulus.
 
     Raises:
-        ResourceLimit: the residue scans exceed the budget.
+        ResourceLimit: a modulus m needs more than ``budget`` residues.
     """
     if window < 1:
         raise DomainError("window must be at least 1")
     polys, s = _lattice_system(form, y)
     d = form.degree
-    counts = {m: _congruence_count(polys, s, m, budget)
-              for m in range(1, window + 1)}
+    counts: Dict[int, int] = {}
+    for m in range(1, window + 1):
+        factors = _factorise(m)
+        if len(factors) > 1:
+            _Budget(budget).charge(m ** s)
+            counts[m] = math.prod(counts[p ** h] for p, h in factors)
+        else:
+            counts[m] = _congruence_count(polys, s, m, budget)
     total = Fraction(0)
     for q in range(1, window + 1):
         inner = Fraction(0)
@@ -412,20 +426,10 @@ def singular_series_truncated(form: HomogeneousForm, y: Sequence[int],
 
 
 def _moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    factors = _factorise(n)
+    if any(h > 1 for _, h in factors):
+        return 0
+    return (-1) ** len(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +481,19 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 # ---------------------------------------------------------------------------
 
 def _scramble_batches(dim: int, samples: int, seed: int
-                      ) -> Tuple[int, List[np.ndarray]]:
+                      ) -> Tuple[int, Iterator[np.ndarray]]:
     """SCRAMBLES independent low-discrepancy batches in [0,1)^dim.
 
     The per-batch size is the smallest power of two giving at least
-    ``samples`` points overall; returns (total points, batches).
+    ``samples`` points overall; returns (total points, batches).  The
+    batches are drawn one at a time as they are consumed (scramble i is
+    seeded with seed + i), so only one is held in memory.
     """
+    from scipy.stats import qmc  # slow to import; only sampling needs it
     per = max(1, -(-samples // SCRAMBLES))
     exponent = max(0, (per - 1).bit_length())
-    batches = []
-    for i in range(SCRAMBLES):
-        sampler = qmc.Sobol(d=dim, scramble=True, seed=seed + i)
-        batches.append(sampler.random_base2(exponent))
+    batches = (qmc.Sobol(d=dim, scramble=True, seed=seed + i)
+               .random_base2(exponent) for i in range(SCRAMBLES))
     return SCRAMBLES * (1 << exponent), batches
 
 

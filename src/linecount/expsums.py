@@ -2,8 +2,8 @@
 
 The module evaluates the two basic exponential sums of the counting
 integral (the lattice-point sum T and its box-with-linear-twist companion
-U), applies exact discrete differencing to their phases, measures
-square-and-difference inequalities on small instances, and decides
+U), writes their phases as exact polynomials in the lattice coordinates,
+measures square-and-difference inequalities on small instances, and decides
 major-arc membership — both the final single-denominator form and the
 nested per-degree form steered by an exponent profile.
 
@@ -25,7 +25,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import mpmath
 import numpy as np
-from scipy.stats import qmc
 
 from .counting import _Budget
 from .errors import (
@@ -41,7 +40,6 @@ from .forms import (
     RationalForm,
     evaluate_batch,
     grid_chunks,
-    iterated_difference,
     nonzero_slices,
     pullback,
     residues_mod,
@@ -165,10 +163,13 @@ def exponential_sum_T(form: HomogeneousForm, y: Sequence[int], alpha,
         sum over x in the slicing lattice with |x| <= x_bound of
         e(sum_j alpha_j * c_j(x, y)),
 
-    where c_j are the integer slice values.  Phases are reduced mod 1 in
-    exact rational arithmetic; e(.) is evaluated and compensated-summed at
-    the requested binary precision.  Every enumerated lattice point is
-    charged to ``budget`` (no cap when None).
+    where c_j are the integer slice values.  With Q the least common
+    denominator of the frequencies, every point's phase is the integer
+    residue sum_j (alpha_j Q) c_j(x, y) mod Q, computed exactly over each
+    enumerated block; the sum is then :func:`_phase_sum` of the histogram of
+    those residues, so e(.) is evaluated once per distinct residue and the
+    result is the same number as the compensated per-point sum.  Every
+    enumerated lattice point is charged to ``budget`` (no cap when None).
 
     Raises:
         ZeroVectorInput: y = 0 or the gradient vanishes at y.
@@ -179,26 +180,49 @@ def exponential_sum_T(form: HomogeneousForm, y: Sequence[int], alpha,
     if x_bound < 1:
         raise DomainError("x_bound must be at least 1")
     point = _coerce_frequency(alpha, form.degree)
-    slices = nonzero_slices(form, y)
+    terms = [(point[j], sliced) for j, sliced in nonzero_slices(form, y)
+             if point[j]]
     lattice = slicing_lattice(form, y)
+    modulus = math.lcm(1, *(coeff.denominator for coeff, _ in terms))
+    weights = [(coeff.numerator * (modulus // coeff.denominator), sliced)
+               for coeff, sliced in terms]
+    # residues stay below the modulus, so weight * residue + residue fits
+    # int64 when modulus * weight < 2^62
+    wide = modulus * max((w for w, _ in weights), default=0) >= 2 ** 62
     meter = _Budget(budget)
-    real_parts: List[mpmath.mpf] = []
-    imag_parts: List[mpmath.mpf] = []
+    histogram: Dict[int, int] = {}
+    for block in enumerate_points(lattice, x_bound):
+        meter.charge(len(block))
+        phases = np.zeros(len(block), dtype=object if wide else np.int64)
+        for weight, sliced in weights:
+            residues = residues_mod(evaluate_batch(sliced, block), modulus)
+            if wide:
+                residues = residues.astype(object)
+            phases = (phases + weight * residues) % modulus
+        values, counts = np.unique(phases, return_counts=True)
+        for r, count in zip(values.tolist(), counts.tolist()):
+            histogram[r] = histogram.get(r, 0) + count
+    return _phase_sum(histogram, modulus, precision)
+
+
+def _phase_sum(histogram: Mapping[int, int], modulus: int,
+               precision: int) -> mpmath.mpc:
+    """sum over r of histogram[r] * e(r / modulus), at ``precision`` bits.
+
+    Each e(r / modulus) is evaluated once, from the reduced fraction, as the
+    per-point sum would evaluate it; the weights multiply exactly and the
+    real and imaginary parts are each summed with one final rounding, so
+    the result equals the compensated sum of e(.) over every point.
+    """
     with mpmath.mp.workprec(precision):
-        for block in enumerate_points(lattice, x_bound):
-            meter.charge(len(block))
-            for x in block.tolist():
-                phase = Fraction(0)
-                for j, sliced in slices:
-                    coeff = point[j]
-                    if coeff:
-                        phase += coeff * sliced(x)
-                phase -= math.floor(phase)
-                value = mpmath.expjpi(
-                    2 * mpmath.mpf(phase.numerator) / phase.denominator)
-                real_parts.append(value.real)
-                imag_parts.append(value.imag)
-        return mpmath.mpc(mpmath.fsum(real_parts), mpmath.fsum(imag_parts))
+        real: List[mpmath.mpf] = []
+        imag: List[mpmath.mpf] = []
+        for r, count in sorted(histogram.items()):
+            g = math.gcd(r, modulus)
+            value = mpmath.expjpi(2 * mpmath.mpf(r // g) / (modulus // g))
+            real.append(mpmath.fmul(count, value.real, exact=True))
+            imag.append(mpmath.fmul(count, value.imag, exact=True))
+        return mpmath.mpc(mpmath.fsum(real), mpmath.fsum(imag))
 
 
 def exponential_sum_U(form: HomogeneousForm, y: Sequence[int], alpha,
@@ -227,6 +251,7 @@ def exponential_sum_U(form: HomogeneousForm, y: Sequence[int], alpha,
     ambient = grid @ np.asarray(lattice.basis, dtype=np.int64)
     base = _box_fractions(nonzero_slices(form, y), point, ambient)
 
+    from scipy.stats import qmc  # slow to import; only sampling needs it
     sampler = qmc.Sobol(d=lattice.rank, scramble=True, seed=seed)
     count = 1 << max(0, (eta_samples - 1).bit_length())
     etas = np.vstack([np.zeros(lattice.rank), sampler.random_base2(
@@ -261,22 +286,6 @@ def phase_polynomial(form: HomogeneousForm, y: Sequence[int],
                 for j, sliced in nonzero_slices(form, y) if point[j]
                 for exponents, value in sliced.coeffs.items()}
     return pullback(Polynomial(nvars=n, coeffs=combined), basis)
-
-
-def differenced_phase(form: HomogeneousForm, y: Sequence[int],
-                      basis: Sequence[Sequence[int]], alpha,
-                      h_list: Sequence[Sequence[int]]) -> Polynomial:
-    """Exact iterated forward difference of the phase polynomial.
-
-    Each difference step replaces p(xi) by p(xi + h) - p(xi), dropping the
-    degree by one per nonzero shift; the linear coefficients of the fully
-    differenced top-degree term recover the polarised slice coefficients.
-
-    Raises:
-        DimensionMismatch: shift vectors of the wrong length.
-    """
-    poly = phase_polynomial(form, y, basis, alpha)
-    return iterated_difference(poly, [list(h) for h in h_list])
 
 
 @dataclass(frozen=True)

@@ -536,7 +536,10 @@ def _sum_monomials(compiled: CompiledForm, points: np.ndarray,
 
 def residues_mod(values: np.ndarray, modulus: int) -> np.ndarray:
     """Exact values from :func:`evaluate_batch` reduced into [0, modulus),
-    as int64, whichever exact mode produced them."""
+    as int64 whichever exact mode produced them, or as Python ints when
+    the modulus does not fit int64."""
+    if modulus >= 2 ** 63:
+        return values.astype(object) % modulus
     if values.dtype == object:
         return (values % modulus).astype(np.int64)
     return values % modulus

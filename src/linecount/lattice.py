@@ -1,4 +1,4 @@
-"""The slicing lattice: construction, reduction, enumeration, residues.
+"""The slicing lattice: construction, reduction, enumeration.
 
 For a form F and a base point y with nonzero gradient, the linear condition
 grad F(y) . x = 0 carves out a saturated rank-(n-1) sublattice of Z^n: the
@@ -12,8 +12,7 @@ mod q, box counts — happens on this lattice, so this module provides:
   * a per-axis coefficient box containing all lattice points of sup-norm
     at most X (computed from the exact dual basis),
   * a deterministic stream of point blocks from a breadth-first interval
-    search (Fincke-Pohst, vectorised per lattice coordinate), and
-  * the image of the lattice modulo q with exact cardinality.
+    search (Fincke-Pohst, vectorised per lattice coordinate).
 
 All arithmetic here is exact (int / Fraction, and int64 arrays only where
 a bound proves that no value overflows); determinants are kept squared so
@@ -100,39 +99,6 @@ class BoxProfile:
         for b in self.int_bounds:
             out *= 2 * b + 1
         return out
-
-
-@dataclass(frozen=True)
-class ResidueImage:
-    """The image of a lattice in (Z/q)^n, with exact cardinality.
-
-    generators are the rows of the integer Hermite normal form of the
-    stacked matrix [basis; q*I]; row t contributes multiples
-    0, 1, ..., counts[t]-1, and the map
-    (c_1, .., c_n) -> sum_t c_t * generators[t] mod q
-    enumerates every residue exactly once.
-    """
-
-    ambient_dim: int
-    modulus: int
-    cardinality: int
-    generators: Tuple[Tuple[int, ...], ...]
-    counts: Tuple[int, ...]
-
-    def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        q = self.modulus
-        n = self.ambient_dim
-
-        def rec(t: int, acc: Tuple[int, ...]):
-            if t == len(self.generators):
-                yield acc
-                return
-            row = self.generators[t]
-            for c in range(self.counts[t]):
-                nxt = tuple((a + c * r) % q for a, r in zip(acc, row))
-                yield from rec(t + 1, nxt)
-
-        yield from rec(0, (0,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -591,37 +557,6 @@ def contains(lattice: IntegerLattice, x: IntVector) -> bool:
         for i in range(lattice.ambient_dim)
     ]
     return all(a == b for a, b in zip(recon, x))
-
-
-# ---------------------------------------------------------------------------
-# Residue images
-# ---------------------------------------------------------------------------
-
-def residue_image(lattice: IntegerLattice, q: int) -> ResidueImage:
-    """Image of the lattice in (Z/q)^n with exact cardinality.
-
-    The Hermite normal form of the stacked matrix [basis; q*I] has n rows
-    with positive diagonal d_i dividing q; the image is generated by those
-    rows with strides q/d_i, and its cardinality is prod(q / d_i).
-    """
-    if q < 1:
-        raise ValueError("modulus must be >= 1")
-    n = lattice.ambient_dim
-    stacked = [list(row) for row in lattice.basis]
-    for i in range(n):
-        stacked.append([q if j == i else 0 for j in range(n)])
-    hnf = hermite_normal_form(stacked)
-    assert len(hnf) == n
-    diag = [hnf[i][i] for i in range(n)]
-    counts = []
-    card = 1
-    for d in diag:
-        assert d > 0 and q % d == 0, "diagonal must divide the modulus"
-        counts.append(q // d)
-        card *= q // d
-    generators = tuple(tuple(v % q for v in row) for row in hnf)
-    return ResidueImage(ambient_dim=n, modulus=q, cardinality=card,
-                        generators=generators, counts=tuple(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -432,3 +434,18 @@ class TestBudgetEnvironment:
         code, out = run_json(capsys, "count", "--fixture", "quintic",
                              "--X", "1", "--Y", "1")
         assert code == EXIT_VALIDATION
+
+
+class TestImports:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        """scipy.stats takes most of the start-up time and only the QMC
+        samplers need it, so they import it when they run."""
+        import linecount
+        source = os.path.dirname(os.path.dirname(linecount.__file__))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, linecount.cli; "
+             "print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": source}, capture_output=True,
+            text=True, timeout=120, check=True)
+        assert probe.stdout.strip() == "False"

@@ -14,7 +14,6 @@ from linecount.counting import (
     count_pairs,
     hessian_corank,
     m2_dimension,
-    singular_points_in_box,
     stratum_count,
 )
 from linecount.errors import (
@@ -30,7 +29,7 @@ from linecount.fixtures import (
     fermat_quintic,
     random_dense_form,
 )
-from linecount.forms import is_line_generator_pair, parse_form
+from linecount.forms import gradient, is_line_generator_pair, parse_form
 from linecount.lattice import box_profile, slicing_lattice
 
 QUINTIC = fermat_quintic()
@@ -51,6 +50,12 @@ def oracle_pair_count(form, x_bound, y_bound):
             if is_line_generator_pair(form, x, y):
                 total += 1
     return total
+
+
+def singular_points_in_box(form, x_bound):
+    """All nonzero integer points of the box where the gradient vanishes."""
+    box = itertools.product(range(-x_bound, x_bound + 1), repeat=form.nvars)
+    return sorted(x for x in box if any(x) and not any(gradient(form, x)))
 
 
 def inline_pool(sizes):

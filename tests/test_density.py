@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import divisors, mobius
+from sympy import divisors, factorint, mobius
 
 from linecount.density import (
     DensityEstimate,
@@ -104,6 +104,23 @@ def exact_coprime_a_sum(form, y, q):
         counts = {combined[r] for r in orbit}
         assert len(counts) == 1, "histogram must be constant on gcd classes"
         total += counts.pop() * int(mobius(q // g))
+    return total
+
+
+def scanned_series(form, y, window):
+    """The truncated singular series with every N(m), m <= window, from a
+    direct scan of the lattice coordinates mod m (no CRT, no Hensel)."""
+    from linecount.density import _lattice_system
+    polys, s = _lattice_system(form, y)
+    counts = {m: sum(1 for xi in itertools.product(range(m), repeat=s)
+                     if all(int(poly(xi)) % m == 0 for poly in polys))
+              for m in range(1, window + 1)}
+    d = form.degree
+    total = Fraction(0)
+    for q in range(1, window + 1):
+        inner = sum(int(mobius(e)) * e ** s * (q // e) ** (d - 1)
+                    * counts[q // e] for e in divisors(q))
+        total += Fraction(inner, q ** s)
     return total
 
 
@@ -421,6 +438,42 @@ class TestSingularSeries:
         assert builds == [YC7]
         assert value == Fraction(2774, 49)
 
+    @pytest.mark.parametrize("form,y", [(QUINTIC, YQ), (CUBIC4, YC4)])
+    def test_crt_matches_scan_of_every_modulus(self, form, y):
+        assert singular_series_truncated(form, y, 12).value \
+            == scanned_series(form, y, 12)
+
+    def test_only_one_and_prime_powers_are_scanned(self, monkeypatch):
+        from linecount import density
+        scanned = []
+        original = density._congruence_count
+
+        def counted(polys, s, modulus, budget):
+            scanned.append(modulus)
+            return original(polys, s, modulus, budget)
+
+        monkeypatch.setattr(density, "_congruence_count", counted)
+        singular_series_truncated(CUBIC4, YC4, 12)
+        assert scanned == [1, 2, 3, 4, 5, 7, 8, 9, 11]
+
+    def test_composite_modulus_charges_its_scan(self):
+        """m = 6 charges 6^s = 216 residues, as a scan of it would: one
+        below that the series stops, at it the series passes."""
+        with pytest.raises(ResourceLimit) as info:
+            singular_series_truncated(QUINTIC, YQ, 6, budget=6 ** 3 - 1)
+        assert info.value.budget == 6 ** 3 - 1
+        value = singular_series_truncated(QUINTIC, YQ, 6, budget=6 ** 3)
+        assert value.value == scanned_series(QUINTIC, YQ, 6)
+
+    def test_factorise_matches_sympy(self):
+        from linecount.density import _factorise, _moebius, _prime_power
+        for q in range(1, 400):
+            factors = sorted(factorint(q).items())
+            assert _factorise(q) == factors
+            assert _moebius(q) == int(mobius(q))
+            assert _prime_power(q) == (factors[0] if len(factors) == 1
+                                       else None)
+
 
 # ---------------------------------------------------------------------------
 # p-adic densities for fixed y
@@ -632,6 +685,42 @@ class TestChiGlobal:
     def test_rejects_composite_p(self):
         with pytest.raises(DomainError):
             chi_global_padic(QUADRIC4, 9, 1)
+
+
+class TestStreamedScrambles:
+    """Means and standard errors recorded when all 16 scrambles were drawn
+    before the first was used; drawing them one at a time must keep them
+    bit for bit."""
+
+    def test_oscillatory(self):
+        est = oscillatory_v(QUINTIC, YQ, [0.3, 0.0, 0.0, 0.1], 2, 4096,
+                            seed=9)
+        assert est.mean == complex(22.004242655412206, -0.39092066554366467)
+        assert est.stderr == 0.5526266178929573
+
+    def test_singular_integral(self):
+        est = singular_integral_truncated(QUADRIC5, (1, 0, 0, 0, 0), 4,
+                                          1 << 14, seed=3)
+        assert (est.mean, est.stderr) == (6.332464031869834,
+                                          0.17636658454011503)
+
+    def test_window(self):
+        est = real_density_window(QUADRIC5, (1, 0, 0, 0, 0), [0.5, 0.5],
+                                  1 << 14, seed=11)
+        assert (est.mean, est.stderr) == (3.15625, 0.14170591521263323)
+
+    def test_pair_window(self):
+        est = chi_global_real(QUADRIC4, [0.5, 0.5, 0.5], 8192, seed=4)
+        assert (est.mean, est.stderr) == (18.75, 2.0832291640623697)
+
+    def test_batches_are_drawn_lazily(self):
+        from linecount.density import SCRAMBLES, _scramble_batches
+        total, batches = _scramble_batches(3, 100, 5)
+        assert total == SCRAMBLES * 8
+        assert not isinstance(batches, (list, tuple))
+        drawn = list(batches)
+        assert len(drawn) == SCRAMBLES
+        assert all(batch.shape == (8, 3) for batch in drawn)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linecount.errors import (
     DimensionMismatch,
@@ -18,7 +21,6 @@ from linecount.exponents import derive_profile, preset_profile
 from linecount.expsums import (
     FrequencyPoint,
     arc_geometry,
-    differenced_phase,
     exponential_sum_T,
     exponential_sum_U,
     major_arc_witness,
@@ -32,7 +34,12 @@ from linecount.fixtures import (
     fermat_quintic,
     random_dense_form,
 )
-from linecount.forms import b_coefficient_vector, integer_slice_form
+from linecount.forms import (
+    b_coefficient_vector,
+    integer_slice_form,
+    iterated_difference,
+    nonzero_slices,
+)
 from linecount.lattice import enumerate_points, slicing_lattice
 from point_blocks import point_tuples
 
@@ -53,6 +60,48 @@ def direct_float_sum(form, y, alpha_map, x_bound):
                     for j in slices)
         total += cmath.exp(2j * cmath.pi * phase)
     return total
+
+
+def per_point_T(form, y, point, x_bound, precision=120):
+    """The lattice sum T point by point, as it was computed before the
+    phase histogram: an exact Fraction phase and one e(.) per point, each
+    part summed by ``fsum``."""
+    slices = nonzero_slices(form, y)
+    real, imag = [], []
+    with mpmath.mp.workprec(precision):
+        for x in point_tuples(enumerate_points(slicing_lattice(form, y),
+                                               x_bound)):
+            phase = Fraction(0)
+            for j, sliced in slices:
+                if point[j]:
+                    phase += point[j] * sliced(x)
+            phase -= math.floor(phase)
+            value = mpmath.expjpi(
+                2 * mpmath.mpf(phase.numerator) / phase.denominator)
+            real.append(value.real)
+            imag.append(value.imag)
+        return mpmath.mpc(mpmath.fsum(real), mpmath.fsum(imag))
+
+
+T_CASES = ((QUINTIC, YQ), (CUBIC, YC),
+           (random_dense_form(3, 3, 41), (1, 0, 2)))
+
+#: Frequencies a/b with a small denominator, so the common denominator
+#: keeps the residues in int64.
+RATIONALS = st.one_of(st.just(Fraction(0)),
+                      st.fractions(0, 1, max_denominator=10 ** 4))
+#: Binary floats k / 2^e with e <= 80: the common denominator reaches
+#: 2^80, so the residues run in Python ints.
+DYADICS = st.builds(lambda k, e: float(Fraction(k, 2 ** e)),
+                    st.integers(0, 2 ** 53 - 1), st.integers(0, 80))
+
+
+def differenced_phase(form, y, basis, alpha, h_list):
+    """Exact iterated forward difference of the phase polynomial: each step
+    replaces p(xi) by p(xi + h) - p(xi), dropping the degree by one per
+    nonzero shift."""
+    return iterated_difference(phase_polynomial(form, y, basis, alpha),
+                               [list(h) for h in h_list])
 
 
 def random_point(d, rng, denominator=997):
@@ -167,10 +216,49 @@ class TestExponentialSumT:
                               budget=124)
         assert info.value.budget == 124
 
+    @given(case=st.sampled_from(T_CASES), x_bound=st.integers(1, 6),
+           dyadic=st.booleans(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_histogram_equals_per_point_sum(self, case, x_bound, dyadic,
+                                            data):
+        """Rational frequencies, or binary floats mixed with them."""
+        form, y = case
+        values = data.draw(st.lists(
+            st.one_of(RATIONALS, DYADICS) if dyadic else RATIONALS,
+            min_size=form.degree - 1, max_size=form.degree - 1))
+        point = FrequencyPoint.from_values(values)
+        assert exponential_sum_T(form, y, point, x_bound) \
+            == per_point_T(form, y, point, x_bound)
+
+    @pytest.mark.parametrize("x_bound", [1, 2, 3, 4, 5, 6])
+    def test_zero_and_wide_frequencies_equal_per_point_sum(self, x_bound):
+        """The zero frequency (common denominator 1); a common denominator
+        3 * 2^55, whose residue products pass int64; and 3 * 2^72, which
+        does not fit int64 itself."""
+        for values in ([0, 0, 0, 0], [0.1, Fraction(1, 3), 0.0, 0.75],
+                       [0.1, Fraction(1, 3), 3 * 2.0 ** -72, 0.75]):
+            point = FrequencyPoint.from_values(values)
+            value = exponential_sum_T(QUINTIC, YQ, point, x_bound)
+            assert value == per_point_T(QUINTIC, YQ, point, x_bound)
+
+    def test_precision_is_honoured(self):
+        point = random_point(5, random.Random(8))
+        for precision in (53, 200):
+            assert exponential_sum_T(QUINTIC, YQ, point, 2,
+                                     precision=precision) \
+                == per_point_T(QUINTIC, YQ, point, 2, precision)
+
 
 class TestExponentialSumU:
     def test_zero_frequency_equals_box_count(self):
         value = exponential_sum_U(QUINTIC, YQ, FrequencyPoint.zero(5), 1, 8)
+        assert value == pytest.approx(27.0, abs=1e-9)
+
+    def test_denominator_beyond_int64(self):
+        """alpha_2 = 3 / 2^72: the phases are below 10^-18, so the sum is
+        the box count."""
+        point = FrequencyPoint.from_values([3 * 2.0 ** -72, 0.0, 0.0, 0.0])
+        value = exponential_sum_U(QUINTIC, YQ, point, 1, 8)
         assert value == pytest.approx(27.0, abs=1e-9)
 
     def test_never_exceeds_box_count(self):

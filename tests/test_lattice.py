@@ -2,8 +2,10 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Tuple
 from unittest import mock
 
 import numpy as np
@@ -29,7 +31,6 @@ from linecount.lattice import (
     linear_slice_coefficients,
     lll_reduce,
     reduce_basis,
-    residue_image,
     slicing_lattice,
 )
 from point_blocks import point_tuples
@@ -40,6 +41,52 @@ Y0 = QUINTIC_BASE_POINT
 
 def quintic_lattice():
     return slicing_lattice(QUINTIC, Y0)
+
+
+@dataclass(frozen=True)
+class ResidueImage:
+    """The image of a lattice in (Z/q)^n, with exact cardinality.
+
+    generators are the rows of the integer Hermite normal form of the
+    stacked matrix [basis; q*I]; row t contributes multiples
+    0, 1, ..., counts[t]-1, and the map
+    (c_1, .., c_n) -> sum_t c_t * generators[t] mod q
+    enumerates every residue exactly once.
+    """
+
+    modulus: int
+    cardinality: int
+    generators: Tuple[Tuple[int, ...], ...]
+    counts: Tuple[int, ...]
+
+    def __iter__(self):
+        q = self.modulus
+        for multiples in product(*(range(c) for c in self.counts)):
+            yield tuple(
+                sum(c * row[i] for c, row in zip(multiples, self.generators))
+                % q for i in range(len(self.generators)))
+
+
+def residue_image(lattice, q):
+    """Image of the lattice in (Z/q)^n with exact cardinality.
+
+    The Hermite normal form of the stacked matrix [basis; q*I] has n rows
+    with positive diagonal d_i dividing q; the image is generated by those
+    rows with strides q/d_i, and its cardinality is prod(q / d_i).
+    """
+    n = lattice.ambient_dim
+    stacked = [list(row) for row in lattice.basis]
+    stacked += [[q if j == i else 0 for j in range(n)] for i in range(n)]
+    hnf = hermite_normal_form(stacked)
+    assert len(hnf) == n
+    counts = []
+    for i in range(n):
+        assert hnf[i][i] > 0 and q % hnf[i][i] == 0
+        counts.append(q // hnf[i][i])
+    return ResidueImage(modulus=q, cardinality=math.prod(counts),
+                        generators=tuple(tuple(v % q for v in row)
+                                         for row in hnf),
+                        counts=tuple(counts))
 
 
 class TestLinearSlice:

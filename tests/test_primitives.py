@@ -105,6 +105,16 @@ class TestEvaluateBatch:
         assert residues.dtype == np.int64
         assert list(residues) == [evaluate_form(form, p) % q for p in points]
 
+    @given(forms_and_points(st.integers(-10 ** 9, 10 ** 9)),
+           st.integers(2 ** 63, 2 ** 80))
+    @settings(max_examples=30, deadline=None)
+    def test_residues_beyond_int64_modulus(self, case, q):
+        form, points = case
+        residues = residues_mod(
+            evaluate_batch(form, np.array(points, dtype=np.int64)), q)
+        assert residues.dtype == object
+        assert list(residues) == [evaluate_form(form, p) % q for p in points]
+
     @given(forms_and_points(st.floats(-3, 3, allow_nan=False)))
     @settings(max_examples=60, deadline=None)
     def test_float_mode_is_bitwise_the_old_loop(self, case):
