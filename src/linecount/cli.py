@@ -7,9 +7,10 @@ every value survives a round trip through standard parsers.  Floats use the
 canonical shortest representation, which is deterministic for identical
 computations.
 
-Every potentially exponential loop takes a ``--budget`` (points enumerated
-or residues scanned; the LINECOUNT_BUDGET environment variable overrides
-the default) and overruns surface as a clean resource error, exit code 3.
+Every potentially exponential loop takes a ``--budget`` (points enumerated,
+residues scanned or QMC samples drawn; the LINECOUNT_BUDGET environment
+variable overrides the default) and overruns surface as a clean resource
+error, exit code 3.
 Validation failures exit 2 with a machine-readable error object; usage
 errors exit 64.
 
@@ -249,8 +250,9 @@ def _add_form_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=None,
-                        help="enumeration budget (default LINECOUNT_BUDGET "
-                             f"or {DEFAULT_COUNT_BUDGET})")
+                        help="budget of points enumerated, residues "
+                             "scanned or QMC samples drawn (default "
+                             f"LINECOUNT_BUDGET or {DEFAULT_COUNT_BUDGET})")
     parser.add_argument("--manifest-out", metavar="FILE", default=None,
                         help="write a replayable run manifest")
 
@@ -468,23 +470,26 @@ def _run_density(args, form) -> dict:
         if args.y is None:
             raise DomainError("--integral needs a base point --y")
         estimate = singular_integral_truncated(form, args.y, args.integral,
-                                               args.samples, seed=args.seed)
+                                               args.samples, seed=args.seed,
+                                               budget=budget)
         return {"mode": "integral", "W": args.integral,
                 "estimate": estimate.to_json()}
     if args.oscillatory is not None:
         if args.y is None:
             raise DomainError("--oscillatory needs a base point --y")
         estimate = oscillatory_v(form, args.y, args.oscillatory, args.X,
-                                 args.samples, seed=args.seed)
+                                 args.samples, seed=args.seed, budget=budget)
         return {"mode": "oscillatory", "X": args.X,
                 "beta": list(args.oscillatory),
                 "estimate": estimate.to_json()}
     if args.y is not None:
         estimate = real_density_window(form, args.y, args.window,
-                                       args.samples, seed=args.seed)
+                                       args.samples, seed=args.seed,
+                                       budget=budget)
         return {"mode": "window", "epsilon": list(args.window),
                 "estimate": estimate.to_json()}
-    estimate = chi_global_real(form, args.window, args.samples, seed=args.seed)
+    estimate = chi_global_real(form, args.window, args.samples,
+                               seed=args.seed, budget=budget)
     return {"mode": "window-pairs", "epsilon": list(args.window),
             "estimate": estimate.to_json()}
 
@@ -517,7 +522,7 @@ def _run_predict(args, form) -> dict:
             raise DomainError("fixed-y prediction needs --W")
         prediction = predict_fixed_y(form, args.y, args.X, args.W,
                                      args.samples, seed=args.seed,
-                                     budget=budget)
+                                     budget=budget, sample_budget=budget)
         return prediction.to_json()
     if args.Y is None or args.p_max is None or args.epsilon is None:
         raise DomainError("pair prediction needs --Y, --p-max, and --epsilon")
@@ -525,7 +530,7 @@ def _run_predict(args, form) -> dict:
     prediction = predict_pairs(form, args.X, args.Y, args.p_max, args.H,
                                args.epsilon, args.samples, seed=args.seed,
                                cache=cache, workers=args.workers,
-                               budget=budget)
+                               budget=budget, sample_budget=budget)
     return prediction.to_json()
 
 

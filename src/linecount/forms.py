@@ -550,7 +550,7 @@ def grid_chunks(lows: Sequence[int], highs: Sequence[int],
     """The integer grid prod_i [lows_i, highs_i] as int64 row blocks.
 
     Rows run in lexicographic order, last coordinate fastest (the order of
-    ``itertools.product``), decoded from a mixed-radix row index; each
+    ``itertools.product``): row r holds the mixed-radix digits of r.  Each
     block holds ``chunk_rows`` rows (the last may hold fewer), or the whole
     grid when ``chunk_rows`` is None.
     """
@@ -563,12 +563,39 @@ def grid_chunks(lows: Sequence[int], highs: Sequence[int],
 
 def _grid_block(lows: Sequence[int], sides: Sequence[int], start: int,
                 stop: int) -> np.ndarray:
-    index = np.arange(start, stop, dtype=np.int64)
+    """Rows start..stop-1 of the grid, without a division per row.
+
+    Column i of row r is lows[i] + (r // stride_i) % sides[i], stride_i the
+    product of the later sides.  Over a row range that is the run of
+    digits (q % sides[i] for consecutive q), each repeated stride_i times,
+    the first and last repeats cut to the range.
+    """
     block = np.empty((stop - start, len(sides)), dtype=np.int64)
+    stride = 1
     for i in range(len(sides) - 1, -1, -1):
-        block[:, i] = index % sides[i] + lows[i]
-        index = index // sides[i]
+        first, last = start // stride, (stop - 1) // stride
+        digits = _digit_run(first, last - first + 1, sides[i])
+        digits += int(lows[i])
+        if stride > 1:
+            counts = np.full(last - first + 1, stride, dtype=np.int64)
+            counts[0] -= start - first * stride
+            counts[-1] -= (last + 1) * stride - stop
+            digits = np.repeat(digits, counts)
+        block[:, i] = digits
+        stride *= sides[i]
     return block
+
+
+def _digit_run(first: int, count: int, side: int) -> np.ndarray:
+    """(first + k) % side for k = 0..count-1, as int64."""
+    offset = first % side
+    if count >= side:
+        laps = -(-(offset + count) // side)
+        return np.tile(np.arange(side, dtype=np.int64), laps)[
+            offset:offset + count]
+    digits = np.arange(offset, offset + count, dtype=np.int64)
+    digits[side - offset:] -= side  # count < side: at most one wrap
+    return digits
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,49 @@ class TestDensityCommand:
         assert code == EXIT_VALIDATION
 
 
+class TestSampleBudget:
+    """QMC modes charge their rounded sample total to --budget."""
+
+    @pytest.mark.parametrize("budget,code", [("4095", EXIT_RESOURCE),
+                                             ("4096", EXIT_OK)])
+    def test_density_integral(self, capsys, budget, code):
+        got, out = run_json(capsys, "density", "--fixture", "quadric-5",
+                            "--y", "1,0,0,0,0", "--integral", "4",
+                            "--samples", "4096", "--budget", budget)
+        assert got == code
+        if code == EXIT_RESOURCE:
+            assert out["error"]["type"] == "ResourceLimit"
+        else:
+            assert out["estimate"]["samples"] == 4096
+
+    @pytest.mark.parametrize("budget,code", [("4095", EXIT_RESOURCE),
+                                             ("4096", EXIT_OK)])
+    def test_predict_fixed_y(self, capsys, budget, code):
+        got, out = run_json(capsys, "predict", "--fixture", "quadric-5",
+                            "--y", "1,0,0,0,0", "--X", "5", "--W", "2",
+                            "--samples", "4096", "--budget", budget)
+        assert got == code
+
+    @pytest.mark.parametrize("budget,code", [("4095", EXIT_RESOURCE),
+                                             ("4096", EXIT_OK)])
+    def test_predict_pairs(self, capsys, budget, code):
+        got, out = run_json(capsys, "predict", "--fixture", "quadric-4",
+                            "--X", "5", "--Y", "5", "--p-max", "1",
+                            "--epsilon", "1,1,1", "--samples", "4096",
+                            "--budget", budget)
+        assert got == code
+
+    @pytest.mark.parametrize("mode", [
+        ("--y", "0,0,1,-1", "--oscillatory", "0,0,0,0"),
+        ("--y", "0,0,1,-1", "--window", "1,1,1,1,1"),
+        ("--window", "1,1,1,1,1,1"),
+    ])
+    def test_other_density_modes(self, capsys, mode):
+        code, _ = run_json(capsys, "density", "--fixture", "quintic", *mode,
+                           "--samples", "4096", "--budget", "4095")
+        assert code == EXIT_RESOURCE
+
+
 class TestPredictCommand:
     def test_fixed_y_components(self, capsys):
         code, out = run_json(capsys, "predict", "--fixture", "quadric-5",

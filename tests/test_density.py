@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisors, factorint, mobius
 
+from linecount import density
 from linecount.density import (
     DensityEstimate,
     EulerCache,
@@ -426,7 +427,6 @@ class TestSingularSeries:
             singular_series_truncated(QUINTIC, YQ, 50, budget=100)
 
     def test_one_lattice_for_all_moduli(self, monkeypatch):
-        from linecount import density
         builds = []
 
         def counted(form, y):
@@ -444,7 +444,6 @@ class TestSingularSeries:
             == scanned_series(form, y, 12)
 
     def test_only_one_and_prime_powers_are_scanned(self, monkeypatch):
-        from linecount import density
         scanned = []
         original = density._congruence_count
 
@@ -721,6 +720,202 @@ class TestStreamedScrambles:
         drawn = list(batches)
         assert len(drawn) == SCRAMBLES
         assert all(batch.shape == (8, 3) for batch in drawn)
+
+
+def whole_batch_oscillatory(form, y, beta, x_bound, samples, seed):
+    """oscillatory_v as one whole-scramble loop of its own: every scramble
+    is transformed, box-tested row-wise and integrated at once."""
+    table = density._beta_table(beta, form.degree)
+    lattice, radii, basis, root_cov = density._slab_geometry(form, y,
+                                                             x_bound)
+    slices = density.nonzero_slices(form, y)
+    volume = float(np.prod(2 * radii))
+    total, batches = density._scramble_batches(lattice.rank, samples, seed)
+    means = []
+    for batch in batches:
+        t = (2 * batch - 1) * radii
+        ambient = t @ basis
+        inside = np.max(np.abs(ambient), axis=1) <= float(x_bound)
+        phase = np.zeros(ambient.shape[0])
+        for j, sliced in slices:
+            if table[j]:
+                phase += table[j] * density.evaluate_batch(sliced, ambient)
+        values = np.where(inside, np.exp(2j * np.pi * phase), 0)
+        means.append(complex(values.mean()) * volume * root_cov)
+    return density._combine("integral", means, total, seed)
+
+
+def whole_batch_integral(form, y, window, samples, seed):
+    """singular_integral_truncated as one whole-scramble loop of its own,
+    with np.sinc."""
+    window = float(window)
+    lattice, radii, basis, _ = density._slab_geometry(form, y, 1)
+    slices = density.nonzero_slices(form, y)
+    volume = float(np.prod(2 * radii))
+    total, batches = density._scramble_batches(lattice.rank, samples, seed)
+    means = []
+    for batch in batches:
+        t = (2 * batch - 1) * radii
+        ambient = t @ basis
+        inside = np.max(np.abs(ambient), axis=1) <= 1.0
+        kernel = np.ones(ambient.shape[0])
+        for _, sliced in slices:
+            values = density.evaluate_batch(sliced, ambient)
+            kernel *= 2 * window * np.sinc(2 * window * values)
+        means.append(float(np.mean(np.where(inside, kernel, 0.0)))
+                     * volume)
+    return density._combine("integral", means, total, seed)
+
+
+def whole_batch_window(eps, windows, dim, samples, seed):
+    """The window volume estimate as one whole-scramble loop of its own."""
+    scale = 2.0 ** dim / math.prod(eps)
+    total, batches = density._scramble_batches(dim, samples, seed)
+    means = []
+    for batch in batches:
+        points = 2 * batch - 1
+        inside = np.ones(points.shape[0], dtype=bool)
+        for width, g in windows:
+            inside &= np.abs(density.evaluate_batch(g, points)) <= width / 2
+        means.append(float(inside.mean()) * scale)
+    return density._combine("real", means, total, seed)
+
+
+#: (form, base points) pairs for the sampling-loop comparisons.
+SAMPLED_FORMS = [
+    (QUADRIC5, [(1, 0, 0, 0, 0), (3, 4, 0, 0, 5), (1, 1, 0, 0, 1)]),
+    (QUINTIC, [YQ, (1, -1, 0, 0), (2, 1, -1, 0)]),
+    (CUBIC4, [YC4, (1, -1, 0, 0), (1, 1, 1, 2)]),
+]
+
+#: Sample counts whose scrambles hold a quarter, one and four tiles.
+TILE_SAMPLES = [density.SCRAMBLES * density.QMC_TILE // 4,
+                density.SCRAMBLES * density.QMC_TILE,
+                density.SCRAMBLES * density.QMC_TILE * 4]
+
+
+class TestSamplingLoop:
+    """The tiled sampling loop against the whole-scramble loops it
+    replaced: means and stderrs equal bit for bit."""
+
+    @staticmethod
+    def same(got, want):
+        assert (got.mean, got.stderr, got.samples) == (want.mean, want.stderr,
+                                                        want.samples)
+
+    @given(st.sampled_from(range(len(SAMPLED_FORMS))), st.integers(0, 2),
+           st.sampled_from(TILE_SAMPLES), st.integers(0, 50), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_oscillatory_equals_whole_batch(self, which, k, samples, seed,
+                                            data):
+        form, points = SAMPLED_FORMS[which]
+        beta = data.draw(st.lists(
+            st.sampled_from([0.0, 0.1, -0.25, 0.3, 1.5]),
+            min_size=form.degree - 1, max_size=form.degree - 1))
+        x_bound = data.draw(st.sampled_from([1, 2, 3]))
+        self.same(oscillatory_v(form, points[k], beta, x_bound, samples,
+                                seed=seed),
+                  whole_batch_oscillatory(form, points[k], beta, x_bound,
+                                          samples, seed))
+
+    @given(st.sampled_from(range(len(SAMPLED_FORMS))), st.integers(0, 2),
+           st.sampled_from(TILE_SAMPLES), st.integers(0, 50),
+           st.sampled_from([0.3, 1.5, 3, 16]))
+    @settings(max_examples=20, deadline=None)
+    def test_integral_equals_whole_batch(self, which, k, samples, seed,
+                                         window):
+        form, points = SAMPLED_FORMS[which]
+        self.same(singular_integral_truncated(form, points[k], window,
+                                              samples, seed=seed),
+                  whole_batch_integral(form, points[k], window, samples,
+                                       seed))
+
+    @given(st.sampled_from(range(len(SAMPLED_FORMS))), st.integers(0, 2),
+           st.sampled_from(TILE_SAMPLES), st.integers(0, 50),
+           st.sampled_from([0.1, 0.5, 2.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_window_equals_whole_batch(self, which, k, samples, seed, width):
+        form, points = SAMPLED_FORMS[which]
+        eps = [width] * form.degree
+        windows = [(eps[j - 1], sliced) for j, sliced
+                   in density.nonzero_slices(form, points[k], 1)]
+        self.same(real_density_window(form, points[k], eps, samples,
+                                      seed=seed),
+                  whole_batch_window(eps, windows, form.nvars, samples,
+                                     seed))
+
+    @given(st.sampled_from([QUADRIC4, CUBIC4]),
+           st.sampled_from(TILE_SAMPLES[:2]), st.integers(0, 50),
+           st.sampled_from([0.5, 1.0]))
+    @settings(max_examples=8, deadline=None)
+    def test_pair_window_equals_whole_batch(self, form, samples, seed,
+                                            width):
+        eps = [width] * (form.degree + 1)
+        pencil = [pencil_coefficient_form(form, j)
+                  for j in range(form.degree + 1)]
+        self.same(chi_global_real(form, eps, samples, seed=seed),
+                  whole_batch_window(eps, list(zip(eps, pencil)),
+                                     2 * form.nvars, samples, seed))
+
+
+class TestSampleBudget:
+    """Each estimator charges its rounded sample total SCRAMBLES * 2^k
+    before the first scramble is drawn."""
+
+    ESTIMATORS = {
+        "oscillatory": lambda samples, budget: oscillatory_v(
+            QUINTIC, YQ, [0.3, 0.0, 0.0, 0.1], 2, samples, budget=budget),
+        "integral": lambda samples, budget: singular_integral_truncated(
+            QUADRIC5, (1, 0, 0, 0, 0), 4, samples, budget=budget),
+        "window": lambda samples, budget: real_density_window(
+            QUADRIC5, (1, 0, 0, 0, 0), [0.5, 0.5], samples, budget=budget),
+        "pairs": lambda samples, budget: chi_global_real(
+            QUADRIC4, [0.5, 0.5, 0.5], samples, budget=budget),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_boundary_at_the_rounded_total(self, name):
+        estimate = self.ESTIMATORS[name]
+        assert estimate(4096, 4096).samples == 4096
+        with pytest.raises(ResourceLimit):
+            estimate(4096, 4095)
+        # 4097 samples round up to 16 scrambles of 512
+        assert estimate(4097, 8192).samples == 8192
+        with pytest.raises(ResourceLimit):
+            estimate(4097, 8191)
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_no_limit_by_default(self, name):
+        assert self.ESTIMATORS[name](4096, None).samples == 4096
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_overrun_draws_no_scramble(self, name, monkeypatch):
+        real = density._scramble_batches
+
+        def undrawable(dim, samples, seed):
+            total, _ = real(dim, samples, seed)
+
+            def batches():
+                raise AssertionError("a scramble was drawn")
+                yield  # pragma: no cover
+
+            return total, batches()
+
+        monkeypatch.setattr(density, "_scramble_batches", undrawable)
+        with pytest.raises(ResourceLimit):
+            self.ESTIMATORS[name](4096, 4095)
+
+    def test_predictions_charge_the_sample_budget(self):
+        with pytest.raises(ResourceLimit):
+            predict_fixed_y(QUADRIC5, (1, 0, 0, 0, 0), 10, 2, 4096,
+                            sample_budget=4095)
+        predict_fixed_y(QUADRIC5, (1, 0, 0, 0, 0), 10, 2, 4096,
+                        sample_budget=4096)
+        with pytest.raises(ResourceLimit):
+            predict_pairs(QUADRIC4, 5, 5, 1, 1, [1.0] * 3, 4096,
+                          sample_budget=4095)
+        predict_pairs(QUADRIC4, 5, 5, 1, 1, [1.0] * 3, 4096,
+                      sample_budget=4096)
 
 
 # ---------------------------------------------------------------------------

@@ -273,3 +273,25 @@ class TestGridChunks:
             assert len(blocks) == 1
         else:
             assert all(len(block) == chunk_rows for block in blocks[:-1])
+
+    @pytest.mark.parametrize("sides,chunk_rows", [
+        ((3, 5, 7), 1),       # one row per chunk
+        ((3, 5, 7), 4),       # 105 rows: 26 chunks of 4 and one of 1
+        ((3, 5, 7), 13),      # a chunk spans several runs of every column
+        ((3, 5, 7), 104),     # one short last chunk
+        ((2, 11), 9),         # the last column wraps inside a chunk
+        ((40,), 7),           # one column wider than a chunk
+        ((1, 6, 1, 4), 5),    # sides of one
+        ((4, 4, 4, 4, 4), 37),
+    ])
+    def test_chunks_that_do_not_divide_the_grid(self, sides, chunk_rows):
+        lows = [-(side // 2) for side in sides]
+        highs = [lo + side - 1 for lo, side in zip(lows, sides)]
+        blocks = list(grid_chunks(lows, highs, chunk_rows))
+        expected = list(itertools.product(
+            *[range(lo, hi + 1) for lo, hi in zip(lows, highs)]))
+        assert [tuple(row) for block in blocks
+                for row in block.tolist()] == expected
+        assert [len(block) for block in blocks[:-1]] \
+            == [chunk_rows] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= chunk_rows
