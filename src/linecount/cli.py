@@ -522,7 +522,7 @@ def _run_predict(args, form) -> dict:
             raise DomainError("fixed-y prediction needs --W")
         prediction = predict_fixed_y(form, args.y, args.X, args.W,
                                      args.samples, seed=args.seed,
-                                     budget=budget, sample_budget=budget)
+                                     budget=budget)
         return prediction.to_json()
     if args.Y is None or args.p_max is None or args.epsilon is None:
         raise DomainError("pair prediction needs --Y, --p-max, and --epsilon")
@@ -530,7 +530,7 @@ def _run_predict(args, form) -> dict:
     prediction = predict_pairs(form, args.X, args.Y, args.p_max, args.H,
                                args.epsilon, args.samples, seed=args.seed,
                                cache=cache, workers=args.workers,
-                               budget=budget, sample_budget=budget)
+                               budget=budget)
     return prediction.to_json()
 
 

@@ -31,7 +31,7 @@ import mpmath
 import numpy as np
 
 from .counting import _Budget
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, ResourceLimit
 from .exponents import format_rational
 from .expsums import _phase_sum
 from .forms import (
@@ -527,7 +527,10 @@ def _sample_means(dim: int, samples: int, seed: int, budget: Optional[int],
         ResourceLimit: the total exceeds ``budget``.
     """
     total, batches = _scramble_batches(dim, samples, seed)
-    _Budget(budget).charge(total)
+    if budget is not None and total > budget:
+        raise ResourceLimit(
+            f"sampling needs {total} QMC samples, more than the budget "
+            f"of {budget}", needed=total, budget=budget)
     values = np.empty(total // SCRAMBLES, dtype=dtype)
     means = []
     for batch in batches:
@@ -820,14 +823,14 @@ def chi_global_real(form: HomogeneousForm, epsilon: Sequence[float],
 
 def predict_fixed_y(form: HomogeneousForm, y: Sequence[int], x_bound: int,
                     window: int, samples: int, seed: int = 0, *,
-                    budget: Optional[int] = DEFAULT_COUNT_BUDGET,
-                    sample_budget: Optional[int] = None) -> Prediction:
+                    budget: Optional[int] = DEFAULT_COUNT_BUDGET
+                    ) -> Prediction:
     """Circle-method main term X^(s - D + 1) S_y(W) J_y(W) for fixed y.
 
     The series factor is exact; the integral factor is a QMC estimate whose
     dyadic mean enters the recombination exactly, so the returned main term
     divided by the two factors is exactly the power of X.  ``budget``
-    bounds each residue scan of the series, ``sample_budget`` the QMC
+    bounds each residue scan of the series and, separately, the QMC
     samples of the integral.
     """
     lattice = slicing_lattice(form, y)
@@ -835,7 +838,7 @@ def predict_fixed_y(form: HomogeneousForm, y: Sequence[int], x_bound: int,
     D = form.degree * (form.degree + 1) // 2
     series = singular_series_truncated(form, y, window, budget=budget)
     integral = singular_integral_truncated(form, y, window, samples, seed,
-                                           budget=sample_budget)
+                                           budget=budget)
     power = Fraction(x_bound) ** (s - D + 1)
     main = power * series.value * _real_mean(integral)
     return Prediction(
@@ -857,21 +860,19 @@ def predict_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
                   samples: int, seed: int = 0, *,
                   cache: Optional["EulerCache"] = None,
                   workers: int = 1,
-                  budget: Optional[int] = 10 ** 9,
-                  sample_budget: Optional[int] = None) -> Prediction:
+                  budget: Optional[int] = 10 ** 9) -> Prediction:
     """Global pair-count prediction (XY)^(n - D) chi_inf prod_p chi_p.
 
     Local factors run over primes up to p_max at level H; the real factor
     is the windowed density.  The normalisation convention (d + 1 pencil
     equations over 2n variables) is recorded in the components.  Distinct
     primes are independent, so they are farmed out to ``workers`` threads.
-    ``budget`` bounds each pair scan, ``sample_budget`` the QMC samples of
+    ``budget`` bounds each pair scan and, separately, the QMC samples of
     the real factor.
     """
     n = form.nvars
     D = form.degree * (form.degree + 1) // 2
-    chi_inf = chi_global_real(form, epsilon, samples, seed,
-                              budget=sample_budget)
+    chi_inf = chi_global_real(form, epsilon, samples, seed, budget=budget)
     primes = _primes_up_to(p_max)
     factors: Dict[int, DensityEstimate] = {}
     missing = []

@@ -53,7 +53,8 @@ class PsiOutOfRange(DomainError):
 
 
 class ResourceLimit(LineCountError):
-    """An enumeration loop would exceed the configured work budget."""
+    """An enumeration, residue scan or QMC sampling loop would exceed the
+    configured work budget."""
 
     def __init__(self, message: str, *, needed: int | None = None,
                  budget: int | None = None) -> None:

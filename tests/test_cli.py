@@ -287,6 +287,9 @@ class TestSampleBudget:
         assert got == code
         if code == EXIT_RESOURCE:
             assert out["error"]["type"] == "ResourceLimit"
+            assert out["error"]["message"] == (
+                "sampling needs 4096 QMC samples, more than the budget "
+                "of 4095")
         else:
             assert out["estimate"]["samples"] == 4096
 

@@ -905,17 +905,17 @@ class TestSampleBudget:
         with pytest.raises(ResourceLimit):
             self.ESTIMATORS[name](4096, 4095)
 
-    def test_predictions_charge_the_sample_budget(self):
-        with pytest.raises(ResourceLimit):
+    def test_predictions_charge_samples_to_their_budget(self):
+        with pytest.raises(ResourceLimit, match="4096 QMC samples"):
             predict_fixed_y(QUADRIC5, (1, 0, 0, 0, 0), 10, 2, 4096,
-                            sample_budget=4095)
+                            budget=4095)
         predict_fixed_y(QUADRIC5, (1, 0, 0, 0, 0), 10, 2, 4096,
-                        sample_budget=4096)
-        with pytest.raises(ResourceLimit):
+                        budget=4096)
+        with pytest.raises(ResourceLimit, match="4096 QMC samples"):
             predict_pairs(QUADRIC4, 5, 5, 1, 1, [1.0] * 3, 4096,
-                          sample_budget=4095)
+                          budget=4095)
         predict_pairs(QUADRIC4, 5, 5, 1, 1, [1.0] * 3, 4096,
-                      sample_budget=4096)
+                      budget=4096)
 
 
 # ---------------------------------------------------------------------------
