@@ -905,7 +905,7 @@ class TestSampleBudget:
         with pytest.raises(ResourceLimit):
             self.ESTIMATORS[name](4096, 4095)
 
-    def test_predictions_charge_samples_to_their_budget(self):
+    def test_predictions_charge_the_sample_budget(self):
         with pytest.raises(ResourceLimit, match="4096 QMC samples"):
             predict_fixed_y(QUADRIC5, (1, 0, 0, 0, 0), 10, 2, 4096,
                             budget=4095)
