@@ -282,6 +282,71 @@ def _primitive_direction(y: IntVector) -> Tuple[int, ...]:
     return direction if first > 0 else tuple(-v for v in direction)
 
 
+#: A signed permutation sigma as (perm, signs): (sigma y)_i = signs[i] *
+#: y[perm[i]].
+_SignedPermutation = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _symmetry_generators(form: HomogeneousForm) -> List[_SignedPermutation]:
+    """The single sign changes and signed transpositions sigma with
+    F o sigma = +-F.
+
+    Each of the O(n^2) candidates is tested once, by comparing the monomial
+    table of F o sigma with that of F and of -F.  The group they generate
+    may be trivial; no other symmetry is searched for.
+    """
+    n = form.nvars
+    candidates: List[_SignedPermutation] = []
+    for i in range(n):
+        candidates.append((tuple(range(n)),
+                           tuple(-1 if k == i else 1 for k in range(n))))
+        for j in range(i + 1, n):
+            perm = list(range(n))
+            perm[i], perm[j] = j, i
+            for sign in (1, -1):
+                candidates.append((tuple(perm), tuple(
+                    sign if k in (i, j) else 1 for k in range(n))))
+    coeffs = dict(form.coeffs)
+    negated = {e: -c for e, c in coeffs.items()}
+    generators = []
+    for perm, signs in candidates:
+        # x_i -> signs[i] x_perm[i] sends c x^e to c prod signs[i]^e_i times
+        # the monomial whose exponent at perm[i] is e_i
+        image = {}
+        for exponents, coefficient in coeffs.items():
+            moved = [0] * n
+            for i, e in enumerate(exponents):
+                moved[perm[i]] = e
+                if signs[i] < 0 and e % 2:
+                    coefficient = -coefficient
+            image[tuple(moved)] = coefficient
+        if image == coeffs or image == negated:
+            generators.append((perm, signs))
+    return generators
+
+
+def _direction_orbit(direction: Tuple[int, ...],
+                     generators: Sequence[_SignedPermutation]
+                     ) -> List[Tuple[int, ...]]:
+    """The primitive directions sigma y for sigma in the group the
+    generators span, y = ``direction`` (breadth-first).
+
+    A signed permutation keeps the content, so each image is normalised as
+    :func:`_primitive_direction` would by its sign alone.
+    """
+    orbit = {direction}
+    frontier = [direction]
+    for y in frontier:
+        for perm, signs in generators:
+            image = tuple([s * y[p] for p, s in zip(perm, signs)])
+            if next(v for v in image if v) < 0:
+                image = tuple([-v for v in image])
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return frontier
+
+
 def _proportional_count(y: IntVector, x_bound: int) -> int:
     """Number of nonzero multiples of y inside [-X, X]^n.
 
@@ -298,12 +363,19 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
     Scans 0 < |y| <= Y exactly, then reuses the collected sup-norms to build
     the dyadic growth table and a least-squares fitted exponent of the count
     against the box size (nan when fewer than two dyadic boxes are nonempty).
+
+    The corank is computed once per symmetry orbit of primitive directions
+    (see :func:`count_pairs`): the Hessian scales as H(k y) = k^(d-2) H(y),
+    and H_F(sigma y) = +-sigma H_F(y) sigma^T for a signed permutation
+    sigma with F o sigma = +-F, so neither changes the rank.
     """
     n = form.nvars
     if not 1 <= rho <= n:
         raise DomainError(f"rho must be in 1..{n}")
     if y_bound < 1:
         raise DomainError("y_bound must be positive")
+    generators = _symmetry_generators(form)
+    coranks: Dict[Tuple[int, ...], int] = {}
     norms: List[int] = []
     for chunk in grid_chunks([-y_bound] * n, [y_bound] * n, _CHUNK_ROWS):
         values = evaluate_batch(form, chunk)
@@ -311,7 +383,12 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
             y = tuple(int(v) for v in row)
             if all(v == 0 for v in y):
                 continue
-            if hessian_corank(form, y) >= rho:
+            key = _primitive_direction(y)
+            if key not in coranks:
+                corank = hessian_corank(form, y)
+                for mate in _direction_orbit(key, generators):
+                    coranks[mate] = corank
+            if coranks[key] >= rho:
                 norms.append(max(abs(v) for v in y))
     dyadic: List[Tuple[int, int]] = []
     size = 2
@@ -389,8 +466,10 @@ def _pairs_slab(form: HomogeneousForm, x_bound: int, y_bound: int,
     stratified = 0
     per_y: Dict[Tuple[int, ...], int] = {}
     # primitive direction -> (its counts, the points its fiber charged);
-    # every multiple of a direction has the same fiber (see count_pairs)
+    # every direction in the symmetry orbit of a direction, and every
+    # multiple of it, has the same fiber counts (see count_pairs)
     directions: Dict[Tuple[int, ...], Tuple[Tuple[int, int, int], int]] = {}
+    generators = _symmetry_generators(form)
     for first in range(first_lo, first_hi + 1):
         for tail in grid_chunks([-y_bound] * (n - 1), [y_bound] * (n - 1),
                                 _CHUNK_ROWS):
@@ -412,7 +491,9 @@ def _pairs_slab(form: HomogeneousForm, x_bound: int, y_bound: int,
                     counts = _pairs_at_base_point(
                         form, y, x_bound, exclude_proportional, stratum_rho,
                         meter)
-                    directions[key] = counts, meter.spent - before
+                    entry = counts, meter.spent - before
+                    for mate in _direction_orbit(key, generators):
+                        directions[mate] = entry
                 total_y, prop_y, strat_y = counts
                 total += total_y
                 proportional += prop_y
@@ -469,12 +550,19 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     per-base-point counts, whose sum reproduces the total exactly.
 
     The fiber of y depends only on the line through y (the slice values
-    scale as c_j(x, k y) = k^(d-j) c_j(x, y)), so the x-side is enumerated
-    once per primitive direction +-y and its counts are reused for every
-    other multiple; each base point is still listed in the breakdown and
-    still charged to ``budget`` the points its fiber holds, so the budget
-    is exceeded on exactly the scans that would exceed it counting every
-    base point afresh.
+    scale as c_j(x, k y) = k^(d-j) c_j(x, y)), and a signed permutation
+    sigma with F o sigma = +-F maps it onto the fiber of sigma y: sigma
+    keeps the sup-norm box and the zero set, maps the slicing lattice at y
+    onto the one at sigma y and keeps the Hessian corank, so the total,
+    proportional and stratified counts and the number of points enumerated
+    are the same.  The x-side is therefore enumerated once per orbit of
+    primitive directions +-y under the group spanned by the sign changes
+    and signed transpositions that are symmetries of F (just the direction
+    itself when there are none), and its counts are reused for every other
+    base point of the orbit; each base point is still listed in the
+    breakdown and still charged to ``budget`` the points its fiber holds,
+    so the budget is exceeded on exactly the scans that would exceed it
+    counting every base point afresh.
 
     Raises:
         DomainError: X < 1 or Y < 1.

@@ -30,6 +30,7 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 import mpmath
 import numpy as np
 
+from . import __version__
 from .counting import _Budget
 from .errors import DimensionMismatch, DomainError, ResourceLimit
 from .exponents import format_rational
@@ -50,6 +51,9 @@ from .lattice import box_profile, slicing_lattice
 
 DEFAULT_COUNT_BUDGET = 10 ** 7
 SCRAMBLES = 16
+#: How chi_global_padic normalises its count; recorded with each global
+#: prediction and part of every EulerCache key.
+_PAIR_CONVENTION = "d+1 pencil equations over 2n variables"
 
 KINDS = ("p-adic", "real", "series", "integral")
 
@@ -725,9 +729,13 @@ def _window_density(eps: Sequence[float], windows, dim: int, samples: int,
 
     def integrand(tile: np.ndarray) -> np.ndarray:
         points = _centred(tile)
-        inside = np.ones(points.shape[0], dtype=bool)
-        for width, g in windows:
-            inside &= np.abs(evaluate_batch(g, points)) <= width / 2
+        (first_width, first), *later = windows
+        inside = np.abs(evaluate_batch(first, points)) <= first_width / 2
+        for width, g in later:
+            # a row's value does not depend on the other rows, so only the
+            # rows still inside need evaluating
+            idx = np.flatnonzero(inside)
+            inside[idx] = np.abs(evaluate_batch(g, points[idx])) <= width / 2
         return inside
 
     total, means = _sample_means(dim, samples, seed, budget, bool,
@@ -910,7 +918,7 @@ def predict_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
             "p_max": p_max,
             "H": H,
             "exponent": n - D,
-            "convention": "d+1 pencil equations over 2n variables",
+            "convention": _PAIR_CONVENTION,
             "chi_infinity": chi_inf.to_json(),
             "chi_p": {str(p): est.to_json() for p, est in factors.items()},
         })
@@ -933,8 +941,10 @@ class EulerCache:
     """Content-addressed store for exact local factors.
 
     Keys combine the form's coefficient table, the base point (or None for
-    the global pair system), the prime, and the level, so a cache entry can
-    never be replayed against different inputs.
+    the global pair system), the prime, the level, the normalisation
+    convention and the package version, so a cache entry can never be
+    replayed against different inputs, nor against a factor computed
+    under another convention or by another version.
     """
 
     def __init__(self, path: str) -> None:
@@ -950,7 +960,8 @@ class EulerCache:
         payload = json.dumps(
             {"form": form_to_json(form),
              "y": None if y is None else [int(v) for v in y],
-             "p": p, "H": H},
+             "p": p, "H": H, "convention": _PAIR_CONVENTION,
+             "version": __version__},
             sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -4,8 +4,11 @@ import itertools
 import math
 import random
 from concurrent.futures import Future
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linecount import counting
 from linecount.counting import (
@@ -29,7 +32,13 @@ from linecount.fixtures import (
     fermat_quintic,
     random_dense_form,
 )
-from linecount.forms import gradient, is_line_generator_pair, parse_form
+from linecount.forms import (
+    HomogeneousForm,
+    evaluate_form,
+    gradient,
+    is_line_generator_pair,
+    parse_form,
+)
 from linecount.lattice import box_profile, slicing_lattice
 
 QUINTIC = fermat_quintic()
@@ -301,13 +310,17 @@ class TestCountPairs:
 
 
 class TestDirectionReuse:
-    """Base points on one line through the origin share one fiber count."""
+    """Base points on one line through the origin, and on lines that a
+    symmetry of the form maps onto each other, share one fiber count."""
 
     def test_one_fiber_per_direction(self, monkeypatch):
+        """The 120 +-primitive directions fall into the three orbits of
+        (1,0,0,0,1), (1,1,1,1,2) and (2,2,1,0,3) under the sign changes and
+        the permutations of x1..x4."""
         calls = counted(monkeypatch, "_pairs_at_base_point")
         report = count_pairs(diagonal_quadric(5), 2, 4, breakdown=True)
         assert len(report.per_y_breakdown) == 320
-        assert len(calls) == 120
+        assert len(calls) == 3
         assert report.total == report.proportional_pairs == 384
 
     def test_breakdown_keeps_every_base_point(self):
@@ -325,6 +338,163 @@ class TestDirectionReuse:
         assert report.proportional_pairs == 192
         assert report.total == 0
         assert report.stratified == 0
+
+
+def signed_relabel(form, perm, signs):
+    """F o S for the signed permutation (S x)_i = signs[i] * x[perm[i]],
+    expanded term by term."""
+    coeffs = {}
+    for exponents, coefficient in form.coeffs.items():
+        moved = [0] * form.nvars
+        for i, e in enumerate(exponents):
+            moved[perm[i]] = e
+            coefficient *= signs[i] ** e
+        coeffs[tuple(moved)] = coefficient
+    return HomogeneousForm(nvars=form.nvars, degree=form.degree,
+                           coeffs=coeffs)
+
+
+def per_base_point_oracle(form, x_bound, y_bound, exclude_proportional,
+                          stratum_rho):
+    """count_pairs with a fresh _pairs_at_base_point call for every base
+    point and no reuse: ((total, proportional, stratified, per_y), the
+    points the scan charges)."""
+    meter = counting._Budget(None)
+    meter.charge((2 * y_bound + 1) ** form.nvars)
+    total = proportional = stratified = 0
+    per_y = {}
+    box = range(-y_bound, y_bound + 1)
+    for y in itertools.product(box, repeat=form.nvars):
+        if not any(y) or evaluate_form(form, y) != 0:
+            continue
+        total_y, prop_y, strat_y = counting._pairs_at_base_point(
+            form, y, x_bound, exclude_proportional, stratum_rho, meter)
+        total += total_y
+        proportional += prop_y
+        stratified += strat_y
+        per_y[y] = total_y
+    if stratum_rho is None:
+        stratified = None
+    return (total, proportional, stratified, per_y), meter.spent
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Forms with many signed-permutation symmetries under a random signed
+    relabelling: diagonal forms sum a_i x_i^d with repeated a_i, or sums
+    of products x1 x2 + x3 x4 (+ x5^2)."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        degree = draw(st.integers(2, 4))
+        coeffs = {}
+        for i in range(n):
+            e = tuple(degree if k == i else 0 for k in range(n))
+            coeffs[e] = draw(st.sampled_from([1, 1, -1, 2]))
+        form = HomogeneousForm(nvars=n, degree=degree, coeffs=coeffs)
+    else:
+        n = max(n, 4)
+        text = "x1*x2 + x3*x4" + (" - x5^2" if n == 5 else "")
+        form = parse_form(text, n_hint=n)
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n,
+                          max_size=n))
+    return signed_relabel(form, perm, signs)
+
+
+class TestOrbitReuse:
+    """One fiber per symmetry orbit of directions: every count, every
+    base point of the breakdown and every charge equal a scan that counts
+    each base point afresh."""
+
+    @staticmethod
+    def check(form, x_bound, y_bound, exclude_proportional, stratum_rho):
+        want, charged = per_base_point_oracle(
+            form, x_bound, y_bound, exclude_proportional, stratum_rho)
+        for workers in (1, 2):
+            with mock.patch.object(counting, "ProcessPoolExecutor",
+                                   inline_pool([])):
+                report = count_pairs(
+                    form, x_bound, y_bound,
+                    exclude_proportional=exclude_proportional,
+                    stratum_rho=stratum_rho, breakdown=True,
+                    workers=workers)
+            assert (report.total, report.proportional_pairs,
+                    report.stratified, report.per_y_breakdown) == want
+            slabs = counting._split_range(-y_bound, y_bound, workers)
+            assert sum(counting._pairs_slab(
+                form, x_bound, y_bound, lo, hi, exclude_proportional,
+                stratum_rho, False, None)[4] for lo, hi in slabs) == charged
+
+    @given(symmetric_forms(), st.integers(1, 2), st.integers(1, 3),
+           st.booleans(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_relabelled_symmetric_forms(self, form, x_bound, y_bound,
+                                        exclude_proportional, data):
+        y_bound = min(y_bound, {2: 3, 3: 3, 4: 2, 5: 1}[form.nvars])
+        rho = data.draw(st.sampled_from([None] + list(
+            range(1, form.nvars + 1))))
+        self.check(form, x_bound, y_bound, exclude_proportional, rho)
+
+    @given(st.sampled_from([(3, 3, 0), (3, 3, 2), (3, 3, 8), (4, 2, 1),
+                            (4, 2, 3), (3, 2, 6)]),
+           st.integers(1, 2), st.integers(1, 3), st.booleans(),
+           st.sampled_from([None, 1, 2]))
+    @settings(max_examples=12, deadline=None)
+    def test_random_dense_forms(self, shape, x_bound, y_bound,
+                                exclude_proportional, rho):
+        n, degree, seed = shape
+        form = random_dense_form(n, degree, seed=seed)
+        self.check(form, x_bound, min(y_bound, 5 - n),
+                   exclude_proportional, rho)
+
+    def test_process_pool_matches_sequential(self):
+        form = signed_relabel(diagonal_quadric(5), (3, 0, 4, 1, 2),
+                              (1, -1, -1, 1, 1))
+        solo = count_pairs(form, 2, 3, stratum_rho=1, breakdown=True)
+        assert count_pairs(form, 2, 3, stratum_rho=1, breakdown=True,
+                           workers=2) == solo
+
+    @pytest.mark.parametrize("form, needed", [
+        (diagonal_quadric(5), 93559),
+        (parse_form("x1^3 - x2^3 + x3^3 + x4^3", n_hint=4), 10423),
+    ])
+    def test_budget_boundary(self, form, needed):
+        """Reused fibers are charged as if counted again: the scan at
+        (X, Y) = (2, 3) needs exactly ``needed`` points, as when every
+        base point was counted afresh."""
+        assert per_base_point_oracle(form, 2, 3, False, None)[1] == needed
+        with pytest.raises(ResourceLimit):
+            count_pairs(form, 2, 3, budget=needed - 1)
+        count_pairs(form, 2, 3, budget=needed)
+
+    def test_generators_of_the_fixtures(self):
+        """Even degree: every sign change; odd degree: none.  Transpositions
+        x_i <-> +-x_j join variables with equal coefficients (up to the
+        sign an odd power can absorb)."""
+        quadric = counting._symmetry_generators(diagonal_quadric(5))
+        assert len(quadric) == 5 + 2 * 6
+        cubic = counting._symmetry_generators(
+            parse_form("x1^3 - x2^3 + x3^3 + x4^3", n_hint=4))
+        assert all(sorted(perm) == list(range(4)) and perm != (0, 1, 2, 3)
+                   for perm, _ in cubic)
+        assert len(cubic) == 6
+        assert counting._symmetry_generators(
+            random_dense_form(3, 3, seed=0)) == []
+        assert counting._direction_orbit((1, 2, 0), []) == [(1, 2, 0)]
+
+
+def per_y_stratum_scan(form, y_bound, rho):
+    """(count, dyadic counts) with one hessian_corank call per base point."""
+    norms = [max(abs(v) for v in y) for y in itertools.product(
+        range(-y_bound, y_bound + 1), repeat=form.nvars)
+        if any(y) and evaluate_form(form, y) == 0
+        and hessian_corank(form, y) >= rho]
+    dyadic = []
+    size = 2
+    while size <= y_bound:
+        dyadic.append((size, sum(1 for m in norms if m <= size)))
+        size *= 2
+    return len(norms), tuple(dyadic)
 
 
 class TestHessianCorank:
@@ -387,6 +557,31 @@ class TestStratumCount:
             stratum_count(QUINTIC, 2, 0)
         with pytest.raises(DomainError):
             stratum_count(QUINTIC, 2, 5)
+
+
+    @pytest.mark.parametrize("y_bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rho", [1, 2, 3, 4])
+    def test_orbits_match_per_y_scan_quintic(self, y_bound, rho):
+        report = stratum_count(QUINTIC, y_bound, rho)
+        assert (report.count, report.dyadic_counts) \
+            == per_y_stratum_scan(QUINTIC, y_bound, rho)
+
+    @pytest.mark.parametrize("form", [
+        random_dense_form(3, 3, seed=0),
+        signed_relabel(fermat_form(4, 3), (2, 0, 3, 1), (-1, 1, 1, -1)),
+        parse_form("x1^2*x2 + x3^3", n_hint=3),
+    ])
+    @pytest.mark.parametrize("rho", [1, 2])
+    def test_orbits_match_per_y_scan(self, form, rho):
+        report = stratum_count(form, 4, rho)
+        assert (report.count, report.dyadic_counts) \
+            == per_y_stratum_scan(form, 4, rho)
+
+    def test_one_corank_per_orbit(self, monkeypatch):
+        calls = counted(monkeypatch, "hessian_corank")
+        stratum_count(QUINTIC, 4, 1)
+        zeros = per_y_stratum_scan(QUINTIC, 4, 0)[0]
+        assert 0 < len(calls) < zeros // 10
 
 
 class TestM2Dimension:

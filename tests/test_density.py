@@ -768,7 +768,8 @@ def whole_batch_integral(form, y, window, samples, seed):
 
 
 def whole_batch_window(eps, windows, dim, samples, seed):
-    """The window volume estimate as one whole-scramble loop of its own."""
+    """The window volume estimate as one whole-scramble loop of its own,
+    with every window evaluated on every row."""
     scale = 2.0 ** dim / math.prod(eps)
     total, batches = density._scramble_batches(dim, samples, seed)
     means = []
@@ -856,6 +857,46 @@ class TestSamplingLoop:
         self.same(chi_global_real(form, eps, samples, seed=seed),
                   whole_batch_window(eps, list(zip(eps, pencil)),
                                      2 * form.nvars, samples, seed))
+
+
+class TestWindowSurvivors:
+    """Later windows are evaluated only on the rows still inside: the
+    booleans, and so the seeded means, equal the all-rows loop, also when
+    few or no rows survive the first window."""
+
+    @given(st.sampled_from(range(len(SAMPLED_FORMS))), st.integers(0, 2),
+           st.integers(0, 50), st.sampled_from([1e-9, 0.01, 0.1, 0.5]))
+    @settings(max_examples=20, deadline=None)
+    def test_narrow_windows_equal_all_rows(self, which, k, seed, width):
+        form, points = SAMPLED_FORMS[which]
+        eps = [width] * form.degree
+        windows = [(eps[j - 1], sliced) for j, sliced
+                   in density.nonzero_slices(form, points[k], 1)]
+        samples = density.SCRAMBLES * density.QMC_TILE
+        TestSamplingLoop.same(
+            real_density_window(form, points[k], eps, samples, seed=seed),
+            whole_batch_window(eps, windows, form.nvars, samples, seed))
+
+    @pytest.mark.parametrize("eps", [[0.1, 0.1], [1e-9, 0.5], [0.5, 1e-9]])
+    def test_bench_window_job(self, eps):
+        """The ``--window 0.1,0.1`` job's estimator at y = e1, where 2.3% of
+        the rows pass the linear window."""
+        windows = [(eps[j - 1], sliced) for j, sliced
+                   in density.nonzero_slices(QUADRIC5, (1, 0, 0, 0, 0), 1)]
+        TestSamplingLoop.same(
+            real_density_window(QUADRIC5, (1, 0, 0, 0, 0), eps, 1 << 17,
+                                seed=7),
+            whole_batch_window(eps, windows, 5, 1 << 17, 7))
+
+    @pytest.mark.parametrize("form", [QUADRIC4, CUBIC4])
+    def test_pair_windows(self, form):
+        eps = [0.05] * (form.degree + 1)
+        pencil = [pencil_coefficient_form(form, j)
+                  for j in range(form.degree + 1)]
+        TestSamplingLoop.same(
+            chi_global_real(form, eps, 1 << 15, seed=2),
+            whole_batch_window(eps, list(zip(eps, pencil)), 2 * form.nvars,
+                               1 << 15, 2))
 
 
 class TestSampleBudget:
@@ -980,6 +1021,19 @@ class TestPredictions:
         assert reloaded.get(QUADRIC4, None, 2, 1) == Fraction(3, 4)
         assert reloaded.get(QUADRIC4, None, 3, 1) is None
         assert os.listdir(tmp_path) == ["euler.json"]
+
+    @pytest.mark.parametrize("name, other", [
+        ("__version__", "0.0.0"),
+        ("_PAIR_CONVENTION", "d pencil equations over 2n variables"),
+    ])
+    def test_euler_cache_misses_other_version_or_convention(
+            self, tmp_path, monkeypatch, name, other):
+        path = os.path.join(tmp_path, "euler.json")
+        monkeypatch.setattr(density, name, other)
+        EulerCache(path).put(QUADRIC4, None, 2, 1, Fraction(3, 4))
+        assert EulerCache(path).get(QUADRIC4, None, 2, 1) == Fraction(3, 4)
+        monkeypatch.undo()
+        assert EulerCache(path).get(QUADRIC4, None, 2, 1) is None
 
     def test_euler_cache_round_trip(self, tmp_path):
         path = os.path.join(tmp_path, "euler.json")
