@@ -253,17 +253,196 @@ def _solution_mask(polys: Sequence[Polynomial], block: np.ndarray,
     return mask
 
 
+#: Pairs of histogram entries added at once when two histograms are
+#: convolved.
+_CONVOLVE_ROWS = 1 << 16
+
+
+def _residue_count(polys: Sequence[Polynomial], nvars: int,
+                   modulus: int) -> int:
+    """#{x mod ``modulus`` in ``nvars`` variables: every poly vanishes}.
+
+    Monomials with coefficient = 0 mod ``modulus`` are dropped, and the
+    variables fall into connected components: two variables are joined
+    when a remaining monomial uses both.  A variable in no monomial
+    contributes a factor ``modulus``.  Each component but the largest is
+    scanned on its own residue grid into a histogram of its value vectors
+    mod ``modulus`` (over the polys those components touch), the
+    histograms are convolved, and the largest component is scanned row by
+    row, each row counting the histogram entry that cancels its values and
+    the constant terms.  With one component this is the scan of the whole
+    grid.  Charges nothing; callers charge the full grid.
+    """
+    terms: List[Dict[Tuple[int, ...], int]] = []
+    constants: List[int] = []
+    origin = (0,) * nvars
+    for poly in polys:
+        if not poly.compiled.integral:
+            raise ValueError("residue counts need integer coefficients")
+        reduced = {e: int(c) % modulus for e, c in poly.coeffs.items()
+                   if int(c) % modulus}
+        constant = reduced.pop(origin, 0)
+        if reduced:
+            terms.append(reduced)
+            constants.append(constant)
+        elif constant:
+            return 0
+    groups = _variable_components([e for t in terms for e in t], nvars)
+    free = nvars - sum(len(g) for g in groups)
+    if not groups:
+        return modulus ** nvars
+    groups.sort(key=len, reverse=True)
+    # polys touched by a component other than the largest: their values
+    # are looked up in the histogram, the others must vanish on the largest
+    owner = {v: k for k, group in enumerate(groups) for v in group}
+    touched = sorted({i for i, t in enumerate(terms)
+                      for e in t if owner[_first_variable(e)] > 0})
+    if modulus ** len(touched) >= 2 ** 62:
+        # value vectors would not fit an int64 key: scan all together
+        groups = [sorted(v for group in groups for v in group)]
+        owner = dict.fromkeys(groups[0], 0)
+        touched = []
+    weights = np.array([modulus ** k for k in range(len(touched))],
+                       dtype=np.int64)
+
+    def restricted(i: int, k: int, constant: int = 0) -> Polynomial:
+        """Poly i restricted to component k, in its own variables."""
+        group = groups[k]
+        coeffs = {tuple(e[v] for v in group): c
+                  for e, c in terms[i].items()
+                  if owner[_first_variable(e)] == k}
+        if constant:
+            coeffs[(0,) * len(group)] = constant
+        return Polynomial(nvars=len(group), coeffs=coeffs)
+
+    # keys encode value vectors in base modulus, one digit per touched poly
+    histogram = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+    for k in range(1, len(groups)):
+        parts = [(w, restricted(i, k)) for w, i in zip(weights, touched)]
+        parts = [(w, part) for w, part in parts if not part.is_zero]
+        values = _accumulate(_value_blocks(parts, len(groups[k]), modulus))
+        histogram = _accumulate(_sum_blocks(histogram, values, weights,
+                                            modulus))
+
+    largest = len(groups[0])
+    looked_up = [(w, restricted(i, 0, constants[i]))
+                 for w, i in zip(weights, touched)]
+    vanishing = [restricted(i, 0, constants[i]) for i in range(len(terms))
+                 if i not in touched]
+    keys, counts = histogram
+    total = 0
+    for block in _residue_grid(largest, modulus):
+        rows = block[_solution_mask(vanishing, block, modulus)]
+        if not looked_up:
+            total += rows.shape[0]
+            continue
+        target = np.zeros(rows.shape[0], dtype=np.int64)
+        for w, part in looked_up:
+            target += w * (-residues_mod(evaluate_batch(part, rows),
+                                         modulus) % modulus)
+        at = np.minimum(np.searchsorted(keys, target), keys.shape[0] - 1)
+        total += int(counts[at][keys[at] == target].sum())
+    return total * modulus ** free
+
+
+def _first_variable(exponents: Tuple[int, ...]) -> int:
+    return next(v for v, e in enumerate(exponents) if e)
+
+
+def _variable_components(monomials: Sequence[Tuple[int, ...]],
+                         nvars: int) -> List[List[int]]:
+    """The variables of ``monomials`` grouped into connected components
+    (joined when a monomial uses both), each sorted; variables that no
+    monomial uses are left out."""
+    groups: List[set] = []
+    for exponents in monomials:
+        joined = {v for v in range(nvars) if exponents[v]}
+        for group in [g for g in groups if g & joined]:
+            joined |= group
+            groups.remove(group)
+        groups.append(joined)
+    return sorted(sorted(group) for group in groups)
+
+
+def _value_blocks(parts, nvars: int, modulus: int
+                  ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(keys, counts) per chunk of the residue grid: the key of a row is
+    sum w * (part value mod ``modulus``) over the (w, part) in ``parts``."""
+    for block in _residue_grid(nvars, modulus):
+        key = np.zeros(block.shape[0], dtype=np.int64)
+        for w, part in parts:
+            key += w * residues_mod(evaluate_batch(part, block), modulus)
+        yield key, np.ones_like(key)
+
+
+def _sum_blocks(left, right, weights: np.ndarray, modulus: int
+                ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(keys, counts) blocks of the histogram of u + v mod ``modulus``, u
+    from histogram ``left`` and v from ``right``; keys encode value
+    vectors with digit weights ``weights``."""
+    (left_keys, left_counts), (right_keys, right_counts) = left, right
+    right_digits = right_keys[:, None] // weights % modulus
+    step = max(1, _CONVOLVE_ROWS // right_keys.shape[0])
+    for start in range(0, left_keys.shape[0], step):
+        digits = left_keys[start:start + step, None] // weights % modulus
+        sums = (digits[:, None, :] + right_digits[None, :, :]) % modulus
+        yield ((sums @ weights).ravel(),
+               (left_counts[start:start + step, None]
+                * right_counts[None, :]).ravel())
+
+
+def _accumulate(blocks: Iterator[Tuple[np.ndarray, np.ndarray]]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """The histogram of (keys, counts) ``blocks``: sorted distinct keys,
+    with the counts of equal keys summed.
+
+    Blocks wait until they hold more entries than the histogram so far,
+    then are merged into it: of n entries in all, each is sorted
+    O(log n) times, and at most twice the histogram plus one block is
+    held.
+    """
+    keys = counts = np.zeros(0, dtype=np.int64)
+    waiting: List[Tuple[np.ndarray, np.ndarray]] = []
+    size = 0
+    for block in blocks:
+        waiting.append(block)
+        size += block[0].shape[0]
+        if size > keys.shape[0]:
+            keys, counts = _merge_histogram([(keys, counts), *waiting])
+            waiting, size = [], 0
+    return _merge_histogram([(keys, counts), *waiting]) if waiting \
+        else (keys, counts)
+
+
+def _merge_histogram(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys of the (keys, counts) ``parts``, with the
+    counts of equal keys summed."""
+    keys = np.concatenate([k for k, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
 def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
                                p: int, H: int, *,
                                budget: Optional[int] = DEFAULT_COUNT_BUDGET
                                ) -> int:
     """Number of solutions of the polynomial system mod p^H.
 
-    Scans the full grid when p^(H * nvars) fits the budget.  Otherwise
-    solutions mod p are classified by the rank of the Jacobian: points
-    where it reaches the number of (non-trivial) equations lift to exactly
-    p^((H-1)(nvars - rank)) solutions mod p^H, and the remaining singular
-    fibers are enumerated exhaustively.
+    Counts directly when p^(H * nvars) fits the budget, and charges those
+    p^(H * nvars) residues whatever the count visits: the variables split
+    into components joined by shared monomials (coefficients = 0 mod p^H
+    dropped), each component but the largest is scanned on its own grid
+    into a histogram of its values, and only the largest is scanned in
+    full (:func:`_residue_count`).  So a diagonal system costs a few
+    one-variable scans.  Otherwise solutions mod p are classified by the
+    rank of the Jacobian: points where it reaches the number of
+    (non-trivial) equations lift to exactly p^((H-1)(nvars - rank))
+    solutions mod p^H, and the remaining singular fibers are enumerated
+    exhaustively.
 
     Raises:
         ResourceLimit: the scan or a singular fiber exceeds the budget.
@@ -281,10 +460,7 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
     direct = modulus ** nvars
     if budget is None or direct <= budget:
         ledger.charge(direct)
-        total = 0
-        for block in _residue_grid(nvars, modulus):
-            total += int(_solution_mask(active, block, modulus).sum())
-        return total
+        return _residue_count(active, nvars, modulus)
 
     # Hensel route: classify the mod-p solutions by Jacobian rank.
     base = p ** nvars
@@ -346,13 +522,8 @@ def _congruence_count(polys: List[Polynomial], s: int, modulus: int,
     if factorised is not None:
         return count_congruence_solutions(polys, s, factorised[0],
                                           factorised[1], budget=budget)
-    ledger = _Budget(budget)
-    total = 0
-    for block in _residue_grid(s, modulus):
-        ledger.charge(block.shape[0])
-        total += (int(_solution_mask(polys, block, modulus).sum())
-                  if polys else block.shape[0])
-    return total
+    _Budget(budget).charge(modulus ** s)
+    return _residue_count(polys, s, modulus)
 
 
 def _prime_power(q: int) -> Optional[Tuple[int, int]]:
@@ -395,12 +566,13 @@ def singular_series_truncated(form: HomogeneousForm, y: Sequence[int],
         A_y(q) = sum_{e | q, e squarefree} mu(e) e^s (q/e)^{d-1} N(q/e),
 
     where N(m) counts lattice residues mod m on which every slice value
-    vanishes.  N(1) and N(p^k) come from exact residue scans (or Hensel
-    lifting); every other N(m) is, by the Chinese remainder theorem, the
-    product of N(p^k) over the prime powers exactly dividing m.  So the
-    result is an exact rational.  Each such m still charges the m^s
-    residues a scan would visit to ``budget``, so the budget fails on the
-    same windows as a scan of every modulus.
+    vanishes.  N(1) and N(p^k) come from exact residue counts by
+    variable-disjoint components (see :func:`count_congruence_solutions`)
+    or from Hensel lifting; every other N(m) is, by the Chinese remainder
+    theorem, the product of N(p^k) over the prime powers exactly dividing
+    m.  So the result is an exact rational.  Every modulus m still charges
+    the m^s residues a scan would visit to ``budget``, so the budget fails
+    on the same windows as a scan of every modulus.
 
     Raises:
         ResourceLimit: a modulus m needs more than ``budget`` residues.
@@ -755,12 +927,19 @@ def chi_global_padic(form: HomogeneousForm, p: int, H: int = 1, *,
     normalises by p^(H (d + 1 - 2n)) (d + 1 equations in 2n variables —
     a convention recorded with every prediction that uses it).
 
-    Quadratic forms get a fast path: the outer coefficients select the
+    A pencil whose variables split into at least two components (joined
+    by shared monomials; for a diagonal form the pairs (x_i, y_i)) is
+    counted component by component, whatever the degree, as in
+    :func:`count_congruence_solutions`.  A quadric pencil that does not
+    split goes through the pairing path: the outer coefficients select the
     residue solutions of F on each side, and the middle coefficient is a
-    bilinear pairing counted with blocked integer matrix products.
+    bilinear pairing counted with blocked integer matrix products.  The
+    charges do not depend on the path: p^(2nH) pairs for d != 2, and for
+    quadrics the p^(nH) residues of F plus the square of its number of
+    solutions.
 
     Raises:
-        ResourceLimit: the pair scan exceeds the budget.
+        ResourceLimit: the pair count exceeds the budget.
     """
     if H < 1:
         raise DomainError("H must be at least 1")
@@ -770,14 +949,20 @@ def chi_global_padic(form: HomogeneousForm, p: int, H: int = 1, *,
     d = form.degree
     modulus = p ** H
     ledger = _Budget(budget)
-    if d == 2:
-        count = _quadric_pair_count(form, modulus, ledger)
-    else:
-        pencil = [pencil_coefficient_form(form, j) for j in range(d + 1)]
+    pencil = [pencil_coefficient_form(form, j) for j in range(d + 1)]
+    if d != 2:
         ledger.charge(modulus ** (2 * n))
-        count = 0
-        for block in _residue_grid(2 * n, modulus):
-            count += int(_solution_mask(pencil, block, modulus).sum())
+        count = _residue_count(pencil, 2 * n, modulus)
+    elif len(_variable_components(
+            [e for poly in pencil for e, c in poly.coeffs.items()
+             if c % modulus], 2 * n)) > 1:
+        # charge what the quadric path would: the scan of F, then the
+        # pairs of its solutions
+        ledger.charge(modulus ** n)
+        ledger.charge(_residue_count([form], n, modulus) ** 2)
+        count = _residue_count(pencil, 2 * n, modulus)
+    else:
+        count = _quadric_pair_count(form, modulus, ledger)
     value = Fraction(p) ** (H * (d + 1 - 2 * n)) * count
     return DensityEstimate(kind="p-adic", value=value)
 

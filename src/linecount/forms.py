@@ -526,10 +526,18 @@ def _sum_monomials(compiled: CompiledForm, points: np.ndarray,
                    dtype) -> np.ndarray:
     values = np.zeros(points.shape[0], dtype=dtype)
     for row, coefficient in zip(compiled.matrix, compiled.coefficients):
-        term = np.full(points.shape[0], coefficient, dtype=dtype)
-        for i, e in enumerate(row):
-            if e:
-                term = term * points[:, i] ** int(e)
+        factors = [(i, int(e)) for i, e in enumerate(row) if e]
+        if not factors:
+            values += coefficient
+            continue
+        # coefficient * p_1 * p_2 * ..., left to right; the first product
+        # is taken as p_1 * coefficient, the same value in every mode
+        (i, e), *rest = factors
+        term = (points[:, i] ** e).astype(dtype, copy=False)
+        if coefficient != 1:
+            term *= coefficient
+        for i, e in rest:
+            term *= points[:, i] ** e
         values += term
     return values
 

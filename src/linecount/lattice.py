@@ -311,6 +311,13 @@ def lll_reduce(rows: Sequence[IntVector],
     Raises:
         ZeroVectorInput: the rows are linearly dependent.
     """
+    return _lll(rows, lovasz)[0]
+
+
+def _lll(rows: Sequence[IntVector],
+         lovasz: Fraction) -> Tuple[List[List[int]], int]:
+    """:func:`lll_reduce`'s rows together with d_s = det Gram(rows), the
+    squared covolume, which no row operation of the reduction changes."""
     basis = [list(map(int, row)) for row in rows]
     s = len(basis)
     d = [1] * (s + 1)
@@ -351,7 +358,7 @@ def lll_reduce(rows: Sequence[IntVector],
             lam[i][k - 1] = (new_d * t + m * lam[i][k]) // d[k + 1]
         d[k] = new_d
         k = max(k - 1, 1)
-    return basis
+    return basis, d[s]
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -364,15 +371,19 @@ def _round_half_even(num: int, den: int) -> int:
 
 def reduce_basis(lattice: IntegerLattice) -> IntegerLattice:
     """LLL-reduce the basis with :func:`lll_reduce` (Lovasz 3/4); covolume
-    is unchanged.
+    is unchanged, and is taken from the reduction's integer d_s rather than
+    from another elimination.
 
     The reduced rows' squared norms populate minima_proxy and obey the
     quality bound prod |b_i|^2 <= 2^(s(s-1)/2) * covolume_sq.
     """
-    reduced = lll_reduce(lattice.basis)
-    out = lattice_from_basis(reduced)
-    assert out.covolume_sq == lattice.covolume_sq
-    return out
+    reduced, covolume_sq = _lll(lattice.basis, _LOVASZ)
+    assert covolume_sq == lattice.covolume_sq
+    basis = tuple(tuple(row) for row in reduced)
+    return IntegerLattice(
+        ambient_dim=lattice.ambient_dim, rank=lattice.rank, basis=basis,
+        covolume_sq=covolume_sq,
+        minima_proxy=tuple(sum(v * v for v in row) for row in basis))
 
 
 # ---------------------------------------------------------------------------

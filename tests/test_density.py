@@ -45,7 +45,16 @@ from linecount.fixtures import (
     fermat_quintic,
     random_dense_form,
 )
-from linecount.forms import Polynomial, evaluate_form, gradient, integer_slice_form
+from linecount.forms import (
+    Polynomial,
+    evaluate_batch,
+    evaluate_form,
+    gradient,
+    grid_chunks,
+    integer_slice_form,
+    parse_form,
+    residues_mod,
+)
 from linecount.lattice import slicing_lattice
 
 QUINTIC = fermat_quintic()
@@ -122,6 +131,18 @@ def scanned_series(form, y, window):
         inner = sum(int(mobius(e)) * e ** s * (q // e) ** (d - 1)
                     * counts[q // e] for e in divisors(q))
         total += Fraction(inner, q ** s)
+    return total
+
+
+def scan_count(polys, nvars, modulus):
+    """#{x mod modulus: every poly vanishes}, by a scan of the whole grid
+    in row chunks, masking one poly at a time."""
+    total = 0
+    for block in grid_chunks([0] * nvars, [modulus - 1] * nvars, 1 << 16):
+        mask = np.ones(block.shape[0], dtype=bool)
+        for poly in polys:
+            mask &= residues_mod(evaluate_batch(poly, block), modulus) == 0
+        total += int(mask.sum())
     return total
 
 
@@ -384,6 +405,129 @@ class TestCongruenceCounting:
         polys, s = _lattice_system(QUINTIC, YQ)
         with pytest.raises(ResourceLimit):
             count_congruence_solutions(polys, s, 3, 2, budget=10)
+
+    @pytest.mark.parametrize("system,p,expected", [
+        ("quintic-lattice", 5, 25), ("cubic7-fullspace", 2, 32)])
+    def test_scan_charge_boundary(self, system, p, expected):
+        """The direct count charges the p^nvars residues of the scan: one
+        below that the count stops, at it the count is the scan's."""
+        from linecount.density import _fullspace_system, _lattice_system
+        polys, nvars = (_lattice_system(QUINTIC, YQ)
+                        if system == "quintic-lattice"
+                        else _fullspace_system(CUBIC7, YC7))
+        with pytest.raises(ResourceLimit):
+            count_congruence_solutions(polys, nvars, p, 1,
+                                       budget=p ** nvars - 1)
+        assert count_congruence_solutions(polys, nvars, p, 1,
+                                          budget=p ** nvars) \
+            == scan_count(polys, nvars, p) == expected
+
+    def test_composite_modulus_charge_boundary(self):
+        with pytest.raises(ResourceLimit):
+            lattice_congruence_count(QUINTIC, YQ, 6, budget=6 ** 3 - 1)
+        assert lattice_congruence_count(QUINTIC, YQ, 6, budget=6 ** 3) == 36
+
+
+@st.composite
+def partitioned_systems(draw):
+    """(polys, nvars, modulus): sparse integer systems whose monomials
+    each stay inside one block of a drawn partition of the variables, so
+    the system splits into at most that many components.  Covers free
+    variables (in no monomial), constant terms and coefficients that
+    vanish mod the modulus, at prime, prime-power and composite moduli."""
+    modulus = draw(st.sampled_from([2, 3, 5, 7, 11, 4, 8, 9, 6, 10, 12]))
+    most = max(1, int(math.log(4096, modulus)))
+    nvars = draw(st.sampled_from(range(most, 0, -1)))
+    nblocks = draw(st.sampled_from(range(nvars, 0, -1)))
+    order = draw(st.permutations(range(nvars)))
+    blocks = [order.index(v) % nblocks for v in range(nvars)]
+    free = set(draw(st.lists(st.integers(0, nvars - 1),
+                             max_size=nvars - 1)))
+    members = {}
+    for v, b in enumerate(blocks):
+        if v not in free:
+            members.setdefault(b, []).append(v)
+    polys = []
+    for _ in range(draw(st.sampled_from([3, 2, 1]))):
+        coeffs = {}
+        if draw(st.booleans()):
+            coeffs[(0,) * nvars] = draw(st.integers(-modulus, modulus))
+        for _ in range(draw(st.sampled_from([4, 3, 2, 1]))):
+            block = members[draw(st.sampled_from(sorted(members)))]
+            exponents = [0] * nvars
+            for v in block:
+                exponents[v] = draw(st.integers(0, 3))
+            exponents[block[0]] = max(exponents[block[0]], 1)
+            coefficient = (draw(st.integers(1, 2 * modulus))
+                           * draw(st.sampled_from([1, -1])))
+            if draw(st.integers(0, 4)) == 4:
+                coefficient = modulus * draw(st.sampled_from([1, -1, 2]))
+            coeffs[tuple(exponents)] = coeffs.get(tuple(exponents), 0) \
+                + coefficient
+        polys.append(Polynomial(nvars=nvars, coeffs={
+            e: Fraction(c) for e, c in coeffs.items() if c}))
+    return polys, nvars, modulus
+
+
+class TestResidueCount:
+    """The component count against the scan of the whole grid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(partitioned_systems())
+    def test_matches_scan(self, system):
+        from linecount.density import _residue_count
+        polys, nvars, modulus = system
+        assert _residue_count(polys, nvars, modulus) \
+            == scan_count(polys, nvars, modulus)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 5, 6, 7, 8, 9, 11])
+    @pytest.mark.parametrize("system", [
+        # one component, with a constant term
+        [{(3, 0, 0, 0): 1, (0, 3, 0, 0): 2, (1, 0, 1, 0): 1,
+          (0, 0, 2, 0): -1, (0, 0, 0, 0): 5},
+         {(1, 1, 0, 0): 1, (0, 0, 1, 1): 3}],
+        # four singletons
+        [{(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1,
+          (0, 0, 0, 2): -1},
+         {(1, 0, 0, 0): 1, (0, 0, 0, 3): 2}],
+        # a pair and a singleton, x4 free
+        [{(1, 1, 0, 0): 1, (0, 0, 2, 0): 3, (0, 0, 0, 0): 7},
+         {(0, 0, 3, 0): 1, (0, 0, 0, 0): -1}],
+        # x1 is free mod 2, joined to x2 mod 3 and mod 9
+        [{(2, 0, 0, 0): 6, (0, 3, 0, 0): 1},
+         {(1, 1, 0, 0): 4, (0, 1, 0, 0): 1}],
+    ])
+    def test_fixed_systems(self, system, modulus):
+        from linecount.density import _residue_count
+        polys = [Polynomial(nvars=4, coeffs={e: Fraction(c)
+                                             for e, c in terms.items()})
+                 for terms in system]
+        assert _residue_count(polys, 4, modulus) \
+            == scan_count(polys, 4, modulus)
+
+    def test_value_vectors_too_wide_for_a_key(self):
+        """Nine polys mod 257 would need digit weights up to 257^8 > 2^63,
+        so the two singletons are scanned together."""
+        from linecount.density import _residue_count
+        polys = [Polynomial(nvars=2, coeffs={(k, 0): Fraction(1),
+                                             (0, k): Fraction(k)})
+                 for k in range(1, 10)]
+        assert _residue_count(polys, 2, 257) \
+            == scan_count(polys, 2, 257) == 1
+
+    def test_components(self):
+        from linecount.density import _variable_components
+        monomials = [(1, 1, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0),
+                     (0, 1, 0, 1, 0, 0), (0, 0, 0, 0, 0, 3)]
+        assert _variable_components(monomials, 6) == [[0, 1, 3], [2], [5]]
+
+    def test_nonzero_constant_has_no_solutions(self):
+        from linecount.density import _residue_count
+        polys = [Polynomial(nvars=2, coeffs={(1, 0): Fraction(1)}),
+                 Polynomial(nvars=2, coeffs={(0, 0): Fraction(4),
+                                             (0, 2): Fraction(6)})]
+        assert _residue_count(polys, 2, 6) == scan_count(polys, 2, 6) == 0
+        assert _residue_count(polys, 2, 2) == scan_count(polys, 2, 2) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +828,39 @@ class TestChiGlobal:
     def test_rejects_composite_p(self):
         with pytest.raises(DomainError):
             chi_global_padic(QUADRIC4, 9, 1)
+
+    @pytest.mark.parametrize("p,expected", [(2, Fraction(5, 2)),
+                                            (3, Fraction(9))])
+    def test_cubic_charge_boundary(self, p, expected):
+        """A cubic pencil charges the p^(2n) pairs of the full scan."""
+        with pytest.raises(ResourceLimit):
+            chi_global_padic(CUBIC4, p, 1, budget=p ** 8 - 1)
+        assert chi_global_padic(CUBIC4, p, 1, budget=p ** 8).value \
+            == expected
+
+    @pytest.mark.parametrize("p,solutions", [(2, 8), (3, 21)])
+    def test_split_quadric_charge_boundary(self, p, solutions):
+        """A diagonal quadric pencil splits into the pairs (x_i, y_i) but
+        charges what the quadric path does: the p^n residues of F, then
+        the pairs of its ``solutions`` zeros."""
+        assert scan_count([QUADRIC4], 4, p) == solutions
+        charge = p ** 4 + solutions ** 2
+        with pytest.raises(ResourceLimit):
+            chi_global_padic(QUADRIC4, p, 1, budget=charge - 1)
+        assert chi_global_padic(QUADRIC4, p, 1, budget=charge).value \
+            == brute_pair_chi(QUADRIC4, p, 1)
+
+    @pytest.mark.parametrize("p,solutions", [(2, 4), (3, 9)])
+    def test_connected_quadric_pair_path(self, p, solutions):
+        """A quadric whose pencil does not split keeps the pairing path
+        and its charge."""
+        form = parse_form("x1*x2 + x2*x3 + x3^2", n_hint=3)
+        assert scan_count([form], 3, p) == solutions
+        charge = p ** 3 + solutions ** 2
+        with pytest.raises(ResourceLimit):
+            chi_global_padic(form, p, 1, budget=charge - 1)
+        assert chi_global_padic(form, p, 1, budget=charge).value \
+            == brute_pair_chi(form, p, 1)
 
 
 class TestStreamedScrambles:
