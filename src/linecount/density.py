@@ -30,7 +30,7 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 import mpmath
 import numpy as np
 
-from . import __version__
+from . import __version__, sobol
 from .counting import _Budget
 from .errors import DimensionMismatch, DomainError, ResourceLimit
 from .exponents import format_rational
@@ -660,10 +660,16 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 # ---------------------------------------------------------------------------
 #
 # The four real-density estimators below share one sampling loop,
-# :func:`_sample_means`.  It walks each scramble in tiles of QMC_TILE rows,
-# so an integrand's temporaries stay tile-sized, but takes the mean of a
-# scramble over one vector of all its per-point values: the summation order
-# and so every seeded mean do not depend on the tile size.
+# :func:`_sample_means`.  Scramble i is the point set of
+# ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed + i)``, which
+# :mod:`.sobol` builds bit for bit in numpy: importing scipy.stats would
+# cost ~60 MB and over a second of start-up.  The loop walks each scramble
+# in tiles of QMC_TILE rows, each built from its integer words and handed
+# to the integrand as the exact points 2u - 1 in [-1, 1)^dim, so an
+# integrand's temporaries stay tile-sized and no scramble is held whole.
+# It takes the mean of a scramble over one vector of all its per-point
+# values: the summation order and so every seeded mean do not depend on
+# the tile size.
 
 #: Rows of a scramble handed to an integrand at once.  On quadric-5 with
 #: 2^22 samples, 2^11, 2^13, 2^15 and 2^18 rows took 0.43, 0.31, 0.43 and
@@ -672,47 +678,44 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 QMC_TILE = 1 << 13
 
 
-def _scramble_batches(dim: int, samples: int, seed: int
-                      ) -> Tuple[int, Iterator[np.ndarray]]:
-    """SCRAMBLES independent low-discrepancy batches in [0,1)^dim.
-
-    The per-batch size is the smallest power of two giving at least
-    ``samples`` points overall; returns (total points, batches).  The
-    batches are drawn one at a time as they are consumed (scramble i is
-    seeded with seed + i), so only one is held in memory.
-    """
-    from scipy.stats import qmc  # slow to import; only sampling needs it
-    per = max(1, -(-samples // SCRAMBLES))
-    exponent = max(0, (per - 1).bit_length())
-    batches = (qmc.Sobol(d=dim, scramble=True, seed=seed + i)
-               .random_base2(exponent) for i in range(SCRAMBLES))
-    return SCRAMBLES * (1 << exponent), batches
+def _symmetric(words: np.ndarray) -> np.ndarray:
+    """The points 2u - 1 in [-1, 1)^dim of Sobol' words q, u = q 2^-30,
+    computed exactly as (q - 2^29) 2^-29; ``words`` is overwritten."""
+    q = words.view(np.int32)
+    q -= 1 << (sobol.BITS - 1)
+    return np.multiply(q, 2.0 ** (1 - sobol.BITS))
 
 
 def _sample_means(dim: int, samples: int, seed: int, budget: Optional[int],
                   dtype, integrand: Callable[[np.ndarray], np.ndarray]
                   ) -> Tuple[int, List]:
-    """The mean of ``integrand`` over each scramble of
-    :func:`_scramble_batches`; returns (total points, means).
+    """The mean of ``integrand`` over each of SCRAMBLES scrambled Sobol'
+    sequences; returns (total points, means).
 
-    ``integrand`` maps a tile of points in [0, 1)^dim to one value of
-    ``dtype`` per row.  The rounded total SCRAMBLES * 2^k is charged to
-    ``budget`` before the first scramble is drawn.
+    Each scramble holds the smallest power of two 2^k of points giving at
+    least ``samples`` points overall.  ``integrand`` maps a tile of points
+    in [-1, 1)^dim, which it may overwrite, to one value of ``dtype`` per
+    row.  The rounded total SCRAMBLES * 2^k is charged to ``budget`` before
+    the first scramble is drawn.
 
     Raises:
         ResourceLimit: the total exceeds ``budget``.
     """
-    total, batches = _scramble_batches(dim, samples, seed)
+    per = max(1, -(-samples // SCRAMBLES))
+    exponent = max(0, (per - 1).bit_length())
+    total = SCRAMBLES << exponent
     if budget is not None and total > budget:
         raise ResourceLimit(
             f"sampling needs {total} QMC samples, more than the budget "
             f"of {budget}", needed=total, budget=budget)
-    values = np.empty(total // SCRAMBLES, dtype=dtype)
+    values = np.empty(1 << exponent, dtype=dtype)
     means = []
-    for batch in batches:
-        for start in range(0, batch.shape[0], QMC_TILE):
-            stop = start + QMC_TILE
-            values[start:stop] = integrand(batch[start:stop])
+    for i in range(SCRAMBLES):
+        start = 0
+        for words in sobol.tiles(dim, exponent, seed + i, QMC_TILE):
+            stop = start + words.shape[0]
+            values[start:stop] = integrand(_symmetric(words))
+            start = stop
         means.append(np.mean(values))
     return total, means
 
@@ -727,15 +730,6 @@ def _combine(kind: str, means: Sequence[complex], samples: int,
         mean = mean.real
     return DensityEstimate(kind=kind, mean=mean, stderr=stderr,
                            samples=samples, seed=seed)
-
-
-def _centred(tile: np.ndarray, radii=None) -> np.ndarray:
-    """(2 u - 1) * radii for the rows u of ``tile``, in one new array."""
-    points = np.multiply(tile, 2)
-    points -= 1
-    if radii is not None:
-        points *= radii
-    return points
 
 
 def _in_box(points: np.ndarray, bound: float) -> np.ndarray:
@@ -796,7 +790,8 @@ def oscillatory_v(form: HomogeneousForm, y: Sequence[int], beta,
     bound = float(x_bound)
 
     def integrand(tile: np.ndarray) -> np.ndarray:
-        ambient = _centred(tile, radii) @ basis
+        tile *= radii
+        ambient = tile @ basis
         phase = np.zeros(ambient.shape[0])
         for frequency, sliced in slices:
             phase += frequency * evaluate_batch(sliced, ambient)
@@ -841,7 +836,8 @@ def singular_integral_truncated(form: HomogeneousForm, y: Sequence[int],
     tiny = np.finfo(np.float64).eps
 
     def integrand(tile: np.ndarray) -> np.ndarray:
-        ambient = _centred(tile, radii) @ basis
+        tile *= radii
+        ambient = tile @ basis
         kernel = np.ones(ambient.shape[0])
         for _, sliced in slices:
             # width * np.sinc(width * c), in place, with np.sinc's steps
@@ -900,14 +896,13 @@ def _window_density(eps: Sequence[float], windows, dim: int, samples: int,
     scale = 2.0 ** dim / math.prod(eps)
 
     def integrand(tile: np.ndarray) -> np.ndarray:
-        points = _centred(tile)
         (first_width, first), *later = windows
-        inside = np.abs(evaluate_batch(first, points)) <= first_width / 2
+        inside = np.abs(evaluate_batch(first, tile)) <= first_width / 2
         for width, g in later:
             # a row's value does not depend on the other rows, so only the
             # rows still inside need evaluating
             idx = np.flatnonzero(inside)
-            inside[idx] = np.abs(evaluate_batch(g, points[idx])) <= width / 2
+            inside[idx] = np.abs(evaluate_batch(g, tile[idx])) <= width / 2
         return inside
 
     total, means = _sample_means(dim, samples, seed, budget, bool,

@@ -26,6 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import mpmath
 import numpy as np
 
+from . import sobol
 from .counting import _Budget
 from .errors import (
     DimensionMismatch,
@@ -251,11 +252,9 @@ def exponential_sum_U(form: HomogeneousForm, y: Sequence[int], alpha,
     ambient = grid @ np.asarray(lattice.basis, dtype=np.int64)
     base = _box_fractions(nonzero_slices(form, y), point, ambient)
 
-    from scipy.stats import qmc  # slow to import; only sampling needs it
-    sampler = qmc.Sobol(d=lattice.rank, scramble=True, seed=seed)
-    count = 1 << max(0, (eta_samples - 1).bit_length())
-    etas = np.vstack([np.zeros(lattice.rank), sampler.random_base2(
-        int(math.log2(count)))])
+    exponent = max(0, (eta_samples - 1).bit_length())
+    words = next(sobol.tiles(lattice.rank, exponent, seed, 1 << exponent))
+    etas = np.vstack([np.zeros(lattice.rank), words * 2.0 ** -sobol.BITS])
     best = 0.0
     for start in range(0, etas.shape[0], 64):
         chunk = etas[start:start + 64]

@@ -149,13 +149,6 @@ def gram_matrix(rows: Sequence[IntVector]) -> List[List[int]]:
     return [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
 
 
-def covolume_squared(rows: Sequence[IntVector]) -> int:
-    """Exact det(B B^T) for integer basis rows."""
-    det = echelon(gram_matrix(rows)).det
-    assert det.denominator == 1
-    return int(det)
-
-
 def dual_basis(lattice: IntegerLattice) -> List[List[Fraction]]:
     """Rows d_t with d_t . b_u = delta_{tu}: the matrix (B B^T)^{-1} B,
     read off one elimination of [B B^T | B]."""
@@ -172,19 +165,14 @@ def dual_basis(lattice: IntegerLattice) -> List[List[Fraction]]:
 # Construction
 # ---------------------------------------------------------------------------
 
-def lattice_from_basis(rows: Sequence[IntVector]) -> IntegerLattice:
-    """Package basis rows into an IntegerLattice with exact invariants."""
-    basis = tuple(tuple(int(v) for v in row) for row in rows)
-    if not basis:
-        raise ZeroVectorInput("a lattice needs at least one basis vector")
-    n = len(basis[0])
-    if any(len(row) != n for row in basis):
-        raise DimensionMismatch("basis rows have unequal lengths")
-    cov_sq = covolume_squared(basis)
-    if cov_sq == 0:
-        raise ZeroVectorInput("basis rows are linearly dependent")
+def _packaged(basis: Sequence[Sequence[int]],
+              covolume_sq: int) -> IntegerLattice:
+    """IntegerLattice of independent integer rows whose det(B B^T) the
+    caller already knows."""
+    basis = tuple(tuple(int(v) for v in row) for row in basis)
     return IntegerLattice(
-        ambient_dim=n, rank=len(basis), basis=basis, covolume_sq=cov_sq,
+        ambient_dim=len(basis[0]), rank=len(basis), basis=basis,
+        covolume_sq=covolume_sq,
         minima_proxy=tuple(sum(v * v for v in row) for row in basis))
 
 
@@ -255,8 +243,10 @@ def kernel_lattice(l: IntVector) -> IntegerLattice:
             row[i] = -v * c0 + u * ci
         g = gg
     kernel_rows = [[m[r][c] for r in range(n)] for c in range(1, n)]
-    echelon = hermite_normal_form(kernel_rows)
-    return lattice_from_basis(echelon)
+    # the saturated kernel of l has covolume |l / content(l)|
+    content = math.gcd(*l)
+    return _packaged(hermite_normal_form(kernel_rows),
+                     sum((v // content) ** 2 for v in l))
 
 
 def _extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -379,11 +369,7 @@ def reduce_basis(lattice: IntegerLattice) -> IntegerLattice:
     """
     reduced, covolume_sq = _lll(lattice.basis, _LOVASZ)
     assert covolume_sq == lattice.covolume_sq
-    basis = tuple(tuple(row) for row in reduced)
-    return IntegerLattice(
-        ambient_dim=lattice.ambient_dim, rank=lattice.rank, basis=basis,
-        covolume_sq=covolume_sq,
-        minima_proxy=tuple(sum(v * v for v in row) for row in basis))
+    return _packaged(reduced, covolume_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -483,15 +483,36 @@ class TestBudgetEnvironment:
 
 
 class TestImports:
-    def test_cli_import_leaves_out_scipy_stats(self):
-        """scipy.stats takes most of the start-up time and only the QMC
-        samplers need it, so they import it when they run."""
+    @staticmethod
+    def probe(code):
         import linecount
         source = os.path.dirname(os.path.dirname(linecount.__file__))
-        probe = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, linecount.cli; "
-             "print('scipy.stats' in sys.modules)"],
+        return subprocess.run(
+            [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": source}, capture_output=True,
             text=True, timeout=120, check=True)
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        """scipy.stats takes most of the start-up time, so importing the
+        CLI must not load it."""
+        probe = self.probe("import sys, linecount.cli; "
+                           "print('scipy.stats' in sys.modules)")
         assert probe.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--fixture", "quadric-5", "--y", "1,0,0,0,0",
+         "--integral", "4", "--samples", "4096"],
+        ["density", "--fixture", "quadric-5", "--y", "1,0,0,0,0",
+         "--window", "0.5,0.5", "--samples", "4096"],
+        ["arcs", "--fixture", "quintic", "--y", "0,0,1,-1",
+         "--alpha", "1/3,1/5,2/7,1/2", "--weyl", "1", "--X", "2"],
+    ], ids=["integral", "window", "weyl"])
+    def test_sampling_leaves_out_scipy_stats(self, argv):
+        """The QMC samplers draw their Sobol' points in numpy, so a
+        sampling run never loads scipy.stats either."""
+        probe = self.probe(
+            "import sys\n"
+            "from linecount.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'scipy.stats' in sys.modules, file=sys.stderr)")
+        assert probe.stderr.strip().splitlines()[-1] == "0 False"

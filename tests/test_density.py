@@ -1,6 +1,7 @@
 """Tests for complete sums, local densities, and prediction assembly."""
 
 import cmath
+import functools
 import itertools
 import math
 import os
@@ -8,11 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 from sympy import divisors, factorint, mobius
 
-from linecount import density
+from linecount import density, sobol
 from linecount.density import (
     DensityEstimate,
     EulerCache,
@@ -146,24 +148,41 @@ def scan_count(polys, nvars, modulus):
     return total
 
 
-def brute_pencil(form, x, y):
-    """Exact pencil coefficients of F(u x + y) via a Vandermonde solve."""
-    d = form.degree
-    values = [Fraction(form(tuple(u * a + b for a, b in zip(x, y)))) for u in range(d + 1)]
-    matrix = [[Fraction(u ** j) for j in range(d + 1)] for u in range(d + 1)]
+@functools.lru_cache(maxsize=None)
+def inverse_vandermonde(d):
+    """(A, D) with A / D the exact inverse of the Vandermonde matrix
+    [u^j] for u, j = 0..d: A integral, D its common denominator."""
+    matrix = [[Fraction(u ** j) for j in range(d + 1)]
+              + [Fraction(int(u == r)) for r in range(d + 1)]
+              for u in range(d + 1)]
     for col in range(d + 1):
         pivot = next(r for r in range(col, d + 1) if matrix[r][col])
         matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        values[col], values[pivot] = values[pivot], values[col]
         inv = 1 / matrix[col][col]
         matrix[col] = [v * inv for v in matrix[col]]
-        values[col] *= inv
         for r in range(d + 1):
             if r != col and matrix[r][col]:
                 f = matrix[r][col]
                 matrix[r] = [v - f * w for v, w in zip(matrix[r], matrix[col])]
-                values[r] -= f * values[col]
-    return [int(v) for v in values]
+    inverse = [row[d + 1:] for row in matrix]
+    denominator = math.lcm(*(v.denominator for row in inverse for v in row))
+    return ([[int(v * denominator) for v in row] for row in inverse],
+            denominator)
+
+
+def brute_pencil(form, x, y):
+    """Exact pencil coefficients of F(u x + y): the values at u = 0..d
+    times the inverse Vandermonde matrix of degree d."""
+    d = form.degree
+    values = [form(tuple(u * a + b for a, b in zip(x, y)))
+              for u in range(d + 1)]
+    inverse, denominator = inverse_vandermonde(d)
+    coefficients = []
+    for row in inverse:
+        scaled = sum(a * v for a, v in zip(row, values))
+        assert scaled % denominator == 0
+        coefficients.append(scaled // denominator)
+    return coefficients
 
 
 def brute_pair_chi(form, p, H):
@@ -806,7 +825,7 @@ class TestChiGlobal:
             == brute_pair_chi(CUBIC4, 2, 1) == Fraction(5, 2)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_quadric_fast_path_matches_oracle(self, p):
+    def test_quadric_component_path_matches_oracle(self, p):
         assert chi_global_padic(QUADRIC4, p, 1).value \
             == brute_pair_chi(QUADRIC4, p, 1)
 
@@ -889,14 +908,80 @@ class TestStreamedScrambles:
         est = chi_global_real(QUADRIC4, [0.5, 0.5, 0.5], 8192, seed=4)
         assert (est.mean, est.stderr) == (18.75, 2.0832291640623697)
 
-    def test_batches_are_drawn_lazily(self):
-        from linecount.density import SCRAMBLES, _scramble_batches
-        total, batches = _scramble_batches(3, 100, 5)
-        assert total == SCRAMBLES * 8
-        assert not isinstance(batches, (list, tuple))
-        drawn = list(batches)
-        assert len(drawn) == SCRAMBLES
-        assert all(batch.shape == (8, 3) for batch in drawn)
+    def test_batches_are_drawn_lazily(self, monkeypatch):
+        """Scramble i is drawn only after scramble i - 1 was integrated."""
+        drawn = []
+        real = sobol.scramble
+
+        def counted(dim, seed):
+            drawn.append(seed)
+            return real(dim, seed)
+
+        monkeypatch.setattr(sobol, "scramble", counted)
+        seen = []
+
+        def integrand(tile):
+            seen.append(len(drawn))
+            assert tile.shape == (8, 3)
+            return np.zeros(tile.shape[0])
+
+        total, means = density._sample_means(3, 100, 5, None, np.float64,
+                                             integrand)
+        assert total == density.SCRAMBLES * 8
+        assert seen == list(range(1, density.SCRAMBLES + 1))
+        assert drawn == [5 + i for i in range(density.SCRAMBLES)]
+
+
+def _scramble_batches(dim, samples, seed):
+    """The scipy scrambles the sampling loop reproduces: SCRAMBLES batches
+    of the smallest power of two 2^k giving at least ``samples`` points
+    overall, scramble i seeded with seed + i; returns (total, batches)."""
+    per = max(1, -(-samples // density.SCRAMBLES))
+    exponent = max(0, (per - 1).bit_length())
+    batches = (qmc.Sobol(d=dim, scramble=True, seed=seed + i)
+               .random_base2(exponent) for i in range(density.SCRAMBLES))
+    return density.SCRAMBLES * (1 << exponent), batches
+
+
+class TestSobol:
+    """sobol.tiles against scipy's engine: the tiles, stacked, are the words
+    of qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m), and the
+    sampling loop's points are 2u - 1 of scipy's points u, bit for bit."""
+
+    @staticmethod
+    def check(dim, m, seed, tile):
+        want = qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(m)
+        tiles = list(sobol.tiles(dim, m, seed, tile))
+        assert len(tiles) == max(1, (1 << m) // tile)
+        assert all(words.dtype == np.uint32
+                   and words.shape == (min(tile, 1 << m), dim)
+                   for words in tiles)
+        words = np.vstack(tiles)
+        assert np.array_equal(words * 2.0 ** -sobol.BITS, want)
+        assert np.array_equal(density._symmetric(words), 2 * want - 1)
+
+    @given(st.sampled_from([1, 2, 5]), st.integers(0, 14),
+           st.one_of(st.integers(0, 100), st.integers(2 ** 30, 2 ** 64)),
+           st.sampled_from([8, 128, density.QMC_TILE]))
+    @example(5, 10, 2 ** 30, density.QMC_TILE)   # 2^m below the tile
+    @example(2, 13, 2 ** 30 + 1, density.QMC_TILE)   # one whole tile
+    @example(1, 14, 2 ** 31, density.QMC_TILE)   # two tiles
+    @settings(max_examples=40, deadline=None)
+    def test_tiles_equal_scipy(self, dim, m, seed, tile):
+        self.check(dim, m, seed, tile)
+
+    @pytest.mark.parametrize("dim", [1000, sobol.MAXDIM])
+    @pytest.mark.parametrize("m, tile", [(0, 1), (2, 4), (3, 2)])
+    def test_large_dimensions(self, dim, m, tile):
+        self.check(dim, m, 2 ** 30 + dim, tile)
+
+    def test_bad_sizes_raise(self):
+        with pytest.raises(ValueError):
+            next(sobol.tiles(sobol.MAXDIM + 1, 1, 0, 2))
+        with pytest.raises(ValueError):
+            next(sobol.tiles(3, sobol.BITS + 1, 0, 2))
+        with pytest.raises(ValueError):
+            next(sobol.tiles(3, 10, 0, 100))
 
 
 def whole_batch_oscillatory(form, y, beta, x_bound, samples, seed):
@@ -907,7 +992,7 @@ def whole_batch_oscillatory(form, y, beta, x_bound, samples, seed):
                                                              x_bound)
     slices = density.nonzero_slices(form, y)
     volume = float(np.prod(2 * radii))
-    total, batches = density._scramble_batches(lattice.rank, samples, seed)
+    total, batches = _scramble_batches(lattice.rank, samples, seed)
     means = []
     for batch in batches:
         t = (2 * batch - 1) * radii
@@ -929,7 +1014,7 @@ def whole_batch_integral(form, y, window, samples, seed):
     lattice, radii, basis, _ = density._slab_geometry(form, y, 1)
     slices = density.nonzero_slices(form, y)
     volume = float(np.prod(2 * radii))
-    total, batches = density._scramble_batches(lattice.rank, samples, seed)
+    total, batches = _scramble_batches(lattice.rank, samples, seed)
     means = []
     for batch in batches:
         t = (2 * batch - 1) * radii
@@ -948,7 +1033,7 @@ def whole_batch_window(eps, windows, dim, samples, seed):
     """The window volume estimate as one whole-scramble loop of its own,
     with every window evaluated on every row."""
     scale = 2.0 ** dim / math.prod(eps)
-    total, batches = density._scramble_batches(dim, samples, seed)
+    total, batches = _scramble_batches(dim, samples, seed)
     means = []
     for batch in batches:
         points = 2 * batch - 1
@@ -1108,18 +1193,10 @@ class TestSampleBudget:
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_overrun_draws_no_scramble(self, name, monkeypatch):
-        real = density._scramble_batches
+        def undrawable(*args):
+            raise AssertionError("a scramble was drawn")
 
-        def undrawable(dim, samples, seed):
-            total, _ = real(dim, samples, seed)
-
-            def batches():
-                raise AssertionError("a scramble was drawn")
-                yield  # pragma: no cover
-
-            return total, batches()
-
-        monkeypatch.setattr(density, "_scramble_batches", undrawable)
+        monkeypatch.setattr(sobol, "scramble", undrawable)
         with pytest.raises(ResourceLimit):
             self.ESTIMATORS[name](4096, 4095)
 

@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
+from linecount import expsums
 from linecount.errors import (
     DimensionMismatch,
     DomainError,
@@ -36,11 +39,12 @@ from linecount.fixtures import (
 )
 from linecount.forms import (
     b_coefficient_vector,
+    grid_chunks,
     integer_slice_form,
     iterated_difference,
     nonzero_slices,
 )
-from linecount.lattice import enumerate_points, slicing_lattice
+from linecount.lattice import box_profile, enumerate_points, slicing_lattice
 from point_blocks import point_tuples
 
 QUINTIC = fermat_quintic()
@@ -249,6 +253,28 @@ class TestExponentialSumT:
                 == per_point_T(QUINTIC, YQ, point, 2, precision)
 
 
+def scipy_eta_U(form, y, alpha, x_bound, eta_samples, seed):
+    """exponential_sum_U with its eta values drawn by scipy's Sobol' engine,
+    as it was computed before the numpy generator."""
+    point = expsums._coerce_frequency(alpha, form.degree)
+    lattice = slicing_lattice(form, y)
+    bounds = box_profile(lattice, x_bound).int_bounds
+    grid = next(grid_chunks([-b for b in bounds], bounds))
+    ambient = grid @ np.asarray(lattice.basis, dtype=np.int64)
+    base = expsums._box_fractions(nonzero_slices(form, y), point, ambient)
+    sampler = qmc.Sobol(d=lattice.rank, scramble=True, seed=seed)
+    count = 1 << max(0, (eta_samples - 1).bit_length())
+    etas = np.vstack([np.zeros(lattice.rank), sampler.random_base2(
+        int(math.log2(count)))])
+    best = 0.0
+    for start in range(0, etas.shape[0], 64):
+        chunk = etas[start:start + 64]
+        phases = base[None, :] + chunk @ grid.T.astype(np.float64)
+        sums = np.exp(2j * np.pi * phases).sum(axis=1)
+        best = max(best, float(np.abs(sums).max()))
+    return best
+
+
 class TestExponentialSumU:
     def test_zero_frequency_equals_box_count(self):
         value = exponential_sum_U(QUINTIC, YQ, FrequencyPoint.zero(5), 1, 8)
@@ -287,6 +313,19 @@ class TestExponentialSumU:
     def test_bad_sample_count(self):
         with pytest.raises(DomainError):
             exponential_sum_U(CUBIC, YC, FrequencyPoint.zero(3), 2, 0)
+
+    @given(st.sampled_from([(QUINTIC, YQ, 1), (CUBIC, YC, 2),
+                            (CUBIC, (1, 2, 0), 3)]),
+           st.integers(1, 200),
+           st.one_of(st.integers(0, 50), st.integers(2 ** 30, 2 ** 40)),
+           st.integers(0, 2 ** 32))
+    @settings(max_examples=25, deadline=None)
+    def test_equals_scipy_eta_oracle(self, case, eta_samples, seed, draw):
+        form, y, x_bound = case
+        point = random_point(form.degree, random.Random(draw))
+        assert exponential_sum_U(form, y, point, x_bound, eta_samples,
+                                 seed=seed) \
+            == scipy_eta_U(form, y, point, x_bound, eta_samples, seed)
 
 
 class TestWeylInequality:

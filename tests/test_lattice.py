@@ -20,13 +20,13 @@ from linecount.fixtures import (
     fermat_form,
     fermat_quintic,
 )
+from linecount.forms import echelon
 from linecount.lattice import (
     box_profile,
-    covolume_squared,
     enumerate_points,
+    gram_matrix,
     hermite_normal_form,
     kernel_lattice,
-    lattice_from_basis,
     lattice_to_json,
     linear_slice_coefficients,
     lll_reduce,
@@ -41,6 +41,20 @@ Y0 = QUINTIC_BASE_POINT
 
 def quintic_lattice():
     return slicing_lattice(QUINTIC, Y0)
+
+
+def covolume_squared(rows):
+    """det(B B^T) by one Fraction elimination of the Gram matrix: the oracle
+    of the covolumes that kernel_lattice and reduce_basis take without
+    one."""
+    det = echelon(gram_matrix(rows)).det
+    assert det.denominator == 1
+    return int(det)
+
+
+def lattice_from_basis(rows):
+    """The lattice of independent integer rows, with the oracle covolume."""
+    return lattice_module._packaged(rows, covolume_squared(rows))
 
 
 @dataclass(frozen=True)
@@ -420,11 +434,17 @@ class TestSerialisation:
         assert len(dump["basis"]) == 3
 
 
-@given(st.lists(st.integers(-30, 30), min_size=2, max_size=5))
+@given(st.lists(st.one_of(st.integers(-30, 30),
+                          st.integers(-10 ** 6, 10 ** 6)),
+                min_size=2, max_size=6),
+       st.integers(1, 12))
 @settings(max_examples=80, deadline=None)
-def test_kernel_rank_and_orthogonality(l):
+def test_kernel_rank_and_orthogonality(l, scale):
+    """Also pins the covolume, taken as |l / content(l)|^2, against the
+    elimination of the Gram matrix, for primitive and scaled l."""
     if all(v == 0 for v in l):
         l = l[:-1] + [1]
+    l = [scale * v for v in l]
     lat = kernel_lattice(l)
     assert lat.rank == len(l) - 1
     for row in lat.basis:
