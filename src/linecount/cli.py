@@ -684,7 +684,8 @@ def _run_selftest(args, form=None) -> dict:
             x = tuple(int(v) for v in rng.integers(-4, 5, 4))
             y = tuple(int(v) for v in rng.integers(-4, 5, 4))
             coeffs = pencil_coefficients(quintic, x, y).coefficients
-            for u in (1, 2, 3):
+            # d + 1 values of u pin every coefficient
+            for u in range(quintic.degree + 1):
                 direct = quintic(tuple(u * a + b for a, b in zip(x, y)))
                 if direct != sum(c * u ** j for j, c in enumerate(coeffs)):
                     return False

@@ -38,7 +38,6 @@ from .expsums import _phase_sum
 from .forms import (
     HomogeneousForm,
     Polynomial,
-    _bounded_compositions,
     echelon,
     evaluate_batch,
     form_to_json,
@@ -139,32 +138,6 @@ class Prediction:
             "tag": self.tag,
             "components": self.components,
         }
-
-
-# ---------------------------------------------------------------------------
-# Pencil coefficient forms in the doubled variable set
-# ---------------------------------------------------------------------------
-
-def pencil_coefficient_form(form: HomogeneousForm, j: int) -> HomogeneousForm:
-    """The coefficient of u^j in F(u x + y) as a form in the 2n variables.
-
-    Variables 0..n-1 are the x block, n..2n-1 the y block; the result is
-    homogeneous of the original degree with integer coefficients.
-    """
-    n = form.nvars
-    d = form.degree
-    if not 0 <= j <= d:
-        raise DomainError(f"pencil index {j} outside 0..{d}")
-    out: Dict[Tuple[int, ...], int] = {}
-    for exponents, coefficient in form.coeffs.items():
-        for k in _bounded_compositions(exponents, j):
-            weight = coefficient
-            for e, kk in zip(exponents, k):
-                weight *= math.comb(e, kk)
-            key = tuple(k) + tuple(e - kk for e, kk in zip(exponents, k))
-            out[key] = out.get(key, 0) + weight
-    cleaned = {e: c for e, c in out.items() if c}
-    return HomogeneousForm(nvars=2 * n, degree=d, coeffs=cleaned)
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +917,7 @@ def chi_global_padic(form: HomogeneousForm, p: int, H: int = 1, *,
     d = form.degree
     modulus = p ** H
     ledger = _Budget(budget)
-    pencil = [pencil_coefficient_form(form, j) for j in range(d + 1)]
+    pencil = form.pencil
     if d != 2:
         ledger.charge(modulus ** (2 * n))
         count = _residue_count(pencil, 2 * n, modulus)
@@ -999,9 +972,7 @@ def chi_global_real(form: HomogeneousForm, epsilon: Sequence[float],
         ResourceLimit: the rounded sample count exceeds ``budget``.
     """
     eps = _window_widths(epsilon, form.degree + 1)
-    pencil = [pencil_coefficient_form(form, j)
-              for j in range(form.degree + 1)]
-    return _window_density(eps, list(zip(eps, pencil)), 2 * form.nvars,
+    return _window_density(eps, list(zip(eps, form.pencil)), 2 * form.nvars,
                            samples, seed, budget)
 
 

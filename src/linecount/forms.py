@@ -14,10 +14,16 @@ F and collecting powers gives
 
 where c_j(x, y) = binom(d, j) * Phi(x, ..., x, y, ..., y) with j slots x and
 d - j slots y.  The pair (x, y) spans a line inside the hypersurface F = 0
-exactly when every c_j vanishes.  For fixed y, the degree-j piece
-x -> Phi(x, ..., x, y, ..., y) is the "slice" of F along y; the integer
-rescaling binom(d, j) * slice is what all congruence and exponential-sum
-code in this package works with, because its values are guaranteed integers.
+exactly when every c_j vanishes.  Each form expands this pencil once, on
+first use: its ``pencil`` attribute holds c_0, ..., c_d as integer forms in
+the 2n variables (x, y), and everything else reads them.  The pair-density
+code takes them whole, :func:`pencil_coefficients` evaluates them at
+(x, y), and the slices put a fixed y into them.  For fixed y, the degree-j
+piece x -> Phi(x, ..., x, y, ..., y) is the "slice" of F along y; the
+integer rescaling binom(d, j) * slice = c_j(x, y) is what all congruence
+and exponential-sum code in this package works with, because its values
+are guaranteed integers.  The binomial expansion of c * (x + h)^e behind
+the pencil also gives :func:`discrete_difference` its shifted terms.
 
 The module also holds the one implementation of three primitives the rest
 of the package shares: :func:`evaluate_batch`, the batch evaluator whose
@@ -26,13 +32,14 @@ mode (int64, exact object, float64) follows the dtype of its points, with
 the exact Gauss-Jordan elimination over Q or F_p behind every rank, kernel,
 determinant and solve; and :func:`grid_chunks`, the lexicographic integer
 grid in row chunks.  Each form object compiles its monomials and builds
-its partial derivatives once, on first use.
+its partial derivatives and its pencil forms once, on first use.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import itertools
 import json
 import math
 import re
@@ -204,6 +211,24 @@ class HomogeneousForm(_Sparse):
         _validate_coeffs(self.nvars, self.coeffs, self.degree)
         if not all(isinstance(c, int) for c in self.coeffs.values()):
             raise ValueError("coefficients of a HomogeneousForm are ints")
+
+    @functools.cached_property
+    def pencil(self) -> Tuple["HomogeneousForm", ...]:
+        """The pencil forms c_0, ..., c_d in the 2n variables (x, y).
+
+        c_j is the coefficient of u^j in F(u*x + y), homogeneous of degree
+        d with integer coefficients; variables 0..n-1 are the x block and
+        n..2n-1 the y block.  The term x^k y^(e-k) of c_{|k|} comes from
+        the monomial x^e of F alone, so no two terms collide.
+        """
+        coeffs: List[Dict[Exponent, int]] = [{} for _ in
+                                             range(self.degree + 1)]
+        for exponents, coefficient in self.coeffs.items():
+            for k, rest, weight in _expanded_terms(coefficient, exponents):
+                coeffs[sum(k)][k + rest] = weight
+        return tuple(HomogeneousForm(nvars=2 * self.nvars,
+                                     degree=self.degree, coeffs=c)
+                     for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -454,14 +479,16 @@ def evaluate_form(form, point: IntVector):
         int for integer forms, Fraction otherwise; always exact.
     """
     _check_point(form, point)
-    total = 0
-    for exponents, coefficient in form.coeffs.items():
-        term = coefficient
-        for value, e in zip(point, exponents):
-            if e:
-                term *= value ** e
-        total += term
-    return total
+    return sum(_term_value(coefficient, point, exponents)
+               for exponents, coefficient in form.coeffs.items())
+
+
+def _term_value(coefficient, point: IntVector, exponents: Exponent):
+    """coefficient * prod_i point_i^exponents_i, exact."""
+    for value, e in zip(point, exponents):
+        if e:
+            coefficient *= value ** e
+    return coefficient
 
 
 def compiled_monomials(form) -> Tuple[np.ndarray, List[int]]:
@@ -610,58 +637,31 @@ def _digit_run(first: int, count: int, side: int) -> np.ndarray:
 # Pencil expansion and slices
 # ---------------------------------------------------------------------------
 
-def _interpolate_integer_coefficients(values: Sequence[int]) -> List[int]:
-    """Coefficients of the degree <= d polynomial with g(i) = values[i].
+def _expanded_terms(coefficient, exponents: Exponent,
+                   ) -> Iterator[Tuple[Exponent, Exponent, object]]:
+    """The terms of coefficient * prod_i (x_i + h_i)^e_i: one triple
+    (k, e - k, coefficient * prod_i binom(e_i, k_i)) per k with
+    0 <= k_i <= e_i, the last entry the weight of x^k h^(e - k).
 
-    Newton divided differences on the nodes 0..d, expanded to the monomial
-    basis; exact, and asserts the result is integral.
+    The package's one binomial expansion: the pencil forms substitute
+    u*x + y, and :func:`discrete_difference` a fixed shift h.
     """
-    d = len(values) - 1
-    table = [Fraction(v) for v in values]
-    newton: List[Fraction] = [table[0]]
-    for level in range(1, d + 1):
-        table = [(table[i + 1] - table[i]) / level
-                 for i in range(len(table) - 1)]
-        # divided difference over nodes i..i+level has denominator level!
-        # handled incrementally: after `level` passes each entry equals the
-        # divided difference f[i, ..., i+level].
-        newton.append(table[0])
-    # expand sum_k newton[k] * prod_{i<k} (u - i)
-    coefficients = [Fraction(0)] * (d + 1)
-    basis = [Fraction(1)]  # coefficients of prod_{i<k} (u - i)
-    for k in range(d + 1):
-        for power, c in enumerate(basis):
-            coefficients[power] += newton[k] * c
-        next_basis = [Fraction(0)] * (len(basis) + 1)
-        for power, c in enumerate(basis):
-            next_basis[power] -= c * k
-            next_basis[power + 1] += c
-        basis = next_basis
-    out = []
-    for c in coefficients:
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integer pencil coefficient {c}")
-        out.append(int(c))
-    return out
+    for k in itertools.product(*(range(e + 1) for e in exponents)):
+        weight = coefficient
+        for e, kk in zip(exponents, k):
+            weight *= math.comb(e, kk)
+        yield k, tuple(e - kk for e, kk in zip(exponents, k)), weight
 
 
 def pencil_coefficients(form: HomogeneousForm, x: IntVector,
                         y: IntVector) -> PencilExpansion:
-    """Exact coefficients c_j of u^j v^(d-j) in F(u*x + v*y).
-
-    Computed by interpolating g(u) = F(u*x + y) at u = 0..d; each c_j is an
-    integer because c_j = binom(d, j) * Phi(x, ..., x, y, ..., y).
-    """
+    """Exact coefficients c_j of u^j v^(d-j) in F(u*x + v*y): the pencil
+    forms of F evaluated at (x, y)."""
     _check_point(form, x)
     _check_point(form, y)
-    d = form.degree
-    values = [
-        evaluate_form(form, [u * a + b for a, b in zip(x, y)])
-        for u in range(d + 1)
-    ]
-    return PencilExpansion(degree=d,
-                           coefficients=tuple(
-                               _interpolate_integer_coefficients(values)))
+    point = tuple(x) + tuple(y)
+    return PencilExpansion(degree=form.degree, coefficients=tuple(
+        evaluate_form(c_j, point) for c_j in form.pencil))
 
 
 def is_line_generator_pair(form: HomogeneousForm, x: IntVector,
@@ -670,34 +670,14 @@ def is_line_generator_pair(form: HomogeneousForm, x: IntVector,
     return pencil_coefficients(form, x, y).is_line
 
 
-def _bounded_compositions(bounds: Sequence[int], total: int,
-                          ) -> Iterator[Tuple[int, ...]]:
-    """All tuples k with 0 <= k_i <= bounds_i and sum k_i = total."""
-    n = len(bounds)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
-
-    def rec(i: int, remaining: int, prefix: Tuple[int, ...]):
-        if i == n:
-            if remaining == 0:
-                yield prefix
-            return
-        lo = max(0, remaining - suffix[i + 1])
-        hi = min(bounds[i], remaining)
-        for k in range(lo, hi + 1):
-            yield from rec(i + 1, remaining - k, prefix + (k,))
-
-    yield from rec(0, total, ())
-
-
 def integer_slice_form(form: HomogeneousForm, y: IntVector,
                        j: int) -> RationalForm:
     """The integer-scaled slice binom(d, j) * Phi(x, .., x, y, .., y).
 
-    This equals the coefficient of u^j in F(u*x + y) read as a polynomial in
-    x, so its coefficients are integers; it is the degree-j polynomial whose
-    vanishing (for j = 1..d) characterises x spanning a line with y.
+    This is the pencil form c_j(x, y) with y put in, the coefficient of u^j
+    in F(u*x + y) read as a polynomial in x, so its coefficients are
+    integers; it is the degree-j polynomial whose vanishing (for j = 1..d)
+    characterises x spanning a line with y.
 
     Args:
         form: the form F.
@@ -712,23 +692,12 @@ def integer_slice_form(form: HomogeneousForm, y: IntVector,
     if not 0 <= j <= form.degree:
         raise IndexOutOfRange(
             f"slice degree {j} outside 0..{form.degree}")
-    out: Dict[Exponent, Fraction] = {}
-    for exponents, coefficient in form.coeffs.items():
-        for k in _bounded_compositions(exponents, j):
-            _add_term(out, k,
-                      Fraction(_shifted_weight(coefficient, exponents, k, y)))
-    return RationalForm(nvars=form.nvars, degree=j, coeffs=out)
-
-
-def _shifted_weight(coefficient, exponents: Exponent, k: Exponent,
-                    shift: IntVector):
-    """Coefficient of x^k in coefficient * prod_i (x_i + shift_i)^e_i."""
-    weight = coefficient
-    for e, kk, h in zip(exponents, k, shift):
-        weight *= math.comb(e, kk)
-        if e - kk:
-            weight *= h ** (e - kk)
-    return weight
+    n = form.nvars
+    out: Dict[Exponent, int] = {}
+    for key, coefficient in form.pencil[j].coeffs.items():
+        _add_term(out, key[:n], _term_value(coefficient, y, key[n:]))
+    return RationalForm(nvars=n, degree=j,
+                        coeffs={e: Fraction(c) for e, c in out.items()})
 
 
 def slice_form(form: HomogeneousForm, y: IntVector, j: int) -> RationalForm:
@@ -839,22 +808,11 @@ def discrete_difference(p, h: IntVector) -> Polynomial:
     out: Dict[Exponent, Fraction] = {}
     for exponents, coefficient in poly.coeffs.items():
         # expand prod_i (x_i + h_i)^{e_i} and subtract the original term
-        for k in _all_subexponents(exponents):
-            weight = _shifted_weight(coefficient, exponents, k, h)
+        for k, rest, weight in _expanded_terms(coefficient, exponents):
+            weight = _term_value(weight, h, rest)
             _add_term(out, k, weight - coefficient if k == exponents
                       else weight)
     return Polynomial(nvars=poly.nvars, coeffs=out)
-
-
-def _all_subexponents(exponents: Exponent) -> Iterator[Exponent]:
-    """All tuples k with 0 <= k_i <= e_i."""
-    if not exponents:
-        yield ()
-        return
-    head, tail = exponents[0], exponents[1:]
-    for rest in _all_subexponents(tail):
-        for k in range(head + 1):
-            yield (k,) + rest
 
 
 def iterated_difference(p, shifts: Sequence[IntVector]) -> Polynomial:

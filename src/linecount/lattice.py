@@ -16,9 +16,10 @@ mod q, box counts — happens on this lattice, so this module provides:
 
 All arithmetic here is exact (int / Fraction, and int64 arrays only where
 a bound proves that no value overflows); determinants are kept squared so
-no square roots ever appear.  The covolume, the dual basis and
-the membership test are read off the package's one exact elimination
-routine, :func:`linecount.forms.echelon`.
+no square roots ever appear.  The squared covolume needs no elimination:
+the kernel's is |l / content(l)|^2, and LLL carries it along as its
+integer d_s.  Only the dual basis is read off the package's one exact
+elimination routine, :func:`linecount.forms.echelon`.
 """
 
 from __future__ import annotations
@@ -534,26 +535,6 @@ def _expand(frontier: np.ndarray, lo: np.ndarray, counts: np.ndarray,
     ends = np.cumsum(counts)
     xi = np.repeat(lo - (ends - counts), counts) + np.arange(int(ends[-1]))
     return np.repeat(frontier, counts, axis=0) + xi[:, None] * row
-
-
-def contains(lattice: IntegerLattice, x: IntVector) -> bool:
-    """Exact membership: does x have integer lattice coordinates?"""
-    if len(x) != lattice.ambient_dim:
-        raise DimensionMismatch("point has wrong ambient dimension")
-    s = lattice.rank
-    reduced = echelon([gram + [sum(b * xi for b, xi in zip(row, x))]
-                       for gram, row in zip(gram_matrix(lattice.basis),
-                                            lattice.basis)], width=s)
-    if reduced.rank != s:
-        return False
-    coeffs = [row[s] for row in reduced.rows]
-    if any(c.denominator != 1 for c in coeffs):
-        return False
-    recon = [
-        sum(int(c) * lattice.basis[t][i] for t, c in enumerate(coeffs))
-        for i in range(lattice.ambient_dim)
-    ]
-    return all(a == b for a, b in zip(recon, x))
 
 
 # ---------------------------------------------------------------------------

@@ -105,13 +105,16 @@ def pair_fixtures():
     return forms
 
 
-def joint_slice_histogram(form, y, q, chunk=1 << 19):
+def joint_slice_histogram(form, y, q, block_rows=1 << 19):
     """Histogram of slice-value tuples mod q over the slicing lattice.
 
-    Residues of the lattice mod q are swept through a basis parametrization,
-    and each point is scored by the tuple of integer slice values
-    (degrees 2..d) reduced mod q.  The returned array is indexed by the
-    base-q encoding of that tuple, most significant digit first.
+    Every residue of the lattice mod q is visited once.  The ambient
+    residues of the trailing lattice coordinates are tabulated once (at
+    most ``block_rows`` rows); each combination of the leading coordinates
+    then adds its shift mod q to the whole table.  Each point is scored by
+    the tuple of integer slice values (degrees 2..d) reduced mod q.  The
+    returned array is indexed by the base-q encoding of that tuple, most
+    significant digit first.
     """
     lattice = slicing_lattice(form, y)
     basis = np.array(lattice.basis, dtype=np.int64)
@@ -124,19 +127,25 @@ def joint_slice_histogram(form, y, q, chunk=1 << 19):
             assert coeff == int(coeff)
             table[tuple(int(e) for e in exponents)] = int(coeff)
         tables.append(table)
-    total = q ** rank
-    radix = q ** np.arange(rank - 1, -1, -1, dtype=np.int64)
+    trailing = rank
+    while trailing and q ** trailing > block_rows:
+        trailing -= 1
+    lead = rank - trailing
+    codes = np.arange(q ** trailing, dtype=np.int64)
+    radix = q ** np.arange(trailing - 1, -1, -1, dtype=np.int64)
+    coords = (codes[:, None] // radix[None, :]) % q
+    residues = (coords @ basis[lead:]) % q
     histogram = np.zeros(q ** len(tables), dtype=np.int64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        coords = (codes[:, None] // radix[None, :]) % q
-        ambient = (coords @ basis) % q
-        key = np.zeros(stop - start, dtype=np.int64)
+    for head in itertools.product(range(q), repeat=lead):
+        shift = [sum(h * int(row[i]) for h, row in zip(head, basis)) % q
+                 for i in range(basis.shape[1])]
+        ambient = residues + np.array(shift, dtype=np.int64)
+        ambient[ambient >= q] -= q
+        key = np.zeros(ambient.shape[0], dtype=np.int64)
         for table in tables:
-            value = np.zeros(stop - start, dtype=np.int64)
+            value = np.zeros(ambient.shape[0], dtype=np.int64)
             for exponents, coeff in table.items():
-                term = np.full(stop - start, coeff, dtype=np.int64)
+                term = coeff
                 for i, e in enumerate(exponents):
                     if e:
                         term = term * ambient[:, i] ** e

@@ -26,7 +26,6 @@ from linecount.density import (
     count_congruence_solutions,
     lattice_congruence_count,
     oscillatory_v,
-    pencil_coefficient_form,
     phase_histogram,
     predict_fixed_y,
     predict_pairs,
@@ -55,6 +54,7 @@ from linecount.forms import (
     grid_chunks,
     integer_slice_form,
     parse_form,
+    pencil_coefficients,
     residues_mod,
 )
 from linecount.lattice import slicing_lattice
@@ -246,11 +246,13 @@ class TestDensityEstimate:
 
 
 class TestPencilCoefficientForm:
+    """``form.pencil``, the coefficients of F(u x + y) as forms in (x, y),
+    and the two paths derived from it, against the inverse Vandermonde."""
+
     def test_matches_vandermonde_oracle(self):
         rng = np.random.default_rng(3)
         for form in (CUBIC4, QUINTIC):
-            pencil = [pencil_coefficient_form(form, j)
-                      for j in range(form.degree + 1)]
+            pencil = form.pencil
             for _ in range(5):
                 x = tuple(int(v) for v in rng.integers(-3, 4, form.nvars))
                 y = tuple(int(v) for v in rng.integers(-3, 4, form.nvars))
@@ -260,14 +262,34 @@ class TestPencilCoefficientForm:
 
     def test_outer_coefficients(self):
         x, y = (1, 2, -1, 3), (0, 1, 1, -2)
-        low = pencil_coefficient_form(QUINTIC, 0)
-        high = pencil_coefficient_form(QUINTIC, 5)
+        low, high = QUINTIC.pencil[0], QUINTIC.pencil[5]
         assert evaluate_form(low, x + y) == QUINTIC(y)
         assert evaluate_form(high, x + y) == QUINTIC(x)
 
-    def test_index_out_of_range(self):
-        with pytest.raises(DomainError):
-            pencil_coefficient_form(CUBIC4, 4)
+    @pytest.mark.parametrize("form", [CUBIC4, QUINTIC, QUADRIC5,
+                                      random_dense_form(3, 4, seed=5)])
+    def test_pencil_forms_shape(self, form):
+        """d + 1 integer forms of degree d in the 2n variables (x, y),
+        built once per form."""
+        pencil = form.pencil
+        assert len(pencil) == form.degree + 1
+        for c_j in pencil:
+            assert (c_j.nvars, c_j.degree) == (2 * form.nvars, form.degree)
+            assert all(isinstance(c, int) for c in c_j.coeffs.values())
+        assert form.pencil is pencil
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 10 ** 6),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_three_paths_match_vandermonde(self, n, d, seed, data):
+        form = random_dense_form(n, d, seed)
+        vector = st.tuples(*[st.integers(-3, 3)] * n)
+        x, y = data.draw(vector), data.draw(vector)
+        expected = brute_pencil(form, x, y)
+        assert [evaluate_form(c_j, x + y) for c_j in form.pencil] == expected
+        assert list(pencil_coefficients(form, x, y).coefficients) == expected
+        assert [evaluate_form(integer_slice_form(form, y, j), x)
+                for j in range(d + 1)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1114,10 +1136,8 @@ class TestSamplingLoop:
     def test_pair_window_equals_whole_batch(self, form, samples, seed,
                                             width):
         eps = [width] * (form.degree + 1)
-        pencil = [pencil_coefficient_form(form, j)
-                  for j in range(form.degree + 1)]
         self.same(chi_global_real(form, eps, samples, seed=seed),
-                  whole_batch_window(eps, list(zip(eps, pencil)),
+                  whole_batch_window(eps, list(zip(eps, form.pencil)),
                                      2 * form.nvars, samples, seed))
 
 
@@ -1153,12 +1173,10 @@ class TestWindowSurvivors:
     @pytest.mark.parametrize("form", [QUADRIC4, CUBIC4])
     def test_pair_windows(self, form):
         eps = [0.05] * (form.degree + 1)
-        pencil = [pencil_coefficient_form(form, j)
-                  for j in range(form.degree + 1)]
         TestSamplingLoop.same(
             chi_global_real(form, eps, 1 << 15, seed=2),
-            whole_batch_window(eps, list(zip(eps, pencil)), 2 * form.nvars,
-                               1 << 15, 2))
+            whole_batch_window(eps, list(zip(eps, form.pencil)),
+                               2 * form.nvars, 1 << 15, 2))
 
 
 class TestSampleBudget:

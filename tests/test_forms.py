@@ -325,13 +325,17 @@ class TestDifferencing:
             discrete_difference(QUINTIC, (1, 2))
 
     def test_difference_matches_pointwise(self):
-        form = random_dense_form(3, 4, seed=77)
-        h = (2, -1, 3)
-        diff = discrete_difference(form, h)
-        for x in [(0, 0, 0), (1, 2, 3), (-4, 5, -6)]:
-            shifted = [a + b for a, b in zip(x, h)]
-            assert evaluate_form(diff, x) == \
-                evaluate_form(form, shifted) - evaluate_form(form, x)
+        inhomogeneous = Polynomial(nvars=3, coeffs={
+            (0, 0, 0): Fraction(7, 3), (1, 0, 0): Fraction(-1, 2),
+            (0, 2, 1): Fraction(5, 4), (3, 0, 2): Fraction(2),
+            (1, 1, 1): Fraction(-3, 7)})
+        for poly in (random_dense_form(3, 4, seed=77), inhomogeneous):
+            for h in [(2, -1, 3), (0, 0, -2), (0, 0, 0)]:
+                diff = discrete_difference(poly, h)
+                for x in [(0, 0, 0), (1, 2, 3), (-4, 5, -6)]:
+                    shifted = [a + b for a, b in zip(x, h)]
+                    assert evaluate_form(diff, x) == \
+                        evaluate_form(poly, shifted) - evaluate_form(poly, x)
 
 
 # ---------------------------------------------------------------------------
