@@ -638,11 +638,13 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 # :mod:`.sobol` builds bit for bit in numpy: importing scipy.stats would
 # cost ~60 MB and over a second of start-up.  The loop walks each scramble
 # in tiles of QMC_TILE rows, each built from its integer words and handed
-# to the integrand as the exact points 2u - 1 in [-1, 1)^dim, so an
+# to the integrand as the points (2u - 1) r of the estimator's box of radii
+# r, scaled in one pass per tile (:func:`_scaled_points`), so an
 # integrand's temporaries stay tile-sized and no scramble is held whole.
-# It takes the mean of a scramble over one vector of all its per-point
-# values: the summation order and so every seeded mean do not depend on
-# the tile size.
+# The two slab integrands evaluate their slices only on the rows inside
+# the sup-norm box and give the other rows zero.  The loop takes the mean
+# of a scramble over one vector of all its per-point values: the summation
+# order and so every seeded mean do not depend on the tile size.
 
 #: Rows of a scramble handed to an integrand at once.  On quadric-5 with
 #: 2^22 samples, 2^11, 2^13, 2^15 and 2^18 rows took 0.43, 0.31, 0.43 and
@@ -651,25 +653,35 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 QMC_TILE = 1 << 13
 
 
-def _symmetric(words: np.ndarray) -> np.ndarray:
-    """The points 2u - 1 in [-1, 1)^dim of Sobol' words q, u = q 2^-30,
-    computed exactly as (q - 2^29) 2^-29; ``words`` is overwritten."""
+def _scaled_points(words: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The points (2u - 1) r of Sobol' words q, u = q 2^-30, in the box of
+    radii r; ``scale`` is 2^-29 r tiled k times, k dividing the rows, and
+    ``words`` is overwritten.
+
+    They are computed as (q - 2^29) (2^-29 r): both factors are exact, so
+    each point is the real product (2u - 1) r rounded once, the same value
+    as ``(2u - 1) * r``.  k rows side by side make numpy's inner loop run
+    over k * dim elements instead of dim.
+    """
     q = words.view(np.int32)
     q -= 1 << (sobol.BITS - 1)
-    return np.multiply(q, 2.0 ** (1 - sobol.BITS))
+    return np.multiply(q.reshape(-1, scale.size), scale).reshape(q.shape)
 
 
-def _sample_means(dim: int, samples: int, seed: int, budget: Optional[int],
-                  dtype, integrand: Callable[[np.ndarray], np.ndarray]
+def _sample_means(radii: np.ndarray, samples: int, seed: int,
+                  budget: Optional[int], dtype,
+                  integrand: Callable[[np.ndarray], np.ndarray]
                   ) -> Tuple[int, List]:
     """The mean of ``integrand`` over each of SCRAMBLES scrambled Sobol'
-    sequences; returns (total points, means).
+    sequences in the box prod_c [-r_c, r_c) of ``radii``; returns (total
+    points, means).
 
     Each scramble holds the smallest power of two 2^k of points giving at
     least ``samples`` points overall.  ``integrand`` maps a tile of points
-    in [-1, 1)^dim, which it may overwrite, to one value of ``dtype`` per
-    row.  The rounded total SCRAMBLES * 2^k is charged to ``budget`` before
-    the first scramble is drawn.
+    (2u - 1) r of the box (see :func:`_scaled_points`), which it may
+    overwrite, to one value of ``dtype`` per row.  The rounded total
+    SCRAMBLES * 2^k is charged to ``budget`` before the first scramble is
+    drawn.
 
     Raises:
         ResourceLimit: the total exceeds ``budget``.
@@ -681,13 +693,16 @@ def _sample_means(dim: int, samples: int, seed: int, budget: Optional[int],
         raise ResourceLimit(
             f"sampling needs {total} QMC samples, more than the budget "
             f"of {budget}", needed=total, budget=budget)
+    rows = min(QMC_TILE, 1 << exponent)
+    scale = np.tile(np.asarray(radii, dtype=np.float64)
+                    * 2.0 ** (1 - sobol.BITS), min(rows, sobol.WIDE_ROWS))
     values = np.empty(1 << exponent, dtype=dtype)
     means = []
     for i in range(SCRAMBLES):
         start = 0
-        for words in sobol.tiles(dim, exponent, seed + i, QMC_TILE):
+        for words in sobol.tiles(len(radii), exponent, seed + i, QMC_TILE):
             stop = start + words.shape[0]
-            values[start:stop] = integrand(_symmetric(words))
+            values[start:stop] = integrand(_scaled_points(words, scale))
             start = stop
         means.append(np.mean(values))
     return total, means
@@ -712,6 +727,16 @@ def _in_box(points: np.ndarray, bound: float) -> np.ndarray:
     for i in range(1, points.shape[1]):
         inside &= np.abs(points[:, i]) <= bound
     return inside
+
+
+def _on_rows(inside: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values``, computed for the rows marked ``inside``, as one value
+    per row with zero on the other rows."""
+    if values.shape[0] == inside.shape[0]:
+        return values
+    out = np.zeros(inside.shape[0], dtype=values.dtype)
+    out[inside] = values
+    return out
 
 
 def _slab_geometry(form: HomogeneousForm, y: Sequence[int], x_bound):
@@ -763,17 +788,19 @@ def oscillatory_v(form: HomogeneousForm, y: Sequence[int], beta,
     bound = float(x_bound)
 
     def integrand(tile: np.ndarray) -> np.ndarray:
-        tile *= radii
+        # a row's value does not depend on the other rows, so only the
+        # rows inside the box are evaluated
         ambient = tile @ basis
+        inside = _in_box(ambient, bound)
+        if not inside.all():
+            ambient = ambient[inside]
         phase = np.zeros(ambient.shape[0])
         for frequency, sliced in slices:
             phase += frequency * evaluate_batch(sliced, ambient)
-        values = np.exp(2j * np.pi * phase)
-        values[~_in_box(ambient, bound)] = 0
-        return values
+        return _on_rows(inside, np.exp(2j * np.pi * phase))
 
-    total, means = _sample_means(lattice.rank, samples, seed, budget,
-                                 complex, integrand)
+    total, means = _sample_means(radii, samples, seed, budget, complex,
+                                 integrand)
     return _combine("integral",
                     [complex(m) * volume * root_cov for m in means],
                     total, seed)
@@ -809,9 +836,11 @@ def singular_integral_truncated(form: HomogeneousForm, y: Sequence[int],
     tiny = np.finfo(np.float64).eps
 
     def integrand(tile: np.ndarray) -> np.ndarray:
-        tile *= radii
         ambient = tile @ basis
-        kernel = np.ones(ambient.shape[0])
+        inside = _in_box(ambient, 1.0)
+        if not inside.all():
+            ambient = ambient[inside]
+        kernel = None
         for _, sliced in slices:
             # width * np.sinc(width * c), in place, with np.sinc's steps
             x = evaluate_batch(sliced, ambient)
@@ -821,12 +850,14 @@ def singular_integral_truncated(form: HomogeneousForm, y: Sequence[int],
             sinc = np.sin(x)
             sinc /= x
             sinc *= width
-            kernel *= sinc
-        kernel[~_in_box(ambient, 1.0)] = 0.0
-        return kernel
+            kernel = sinc if kernel is None else np.multiply(kernel, sinc,
+                                                             out=kernel)
+        if kernel is None:      # a linear form has no slice of degree >= 2
+            kernel = np.ones(ambient.shape[0])
+        return _on_rows(inside, kernel)
 
-    total, means = _sample_means(lattice.rank, samples, seed, budget,
-                                 np.float64, integrand)
+    total, means = _sample_means(radii, samples, seed, budget, np.float64,
+                                 integrand)
     return _combine("integral", [float(m) * volume for m in means], total,
                     seed)
 
@@ -878,7 +909,7 @@ def _window_density(eps: Sequence[float], windows, dim: int, samples: int,
             inside[idx] = np.abs(evaluate_batch(g, tile[idx])) <= width / 2
         return inside
 
-    total, means = _sample_means(dim, samples, seed, budget, bool,
+    total, means = _sample_means(np.ones(dim), samples, seed, budget, bool,
                                  integrand)
     return _combine("real", [float(m) * scale for m in means], total, seed)
 

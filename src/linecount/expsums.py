@@ -337,6 +337,16 @@ def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
     differenced phase is evaluated by subset inclusion-exclusion on the
     exact base fractions, which agrees with the difference polynomial.
 
+    The shifts run in ``itertools.product`` order.  For each prefix
+    h_1..h_(i-1) the last shifts h_i are batched by window shape (see
+    :func:`_last_shift_sums`); each shift tuple's window size times 2^i is
+    charged to ``budget`` in that order before the prefix is computed, and
+    the |inner(h)| are added one at a time in that order, so the ratios
+    and the point at which ResourceLimit fires are those of a loop over the
+    single tuples.  A prefix holds index tables of O(#shifts * (rank + 2^i))
+    entries and the blocks of one window shape, at most 2^(i + rank) times
+    the box; the product of the shifts is never held.
+
     Raises:
         IndexOutOfRange: i outside 1..d-1.
         ResourceLimit: the shift enumeration exceeds the budget.
@@ -360,35 +370,18 @@ def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
             {j: Fraction(rng.randrange(2 ** 16), 2 ** 16)
              for j in range(2, d + 1)}))
 
-    shape = tuple(2 * b + 1 for b in bounds)
-    signs = [(-1) ** (i - bin(mask).count("1")) for mask in range(1 << i)]
+    cells = np.arange(box_count).reshape([2 * b + 1 for b in bounds])
+    shifts = next(grid_chunks([-2 * b for b in bounds],
+                              [2 * b for b in bounds]))
+    groups = _shape_groups(shifts)
     ratios = []
     for trial_point in points:
-        base = _box_fractions(slices, trial_point, ambient).reshape(shape)
+        base = _box_fractions(slices, trial_point, ambient)
         total_inner = 0.0
-        shifts = next(grid_chunks([-2 * b for b in bounds],
-                                  [2 * b for b in bounds]))
-        for h_tuple in itertools.product(shifts, repeat=i):
-            windows = _difference_window(bounds, h_tuple)
-            if windows is None:
-                continue
-            size = 1
-            for lo, hi in windows:
-                size *= hi - lo + 1
-            ledger.charge(size << i)
-            phase = np.zeros(tuple(hi - lo + 1 for lo, hi in windows))
-            for mask in range(1 << i):
-                offset = [0] * len(bounds)
-                for t in range(i):
-                    if mask >> t & 1:
-                        for c, v in enumerate(h_tuple[t]):
-                            offset[c] += int(v)
-                block = base[tuple(
-                    slice(lo + off + b, hi + off + b + 1)
-                    for (lo, hi), off, b in zip(windows, offset, bounds))]
-                phase = phase + signs[mask] * block
-            total_inner += float(
-                np.abs(np.exp(2j * np.pi * phase).sum()))
+        for prefix in itertools.product(shifts, repeat=i - 1):
+            for value in _last_shift_sums(base, cells, prefix, shifts,
+                                          groups, ledger):
+                total_inner += value
         lhs = exponential_sum_U(form, y, trial_point, x_bound,
                                 eta_samples, seed=seed) ** (2 ** i)
         rhs = box_count ** (2 ** i - i - 1) * total_inner
@@ -400,23 +393,69 @@ def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
                       passed=max_ratio <= 1 + 1e-9)
 
 
-def _difference_window(bounds: Sequence[int],
-                       h_tuple: Sequence[Sequence[int]],
-                       ) -> Optional[List[Tuple[int, int]]]:
-    """Inclusive per-axis window on which all subset shifts stay inside.
+def _shape_groups(shifts: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The rows of ``shifts`` grouped by |h|: (one |h| per group, the
+    indices of its rows in increasing order)."""
+    magnitudes = np.abs(shifts)
+    keys = np.ravel_multi_index(magnitudes.T, magnitudes.max(axis=0) + 1)
+    order = np.argsort(keys, kind="stable")
+    _, first = np.unique(keys[order], return_index=True)
+    return magnitudes[order[first]], np.split(order, first[1:])
 
-    Coordinate c admits xi_c in [-B_c - sum_t min(h_t[c], 0),
-    B_c - sum_t max(h_t[c], 0)]; an empty axis yields None.
+
+def _last_shift_sums(base: np.ndarray, cells: np.ndarray,
+                     prefix: Sequence[np.ndarray], shifts: np.ndarray,
+                     groups: Tuple[np.ndarray, List[np.ndarray]],
+                     ledger: _Budget) -> List[float]:
+    """|inner(prefix + (h,))| for the last shifts h of ``shifts`` whose
+    window is not empty, in the order of ``shifts``; each window size
+    times 2^i is charged to ``ledger`` first, in the same order.
+
+    ``base`` holds the box's phases in the C order of ``cells``, which
+    numbers them.  Axis c of the window of h_1..h_i has width
+    2 B_c + 1 - sum_t |h_t[c]| and starts at index -sum_t min(h_t[c], 0);
+    the block of a subset of the shifts starts that subset's sum further
+    on.  The last shifts with one |h| share a window shape and form one
+    of ``groups`` (see :func:`_shape_groups`), whose blocks are gathered
+    and summed as one batch with the arithmetic of a single tuple: the
+    signed blocks added in subset order to zeros, then e(phase) summed
+    pairwise over each window.
     """
-    windows = []
-    for c, b in enumerate(bounds):
-        neg = sum(min(int(h[c]), 0) for h in h_tuple)
-        pos = sum(max(int(h[c]), 0) for h in h_tuple)
-        lo, hi = -b - neg, b - pos
-        if lo > hi:
-            return None
-        windows.append((lo, hi))
-    return windows
+    i = len(prefix) + 1
+    # subset bit t < i - 1 picks prefix[t] = h_(t+1); bit i - 1 picks h_i
+    head = np.asarray(prefix, dtype=np.int64).reshape(i - 1, cells.ndim)
+    room = np.array(cells.shape) - np.abs(head).sum(axis=0)
+    if room.min() <= 0:             # h_i = 0 has the widest window
+        return []
+    widths = room - np.abs(shifts)
+    kept = (widths > 0).all(axis=1)
+    for size in widths[kept].prod(axis=1).tolist():
+        ledger.charge(size << i)
+    magnitudes, members = groups
+    windows = room - magnitudes
+    nonempty = np.flatnonzero((windows > 0).all(axis=1))
+
+    low = -np.minimum(head, 0).sum(axis=0) - np.minimum(shifts, 0)
+    steps = np.array(cells.strides) // cells.itemsize
+    corners = []                    # flat index of each block's first cell
+    for mask in range(1 << i):
+        corner = low + sum(head[t] for t in range(i - 1) if mask >> t & 1)
+        if mask >> (i - 1):
+            corner = corner + shifts
+        corners.append(corner @ steps)
+    corners = np.stack(corners)                 # (2^i, #shifts)
+    signs = [(-1) ** (i - bin(mask).count("1")) for mask in range(1 << i)]
+
+    values = np.zeros(shifts.shape[0])
+    for g in nonempty.tolist():
+        window = cells[tuple(slice(0, w) for w in windows[g].tolist())]
+        rows = members[g]
+        blocks = base[corners[:, rows, None] + window.ravel()]
+        phase = np.zeros(blocks.shape[1:])
+        for mask in range(1 << i):
+            phase = phase + signs[mask] * blocks[mask]
+        values[rows] = np.abs(np.exp(2j * np.pi * phase).sum(axis=1))
+    return values[kept].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,10 @@ MAXDIM = 21201
 #: Dimensions scrambled per random draw, so that the (dims, BITS, BITS)
 #: scramble matrices stay a few MB for any dimension.
 _SCRAMBLE_DIMS = 1024
-#: Table rows XORed with one tiled offset row at a time.
-_WIDE_ROWS = 64
+#: Rows laid side by side in one elementwise numpy call, such as the XOR of
+#: the Gray table with a tile's offset row, so that numpy's inner loop runs
+#: over WIDE_ROWS * dim words instead of dim.
+WIDE_ROWS = 64
 
 
 def _table_path() -> str:
@@ -139,7 +141,7 @@ def tiles(dim: int, exponent: int, seed: int, tile: int
     rows = min(tile, 1 << exponent)
     # k table rows side by side: numpy's inner XOR loop then runs over
     # k * dim words instead of dim (3x faster at dim 5)
-    k = min(rows, _WIDE_ROWS)
+    k = min(rows, WIDE_ROWS)
     wide = _gray_table(directions, rows).reshape(rows // k, k * dim)
     for start in range(0, 1 << exponent, rows):
         offset = shift.copy()

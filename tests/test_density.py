@@ -291,6 +291,18 @@ class TestPencilCoefficientForm:
         assert [evaluate_form(integer_slice_form(form, y, j), x)
                 for j in range(d + 1)] == expected
 
+    @given(st.integers(0, 10 ** 6), st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_dense_quintic_beyond_int64(self, seed, data):
+        """The pencil of a dense quintic in 6 variables (4,368 terms) at
+        points whose pencil values overflow int64."""
+        form = random_dense_form(6, 5, seed)
+        vector = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 6)
+        x, y = data.draw(vector), data.draw(vector)
+        coefficients = pencil_coefficients(form, x, y).coefficients
+        assert all(type(c) is int for c in coefficients)
+        assert list(coefficients) == brute_pencil(form, x, y)
+
 
 # ---------------------------------------------------------------------------
 # Complete sums
@@ -947,8 +959,8 @@ class TestStreamedScrambles:
             assert tile.shape == (8, 3)
             return np.zeros(tile.shape[0])
 
-        total, means = density._sample_means(3, 100, 5, None, np.float64,
-                                             integrand)
+        total, means = density._sample_means(np.ones(3), 100, 5, None,
+                                             np.float64, integrand)
         assert total == density.SCRAMBLES * 8
         assert seen == list(range(1, density.SCRAMBLES + 1))
         assert drawn == [5 + i for i in range(density.SCRAMBLES)]
@@ -963,6 +975,46 @@ def _scramble_batches(dim, samples, seed):
     batches = (qmc.Sobol(d=dim, scramble=True, seed=seed + i)
                .random_base2(exponent) for i in range(density.SCRAMBLES))
     return density.SCRAMBLES * (1 << exponent), batches
+
+
+def symmetric(words):
+    """The points 2u - 1 in [-1, 1)^dim of Sobol' words q, u = q 2^-30,
+    computed exactly as (q - 2^29) 2^-29."""
+    return (words.astype(np.int64) - (1 << (sobol.BITS - 1))) \
+        * 2.0 ** (1 - sobol.BITS)
+
+
+class TestScaledPoints:
+    """The sampling loop hands an integrand the points (q - 2^29) (2^-29 r)
+    of the box of radii r, several rows side by side in one multiply: bit
+    for bit ``symmetric(words) * r``."""
+
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 8, 64]),
+           st.integers(1, 4), st.integers(0, 2 ** 32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_symmetric_times_radii(self, dim, side, groups, seed,
+                                          data):
+        radii = np.array(data.draw(st.lists(
+            st.floats(1e-6, 1e6), min_size=dim, max_size=dim)))
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 1 << sobol.BITS, size=(side * groups, dim),
+                             dtype=np.uint32)
+        words[0] = 0
+        words[-1] = (1 << sobol.BITS) - 1
+        want = symmetric(words) * radii
+        scale = np.tile(radii * 2.0 ** (1 - sobol.BITS), side)
+        got = density._scaled_points(words.copy(), scale)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_dyadic_radii(self):
+        radii = np.array([1e-6, 1 / 3, 0.68, 2 ** 0.5, 1e6])
+        words = np.array([[0] * 5, [(1 << sobol.BITS) - 1] * 5,
+                          [1, 2, 3, 1 << 29, 12345]] * 64, dtype=np.uint32)
+        want = symmetric(words) * radii
+        got = density._scaled_points(
+            words.copy(), np.tile(radii * 2.0 ** (1 - sobol.BITS), 64))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSobol:
@@ -980,7 +1032,7 @@ class TestSobol:
                    for words in tiles)
         words = np.vstack(tiles)
         assert np.array_equal(words * 2.0 ** -sobol.BITS, want)
-        assert np.array_equal(density._symmetric(words), 2 * want - 1)
+        assert np.array_equal(symmetric(words), 2 * want - 1)
 
     @given(st.sampled_from([1, 2, 5]), st.integers(0, 14),
            st.one_of(st.integers(0, 100), st.integers(2 ** 30, 2 ** 64)),
@@ -1128,6 +1180,45 @@ class TestSamplingLoop:
                                       seed=seed),
                   whole_batch_window(eps, windows, form.nvars, samples,
                                      seed))
+
+    #: QUADRIC5 base points, sample counts and seeds whose tiles have all,
+    #: some or no rows inside the box (1000 samples give 64-row tiles; at
+    #: (5, -3, 8, -1, 7) about 4% of the rows fall inside the box, and the
+    #: tile of scramble 5 holds none).
+    BOX_ROWS = {"all": ((1, 0, 0, 0, 0), TILE_SAMPLES[1], 3),
+                "some": ((3, 4, 0, 0, 5), TILE_SAMPLES[1], 3),
+                "none": ((5, -3, 8, -1, 7), 1000, 5)}
+
+    @pytest.mark.parametrize("estimator", ["oscillatory", "integral"])
+    @pytest.mark.parametrize("rows", sorted(BOX_ROWS))
+    def test_rows_inside_the_box(self, rows, estimator, monkeypatch):
+        """Only the rows inside the box are evaluated; the means equal the
+        whole-scramble loops when a tile has all, some or none of them."""
+        y, samples, seed = self.BOX_ROWS[rows]
+        counts = []
+        in_box = density._in_box
+
+        def counted(points, bound):
+            inside = in_box(points, bound)
+            counts.append((int(inside.sum()), inside.shape[0]))
+            return inside
+
+        monkeypatch.setattr(density, "_in_box", counted)
+        if estimator == "oscillatory":
+            got = oscillatory_v(QUADRIC5, y, [0.3], 2, samples, seed=seed)
+            want = whole_batch_oscillatory(QUADRIC5, y, [0.3], 2, samples,
+                                           seed)
+        else:
+            got = singular_integral_truncated(QUADRIC5, y, 1.5, samples,
+                                              seed=seed)
+            want = whole_batch_integral(QUADRIC5, y, 1.5, samples, seed)
+        self.same(got, want)
+        if rows == "all":
+            assert all(k == n for k, n in counts)
+        elif rows == "some":
+            assert any(0 < k < n for k, n in counts)
+        else:
+            assert any(k == 0 for k, _ in counts)
 
     @given(st.sampled_from([QUADRIC4, CUBIC4]),
            st.sampled_from(TILE_SAMPLES[:2]), st.integers(0, 50),

@@ -1,6 +1,7 @@
 """Tests for the exponential sums and arc-membership machinery."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from linecount import expsums
+from linecount.counting import _Budget as Budget
 from linecount.errors import (
     DimensionMismatch,
     DomainError,
@@ -33,6 +35,7 @@ from linecount.expsums import (
 )
 from linecount.fixtures import (
     QUINTIC_BASE_POINT,
+    diagonal_quadric,
     fermat_form,
     fermat_quintic,
     random_dense_form,
@@ -328,6 +331,95 @@ class TestExponentialSumU:
             == scipy_eta_U(form, y, point, x_bound, eta_samples, seed)
 
 
+def _difference_window(bounds, h_tuple):
+    """Inclusive per-axis window on which all subset shifts stay inside.
+
+    Coordinate c admits xi_c in [-B_c - sum_t min(h_t[c], 0),
+    B_c - sum_t max(h_t[c], 0)]; an empty axis yields None.
+    """
+    windows = []
+    for c, b in enumerate(bounds):
+        neg = sum(min(int(h[c]), 0) for h in h_tuple)
+        pos = sum(max(int(h[c]), 0) for h in h_tuple)
+        lo, hi = -b - neg, b - pos
+        if lo > hi:
+            return None
+        windows.append((lo, hi))
+    return windows
+
+
+def per_shift_weyl(form, y, alpha, i, x_bound, trials=0, seed=0,
+                   eta_samples=32, budget=None):
+    """weyl_inequality_check as one loop over the single shift tuples
+    h_1..h_i in itertools.product order, each with its own window and its
+    own charge; returns (ratios, total charge).
+
+    A prefix whose window is already empty is skipped whole: every tuple
+    extending it has an empty window and is skipped without a charge.
+    """
+    d = form.degree
+    point = expsums._coerce_frequency(alpha, d)
+    lattice = slicing_lattice(form, y)
+    bounds = box_profile(lattice, x_bound).int_bounds
+    grid = next(grid_chunks([-b for b in bounds], bounds))
+    ambient = grid @ np.asarray(lattice.basis, dtype=np.int64)
+    slices = nonzero_slices(form, y)
+    box_count = grid.shape[0]
+    ledger = Budget(budget)
+    rng = random.Random(seed)
+    points = [point]
+    for _ in range(trials):
+        points.append(FrequencyPoint(
+            {j: Fraction(rng.randrange(2 ** 16), 2 ** 16)
+             for j in range(2, d + 1)}))
+    shape = tuple(2 * b + 1 for b in bounds)
+    signs = [(-1) ** (i - bin(mask).count("1")) for mask in range(1 << i)]
+    shifts = next(grid_chunks([-2 * b for b in bounds],
+                              [2 * b for b in bounds]))
+    ratios = []
+    for trial_point in points:
+        base = expsums._box_fractions(slices, trial_point,
+                                      ambient).reshape(shape)
+        total_inner = 0.0
+        for prefix in itertools.product(shifts, repeat=i - 1):
+            if _difference_window(bounds, prefix) is None:
+                continue
+            for last in shifts:
+                h_tuple = prefix + (last,)
+                windows = _difference_window(bounds, h_tuple)
+                if windows is None:
+                    continue
+                size = 1
+                for lo, hi in windows:
+                    size *= hi - lo + 1
+                ledger.charge(size << i)
+                phase = np.zeros(tuple(hi - lo + 1 for lo, hi in windows))
+                for mask in range(1 << i):
+                    offset = [0] * len(bounds)
+                    for t in range(i):
+                        if mask >> t & 1:
+                            for c, v in enumerate(h_tuple[t]):
+                                offset[c] += int(v)
+                    block = base[tuple(
+                        slice(lo + off + b, hi + off + b + 1)
+                        for (lo, hi), off, b in zip(windows, offset,
+                                                    bounds))]
+                    phase = phase + signs[mask] * block
+                total_inner += float(
+                    np.abs(np.exp(2j * np.pi * phase).sum()))
+        lhs = exponential_sum_U(form, y, trial_point, x_bound,
+                                eta_samples, seed=seed) ** (2 ** i)
+        rhs = box_count ** (2 ** i - i - 1) * total_inner
+        ratios.append(lhs / rhs)
+    return ratios, ledger.spent
+
+
+#: (form, base point) pairs for the Weyl oracle; the dense cubic is drawn
+#: by seed.
+WEYL_CASES = [(QUINTIC, YQ), (fermat_form(4, 3), (1, -1, 0, 0)),
+              (diagonal_quadric(5), (1, 0, 0, 0, 0))]
+
+
 class TestWeylInequality:
     def test_single_difference_at_zero_is_tight(self):
         report = weyl_inequality_check(CUBIC, YC, FrequencyPoint.zero(3),
@@ -364,6 +456,58 @@ class TestWeylInequality:
         with pytest.raises(ResourceLimit):
             weyl_inequality_check(CUBIC, YC, FrequencyPoint.zero(3), 2, 3,
                                   budget=10)
+
+    @given(st.integers(0, len(WEYL_CASES)), st.integers(0, 50),
+           st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
+           st.sampled_from([10 ** 3, 10 ** 4, 10 ** 5]))
+    @settings(max_examples=30, deadline=None)
+    def test_batched_equals_per_shift(self, which, seed, i, x_bound,
+                                      trials, budget):
+        """The ratios are those of the per-shift loop, ``==`` bit for bit,
+        and a budget overrun raises at the same charge.  The cases with
+        at most ~10^5 shift tuples run to the end; the larger ones (the
+        per-shift loop takes 30 s for i = 3 on the quintic at X = 1) stop
+        at the budget."""
+        if which == len(WEYL_CASES):
+            form, y = random_dense_form(4, 3, seed), (1, 0, 0, 0)
+        else:
+            form, y = WEYL_CASES[which]
+        i = min(i, form.degree - 1)
+        if i == 1 or (i, x_bound) == (2, 1):
+            budget = None
+        alpha = random_point(form.degree, random.Random(seed))
+        try:
+            want = per_shift_weyl(form, y, alpha, i, x_bound, trials, seed,
+                                  budget=budget)[0]
+        except ResourceLimit as exc:
+            with pytest.raises(ResourceLimit) as got:
+                weyl_inequality_check(form, y, alpha, i, x_bound,
+                                      trials=trials, seed=seed,
+                                      budget=budget)
+            assert (str(got.value), got.value.needed) == (str(exc),
+                                                          exc.needed)
+        else:
+            report = weyl_inequality_check(form, y, alpha, i, x_bound,
+                                           trials=trials, seed=seed,
+                                           budget=budget)
+            assert list(report.ratios) == want
+
+    @pytest.mark.parametrize("form, y, i, x_bound", [
+        (QUINTIC, YQ, 1, 3), (QUINTIC, YQ, 2, 1),
+        (fermat_form(4, 3), (1, -1, 0, 0), 2, 1)])
+    def test_budget_boundary(self, form, y, i, x_bound):
+        """The check passes at the per-shift loop's total charge and raises
+        one below it, having charged that total."""
+        alpha = random_point(form.degree, random.Random(5))
+        want, total = per_shift_weyl(form, y, alpha, i, x_bound, trials=1,
+                                     seed=5)
+        report = weyl_inequality_check(form, y, alpha, i, x_bound,
+                                       trials=1, seed=5, budget=total)
+        assert list(report.ratios) == want
+        with pytest.raises(ResourceLimit) as got:
+            weyl_inequality_check(form, y, alpha, i, x_bound, trials=1,
+                                  seed=5, budget=total - 1)
+        assert got.value.needed == total
 
     def test_report_json(self):
         report = weyl_inequality_check(CUBIC, YC, FrequencyPoint.zero(3),
