@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -748,12 +747,7 @@ _SUBCOMMANDS = {
 _CSV_PROJECTIONS = {"count": _csv_count, "ledger": _csv_ledger}
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
-    """The parser of every subcommand, built once per process (~40 actions
-    take ~1.7 ms to build).  Reusing it is safe: no action appends to a
-    list or has a mutable default, so a parse leaves the parser as it was.
-    """
     parser = _Parser(prog="linecount", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"linecount {__version__}")

@@ -641,10 +641,10 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 # to the integrand as the points (2u - 1) r of the estimator's box of radii
 # r, scaled in one pass per tile (:func:`_scaled_points`), so an
 # integrand's temporaries stay tile-sized and no scramble is held whole.
-# The two slab integrands evaluate their slices only on the rows inside
-# the sup-norm box and give the other rows zero.  The loop takes the mean
-# of a scramble over one vector of all its per-point values: the summation
-# order and so every seeded mean do not depend on the tile size.
+# The two slab integrands give zero to the rows outside the sup-norm box.
+# The loop takes the mean of a scramble over one vector of all its
+# per-point values: the summation order and so every seeded mean do not
+# depend on the tile size.
 
 #: Rows of a scramble handed to an integrand at once.  On quadric-5 with
 #: 2^22 samples, 2^11, 2^13, 2^15 and 2^18 rows took 0.43, 0.31, 0.43 and
@@ -729,16 +729,6 @@ def _in_box(points: np.ndarray, bound: float) -> np.ndarray:
     return inside
 
 
-def _on_rows(inside: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``values``, computed for the rows marked ``inside``, as one value
-    per row with zero on the other rows."""
-    if values.shape[0] == inside.shape[0]:
-        return values
-    out = np.zeros(inside.shape[0], dtype=values.dtype)
-    out[inside] = values
-    return out
-
-
 def _slab_geometry(form: HomogeneousForm, y: Sequence[int], x_bound):
     """Sampling box, basis matrix, and covolume for the slab at scale X."""
     lattice = slicing_lattice(form, y)
@@ -788,16 +778,13 @@ def oscillatory_v(form: HomogeneousForm, y: Sequence[int], beta,
     bound = float(x_bound)
 
     def integrand(tile: np.ndarray) -> np.ndarray:
-        # a row's value does not depend on the other rows, so only the
-        # rows inside the box are evaluated
         ambient = tile @ basis
-        inside = _in_box(ambient, bound)
-        if not inside.all():
-            ambient = ambient[inside]
         phase = np.zeros(ambient.shape[0])
         for frequency, sliced in slices:
             phase += frequency * evaluate_batch(sliced, ambient)
-        return _on_rows(inside, np.exp(2j * np.pi * phase))
+        values = np.exp(2j * np.pi * phase)
+        values[~_in_box(ambient, bound)] = 0
+        return values
 
     total, means = _sample_means(radii, samples, seed, budget, complex,
                                  integrand)
@@ -837,9 +824,6 @@ def singular_integral_truncated(form: HomogeneousForm, y: Sequence[int],
 
     def integrand(tile: np.ndarray) -> np.ndarray:
         ambient = tile @ basis
-        inside = _in_box(ambient, 1.0)
-        if not inside.all():
-            ambient = ambient[inside]
         kernel = None
         for _, sliced in slices:
             # width * np.sinc(width * c), in place, with np.sinc's steps
@@ -854,7 +838,8 @@ def singular_integral_truncated(form: HomogeneousForm, y: Sequence[int],
                                                              out=kernel)
         if kernel is None:      # a linear form has no slice of degree >= 2
             kernel = np.ones(ambient.shape[0])
-        return _on_rows(inside, kernel)
+        kernel[~_in_box(ambient, 1.0)] = 0.0
+        return kernel
 
     total, means = _sample_means(radii, samples, seed, budget, np.float64,
                                  integrand)

@@ -656,28 +656,12 @@ def _expanded_terms(coefficient, exponents: Exponent,
 def pencil_coefficients(form: HomogeneousForm, x: IntVector,
                         y: IntVector) -> PencilExpansion:
     """Exact coefficients c_j of u^j v^(d-j) in F(u*x + v*y): the pencil
-    forms of F evaluated at (x, y).
-
-    The compiled terms of all d + 1 pencil forms are evaluated as one
-    object array, one variable at a time from a table of the point's
-    powers: a dense form's pencil has thousands of terms (4,368 for a
-    quintic in 6 variables) but there is one point, so numpy's loop runs
-    over the terms.
-    """
+    forms of F evaluated at (x, y)."""
     _check_point(form, x)
     _check_point(form, y)
     point = tuple(x) + tuple(y)
-    powers = np.array([[int(v) ** k for k in range(form.degree + 1)]
-                       for v in point], dtype=object)
-    compiled = [c_j.compiled for c_j in form.pencil]
-    exponents = np.concatenate([c.matrix for c in compiled])
-    terms = np.array([t for c in compiled for t in c.coefficients],
-                     dtype=object)
-    for i in range(len(point)):
-        terms *= powers[i, exponents[:, i]]
-    ends = np.cumsum([len(c.coefficients) for c in compiled])
     return PencilExpansion(degree=form.degree, coefficients=tuple(
-        int(part.sum()) for part in np.split(terms, ends[:-1])))
+        evaluate_form(c_j, point) for c_j in form.pencil))
 
 
 def is_line_generator_pair(form: HomogeneousForm, x: IntVector,

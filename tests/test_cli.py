@@ -18,7 +18,6 @@ from linecount.cli import (
     RunManifest,
     _jsonable,
     _minimal_admissible_n,
-    build_parser,
     main,
 )
 from linecount import counting, density
@@ -517,36 +516,3 @@ class TestImports:
             f"code = main({argv!r})\n"
             "print(code, 'scipy.stats' in sys.modules, file=sys.stderr)")
         assert probe.stderr.strip().splitlines()[-1] == "0 False"
-
-
-class TestParserReuse:
-    """main builds its parser once per process; a reused parser gives the
-    output and exit code of a fresh process, also after a usage error."""
-
-    SEQUENCE = [
-        ["count", "--fixture", "quadric-5", "--y", "1,0,0,0,0", "--X", "3"],
-        ["count", "--fixture", "quintic", "--X", "1", "--bogus"],
-        ["density", "--fixture", "quadric-5", "--y", "1,0,0,0,0",
-         "--window", "0.5,0.5", "--samples", "4096", "--seed", "3"],
-        ["count", "--fixture", "quadric-5", "--y", "1,0,0,0,0", "--X", "3"],
-    ]
-
-    def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
-
-    def test_sequence_matches_fresh_processes(self, capsys):
-        import linecount
-        source = os.path.dirname(os.path.dirname(linecount.__file__))
-        in_process = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
-        fresh = []
-        for argv in self.SEQUENCE:
-            probe = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys\nfrom linecount.cli import main\n"
-                 f"sys.exit(main({argv!r}))"],
-                env={**os.environ, "PYTHONPATH": source},
-                capture_output=True, text=True, timeout=120)
-            fresh.append((probe.returncode, probe.stdout))
-        assert [code for code, _ in in_process] == [EXIT_OK, EXIT_USAGE,
-                                                    EXIT_OK, EXIT_OK]
-        assert in_process == fresh

@@ -1192,8 +1192,9 @@ class TestSamplingLoop:
     @pytest.mark.parametrize("estimator", ["oscillatory", "integral"])
     @pytest.mark.parametrize("rows", sorted(BOX_ROWS))
     def test_rows_inside_the_box(self, rows, estimator, monkeypatch):
-        """Only the rows inside the box are evaluated; the means equal the
-        whole-scramble loops when a tile has all, some or none of them."""
+        """The rows outside the box give zero; the means equal the
+        whole-scramble loops when a tile has all, some or none of its rows
+        inside."""
         y, samples, seed = self.BOX_ROWS[rows]
         counts = []
         in_box = density._in_box
