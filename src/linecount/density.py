@@ -637,35 +637,39 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 # ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed + i)``, which
 # :mod:`.sobol` builds bit for bit in numpy: importing scipy.stats would
 # cost ~60 MB and over a second of start-up.  The loop walks each scramble
-# in tiles of QMC_TILE rows, each built from its integer words and handed
+# in tiles of QMC_TILE points, each built from its integer words and handed
 # to the integrand as the points (2u - 1) r of the estimator's box of radii
 # r, scaled in one pass per tile (:func:`_scaled_points`), so an
 # integrand's temporaries stay tile-sized and no scramble is held whole.
-# The two slab integrands give zero to the rows outside the sup-norm box.
-# The loop takes the mean of a scramble over one vector of all its
-# per-point values: the summation order and so every seeded mean do not
-# depend on the tile size.
+# Tiles are coordinate-major from the words on: an integrand gets a
+# (rows, dim) F-ordered array, and the two slab integrands map it to
+# F-ordered ambient points, so every column a form or the box test reads
+# is contiguous.  The slab integrands give zero to the rows outside the
+# sup-norm box, and skip that test where no row can leave the box
+# (:func:`_box_cannot_be_left`).  The loop takes the mean of a scramble
+# over one vector of all its per-point values: the summation order and so
+# every seeded mean do not depend on the tile size.
 
-#: Rows of a scramble handed to an integrand at once.  On quadric-5 with
-#: 2^22 samples, 2^11, 2^13, 2^15 and 2^18 rows took 0.43, 0.31, 0.43 and
-#: 0.53 s for the integral and 0.25, 0.16, 0.23 and 0.26 s for the window
-#: estimate (2-core x86 VM, one BLAS thread).
+#: Rows of a scramble handed to an integrand at once.  On quadric-5 at
+#: y = e1 with 2^22 samples, 2^11, 2^13, 2^15 and 2^18 rows took 0.27,
+#: 0.21, 0.21 and 0.44 s for the integral and 0.14, 0.07, 0.07 and 0.14 s
+#: for the window estimate (median of 5, 2-core x86 VM, one BLAS thread);
+#: 2^13 ties 2^15 with a quarter of its temporaries.
 QMC_TILE = 1 << 13
 
 
 def _scaled_points(words: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The points (2u - 1) r of Sobol' words q, u = q 2^-30, in the box of
-    radii r; ``scale`` is 2^-29 r tiled k times, k dividing the rows, and
-    ``words`` is overwritten.
+    """The points (2u - 1) r of a (dim, rows) tile of Sobol' words q,
+    u = q 2^-30, in the box of radii r, as a (rows, dim) F-ordered array;
+    ``scale`` is 2^-29 r and ``words`` is overwritten.
 
     They are computed as (q - 2^29) (2^-29 r): both factors are exact, so
     each point is the real product (2u - 1) r rounded once, the same value
-    as ``(2u - 1) * r``.  k rows side by side make numpy's inner loop run
-    over k * dim elements instead of dim.
+    as ``(2u - 1) * r``.
     """
     q = words.view(np.int32)
     q -= 1 << (sobol.BITS - 1)
-    return np.multiply(q.reshape(-1, scale.size), scale).reshape(q.shape)
+    return np.multiply(q, scale[:, None]).T
 
 
 def _sample_means(radii: np.ndarray, samples: int, seed: int,
@@ -677,9 +681,10 @@ def _sample_means(radii: np.ndarray, samples: int, seed: int,
     points, means).
 
     Each scramble holds the smallest power of two 2^k of points giving at
-    least ``samples`` points overall.  ``integrand`` maps a tile of points
-    (2u - 1) r of the box (see :func:`_scaled_points`), which it may
-    overwrite, to one value of ``dtype`` per row.  The rounded total
+    least ``samples`` points overall.  ``integrand`` maps a (rows, dim)
+    tile of points (2u - 1) r of the box (see :func:`_scaled_points`),
+    F-ordered so that each coordinate is a contiguous column, to one value
+    of ``dtype`` per row; it may overwrite the tile.  The rounded total
     SCRAMBLES * 2^k is charged to ``budget`` before the first scramble is
     drawn.
 
@@ -693,15 +698,13 @@ def _sample_means(radii: np.ndarray, samples: int, seed: int,
         raise ResourceLimit(
             f"sampling needs {total} QMC samples, more than the budget "
             f"of {budget}", needed=total, budget=budget)
-    rows = min(QMC_TILE, 1 << exponent)
-    scale = np.tile(np.asarray(radii, dtype=np.float64)
-                    * 2.0 ** (1 - sobol.BITS), min(rows, sobol.WIDE_ROWS))
+    scale = np.asarray(radii, dtype=np.float64) * 2.0 ** (1 - sobol.BITS)
     values = np.empty(1 << exponent, dtype=dtype)
     means = []
     for i in range(SCRAMBLES):
         start = 0
         for words in sobol.tiles(len(radii), exponent, seed + i, QMC_TILE):
-            stop = start + words.shape[0]
+            stop = start + words.shape[1]
             values[start:stop] = integrand(_scaled_points(words, scale))
             start = stop
         means.append(np.mean(values))
@@ -727,6 +730,31 @@ def _in_box(points: np.ndarray, bound: float) -> np.ndarray:
     for i in range(1, points.shape[1]):
         inside &= np.abs(points[:, i]) <= bound
     return inside
+
+
+def _box_cannot_be_left(basis: np.ndarray, radii: np.ndarray,
+                        bound: float) -> bool:
+    """True when every row of ``tile @ basis`` lies in the sup-norm box of
+    ``bound``, in floating point, for every tile of points of the box of
+    ``radii``.
+
+    This is so when each column of the basis has at most one nonzero
+    entry, of size 1, and the radius of that entry's row is at most the
+    bound: the column of the product is then exactly zero or plus or minus
+    one coordinate t_c, and |t_c| <= r_c because t_c is the rounded
+    product of r_c and a factor in [-1, 1].
+    """
+    nonzero = basis != 0
+    if (nonzero.sum(axis=0) > 1).any() \
+            or (np.abs(basis[nonzero]) != 1).any():
+        return False
+    return bool((radii[nonzero.any(axis=1)] <= bound).all())
+
+
+def _ambient(tile: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The rows ``tile @ basis`` as an F-ordered array, so that each
+    ambient coordinate is a contiguous column."""
+    return (basis.T @ tile.T).T
 
 
 def _slab_geometry(form: HomogeneousForm, y: Sequence[int], x_bound):
@@ -776,14 +804,16 @@ def oscillatory_v(form: HomogeneousForm, y: Sequence[int], beta,
               if table[j]]
     volume = float(np.prod(2 * radii))
     bound = float(x_bound)
+    box_test = not _box_cannot_be_left(basis, radii, bound)
 
     def integrand(tile: np.ndarray) -> np.ndarray:
-        ambient = tile @ basis
+        ambient = _ambient(tile, basis)
         phase = np.zeros(ambient.shape[0])
         for frequency, sliced in slices:
             phase += frequency * evaluate_batch(sliced, ambient)
         values = np.exp(2j * np.pi * phase)
-        values[~_in_box(ambient, bound)] = 0
+        if box_test:
+            values[~_in_box(ambient, bound)] = 0
         return values
 
     total, means = _sample_means(radii, samples, seed, budget, complex,
@@ -821,9 +851,10 @@ def singular_integral_truncated(form: HomogeneousForm, y: Sequence[int],
     volume = float(np.prod(2 * radii))
     width = 2 * window
     tiny = np.finfo(np.float64).eps
+    box_test = not _box_cannot_be_left(basis, radii, 1.0)
 
     def integrand(tile: np.ndarray) -> np.ndarray:
-        ambient = tile @ basis
+        ambient = _ambient(tile, basis)
         kernel = None
         for _, sliced in slices:
             # width * np.sinc(width * c), in place, with np.sinc's steps
@@ -838,7 +869,8 @@ def singular_integral_truncated(form: HomogeneousForm, y: Sequence[int],
                                                              out=kernel)
         if kernel is None:      # a linear form has no slice of degree >= 2
             kernel = np.ones(ambient.shape[0])
-        kernel[~_in_box(ambient, 1.0)] = 0.0
+        if box_test:
+            kernel[~_in_box(ambient, 1.0)] = 0.0
         return kernel
 
     total, means = _sample_means(radii, samples, seed, budget, np.float64,

@@ -254,7 +254,7 @@ def exponential_sum_U(form: HomogeneousForm, y: Sequence[int], alpha,
 
     exponent = max(0, (eta_samples - 1).bit_length())
     words = next(sobol.tiles(lattice.rank, exponent, seed, 1 << exponent))
-    etas = np.vstack([np.zeros(lattice.rank), words * 2.0 ** -sobol.BITS])
+    etas = np.vstack([np.zeros(lattice.rank), words.T * 2.0 ** -sobol.BITS])
     best = 0.0
     for start in range(0, etas.shape[0], 64):
         chunk = etas[start:start + 64]

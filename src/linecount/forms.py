@@ -118,14 +118,15 @@ class CompiledForm:
     """Monomials of a form laid out for :func:`evaluate_batch`.
 
     Fields:
-        matrix: row k is the exponent tuple of the k-th monomial (graded-lex).
+        factors: entry k holds the (variable, exponent) pairs of the
+            nonzero exponents of the k-th monomial (graded-lex).
         coefficients: the coefficients as ints, in the same order.
         degree: largest total degree of a monomial (0 for the zero form).
         weight: sum of the absolute coefficients, for the overflow preflight.
         integral: True when every coefficient is an integer.
     """
 
-    matrix: np.ndarray
+    factors: Tuple[Tuple[Tuple[int, int], ...], ...]
     coefficients: Tuple[int, ...]
     degree: int
     weight: int
@@ -158,7 +159,9 @@ class _Sparse:
         """The monomials compiled for :func:`evaluate_batch`."""
         matrix, coefficients = compiled_monomials(self)
         return CompiledForm(
-            matrix=matrix, coefficients=tuple(coefficients),
+            factors=tuple(tuple((i, int(e)) for i, e in enumerate(row) if e)
+                          for row in matrix),
+            coefficients=tuple(coefficients),
             degree=max((int(row.sum()) for row in matrix), default=0),
             weight=sum(abs(c) for c in coefficients),
             integral=all(Fraction(c).denominator == 1
@@ -552,8 +555,8 @@ def evaluate_batch(form, points: np.ndarray) -> np.ndarray:
 def _sum_monomials(compiled: CompiledForm, points: np.ndarray,
                    dtype) -> np.ndarray:
     values = np.zeros(points.shape[0], dtype=dtype)
-    for row, coefficient in zip(compiled.matrix, compiled.coefficients):
-        factors = [(i, int(e)) for i, e in enumerate(row) if e]
+    for factors, coefficient in zip(compiled.factors,
+                                    compiled.coefficients):
         if not factors:
             values += coefficient
             continue

@@ -1,4 +1,4 @@
-"""Scrambled Sobol' points in numpy, one tile of rows at a time.
+"""Scrambled Sobol' points in numpy, one coordinate-major tile at a time.
 
 The generator reproduces ``scipy.stats.qmc.Sobol(d, scramble=True,
 seed=s).random_base2(m)`` bit for bit without importing ``scipy.stats``:
@@ -12,6 +12,8 @@ seed=s).random_base2(m)`` bit for bit without importing ``scipy.stats``:
   by the bits of gray(k) = k ^ (k >> 1).
 
 Points are 30-bit integer words q; the scipy point is q * 2^-30 exactly.
+A tile holds one row of words per coordinate, so that a consumer reads each
+coordinate of its points as one contiguous vector.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ MAXDIM = 21201
 #: Dimensions scrambled per random draw, so that the (dims, BITS, BITS)
 #: scramble matrices stay a few MB for any dimension.
 _SCRAMBLE_DIMS = 1024
-#: Rows laid side by side in one elementwise numpy call, such as the XOR of
-#: the Gray table with a tile's offset row, so that numpy's inner loop runs
-#: over WIDE_ROWS * dim words instead of dim.
-WIDE_ROWS = 64
 
 
 def _table_path() -> str:
@@ -111,14 +109,14 @@ def scramble(dim: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _gray_table(directions: np.ndarray, rows: int) -> np.ndarray:
-    """(rows, dim) words: row r is the XOR of the directions picked by the
-    bits of gray(r); ``rows`` is a power of two."""
-    table = np.zeros((rows, directions.shape[0]), dtype=np.uint32)
+    """(dim, rows) words: column r is the XOR of the directions picked by
+    the bits of gray(r); ``rows`` is a power of two."""
+    table = np.zeros((directions.shape[0], rows), dtype=np.uint32)
     half = 1
     for b in range(rows.bit_length() - 1):
         # gray(2^b + i) = 2^b | gray(2^b - 1 - i)
-        np.bitwise_xor(table[half - 1::-1], directions[:, b],
-                       out=table[half:2 * half])
+        np.bitwise_xor(table[:, half - 1::-1], directions[:, b, None],
+                       out=table[:, half:2 * half])
         half *= 2
     return table
 
@@ -126,12 +124,14 @@ def _gray_table(directions: np.ndarray, rows: int) -> np.ndarray:
 def tiles(dim: int, exponent: int, seed: int, tile: int
           ) -> Iterator[np.ndarray]:
     """The 2^exponent words of ``qmc.Sobol(dim, scramble=True,
-    seed=seed).random_base2(exponent)`` in order, as fresh (rows, dim)
-    uint32 arrays of at most ``tile`` rows (a power of two).
+    seed=seed).random_base2(exponent)`` in order, as fresh C-contiguous
+    (dim, rows) uint32 arrays of at most ``tile`` points (a power of two):
+    row c holds coordinate c of the tile's points, so the transpose of a
+    tile is its block of scipy's (points, dim) array.
 
-    Rows aT + r of tile a are table[r] ^ offset(a): for r < T = 2^t,
-    gray(aT + r) = gray(aT) ^ gray(r), so one table of T rows serves every
-    tile and no scramble is held whole.
+    Point aT + r of tile a is table[:, r] ^ offset(a): for r < T = 2^t,
+    gray(aT + r) = gray(aT) ^ gray(r), so one table of T points serves
+    every tile and no scramble is held whole.
     """
     if not 0 <= exponent <= BITS:
         raise ValueError(f"at most 2^{BITS} Sobol' points per scramble")
@@ -139,14 +139,11 @@ def tiles(dim: int, exponent: int, seed: int, tile: int
         raise ValueError("the tile must be a power of two rows")
     shift, directions = scramble(dim, seed)
     rows = min(tile, 1 << exponent)
-    # k table rows side by side: numpy's inner XOR loop then runs over
-    # k * dim words instead of dim (3x faster at dim 5)
-    k = min(rows, WIDE_ROWS)
-    wide = _gray_table(directions, rows).reshape(rows // k, k * dim)
+    table = _gray_table(directions, rows)
     for start in range(0, 1 << exponent, rows):
         offset = shift.copy()
         gray = start ^ (start >> 1)
         for b in range(gray.bit_length()):
             if gray >> b & 1:
                 offset ^= directions[:, b]
-        yield (wide ^ np.tile(offset, k)).reshape(rows, dim)
+        yield table ^ offset[:, None]

@@ -986,25 +986,25 @@ def symmetric(words):
 
 class TestScaledPoints:
     """The sampling loop hands an integrand the points (q - 2^29) (2^-29 r)
-    of the box of radii r, several rows side by side in one multiply: bit
-    for bit ``symmetric(words) * r``."""
+    of the box of radii r, from a coordinate-major tile of words in one
+    multiply: bit for bit ``symmetric(words.T) * r``, F-ordered."""
 
-    @given(st.integers(1, 6), st.sampled_from([1, 2, 8, 64]),
-           st.integers(1, 4), st.integers(0, 2 ** 32), st.data())
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 8, 64, 100, 256]),
+           st.integers(0, 2 ** 32), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_equals_symmetric_times_radii(self, dim, side, groups, seed,
-                                          data):
+    def test_equals_symmetric_times_radii(self, dim, rows, seed, data):
         radii = np.array(data.draw(st.lists(
             st.floats(1e-6, 1e6), min_size=dim, max_size=dim)))
         rng = np.random.default_rng(seed)
-        words = rng.integers(0, 1 << sobol.BITS, size=(side * groups, dim),
+        words = rng.integers(0, 1 << sobol.BITS, size=(dim, rows),
                              dtype=np.uint32)
-        words[0] = 0
-        words[-1] = (1 << sobol.BITS) - 1
-        want = symmetric(words) * radii
-        scale = np.tile(radii * 2.0 ** (1 - sobol.BITS), side)
-        got = density._scaled_points(words.copy(), scale)
+        words[:, 0] = 0
+        words[:, -1] = (1 << sobol.BITS) - 1
+        want = symmetric(words.T) * radii
+        got = density._scaled_points(words.copy(),
+                                     radii * 2.0 ** (1 - sobol.BITS))
         assert got.shape == want.shape
+        assert got.flags.f_contiguous
         assert got.tobytes() == want.tobytes()
 
     def test_non_dyadic_radii(self):
@@ -1012,15 +1012,17 @@ class TestScaledPoints:
         words = np.array([[0] * 5, [(1 << sobol.BITS) - 1] * 5,
                           [1, 2, 3, 1 << 29, 12345]] * 64, dtype=np.uint32)
         want = symmetric(words) * radii
-        got = density._scaled_points(
-            words.copy(), np.tile(radii * 2.0 ** (1 - sobol.BITS), 64))
+        got = density._scaled_points(np.ascontiguousarray(words.T),
+                                     radii * 2.0 ** (1 - sobol.BITS))
         assert got.tobytes() == want.tobytes()
 
 
 class TestSobol:
-    """sobol.tiles against scipy's engine: the tiles, stacked, are the words
-    of qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m), and the
-    sampling loop's points are 2u - 1 of scipy's points u, bit for bit."""
+    """sobol.tiles against scipy's engine: each tile is a C-contiguous
+    (dim, rows) block of words, the tiles side by side are the transposed
+    words of qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m), and
+    the sampling loop's points are 2u - 1 of scipy's points u, bit for
+    bit."""
 
     @staticmethod
     def check(dim, m, seed, tile):
@@ -1028,9 +1030,10 @@ class TestSobol:
         tiles = list(sobol.tiles(dim, m, seed, tile))
         assert len(tiles) == max(1, (1 << m) // tile)
         assert all(words.dtype == np.uint32
-                   and words.shape == (min(tile, 1 << m), dim)
+                   and words.shape == (dim, min(tile, 1 << m))
+                   and words.flags.c_contiguous
                    for words in tiles)
-        words = np.vstack(tiles)
+        words = np.hstack(tiles).T
         assert np.array_equal(words * 2.0 ** -sobol.BITS, want)
         assert np.array_equal(symmetric(words), 2 * want - 1)
 
@@ -1194,7 +1197,8 @@ class TestSamplingLoop:
     def test_rows_inside_the_box(self, rows, estimator, monkeypatch):
         """The rows outside the box give zero; the means equal the
         whole-scramble loops when a tile has all, some or none of its rows
-        inside."""
+        inside.  At y = e1 the slab cannot leave the box, so no row is
+        box-tested."""
         y, samples, seed = self.BOX_ROWS[rows]
         counts = []
         in_box = density._in_box
@@ -1215,7 +1219,7 @@ class TestSamplingLoop:
             want = whole_batch_integral(QUADRIC5, y, 1.5, samples, seed)
         self.same(got, want)
         if rows == "all":
-            assert all(k == n for k, n in counts)
+            assert counts == []
         elif rows == "some":
             assert any(0 < k < n for k, n in counts)
         else:
@@ -1231,6 +1235,125 @@ class TestSamplingLoop:
         self.same(chi_global_real(form, eps, samples, seed=seed),
                   whole_batch_window(eps, list(zip(eps, form.pencil)),
                                      2 * form.nvars, samples, seed))
+
+
+def random_tile(radii, rows, seed):
+    """A tile of points of the box of ``radii`` from random Sobol' words,
+    with the extreme words 0 (the corner -r) and 2^30 - 1 among them."""
+    words = np.random.default_rng(seed).integers(
+        0, 1 << sobol.BITS, size=(len(radii), rows), dtype=np.uint32)
+    words[:, 0] = 0
+    words[:, -1] = (1 << sobol.BITS) - 1
+    return density._scaled_points(words, radii * 2.0 ** (1 - sobol.BITS))
+
+
+class TestBoxTestSkip:
+    """The slab integrands skip the box test only where it cannot drop a
+    row: each basis column has at most one nonzero entry, of size 1, whose
+    row's radius is at most the bound."""
+
+    @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2 ** 32),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_row_is_inside_when_the_skip_holds(self, rank, n, seed,
+                                                     data):
+        """Bases of signed unit columns (some zero) and any bound at least
+        the radii of the rows they pick: the skip holds, and every ambient
+        row of random tiles lies in the box."""
+        radii = np.array(data.draw(st.lists(
+            st.floats(1e-6, 1e6), min_size=rank, max_size=rank)))
+        basis = np.zeros((rank, n))
+        for j in range(n):
+            k = data.draw(st.integers(-1, rank - 1))
+            if k >= 0:
+                basis[k, j] = data.draw(st.sampled_from([1.0, -1.0]))
+        used = radii[(basis != 0).any(axis=1)]
+        least = float(used.max()) if used.size else 0.0
+        bound = least * data.draw(st.sampled_from([1.0, 1.5, 1e3]))
+        assert density._box_cannot_be_left(basis, radii, bound)
+        ambient = density._ambient(random_tile(radii, 256, seed), basis)
+        assert density._in_box(ambient, bound).all()
+
+    @pytest.mark.parametrize("column, bound", [
+        ([1.0, 0.0], np.nextafter(2.0, 0.0)),   # radius 2 above the bound
+        ([2.0, 0.0], 4.0),                      # an entry of size 2
+        ([0.5, 0.0], 4.0),                      # an entry of size 1/2
+        ([1.0, 1.0], 4.0),                      # two nonzero entries
+    ])
+    def test_other_bases_keep_the_box_test(self, column, bound):
+        radii = np.array([2.0, 1.0])
+        basis = np.array([column, [0.0, 1.0]]).T
+        assert not density._box_cannot_be_left(basis, radii, bound)
+
+    def test_the_corner_leaves_a_box_one_ulp_too_small(self):
+        """Word 0 is the point -r exactly, so a radius above the bound
+        puts that row outside."""
+        radii = np.array([2.0])
+        ambient = density._ambient(random_tile(radii, 4, 0),
+                                   np.array([[1.0]]))
+        inside = density._in_box(ambient, float(np.nextafter(2.0, 0.0)))
+        assert not inside[0]
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("x_bound", [1, 2, 20])
+    def test_quadric_at_unit_base_points(self, k, sign, x_bound):
+        """Every relabelling of the bench's quadric-5 at y = e1 skips the
+        box test; the skewed base points keep it."""
+        y = [0] * 5
+        y[k] = sign
+        _, radii, basis, _ = density._slab_geometry(QUADRIC5, y, x_bound)
+        assert density._box_cannot_be_left(basis, radii, float(x_bound))
+        for skewed in [(3, 4, 0, 0, 5), (5, -3, 8, -1, 7)]:
+            _, radii, basis, _ = density._slab_geometry(QUADRIC5, skewed,
+                                                        x_bound)
+            assert not density._box_cannot_be_left(basis, radii,
+                                                   float(x_bound))
+
+
+class TestTileLayout:
+    """Integrands and the slab estimators read each coordinate as one
+    contiguous column."""
+
+    @pytest.mark.parametrize("samples", [100, TILE_SAMPLES[0],
+                                         TILE_SAMPLES[2]])
+    def test_integrand_tiles_are_f_contiguous(self, samples):
+        layouts = []
+
+        def integrand(tile):
+            layouts.append((tile.shape[1], tile.flags.f_contiguous))
+            return np.zeros(tile.shape[0])
+
+        density._sample_means(np.ones(3), samples, 1, None, np.float64,
+                              integrand)
+        assert layouts and set(layouts) == {(3, True)}
+
+    @pytest.mark.parametrize("estimator", ["oscillatory", "integral"])
+    def test_slab_ambient_is_f_contiguous(self, estimator, monkeypatch):
+        """At a skewed base point, where both the slices and the box test
+        read the ambient points."""
+        layouts = []
+
+        def recorded(name, position):
+            real = getattr(density, name)
+
+            def wrapper(*args):
+                points = args[position]
+                layouts.append((name, points.shape[1],
+                                points.flags.f_contiguous))
+                return real(*args)
+
+            monkeypatch.setattr(density, name, wrapper)
+
+        recorded("evaluate_batch", 1)
+        recorded("_in_box", 0)
+        if estimator == "oscillatory":
+            oscillatory_v(QUADRIC5, (3, 4, 0, 0, 5), [0.3], 2, 4096, seed=1)
+        else:
+            singular_integral_truncated(QUADRIC5, (3, 4, 0, 0, 5), 1.5,
+                                        4096, seed=1)
+        assert set(layouts) == {("evaluate_batch", 5, True),
+                                ("_in_box", 5, True)}
 
 
 class TestWindowSurvivors:
