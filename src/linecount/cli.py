@@ -119,8 +119,16 @@ class RunManifest:
     def from_file(path: str) -> "RunManifest":
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ValueError("a manifest must be a JSON object")
+        argv = raw["argv"]
+        if not (isinstance(argv, list)
+                and all(isinstance(part, str) for part in argv)):
+            raise ValueError("manifest argv must be a list of strings")
+        if argv[:1] == ["--from-manifest"]:
+            raise ValueError("manifest argv must not replay a manifest")
         return RunManifest(
-            command=raw["command"], argv=list(raw["argv"]),
+            command=raw["command"], argv=argv,
             form_hash=raw.get("form_hash"),
             parameters=dict(raw.get("parameters", {})),
             seeds=list(raw.get("seeds", [])),
@@ -311,7 +319,10 @@ def _configure_count(parser) -> None:
                         help="restrict base points to the corank-rho stratum")
     parser.add_argument("--breakdown", action="store_true",
                         help="include per-base-point counts")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="processes to split the work across: the "
+                             "first lattice coordinate with --y, the orbit "
+                             "leaders' fibers with --Y (default 1)")
     parser.add_argument("--csv", action="store_true",
                         help="emit the per-base-point table as CSV")
     _add_common_flags(parser)
@@ -324,6 +335,14 @@ def _run_count(args, form) -> dict:
         raise DomainError("pass exactly one of --Y (pair run) or --y "
                           "(fixed base point)")
     if args.y is not None:
+        for flag, given in (("--exclude-proportional",
+                             args.exclude_proportional),
+                            ("--rho", args.rho is not None),
+                            ("--breakdown", args.breakdown),
+                            ("--csv", args.csv)):
+            if given:
+                raise DomainError(f"{flag} applies to pair runs (--Y), not "
+                                  "to a fixed base point (--y)")
         total = count_fixed_y(form, args.y, args.X, workers=args.workers,
                               budget=budget)
         return {"mode": "fixed-y", "X": args.X, "y": list(args.y),
@@ -510,7 +529,9 @@ def _configure_predict(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cache", metavar="FILE", default=None,
                         help="persistent store for exact local factors")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="threads computing the p-adic factors, one "
+                             "prime each (default 1)")
     _add_common_flags(parser)
 
 

@@ -10,6 +10,7 @@ the overflow fallback, so no float ever decides a count.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -356,6 +357,30 @@ def _proportional_count(y: IntVector, x_bound: int) -> int:
     return 2 * (x_bound // max(abs(v) for v in _primitive_direction(y)))
 
 
+def _base_points(form: HomogeneousForm, y_bound: int, meter: _Budget
+                 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(y, leader) for each nonzero zero y of F in [-Y, Y]^n, in grid
+    order, charging every row of the box to the meter.  The leader is the
+    first base point whose primitive direction is in the symmetry orbit of
+    y's (see :func:`count_pairs`)."""
+    n = form.nvars
+    generators = _symmetry_generators(form)
+    leaders: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    for chunk in grid_chunks([-y_bound] * n, [y_bound] * n, _CHUNK_ROWS):
+        meter.charge(chunk.shape[0])
+        for row in chunk[evaluate_batch(form, chunk) == 0]:
+            y = tuple(int(v) for v in row)
+            if not any(y):
+                continue
+            key = _primitive_direction(y)
+            leader = leaders.get(key)
+            if leader is None:
+                leader = y
+                for mate in _direction_orbit(key, generators):
+                    leaders[mate] = y
+            yield y, leader
+
+
 def stratum_count(form: HomogeneousForm, y_bound: int,
                   rho: int) -> StratumReport:
     """Count base points on the hypersurface with Hessian corank >= rho.
@@ -364,32 +389,23 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
     the dyadic growth table and a least-squares fitted exponent of the count
     against the box size (nan when fewer than two dyadic boxes are nonempty).
 
-    The corank is computed once per symmetry orbit of primitive directions
-    (see :func:`count_pairs`): the Hessian scales as H(k y) = k^(d-2) H(y),
-    and H_F(sigma y) = +-sigma H_F(y) sigma^T for a signed permutation
-    sigma with F o sigma = +-F, so neither changes the rank.
+    The corank is computed once per orbit leader of :func:`_base_points`:
+    the Hessian scales as H(k y) = k^(d-2) H(y), and H_F(sigma y) =
+    +-sigma H_F(y) sigma^T for a signed permutation sigma with F o sigma =
+    +-F, so neither changes the rank.
     """
     n = form.nvars
     if not 1 <= rho <= n:
         raise DomainError(f"rho must be in 1..{n}")
     if y_bound < 1:
         raise DomainError("y_bound must be positive")
-    generators = _symmetry_generators(form)
     coranks: Dict[Tuple[int, ...], int] = {}
     norms: List[int] = []
-    for chunk in grid_chunks([-y_bound] * n, [y_bound] * n, _CHUNK_ROWS):
-        values = evaluate_batch(form, chunk)
-        for row in chunk[values == 0]:
-            y = tuple(int(v) for v in row)
-            if all(v == 0 for v in y):
-                continue
-            key = _primitive_direction(y)
-            if key not in coranks:
-                corank = hessian_corank(form, y)
-                for mate in _direction_orbit(key, generators):
-                    coranks[mate] = corank
-            if coranks[key] >= rho:
-                norms.append(max(abs(v) for v in y))
+    for y, leader in _base_points(form, y_bound, _Budget(None)):
+        if leader not in coranks:
+            coranks[leader] = hessian_corank(form, leader)
+        if coranks[leader] >= rho:
+            norms.append(max(abs(v) for v in y))
     dyadic: List[Tuple[int, int]] = []
     size = 2
     while size <= y_bound:
@@ -452,57 +468,6 @@ def m2_dimension(form: HomogeneousForm, y: IntVector) -> M2Report:
 # Pair counting
 # ---------------------------------------------------------------------------
 
-def _pairs_slab(form: HomogeneousForm, x_bound: int, y_bound: int,
-                first_lo: int, first_hi: int, exclude_proportional: bool,
-                stratum_rho: Optional[int], breakdown: bool,
-                budget: Optional[int]) -> Tuple[
-                    int, int, int, Dict[Tuple[int, ...], int], int]:
-    """Accumulate pair counts over base points with y_1 in [lo, hi]; the
-    last entry is the work charged."""
-    n = form.nvars
-    meter = _Budget(budget)
-    total = 0
-    proportional = 0
-    stratified = 0
-    per_y: Dict[Tuple[int, ...], int] = {}
-    # primitive direction -> (its counts, the points its fiber charged);
-    # every direction in the symmetry orbit of a direction, and every
-    # multiple of it, has the same fiber counts (see count_pairs)
-    directions: Dict[Tuple[int, ...], Tuple[Tuple[int, int, int], int]] = {}
-    generators = _symmetry_generators(form)
-    for first in range(first_lo, first_hi + 1):
-        for tail in grid_chunks([-y_bound] * (n - 1), [y_bound] * (n - 1),
-                                _CHUNK_ROWS):
-            meter.charge(tail.shape[0])
-            chunk = np.concatenate(
-                [np.full((tail.shape[0], 1), first, dtype=np.int64), tail],
-                axis=1)
-            values = evaluate_batch(form, chunk)
-            for row in chunk[values == 0]:
-                y = tuple(int(v) for v in row)
-                if all(v == 0 for v in y):
-                    continue
-                key = _primitive_direction(y)
-                if key in directions:
-                    counts, charged = directions[key]
-                    meter.charge(charged)
-                else:
-                    before = meter.spent
-                    counts = _pairs_at_base_point(
-                        form, y, x_bound, exclude_proportional, stratum_rho,
-                        meter)
-                    entry = counts, meter.spent - before
-                    for mate in _direction_orbit(key, generators):
-                        directions[mate] = entry
-                total_y, prop_y, strat_y = counts
-                total += total_y
-                proportional += prop_y
-                stratified += strat_y
-                if breakdown:
-                    per_y[y] = total_y
-    return total, proportional, stratified, per_y, meter.spent
-
-
 def _pairs_at_base_point(form: HomogeneousForm, y: Tuple[int, ...],
                          x_bound: int, exclude_proportional: bool,
                          stratum_rho: Optional[int],
@@ -534,6 +499,18 @@ def _pairs_at_base_point(form: HomogeneousForm, y: Tuple[int, ...],
     return total_y, prop_y, strat_y
 
 
+def _leader_fiber(form: HomogeneousForm, x_bound: int,
+                  exclude_proportional: bool, stratum_rho: Optional[int],
+                  budget: Optional[int], y: Tuple[int, ...]
+                  ) -> Tuple[Tuple[int, int, int], int]:
+    """(counts, points charged) of the fiber of y, under a budget of its
+    own."""
+    meter = _Budget(budget)
+    counts = _pairs_at_base_point(form, y, x_bound, exclude_proportional,
+                                  stratum_rho, meter)
+    return counts, meter.spent
+
+
 def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
                 exclude_proportional: bool = False,
                 stratum_rho: Optional[int] = None,
@@ -555,48 +532,49 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     keeps the sup-norm box and the zero set, maps the slicing lattice at y
     onto the one at sigma y and keeps the Hessian corank, so the total,
     proportional and stratified counts and the number of points enumerated
-    are the same.  The x-side is therefore enumerated once per orbit of
-    primitive directions +-y under the group spanned by the sign changes
-    and signed transpositions that are symmetries of F (just the direction
-    itself when there are none), and its counts are reused for every other
-    base point of the orbit; each base point is still listed in the
-    breakdown and still charged to ``budget`` the points its fiber holds,
-    so the budget is exceeded on exactly the scans that would exceed it
-    counting every base point afresh.
+    are the same.  So one scan of the y-box (:func:`_base_points`) tallies
+    the orbits of primitive directions +-y under the group spanned by the
+    sign changes and signed transpositions that are symmetries of F, and
+    the x-side is enumerated once per orbit, at its leader; ``workers``
+    processes split the leaders.  ``budget`` bounds the points charged over
+    the scan and every fiber: the box rows plus, for each base point, the
+    points of its fiber, as if counted afresh, so the same inputs exceed it
+    whatever the number of workers.
 
     Raises:
         DomainError: X < 1 or Y < 1.
-        ResourceLimit: the scan exceeded the budget (summed over all
-            workers).
+        ResourceLimit: the scan exceeded the budget.
     """
     if x_bound < 1 or y_bound < 1:
         raise DomainError("x_bound and y_bound must be at least 1")
-    slabs = _split_range(-y_bound, y_bound, workers)
-    results = []
-    if workers > 1 and len(slabs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers,
-                                                 len(slabs))) as pool:
-            futures = [
-                pool.submit(_pairs_slab, form, x_bound, y_bound, lo, hi,
-                            exclude_proportional, stratum_rho, breakdown,
-                            budget)
-                for lo, hi in slabs]
-            results = [f.result() for f in futures]
+    meter = _Budget(budget)
+    orbit_size: Dict[Tuple[int, ...], int] = {}
+    leader_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    for y, leader in _base_points(form, y_bound, meter):
+        orbit_size[leader] = orbit_size.get(leader, 0) + 1
+        if breakdown:
+            leader_of[y] = leader
+    fiber = functools.partial(_leader_fiber, form, x_bound,
+                              exclude_proportional, stratum_rho, budget)
+    if workers > 1 and len(orbit_size) > 1:
+        with ProcessPoolExecutor(
+                max_workers=min(workers, len(orbit_size))) as pool:
+            futures = [pool.submit(fiber, y) for y in orbit_size]
+            fibers = [f.result() for f in futures]
     else:
-        results = [_pairs_slab(form, x_bound, y_bound, -y_bound, y_bound,
-                               exclude_proportional, stratum_rho, breakdown,
-                               budget)]
-    _Budget(budget).charge(sum(r[4] for r in results))
-    total = sum(r[0] for r in results)
-    proportional = sum(r[1] for r in results)
-    stratified = sum(r[2] for r in results) if stratum_rho is not None \
-        else None
-    per_y: Optional[Dict[Tuple[int, ...], int]] = None
-    if breakdown:
-        per_y = {}
-        for r in results:
-            per_y.update(r[3])
+        fibers = map(fiber, orbit_size)
+    counts: Dict[Tuple[int, ...], Tuple[int, int, int]] = {}
+    for (leader, size), (fiber_counts, charged) in zip(
+            orbit_size.items(), fibers):
+        meter.charge(size * charged)
+        counts[leader] = fiber_counts
+    total, proportional, stratified = (
+        sum(orbit_size[leader] * c[k] for leader, c in counts.items())
+        for k in range(3))
+    per_y = ({y: counts[leader][0] for y, leader in leader_of.items()}
+             if breakdown else None)
     return PairCountReport(
         x_bound=x_bound, y_bound=y_bound, total=total,
         proportional_pairs=proportional, stratum_rho=stratum_rho,
-        stratified=stratified, per_y_breakdown=per_y)
+        stratified=stratified if stratum_rho is not None else None,
+        per_y_breakdown=per_y)

@@ -124,6 +124,16 @@ class TestCount:
         assert code == EXIT_OK
         assert out["total"] == count_fixed_y(fermat_quintic(), (0, 0, 1, -1), 2)
 
+    @pytest.mark.parametrize("flag", [("--rho", "1"), ("--breakdown",),
+                                      ("--exclude-proportional",),
+                                      ("--csv",)])
+    def test_fixed_y_rejects_pair_flags(self, capsys, flag):
+        code, out = run_json(capsys, "count", "--fixture", "quadric-5",
+                             "--y", "1,0,0,0,0", "--X", "2", *flag)
+        assert code == EXIT_VALIDATION
+        assert out["error"]["type"] == "DomainError"
+        assert flag[0] in out["error"]["message"]
+
     def test_pair_total_matches_library(self, capsys):
         code, out = run_json(capsys, "count", "--fixture", "fermat-3-3",
                              "--X", "2", "--Y", "1")
@@ -454,6 +464,22 @@ class TestManifest:
     def test_replay_of_missing_manifest(self, capsys):
         code, out = run_json(capsys, "--from-manifest", "/nonexistent.json")
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("manifest", [
+        {"command": "count", "argv": ["--from-manifest", "SELF"]},
+        {"command": "count", "argv": ["count", 5]},
+        {"command": "count", "argv": "count --fixture quintic"},
+        ["count", "--fixture", "quintic"],
+    ])
+    def test_replay_refuses_untrusted_argv(self, capsys, tmp_path, manifest):
+        """A manifest that replays itself, is not an object or whose argv
+        is not a list of strings is refused before anything runs."""
+        path = tmp_path / "run.json"
+        text = json.dumps(manifest).replace("SELF", str(path))
+        path.write_text(text)
+        code, out = run_json(capsys, "--from-manifest", str(path))
+        assert code == EXIT_VALIDATION
+        assert out["error"]["type"] == "ValueError"
 
     def test_replay_usage(self, capsys):
         code = main(["--from-manifest"])

@@ -279,7 +279,7 @@ class TestCountPairs:
         monkeypatch.setattr(counting, "ProcessPoolExecutor",
                             inline_pool(sizes))
         report = count_pairs(QUADRIC, 1, 1, breakdown=True, workers=64)
-        assert sizes == [3]  # one slab per value of y_1 in -1..1
+        assert sizes == [5]  # one process per orbit leader, 5 of them
         assert report == count_pairs(QUADRIC, 1, 1, breakdown=True)
         sizes.clear()
         assert count_fixed_y(QUINTIC, Y0, 2, workers=64) \
@@ -292,8 +292,9 @@ class TestCountPairs:
             count_pairs(QUADRIC, 3, 3, budget=50)
 
     def test_budget_holds_across_workers(self):
-        """The two slabs of this scan charge 8485 and 3660 points: each
-        fits a budget of 10000, their sum does not."""
+        """The scan charges 12145 points: the 625 rows of the y-box and
+        the fibers of 128 base points in 9 orbits, none over 125 points.
+        A budget of 10000 is refused with 1 worker or 2, 12145 is not."""
         for workers in (1, 2):
             with pytest.raises(ResourceLimit):
                 count_pairs(QUADRIC, 2, 2, workers=workers, budget=10000)
@@ -322,6 +323,21 @@ class TestDirectionReuse:
         assert len(report.per_y_breakdown) == 320
         assert len(calls) == 3
         assert report.total == report.proportional_pairs == 384
+
+    @pytest.mark.parametrize("form, y_bound, fibers", [
+        (diagonal_quadric(5), 4, 3),
+        (fermat_form(4, 3), 5, 11),
+    ])
+    def test_workers_enumerate_one_fiber_per_orbit(self, monkeypatch, form,
+                                                   y_bound, fibers):
+        """Workers split the orbit leaders, so no orbit's fiber is
+        enumerated twice however many workers run."""
+        calls = counted(monkeypatch, "_pairs_at_base_point")
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", inline_pool([]))
+        for workers in (1, 2):
+            calls.clear()
+            count_pairs(form, 2, y_bound, workers=workers)
+            assert len(calls) == fibers
 
     def test_breakdown_keeps_every_base_point(self):
         form = diagonal_quadric(5)
@@ -417,13 +433,14 @@ class TestOrbitReuse:
                     form, x_bound, y_bound,
                     exclude_proportional=exclude_proportional,
                     stratum_rho=stratum_rho, breakdown=True,
-                    workers=workers)
+                    workers=workers, budget=charged)
+                with pytest.raises(ResourceLimit):
+                    count_pairs(form, x_bound, y_bound,
+                                exclude_proportional=exclude_proportional,
+                                stratum_rho=stratum_rho, workers=workers,
+                                budget=charged - 1)
             assert (report.total, report.proportional_pairs,
                     report.stratified, report.per_y_breakdown) == want
-            slabs = counting._split_range(-y_bound, y_bound, workers)
-            assert sum(counting._pairs_slab(
-                form, x_bound, y_bound, lo, hi, exclude_proportional,
-                stratum_rho, False, None)[4] for lo, hi in slabs) == charged
 
     @given(symmetric_forms(), st.integers(1, 2), st.integers(1, 3),
            st.booleans(), st.data())
