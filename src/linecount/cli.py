@@ -292,15 +292,6 @@ def _default_budget(args) -> int:
     return DEFAULT_COUNT_BUDGET
 
 
-def _check_workers(args) -> None:
-    """Reject a worker count the machine cannot run, before any pool
-    starts (a process pool starts all its workers at the first task)."""
-    limit = os.cpu_count() or 1
-    if not 1 <= args.workers <= limit:
-        raise DomainError(
-            f"--workers must be between 1 and {limit}, got {args.workers}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -324,13 +315,18 @@ def _configure_count(parser) -> None:
                              "first lattice coordinate with --y, the orbit "
                              "leaders' fibers with --Y (default 1)")
     parser.add_argument("--csv", action="store_true",
-                        help="emit the per-base-point table as CSV")
+                        help="emit the per-base-point table as CSV "
+                             "(needs --breakdown)")
     _add_common_flags(parser)
 
 
 def _run_count(args, form) -> dict:
     budget = _default_budget(args)
-    _check_workers(args)
+    # refuse before any pool starts: it starts all its workers at once
+    limit = os.cpu_count() or 1
+    if not 1 <= args.workers <= limit:
+        raise DomainError(
+            f"--workers must be between 1 and {limit}, got {args.workers}")
     if (args.Y is None) == (args.y is None):
         raise DomainError("pass exactly one of --Y (pair run) or --y "
                           "(fixed base point)")
@@ -347,6 +343,9 @@ def _run_count(args, form) -> dict:
                               budget=budget)
         return {"mode": "fixed-y", "X": args.X, "y": list(args.y),
                 "total": total}
+    if args.csv and not args.breakdown:
+        raise DomainError("--csv needs --breakdown: it projects the "
+                          "per-base-point table")
     report = count_pairs(form, args.X, args.Y,
                          exclude_proportional=args.exclude_proportional,
                          stratum_rho=args.rho, breakdown=args.breakdown,
@@ -356,11 +355,9 @@ def _run_count(args, form) -> dict:
     return payload
 
 
-def _csv_count(payload: dict) -> Optional[str]:
-    table = payload.get("per_y")
-    if not isinstance(table, dict):
-        return None
-    rows = [{"y": key, "count": value} for key, value in sorted(table.items())]
+def _csv_count(payload: dict) -> str:
+    rows = [{"y": key, "count": value}
+            for key, value in sorted(payload["per_y"].items())]
     return _render_csv(rows)
 
 
@@ -529,15 +526,11 @@ def _configure_predict(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cache", metavar="FILE", default=None,
                         help="persistent store for exact local factors")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="threads computing the p-adic factors, one "
-                             "prime each (default 1)")
     _add_common_flags(parser)
 
 
 def _run_predict(args, form) -> dict:
     budget = _default_budget(args)
-    _check_workers(args)
     if args.y is not None:
         if args.W is None:
             raise DomainError("fixed-y prediction needs --W")
@@ -550,8 +543,7 @@ def _run_predict(args, form) -> dict:
     cache = EulerCache(args.cache) if args.cache else None
     prediction = predict_pairs(form, args.X, args.Y, args.p_max, args.H,
                                args.epsilon, args.samples, seed=args.seed,
-                               cache=cache, workers=args.workers,
-                               budget=budget)
+                               cache=cache, budget=budget)
     return prediction.to_json()
 
 
@@ -635,13 +627,10 @@ def _run_ledger(args, form=None) -> dict:
     return payload
 
 
-def _csv_ledger(payload: dict) -> Optional[str]:
-    table = payload.get("conditions")
-    if not isinstance(table, dict):
-        return None
+def _csv_ledger(payload: dict) -> str:
     rows = [{"condition": name, "holds": entry["holds"],
              "slack": entry["slack"]}
-            for name, entry in sorted(table.items())]
+            for name, entry in sorted(payload["conditions"].items())]
     return _render_csv(rows)
 
 
@@ -826,11 +815,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload = run(args, form)
         else:
             payload = run(args)
-        projection = _CSV_PROJECTIONS.get(args.subcommand)
-        text = None
-        if getattr(args, "csv", False) and projection is not None:
-            text = projection(payload)
-        if text is None:
+        if getattr(args, "csv", False):
+            text = _CSV_PROJECTIONS[args.subcommand](payload)
+        else:
             text = _render_json(payload)
     except ResourceLimit as exc:
         sys.stdout.write(_render_json(

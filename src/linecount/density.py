@@ -21,7 +21,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
@@ -1066,14 +1065,12 @@ def predict_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
                   p_max: int, H: int, epsilon: Sequence[float],
                   samples: int, seed: int = 0, *,
                   cache: Optional["EulerCache"] = None,
-                  workers: int = 1,
                   budget: Optional[int] = 10 ** 9) -> Prediction:
     """Global pair-count prediction (XY)^(n - D) chi_inf prod_p chi_p.
 
     Local factors run over primes up to p_max at level H; the real factor
     is the windowed density.  The normalisation convention (d + 1 pencil
-    equations over 2n variables) is recorded in the components.  Distinct
-    primes are independent, so they are farmed out to ``workers`` threads.
+    equations over 2n variables) is recorded in the components.
     ``budget`` bounds each pair scan and, separately, the QMC samples of
     the real factor.
     """
@@ -1082,28 +1079,14 @@ def predict_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
     chi_inf = chi_global_real(form, epsilon, samples, seed, budget=budget)
     primes = _primes_up_to(p_max)
     factors: Dict[int, DensityEstimate] = {}
-    missing = []
     for p in primes:
         cached = cache.get(form, None, p, H) if cache else None
         if cached is not None:
             factors[p] = DensityEstimate(kind="p-adic", value=cached)
-        else:
-            missing.append(p)
-    if workers > 1 and len(missing) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers,
-                                                len(missing))) as pool:
-            computed = pool.map(
-                lambda p: chi_global_padic(form, p, H, budget=budget),
-                missing)
-            for p, estimate in zip(missing, computed):
-                factors[p] = estimate
-    else:
-        for p in missing:
-            factors[p] = chi_global_padic(form, p, H, budget=budget)
-    for p in missing:
+            continue
+        factors[p] = chi_global_padic(form, p, H, budget=budget)
         if cache:
             cache.put(form, None, p, H, factors[p].value)
-    factors = {p: factors[p] for p in primes}
     main = Fraction(x_bound * y_bound) ** (n - D)
     main *= _real_mean(chi_inf)
     for estimate in factors.values():

@@ -29,10 +29,12 @@ The module also holds the one implementation of three primitives the rest
 of the package shares: :func:`evaluate_batch`, the batch evaluator whose
 mode (int64, exact object, float64) follows the dtype of its points, with
 :func:`residues_mod` for the mod-q reduction of its values; :func:`echelon`,
-the exact Gauss-Jordan elimination over Q or F_p behind every rank, kernel,
-determinant and solve; and :func:`grid_chunks`, the lexicographic integer
-grid in row chunks.  Each form object compiles its monomials and builds
-its partial derivatives and its pencil forms once, on first use.
+the exact Gauss-Jordan elimination over Q or F_p behind every rank,
+rational kernel, determinant and solve (the integer kernel of a slicing
+lattice is a Hermite normal form, in :mod:`linecount.lattice`); and
+:func:`grid_chunks`, the lexicographic integer grid in row chunks.  Each
+form object compiles its monomials and builds its partial derivatives and
+its pencil forms once, on first use.
 """
 
 from __future__ import annotations
@@ -979,7 +981,7 @@ def echelon(rows: Sequence[Sequence[int]], modulus: Optional[int] = None,
 
     Pivots are sought in the first ``width`` columns (all by default) and
     row operations act on whole rows, so eliminating [A | B] with A square
-    and invertible leaves [I | A^-1 B].  Serves ranks, kernels,
+    and invertible leaves [I | A^-1 B].  Serves ranks, rational kernels,
     determinants and linear solves alike.
     """
     if modulus is None:

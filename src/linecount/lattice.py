@@ -6,7 +6,7 @@ slicing lattice.  Everything downstream — exponential sums, complete sums
 mod q, box counts — happens on this lattice, so this module provides:
 
   * the primitive coefficient vector of the linear condition,
-  * a saturated kernel basis in Hermite-style echelon form,
+  * a saturated kernel basis, read off the Hermite normal form of [l | I],
   * LLL reduction (Lovasz parameter 3/4) in integer arithmetic, with the
     Gram-Schmidt data updated in place (Cohen, Alg. 2.6.7),
   * a per-axis coefficient box containing all lattice points of sup-norm
@@ -18,8 +18,9 @@ All arithmetic here is exact (int / Fraction, and int64 arrays only where
 a bound proves that no value overflows); determinants are kept squared so
 no square roots ever appear.  The squared covolume needs no elimination:
 the kernel's is |l / content(l)|^2, and LLL carries it along as its
-integer d_s.  Only the dual basis is read off the package's one exact
-elimination routine, :func:`linecount.forms.echelon`.
+integer d_s.  Two eliminations remain: :func:`hermite_normal_form` over Z
+for the kernel, and :func:`linecount.forms.echelon` over Q for the dual
+basis.
 """
 
 from __future__ import annotations
@@ -81,12 +82,11 @@ class BoxProfile:
     """Per-axis half-widths of the lattice-coordinate box for sup-norm X.
 
     half_widths[t] bounds |xi_t| for every lattice point x = sum xi_t b_t
-    with |x|_inf <= X; they equal scale * X * (l1 norm of the t-th exact
-    dual-basis row), so the box is sound by construction.
+    with |x|_inf <= X; they equal X * (l1 norm of the t-th exact dual-basis
+    row), so the box is sound by construction.
     """
 
     half_widths: Tuple[Fraction, ...]
-    scale: Fraction
 
     @property
     def int_bounds(self) -> Tuple[int, ...]:
@@ -208,12 +208,14 @@ def linear_slice_coefficients(form: HomogeneousForm,
 
 
 def kernel_lattice(l: IntVector) -> IntegerLattice:
-    """Saturated integer kernel of a single linear form, echelon basis.
+    """Saturated integer kernel of a single linear form, in Hermite normal
+    form.
 
-    The kernel {x in Z^n : l . x = 0} is found by a unimodular column
-    sweep that turns l into (g, 0, ..., 0); the transformation columns
-    orthogonal to l form a saturated basis, which is then put into
-    Hermite-style echelon form.
+    The rows (l_i | e_i) span {(l . x, x) : x in Z^n}, so their Hermite
+    normal form has gcd(l) as its first pivot, in column 0, and below it
+    the rows (0 | x) with l . x = 0: a saturated kernel basis, itself in
+    Hermite normal form (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Sec. 2.4).
 
     Raises:
         ZeroVectorInput: l = 0 (no hyperplane to slice along).
@@ -224,45 +226,12 @@ def kernel_lattice(l: IntVector) -> IntegerLattice:
         raise ZeroVectorInput("need an ambient dimension of at least 2")
     if all(v == 0 for v in l):
         raise ZeroVectorInput("kernel of the zero form is not a hyperplane")
-    # columns of m form the running unimodular transformation
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    g = l[0]
-    for i in range(1, n):
-        if l[i] == 0:
-            continue
-        if g == 0:
-            # swap roles: column i becomes the gcd carrier
-            for row in m:
-                row[0], row[i] = row[i], row[0]
-            g = l[i]
-            continue
-        gg, a, b = _extended_gcd(g, l[i])
-        u, v = g // gg, l[i] // gg
-        for row in m:
-            c0, ci = row[0], row[i]
-            row[0] = a * c0 + b * ci
-            row[i] = -v * c0 + u * ci
-        g = gg
-    kernel_rows = [[m[r][c] for r in range(n)] for c in range(1, n)]
-    # the saturated kernel of l has covolume |l / content(l)|
-    content = math.gcd(*l)
-    return _packaged(hermite_normal_form(kernel_rows),
+    first, *kernel = hermite_normal_form(
+        [[v] + [int(i == j) for j in range(n)] for i, v in enumerate(l)])
+    # the first pivot is content(l); the kernel has covolume |l / content|
+    content = first[0]
+    return _packaged([row[1:] for row in kernel],
                      sum((v // content) ** 2 for v in l))
-
-
-def _extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def slicing_lattice(form: HomogeneousForm, y: IntVector) -> IntegerLattice:
@@ -377,20 +346,18 @@ def reduce_basis(lattice: IntegerLattice) -> IntegerLattice:
 # Boxes and enumeration
 # ---------------------------------------------------------------------------
 
-def box_profile(lattice: IntegerLattice, x_bound: int,
-                scale: Fraction = Fraction(1)) -> BoxProfile:
+def box_profile(lattice: IntegerLattice, x_bound: int) -> BoxProfile:
     """Sound per-axis coefficient box for sup-norm <= x_bound.
 
-    half_widths[t] = scale * x_bound * ||dual row t||_1, which dominates
+    half_widths[t] = x_bound * ||dual row t||_1, which dominates
     |xi_t| for every lattice point in the cube, because
     xi_t = dual_t . x and |x|_inf <= x_bound.
     """
     if x_bound < 0:
         raise ValueError("x_bound must be >= 0")
-    duals = dual_basis(lattice)
-    widths = tuple(scale * x_bound * sum(abs(v) for v in row)
-                   for row in duals)
-    return BoxProfile(half_widths=widths, scale=scale)
+    widths = tuple(x_bound * sum(abs(v) for v in row)
+                   for row in dual_basis(lattice))
+    return BoxProfile(half_widths=widths)
 
 
 #: Most rows in one block of :func:`enumerate_points`.

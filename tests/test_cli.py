@@ -20,7 +20,7 @@ from linecount.cli import (
     _minimal_admissible_n,
     main,
 )
-from linecount import counting, density
+from linecount import counting
 from linecount.counting import count_fixed_y, count_pairs
 from linecount.density import chi_global_padic, singular_series_truncated
 from linecount.errors import DomainError
@@ -141,6 +141,13 @@ class TestCount:
         assert code == EXIT_OK
         assert out["total"] == report.total
 
+    def test_pair_csv_needs_breakdown(self, capsys):
+        code, out = run_json(capsys, "count", "--fixture", "quintic",
+                             "--X", "1", "--Y", "1", "--csv")
+        assert code == EXIT_VALIDATION
+        assert out["error"]["type"] == "DomainError"
+        assert "--breakdown" in out["error"]["message"]
+
     def test_csv_breakdown_projects_table(self, capsys):
         code, text = run_cli(capsys, "count", "--fixture", "fermat-3-3",
                              "--X", "1", "--Y", "1", "--breakdown", "--csv")
@@ -154,14 +161,14 @@ class TestCount:
 
 
 class TestWorkers:
-    """--workers outside 1..cpu_count is refused before any pool exists."""
+    """Only count takes --workers, and outside 1..cpu_count refuses it
+    before any pool exists."""
 
     @pytest.fixture(autouse=True)
     def no_pools(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a worker pool was constructed")
         monkeypatch.setattr(counting, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(density, "ThreadPoolExecutor", refuse)
 
     @pytest.mark.parametrize("mode", [("--y", "1,0,0,0,0"), ("--Y", "1")])
     def test_count_rejects_more_workers_than_cpus(self, capsys, mode):
@@ -171,13 +178,12 @@ class TestWorkers:
         assert code == EXIT_VALIDATION
         assert "--workers" in out["error"]["message"]
 
-    def test_predict_rejects_more_workers_than_cpus(self, capsys):
-        code, out = run_json(capsys, "predict", "--fixture", "quadric-4",
-                             "--X", "5", "--Y", "5", "--p-max", "3",
-                             "--epsilon", "1,1,1", "--samples", "2048",
-                             "--workers", str((os.cpu_count() or 1) + 1))
-        assert code == EXIT_VALIDATION
-        assert "--workers" in out["error"]["message"]
+    def test_predict_takes_no_workers(self, capsys):
+        code, _ = run_cli(capsys, "predict", "--fixture", "quadric-4",
+                          "--X", "5", "--Y", "5", "--p-max", "3",
+                          "--epsilon", "1,1,1", "--samples", "2048",
+                          "--workers", "1")
+        assert code == EXIT_USAGE
 
     def test_count_rejects_zero_workers(self, capsys):
         code, _ = run_json(capsys, "count", "--fixture", "quadric-5",
@@ -347,7 +353,7 @@ class TestPredictCommand:
         code, out = run_json(capsys, "predict", "--fixture", "quadric-4",
                              "--X", "5", "--Y", "5", "--p-max", "3",
                              "--epsilon", "1,1,1", "--samples", "2048",
-                             "--cache", cache, "--workers", "2")
+                             "--cache", cache)
         assert code == EXIT_OK
         table = out["components"]["chi_p"]
         for p in (2, 3):

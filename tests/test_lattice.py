@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linecount.lattice as lattice_module
@@ -55,6 +55,45 @@ def covolume_squared(rows):
 def lattice_from_basis(rows):
     """The lattice of independent integer rows, with the oracle covolume."""
     return lattice_module._packaged(rows, covolume_squared(rows))
+
+
+def extended_gcd(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
+    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+    while r:
+        quotient = old_r // r
+        old_r, r = r, old_r - quotient * r
+        old_s, s = s, old_s - quotient * s
+        old_t, t = t, old_t - quotient * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def sweep_kernel(l):
+    """Oracle of kernel_lattice: a unimodular column sweep turns l into
+    (g, 0, ..., 0); the transformation columns 1..n-1 span the saturated
+    kernel, put into Hermite normal form, with the oracle covolume."""
+    n = len(l)
+    # columns of m form the running unimodular transformation
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    g = l[0]
+    for i in range(1, n):
+        if l[i] == 0:
+            continue
+        if g == 0:
+            for row in m:
+                row[0], row[i] = row[i], row[0]
+            g = l[i]
+            continue
+        gg, a, b = extended_gcd(g, l[i])
+        u, v = g // gg, l[i] // gg
+        for row in m:
+            c0, ci = row[0], row[i]
+            row[0], row[i] = a * c0 + b * ci, -v * c0 + u * ci
+        g = gg
+    kernel_rows = [[m[r][c] for r in range(n)] for c in range(1, n)]
+    return lattice_from_basis(hermite_normal_form(kernel_rows))
 
 
 @dataclass(frozen=True)
@@ -178,6 +217,20 @@ class TestKernelLattice:
             prim = [v // g for v in l]
             assert lat.covolume_sq == sum(v * v for v in prim)
             assert kernel_lattice(prim).basis == lat.basis
+
+    @given(st.integers(2, 9).flatmap(lambda n: st.lists(
+        st.just(0) | st.integers(-10 ** 6, 10 ** 6),
+        min_size=n, max_size=n).filter(any)), st.integers(1, 12))
+    @example([0, 0, 1, 1], 1)
+    @example([0, 3, 12, 0], 1)
+    @example([0, 0, 0, 7], 2)
+    @example([0, -3, 2], 2)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sweep_oracle(self, l, multiple):
+        l = [multiple * v for v in l]
+        lat, oracle = kernel_lattice(l), sweep_kernel(l)
+        assert lat.basis == oracle.basis
+        assert lat.covolume_sq == oracle.covolume_sq
 
     def test_saturation_residue_images_are_full(self):
         """A saturated lattice surjects onto (Z/p)^s in lattice coordinates:
