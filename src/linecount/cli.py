@@ -8,7 +8,8 @@ canonical shortest representation, which is deterministic for identical
 computations.
 
 Every potentially exponential loop takes a ``--budget`` (points enumerated,
-residues scanned or QMC samples drawn; the LINECOUNT_BUDGET environment
+rows evaluated and histogram entries formed, residues scanned or QMC
+samples drawn; the LINECOUNT_BUDGET environment
 variable overrides the default) and overruns surface as a clean resource
 error, exit code 3.
 Validation failures exit 2 with a machine-readable error object; usage
@@ -258,8 +259,10 @@ def _add_form_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=None,
-                        help="budget of points enumerated, residues "
-                             "scanned or QMC samples drawn (default "
+                        help="budget of points enumerated, rows "
+                             "evaluated and histogram entries formed, "
+                             "residues scanned or QMC samples drawn "
+                             "(default "
                              f"LINECOUNT_BUDGET or {DEFAULT_COUNT_BUDGET})")
     parser.add_argument("--manifest-out", metavar="FILE", default=None,
                         help="write a replayable run manifest")
@@ -307,13 +310,17 @@ def _configure_count(parser) -> None:
     parser.add_argument("--exclude-proportional", action="store_true",
                         help="drop pairs lying on a common line through 0")
     parser.add_argument("--rho", type=int, default=None,
-                        help="restrict base points to the corank-rho stratum")
+                        help="also tally as 'stratified' the pairs whose "
+                             "two points both have Hessian corank >= rho; "
+                             "'total' and 'per_y' stay unrestricted")
     parser.add_argument("--breakdown", action="store_true",
                         help="include per-base-point counts")
     parser.add_argument("--workers", type=int, default=1,
                         help="processes to split the work across: the "
                              "first lattice coordinate with --y, the orbit "
-                             "leaders' fibers with --Y (default 1)")
+                             "leaders' fibers with --Y (default 1); a "
+                             "diagonal form's fiber is counted in one "
+                             "process by convolution")
     parser.add_argument("--csv", action="store_true",
                         help="emit the per-base-point table as CSV "
                              "(needs --breakdown)")

@@ -1,11 +1,14 @@
 """Exact enumeration of line-generating pairs and their Hessian strata.
 
-Counts are always exact integers produced by explicit enumeration: the
-x-side runs over the slicing lattice of the base point (or the full box in
-the degenerate-gradient fallback) and applies the integer slice conditions;
-the y-side scans the coefficient box for zeros of the form.  Vectorised
-(numpy) evaluation is used for throughput, with exact object arithmetic as
-the overflow fallback, so no float ever decides a count.
+Counts are always exact integers.  For a diagonal form (every monomial a
+pure power) the x-side is one convolution over Z of per-variable value
+histograms of the slice system; for other forms it runs over the slicing
+lattice of the base point (or the full box in the degenerate-gradient
+fallback) and applies the integer slice conditions.  The y-side scans the
+coefficient box for zeros of the form.  Vectorised (numpy) evaluation is
+used for throughput, with exact object arithmetic as the overflow
+fallback, so no float ever decides a count.  The histogram routines here
+are shared with the residue counts of ``density``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .forms import (
     evaluate_form,
     grid_chunks,
     hessian,
+    integer_slice_form,
     nonzero_slices,
 )
 from .lattice import (
@@ -46,6 +50,10 @@ from .lattice import (
 IntVector = Sequence[int]
 
 _CHUNK_ROWS = 1 << 14
+
+#: Pairs of histogram entries added at once when two histograms are
+#: convolved.
+_CONVOLVE_ROWS = 1 << 16
 
 
 class FallbackFullBox(UserWarning):
@@ -135,8 +143,104 @@ class _Budget:
         self.spent += amount
         if self.limit is not None and self.spent > self.limit:
             raise ResourceLimit(
-                f"enumeration needs more than {self.limit} point "
-                f"evaluations", needed=self.spent, budget=self.limit)
+                f"the count needs more than {self.limit} rows scanned and "
+                f"histogram entries formed", needed=self.spent,
+                budget=self.limit)
+
+
+# ---------------------------------------------------------------------------
+# Value histograms, over Z and over Z/m
+# ---------------------------------------------------------------------------
+
+def _variable_components(monomials: Sequence[Tuple[int, ...]],
+                         nvars: int) -> List[List[int]]:
+    """The variables of ``monomials`` grouped into connected components
+    (joined when a monomial uses both), each sorted; variables that no
+    monomial uses are left out."""
+    groups: List[set] = []
+    for exponents in monomials:
+        joined = {v for v in range(nvars) if exponents[v]}
+        for group in [g for g in groups if g & joined]:
+            joined |= group
+            groups.remove(group)
+        groups.append(joined)
+    return sorted(sorted(group) for group in groups)
+
+
+def _sum_blocks(left, right, weights: Optional[np.ndarray] = None,
+                modulus: Optional[int] = None
+                ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(keys, counts) blocks of the histogram of u + v, u from histogram
+    ``left`` and v from ``right``.
+
+    Over Z (``modulus`` None) keys add as they are: one additive int64 per
+    value vector, or a row of value columns.  Mod ``modulus`` a key encodes
+    a value vector in digits of weights ``weights``, added digit by digit.
+    """
+    def digits(keys: np.ndarray) -> np.ndarray:
+        return keys if modulus is None else keys[:, None] // weights % modulus
+
+    (left_keys, left_counts), (right_keys, right_counts) = left, right
+    right_digits = digits(right_keys)
+    step = max(1, _CONVOLVE_ROWS // right_keys.shape[0])
+    for start in range(0, left_keys.shape[0], step):
+        sums = digits(left_keys[start:start + step])[:, None] + right_digits
+        if modulus is None:
+            keys = sums.reshape(-1, *left_keys.shape[1:])
+        else:
+            keys = (sums % modulus @ weights).ravel()
+        yield keys, (left_counts[start:start + step, None]
+                     * right_counts[None, :]).ravel()
+
+
+def _accumulate(blocks: Iterator[Tuple[np.ndarray, np.ndarray]]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """The histogram of (keys, counts) ``blocks`` (at least one): distinct
+    keys, with the counts of equal keys summed (see
+    :func:`_merge_histogram`).
+
+    Blocks wait until they hold more entries than the histogram so far,
+    then are merged into it: of n entries in all, each is sorted
+    O(log n) times, and at most twice the histogram plus one block is
+    held.
+    """
+    histogram: List[Tuple[np.ndarray, np.ndarray]] = []
+    waiting: List[Tuple[np.ndarray, np.ndarray]] = []
+    size = 0
+    for block in blocks:
+        waiting.append(block)
+        size += block[0].shape[0]
+        if not histogram or size > histogram[0][0].shape[0]:
+            histogram = [_merge_histogram(histogram + waiting)]
+            waiting, size = [], 0
+    return _merge_histogram(histogram + waiting) if waiting \
+        else histogram[0]
+
+
+def _merge_histogram(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct keys of the (keys, counts) ``parts``, with the counts of
+    equal keys summed.  A key is an int64, and the keys come out sorted,
+    or a row of value columns (see :func:`_row_ids`)."""
+    keys = np.concatenate([k for k, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    ids = keys if keys.ndim == 1 else _row_ids(keys)
+    order = np.argsort(ids, kind="stable")
+    keys, counts, ids = keys[order], counts[order], ids[order]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of the 2-D ``rows``, equal exactly when the rows
+    are: the columns are re-ranked into it one at a time, so the id stays
+    below the number of rows whatever the size of the values."""
+    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    for column in rows.T:
+        _, ranks = np.unique(column, return_inverse=True)
+        _, ids = np.unique(ids * (int(ranks.max(initial=0)) + 1) + ranks,
+                           return_inverse=True)
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +282,115 @@ def _hits(form: HomogeneousForm, y: IntVector,
         yield chunk, _condition_mask(conditions, chunk)
 
 
+def _is_diagonal(form: HomogeneousForm) -> bool:
+    """True when every monomial of F is a pure power a x_i^d."""
+    return all(sum(1 for e in exponents if e) == 1
+               for exponents in form.coeffs)
+
+
+def _diagonal_fiber(form: HomogeneousForm, y: IntVector, x_bound: int,
+                    meter: _Budget) -> int:
+    """#{x in [-X, X]^n : c_1(x, y) = ... = c_d(x, y) = 0} for a diagonal
+    F, by one convolution of value histograms over Z.
+
+    The slices c_j(x, y) = binom(d, j) sum_i a_i y_i^(d-j) x_i^j split into
+    variable components, one variable each; a variable in none of them is
+    free and contributes a factor 2X+1.  Each component's grid is
+    evaluated into a table of its value vectors (c_j)_j.  The components
+    go into two halves of balanced grid size, each half is folded into the
+    histogram A or B of its partial sums, and the count is the sum of
+    A(k) B(-k) over the keys k.
+
+    A key is exact.  M_j = (sum of |coefficients of c_j|) X^j bounds |c_j|
+    on the box and on every partial sum, so with radix R_j = 2 M_j + 1 the
+    balanced mixed-radix sum_j c_j prod_(l<j) R_l is one int64 when
+    prod_j R_j < 2^62, and the key of a sum is the sum of the keys.
+    Otherwise the c_j are cut into runs whose radices multiply to less than
+    2^62, each run packed so into one column, and a key is the row of
+    those columns, matched by :func:`_row_ids`.
+
+    Charges the meter the grid rows of every component before evaluating
+    them, and |left| * |right| entries before each fold forms them.  The
+    components are folded in the order of :func:`_fold_order`, so a signed
+    permutation sigma with F o sigma = +-F, which maps the tables at y onto
+    those at sigma y up to one sign, leaves the charge unchanged.
+    """
+    slices = [s for s in (integer_slice_form(form, y, j)
+                          for j in range(1, form.degree + 1))
+              if not s.is_zero]
+    n = form.nvars
+    groups = _variable_components([e for s in slices for e in s.coeffs], n)
+    side = 2 * x_bound + 1
+    digits: List[List[int]] = []  # per key column, the weight of each c_j
+    product = 2 ** 62
+    for j, sliced in enumerate(slices):
+        radix = 2 * sliced.compiled.weight * x_bound ** sliced.degree + 1
+        if product * radix >= 2 ** 62:
+            digits.append([0] * len(slices))
+            product = 1
+        digits[-1][j] = product
+        product *= radix
+    weights = np.array(digits, dtype=np.int64).T
+    if weights.shape[1] == 1:
+        weights = weights[:, 0]
+    # counts up to the whole grid of the components, which int64 may not hold
+    count_type = (np.int64 if side ** sum(map(len, groups)) < 2 ** 63
+                  else object)
+
+    meter.charge(sum(side ** len(group) for group in groups))
+    tables = []
+    for group in groups:
+        points = np.zeros((side ** len(group), n), dtype=np.int64)
+        points[:, group] = next(grid_chunks([-x_bound] * len(group),
+                                            [x_bound] * len(group)))
+        tables.append(np.stack([evaluate_batch(s, points) for s in slices],
+                               axis=1))
+
+    def histogram(i: int) -> Tuple[np.ndarray, np.ndarray]:
+        return _merge_histogram([(tables[i] @ weights, np.ones(
+            tables[i].shape[0], dtype=count_type))])
+
+    def fold(half: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+        if not half:
+            return (np.zeros((1, *weights.shape[1:]), dtype=np.int64),
+                    np.ones(1, dtype=count_type))
+        folded = histogram(half[0])
+        for i in half[1:]:
+            values = histogram(i)
+            meter.charge(folded[0].shape[0] * values[0].shape[0])
+            folded = _accumulate(_sum_blocks(folded, values))
+        return folded
+
+    # every component is one variable, so equal halves have equal grids
+    halves: Tuple[List[int], ...] = ([], [])
+    for i in _fold_order(tables):
+        min(halves, key=len).append(i)
+    (left_keys, left_counts), (right_keys, right_counts) = map(fold, halves)
+    right_keys = -right_keys
+    if weights.ndim > 1:
+        ids = _row_ids(np.concatenate([left_keys, right_keys]))
+        left_keys, right_keys = ids[:len(left_keys)], ids[len(left_keys):]
+    order = np.argsort(right_keys)
+    right_keys, right_counts = right_keys[order], right_counts[order]
+    at = np.minimum(np.searchsorted(right_keys, left_keys),
+                    right_keys.shape[0] - 1)
+    hit = right_keys[at] == left_keys
+    matched = int(np.dot(left_counts[hit], right_counts[at[hit]]))
+    return matched * side ** (n - sum(map(len, groups)))
+
+
+def _fold_order(tables: Sequence[np.ndarray]) -> List[int]:
+    """Indices of the value ``tables`` sorted by the multisets of their
+    rows, all taken with the one sign (+ or -) whose sorted list of
+    multisets comes first.  Equal multisets are then equal tables up to
+    row order, so the order depends on the multisets alone, up to one
+    common sign."""
+    signed = [[sorted(map(tuple, (sign * table).tolist()))
+               for table in tables] for sign in (1, -1)]
+    keys = min(signed, key=lambda multisets: (sorted(multisets), multisets))
+    return sorted(range(len(tables)), key=keys.__getitem__)
+
+
 def _slice_lattice(form: HomogeneousForm,
                    y: IntVector) -> Optional[IntegerLattice]:
     """The reduced slicing lattice at y, or None when the gradient vanishes
@@ -199,15 +412,18 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
 
     Counts every x of the slicing lattice at which all slice conditions of
     degree 2..d vanish.  The zero vector and multiples of y are included;
-    pair-level counts remove and tally them separately.
+    pair-level counts remove and tally them separately.  A diagonal form is
+    counted in one process by :func:`_diagonal_fiber`, whatever
+    ``workers``.
 
     Args:
         form: the form cutting out the hypersurface.
         y: nonzero integer base point (need not lie on the hypersurface).
         x_bound: sup-norm box bound X >= 0.
         workers: split the leading lattice coordinate across processes.
-        budget: optional cap on the number of points examined, summed over
-            all workers.
+        budget: optional cap on the lattice points examined, summed over
+            all workers, or for a diagonal form on the grid rows evaluated
+            and histogram entries formed.
 
     Raises:
         ZeroVectorInput: y = 0.
@@ -217,6 +433,8 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
         raise ZeroVectorInput("base point must be nonzero")
     if x_bound < 0:
         raise DomainError("x_bound must be nonnegative")
+    if _is_diagonal(form):
+        return _diagonal_fiber(form, y, x_bound, _Budget(budget))
     lattice = _slice_lattice(form, y)
     if lattice is None:
         warnings.warn(
@@ -472,22 +690,28 @@ def _pairs_at_base_point(form: HomogeneousForm, y: Tuple[int, ...],
                          x_bound: int, exclude_proportional: bool,
                          stratum_rho: Optional[int],
                          meter: _Budget) -> Tuple[int, int, int]:
-    """Pair counts contributed by one base point on the hypersurface."""
+    """Pair counts contributed by one base point on the hypersurface.
+
+    Without a stratum, a diagonal form's fiber is :func:`_diagonal_fiber`.
+    """
     prop_y = _proportional_count(y, x_bound)
     y_in_stratum = (stratum_rho is not None
                     and hessian_corank(form, y) >= stratum_rho)
     count = 0
     strat_count = 0
-    for chunk, mask in _hits(form, y, _slice_lattice(form, y), x_bound,
-                             meter):
-        count += int(mask.sum())
-        if y_in_stratum:
-            for row in chunk[mask]:
-                x = tuple(int(v) for v in row)
-                if all(v == 0 for v in x):
-                    continue
-                if hessian_corank(form, x) >= stratum_rho:
-                    strat_count += 1
+    if stratum_rho is None and _is_diagonal(form):
+        count = _diagonal_fiber(form, y, x_bound, meter)
+    else:
+        for chunk, mask in _hits(form, y, _slice_lattice(form, y), x_bound,
+                                 meter):
+            count += int(mask.sum())
+            if y_in_stratum:
+                for row in chunk[mask]:
+                    x = tuple(int(v) for v in row)
+                    if all(v == 0 for v in x):
+                        continue
+                    if hessian_corank(form, x) >= stratum_rho:
+                        strat_count += 1
     count -= 1  # the zero vector always satisfies every condition
     total_y = count - prop_y if exclude_proportional else count
     if y_in_stratum:
@@ -532,14 +756,15 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     keeps the sup-norm box and the zero set, maps the slicing lattice at y
     onto the one at sigma y and keeps the Hessian corank, so the total,
     proportional and stratified counts and the number of points enumerated
-    are the same.  So one scan of the y-box (:func:`_base_points`) tallies
-    the orbits of primitive directions +-y under the group spanned by the
-    sign changes and signed transpositions that are symmetries of F, and
-    the x-side is enumerated once per orbit, at its leader; ``workers``
-    processes split the leaders.  ``budget`` bounds the points charged over
-    the scan and every fiber: the box rows plus, for each base point, the
-    points of its fiber, as if counted afresh, so the same inputs exceed it
-    whatever the number of workers.
+    (for a diagonal form, the charge of :func:`_diagonal_fiber`) are the
+    same.  So one scan of the y-box (:func:`_base_points`) tallies the
+    orbits of primitive directions +-y under the group spanned by the sign
+    changes and signed transpositions that are symmetries of F, and the
+    x-side is counted once per orbit, at its leader; ``workers`` processes
+    split the leaders.  ``budget`` bounds what is charged over the scan and
+    every fiber: the box rows plus, for each base point, the charge of its
+    fiber, as if counted afresh, so the same inputs exceed it whatever the
+    number of workers.
 
     Raises:
         DomainError: X < 1 or Y < 1.

@@ -30,7 +30,7 @@ import mpmath
 import numpy as np
 
 from . import __version__, sobol
-from .counting import _Budget
+from .counting import _Budget, _accumulate, _sum_blocks, _variable_components
 from .errors import DimensionMismatch, DomainError, ResourceLimit
 from .exponents import format_rational
 from .expsums import _phase_sum
@@ -225,11 +225,6 @@ def _solution_mask(polys: Sequence[Polynomial], block: np.ndarray,
     return mask
 
 
-#: Pairs of histogram entries added at once when two histograms are
-#: convolved.
-_CONVOLVE_ROWS = 1 << 16
-
-
 def _residue_count(polys: Sequence[Polynomial], nvars: int,
                    modulus: int) -> int:
     """#{x mod ``modulus`` in ``nvars`` variables: every poly vanishes}.
@@ -321,21 +316,6 @@ def _first_variable(exponents: Tuple[int, ...]) -> int:
     return next(v for v, e in enumerate(exponents) if e)
 
 
-def _variable_components(monomials: Sequence[Tuple[int, ...]],
-                         nvars: int) -> List[List[int]]:
-    """The variables of ``monomials`` grouped into connected components
-    (joined when a monomial uses both), each sorted; variables that no
-    monomial uses are left out."""
-    groups: List[set] = []
-    for exponents in monomials:
-        joined = {v for v in range(nvars) if exponents[v]}
-        for group in [g for g in groups if g & joined]:
-            joined |= group
-            groups.remove(group)
-        groups.append(joined)
-    return sorted(sorted(group) for group in groups)
-
-
 def _value_blocks(parts, nvars: int, modulus: int
                   ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """(keys, counts) per chunk of the residue grid: the key of a row is
@@ -345,57 +325,6 @@ def _value_blocks(parts, nvars: int, modulus: int
         for w, part in parts:
             key += w * residues_mod(evaluate_batch(part, block), modulus)
         yield key, np.ones_like(key)
-
-
-def _sum_blocks(left, right, weights: np.ndarray, modulus: int
-                ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(keys, counts) blocks of the histogram of u + v mod ``modulus``, u
-    from histogram ``left`` and v from ``right``; keys encode value
-    vectors with digit weights ``weights``."""
-    (left_keys, left_counts), (right_keys, right_counts) = left, right
-    right_digits = right_keys[:, None] // weights % modulus
-    step = max(1, _CONVOLVE_ROWS // right_keys.shape[0])
-    for start in range(0, left_keys.shape[0], step):
-        digits = left_keys[start:start + step, None] // weights % modulus
-        sums = (digits[:, None, :] + right_digits[None, :, :]) % modulus
-        yield ((sums @ weights).ravel(),
-               (left_counts[start:start + step, None]
-                * right_counts[None, :]).ravel())
-
-
-def _accumulate(blocks: Iterator[Tuple[np.ndarray, np.ndarray]]
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """The histogram of (keys, counts) ``blocks``: sorted distinct keys,
-    with the counts of equal keys summed.
-
-    Blocks wait until they hold more entries than the histogram so far,
-    then are merged into it: of n entries in all, each is sorted
-    O(log n) times, and at most twice the histogram plus one block is
-    held.
-    """
-    keys = counts = np.zeros(0, dtype=np.int64)
-    waiting: List[Tuple[np.ndarray, np.ndarray]] = []
-    size = 0
-    for block in blocks:
-        waiting.append(block)
-        size += block[0].shape[0]
-        if size > keys.shape[0]:
-            keys, counts = _merge_histogram([(keys, counts), *waiting])
-            waiting, size = [], 0
-    return _merge_histogram([(keys, counts), *waiting]) if waiting \
-        else (keys, counts)
-
-
-def _merge_histogram(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys of the (keys, counts) ``parts``, with the
-    counts of equal keys summed."""
-    keys = np.concatenate([k for k, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return keys[starts], np.add.reduceat(counts, starts)
 
 
 def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,

@@ -67,6 +67,44 @@ def singular_points_in_box(form, x_bound):
     return sorted(x for x in box if any(x) and not any(gradient(form, x)))
 
 
+def lattice_scan(form, y, x_bound):
+    """count_fixed_y by the scan of the slicing lattice (the full box when
+    the gradient vanishes at y), whatever the form."""
+    y = tuple(y)
+    return counting._fixed_y_piece(form, y, counting._slice_lattice(form, y),
+                                   x_bound, None, None)[0]
+
+
+def diagonal_fiber_charge(form, y, x_bound):
+    """The budget the convolution charges for the fiber of a diagonal form
+    at y, from the charge's definition: the 2X+1 grid rows of each
+    variable of F, plus |left| * |right| for each fold of a half's
+    distinct partial sums with the next variable's distinct value vectors
+    (c_j)_(j=1..d).  The variables are ordered by their multisets of value
+    vectors, all negated when that puts the sorted list of multisets
+    first, and go alternately into the two halves."""
+    d = form.degree
+    box = range(-x_bound, x_bound + 1)
+    tables = [[tuple(math.comb(d, j) * a * y[e.index(d)] ** (d - j) * x ** j
+                     for j in range(1, d + 1)) for x in box]
+              for e, a in form.coeffs.items()]
+    signed = [[sorted(tuple(sign * v for v in row) for row in table)
+               for table in tables] for sign in (1, -1)]
+    keys = min(signed, key=lambda multisets: (sorted(multisets), multisets))
+    order = sorted(range(len(tables)), key=keys.__getitem__)
+    charge = len(tables) * len(box)
+    for half in (order[0::2], order[1::2]):
+        sums = None
+        for i in half:
+            values = set(tables[i])
+            if sums is not None:
+                charge += len(sums) * len(values)
+                values = {tuple(map(sum, zip(u, v)))
+                          for u in sums for v in values}
+            sums = values
+    return charge
+
+
 def inline_pool(sizes):
     """A stand-in for ProcessPoolExecutor that records each pool size in
     ``sizes`` and runs each piece in this process."""
@@ -143,7 +181,7 @@ class TestCountFixedY:
                 assert count_fixed_y(form, y, 2) == expected
 
     def test_fallback_full_box_warns(self):
-        cusp = parse_form("x1^3", n_hint=2)
+        cusp = parse_form("x1^2*x2", n_hint=2)
         with pytest.warns(FallbackFullBox):
             count = count_fixed_y(cusp, (0, 1), 2)
         # gradient vanishes at (0, 1); solutions are the x1 = 0 slab
@@ -159,20 +197,161 @@ class TestCountFixedY:
         assert info.value.needed > 10
 
     def test_budget_holds_across_workers(self):
-        """The 11^4 = 14641 lattice points split into pieces of 7986 and
-        6655: each fits a budget of 8784, their sum does not."""
-        quadric = diagonal_quadric(5)
-        y = (1, 0, 0, 0, 0)
+        """The 11^3 = 1331 lattice points split into pieces of 726 and
+        605: each fits a budget of 800, their sum does not."""
+        y = (1, 0, 0, 0)
         for workers in (1, 2):
             with pytest.raises(ResourceLimit):
-                count_fixed_y(quadric, y, 5, workers=workers, budget=8784)
-        assert count_fixed_y(quadric, y, 5, workers=2, budget=14641) == 157
+                count_fixed_y(QUADRIC, y, 5, workers=workers, budget=800)
+        assert count_fixed_y(QUADRIC, y, 5, workers=2, budget=1331) == 231
 
     def test_workers_reduce_the_lattice_once(self, monkeypatch):
         calls = counted(monkeypatch, "reduce_basis")
         monkeypatch.setattr(counting, "ProcessPoolExecutor", inline_pool([]))
-        assert count_fixed_y(QUINTIC, Y0, 3, workers=2) == 49
+        assert count_fixed_y(QUADRIC, (1, 0, 0, 0), 3, workers=2) == 91
         assert len(calls) == 1
+
+
+@st.composite
+def diagonal_cases(draw, max_nvars=6, max_degree=5, min_degree=2):
+    """(F, y): F = sum a_i x_i^d with signed a_i, some of them 0 (the
+    variable is absent), and a nonzero y in [-2, 2]^n, off F or, half of
+    the time, moved onto it by a pair a_i t^d - a_i t^d."""
+    n = draw(st.integers(2, max_nvars))
+    d = draw(st.integers(min_degree, max_degree))
+    a = draw(st.lists(st.sampled_from([-70, -3, -2, -1, 0, 1, 1, 2, 50]),
+                      min_size=n, max_size=n).filter(any))
+    y = draw(st.lists(st.integers(-2, 2), min_size=n,
+                      max_size=n).filter(any))
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        a[i] = draw(st.sampled_from([-2, -1, 1, 3]))
+        a[j] = -a[i]
+        y = [v if not c else 0 for v, c in zip(y, a)]
+        y[i] = y[j] = draw(st.sampled_from([-2, -1, 1, 2]))
+    form = HomogeneousForm(nvars=n, degree=d, coeffs={
+        tuple(d if k == i else 0 for k in range(n)): c
+        for i, c in enumerate(a) if c})
+    return form, tuple(y)
+
+
+class TestDiagonalConvolution:
+    """Diagonal forms count their fibers by a convolution over Z; the
+    lattice scan stays the oracle."""
+
+    @given(diagonal_cases(), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lattice_scan(self, case, x_bound):
+        form, y = case
+        assert counting._is_diagonal(form)
+        assert count_fixed_y(form, y, x_bound) \
+            == lattice_scan(form, y, x_bound)
+
+    @given(diagonal_cases(min_degree=4))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_keys_match_lattice_scan(self, case):
+        """Degrees 4 and 5 at X = 3, where about a quarter of the cases
+        need keys of more than one int64 column."""
+        form, y = case
+        assert count_fixed_y(form, y, 3) == lattice_scan(form, y, 3)
+
+    @given(diagonal_cases(max_nvars=4, max_degree=4), st.integers(1, 2),
+           st.integers(1, 2))
+    @settings(max_examples=20, deadline=None)
+    def test_pair_breakdown_matches_lattice_scan(self, case, x_bound,
+                                                 y_bound):
+        form, _ = case
+        per_y = {y: lattice_scan(form, y, x_bound) - 1
+                 for y in itertools.product(range(-y_bound, y_bound + 1),
+                                            repeat=form.nvars)
+                 if any(y) and evaluate_form(form, y) == 0}
+        for workers in (1, 2):
+            with mock.patch.object(counting, "ProcessPoolExecutor",
+                                   inline_pool([])):
+                report = count_pairs(form, x_bound, y_bound, breakdown=True,
+                                     workers=workers)
+            assert report.per_y_breakdown == per_y
+            assert report.total == sum(per_y.values())
+
+    def test_process_pool_breakdown(self):
+        form = fermat_form(4, 3)
+        report = count_pairs(form, 2, 2, breakdown=True, workers=2)
+        assert report == count_pairs(form, 2, 2, breakdown=True)
+        for y, count in report.per_y_breakdown.items():
+            assert count == lattice_scan(form, y, 2) - 1
+
+    @pytest.mark.parametrize("form, y, x_bound, count", [
+        (diagonal_quadric(5), (1, 0, 0, 0, 0), 12, 817),
+        (diagonal_quadric(5), (3, 4, 0, 0, 5), 16, 7),
+        (QUINTIC, Y0, 28, 3249),
+        (fermat_form(7, 3), (1, -1, 0, 0, 0, 0, 0), 8, 72097),
+    ])
+    def test_pinned_counts_equal_the_scan(self, form, y, x_bound, count):
+        assert count_fixed_y(form, y, x_bound) == count
+        assert lattice_scan(form, y, x_bound) == count
+
+    def test_large_box(self):
+        assert count_fixed_y(diagonal_quadric(5), (1, 0, 0, 0, 0), 128) \
+            == 87985
+
+    @pytest.mark.parametrize("y", [(1, 1, 0, 0), (1, 1, 2, 2), (2, -1, 1, 0)])
+    def test_values_beyond_int64(self, y):
+        """Coefficients of 10^18 push c_j past int64: the keys are rows of
+        exact object columns."""
+        big = 10 ** 18
+        form = HomogeneousForm(nvars=4, degree=3, coeffs={
+            (3, 0, 0, 0): big, (0, 3, 0, 0): -big, (0, 0, 3, 0): 7,
+            (0, 0, 0, 3): -7})
+        assert count_fixed_y(form, y, 3) == lattice_scan(form, y, 3)
+
+    def test_counts_beyond_int64(self):
+        """x1^2 + ... + x16^2 - x17^2 - ... - x32^2 at e1 with X = 2: x1 = 0
+        and the other 31 squares cancel for ~1.9e20 points, against a
+        one-variable-at-a-time tally of the sums of a_i x_i^2."""
+        n = 32
+        a = [1] * (n // 2) + [-1] * (n // 2)
+        form = HomogeneousForm(nvars=n, degree=2, coeffs={
+            tuple(2 if k == i else 0 for k in range(n)): c
+            for i, c in enumerate(a)})
+        sums = {0: 1}
+        for c in a[1:]:
+            tally = {}
+            for s, m in sums.items():
+                for x in range(-2, 3):
+                    tally[s + c * x * x] = tally.get(s + c * x * x, 0) + m
+            sums = tally
+        assert sums[0] > 2 ** 63
+        assert count_fixed_y(form, (1,) + (0,) * (n - 1), 2) == sums[0]
+
+    def test_re_ranked_keys(self, monkeypatch):
+        """The quintic's radices at X = 28 multiply to ~2.6e28, so its keys
+        are rows of packed columns, re-ranked to match; the quadric's fit
+        one int64."""
+        calls = counted(monkeypatch, "_row_ids")
+        assert count_fixed_y(diagonal_quadric(5), (1, 0, 0, 0, 0), 12) == 817
+        assert calls == []
+        assert count_fixed_y(QUINTIC, Y0, 28) == 3249
+        assert calls
+
+    def test_no_lattice_and_one_process(self, monkeypatch):
+        calls = counted(monkeypatch, "_slice_lattice")
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", None)
+        assert count_fixed_y(QUINTIC, Y0, 3, workers=2) == 49
+        assert calls == []
+
+    def test_budget_boundary(self):
+        """The charge is the grid rows plus the histogram entries formed,
+        whatever the number of workers."""
+        quadric, y = diagonal_quadric(5), (1, 0, 0, 0, 0)
+        needed = diagonal_fiber_charge(quadric, y, 5)
+        assert needed == 553
+        for workers in (1, 2):
+            with pytest.raises(ResourceLimit) as info:
+                count_fixed_y(quadric, y, 5, workers=workers,
+                              budget=needed - 1)
+            assert "histogram entries" in str(info.value)
+            assert count_fixed_y(quadric, y, 5, workers=workers,
+                                 budget=needed) == 157
 
 
 def _pencil_tail(form, x, y):
@@ -282,9 +461,10 @@ class TestCountPairs:
         assert sizes == [5]  # one process per orbit leader, 5 of them
         assert report == count_pairs(QUADRIC, 1, 1, breakdown=True)
         sizes.clear()
-        assert count_fixed_y(QUINTIC, Y0, 2, workers=64) \
-            == count_fixed_y(QUINTIC, Y0, 2)
-        radius = box_profile(slicing_lattice(QUINTIC, Y0), 2).int_bounds[0]
+        y = (1, 2, 3, 0)
+        assert count_fixed_y(QUADRIC, y, 2, workers=64) \
+            == count_fixed_y(QUADRIC, y, 2)
+        radius = box_profile(slicing_lattice(QUADRIC, y), 2).int_bounds[0]
         assert sizes == [2 * radius + 1]
 
     def test_budget_exhaustion(self):
@@ -472,13 +652,18 @@ class TestOrbitReuse:
                            workers=2) == solo
 
     @pytest.mark.parametrize("form, needed", [
-        (diagonal_quadric(5), 93559),
-        (parse_form("x1^3 - x2^3 + x3^3 + x4^3", n_hint=4), 10423),
+        (diagonal_quadric(5), 56647),
+        (parse_form("x1^3 - x2^3 + x3^3 + x4^3", n_hint=4), 11221),
     ])
     def test_budget_boundary(self, form, needed):
         """Reused fibers are charged as if counted again: the scan at
-        (X, Y) = (2, 3) needs exactly ``needed`` points, as when every
-        base point was counted afresh."""
+        (X, Y) = (2, 3) needs exactly ``needed``, the 7^n rows of the
+        y-box plus the convolution charge of every base point's fiber, as
+        when every base point was counted afresh."""
+        assert needed == 7 ** form.nvars + sum(
+            diagonal_fiber_charge(form, y, 2)
+            for y in itertools.product(range(-3, 4), repeat=form.nvars)
+            if any(y) and evaluate_form(form, y) == 0)
         assert per_base_point_oracle(form, 2, 3, False, None)[1] == needed
         with pytest.raises(ResourceLimit):
             count_pairs(form, 2, 3, budget=needed - 1)

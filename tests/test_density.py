@@ -569,7 +569,7 @@ class TestResidueCount:
             == scan_count(polys, 2, 257) == 1
 
     def test_components(self):
-        from linecount.density import _variable_components
+        from linecount.counting import _variable_components
         monomials = [(1, 1, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0),
                      (0, 1, 0, 1, 0, 0), (0, 0, 0, 0, 0, 3)]
         assert _variable_components(monomials, 6) == [[0, 1, 3], [2], [5]]
