@@ -2,13 +2,15 @@
 
 Counts are always exact integers.  For a diagonal form (every monomial a
 pure power) the x-side is one convolution over Z of per-variable value
-histograms of the slice system; for other forms it runs over the slicing
-lattice of the base point (or the full box in the degenerate-gradient
-fallback) and applies the integer slice conditions.  The y-side scans the
-coefficient box for zeros of the form.  Vectorised (numpy) evaluation is
-used for throughput, with exact object arithmetic as the overflow
-fallback, so no float ever decides a count.  The histogram routines here
-are shared with the residue counts of ``density``.
+histograms of the slice system, save at the base points inside the
+stratum of a stratified pair count; for other forms it runs over the
+slicing lattice of the base point (or the full box in the
+degenerate-gradient fallback) and applies the integer slice conditions.
+The y-side scans the coefficient box for zeros of the form.  Vectorised
+(numpy) evaluation is used for throughput, with exact object arithmetic
+as the overflow fallback, so no float ever decides a count.  The
+convolution counter counts over a box in Z and over the residues mod m
+alike, and the residue counts of ``density`` call it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
 )
 from .forms import (
     HomogeneousForm,
+    Polynomial,
     echelon,
     evaluate_batch,
     evaluate_form,
@@ -37,6 +40,7 @@ from .forms import (
     hessian,
     integer_slice_form,
     nonzero_slices,
+    residues_mod,
 )
 from .lattice import (
     IntegerLattice,
@@ -149,7 +153,7 @@ class _Budget:
 
 
 # ---------------------------------------------------------------------------
-# Value histograms, over Z and over Z/m
+# Convolution counts, over Z and over Z/m
 # ---------------------------------------------------------------------------
 
 def _variable_components(monomials: Sequence[Tuple[int, ...]],
@@ -167,30 +171,201 @@ def _variable_components(monomials: Sequence[Tuple[int, ...]],
     return sorted(sorted(group) for group in groups)
 
 
-def _sum_blocks(left, right, weights: Optional[np.ndarray] = None,
-                modulus: Optional[int] = None
-                ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(keys, counts) blocks of the histogram of u + v, u from histogram
-    ``left`` and v from ``right``.
+def _convolution_count(polys: Sequence, nvars: int, low: int, high: int,
+                       modulus: Optional[int], meter: _Budget) -> int:
+    """#{x in [low, high]^nvars : every poly of ``polys`` vanishes}, over Z
+    when ``modulus`` is None and mod ``modulus`` otherwise.
 
-    Over Z (``modulus`` None) keys add as they are: one additive int64 per
-    value vector, or a row of value columns.  Mod ``modulus`` a key encodes
-    a value vector in digits of weights ``weights``, added digit by digit.
+    Monomials whose coefficient is 0 (mod ``modulus``) drop out, and a
+    poly left constant vanishes everywhere or nowhere.  The variables fall
+    into components, joined when a monomial uses both; a variable in none
+    is free, a factor high - low + 1.  A poly is its constant c plus the
+    sum of its values on the components, so the count convolves the
+    components' histograms of value vectors.  The components go into two
+    halves of balanced grid size; the smaller half is folded into the
+    histogram B of its partial sums, and the sums k of the larger half's
+    last fold (or the grid rows of its only component) are streamed in
+    blocks, never accumulated, each counting B at -(c + k).
+
+    Keys are exact.  Mod m a poly is a digit of radix m; over Z its radix
+    is 2 M + 1, where M = (sum |coefficient|) max(|low|, |high|)^degree +
+    |c| bounds every partial sum.  The polys are packed, the first most
+    significant, into one int64 column per run of radices whose product is
+    below 2^62 (a poly of larger radix keeps its exact values).  Over Z
+    keys add as the values do and sort as the value vectors do; mod m they
+    add digit by digit.  A key of several columns is a row, matched by
+    :func:`_row_ids`.
+
+    Charges the meter the grid rows of every component before evaluating
+    them, and |left| * |right| entries before each fold forms them.  Over
+    Z the components go alternately into the halves in the order of their
+    multisets of value vectors, all taken with the one sign (+ or -) whose
+    sorted list of multisets comes first, so a signed permutation of the
+    variables that maps the value vectors onto themselves up to one sign
+    keeps the charge.  Mod m the larger components go first.
     """
-    def digits(keys: np.ndarray) -> np.ndarray:
-        return keys if modulus is None else keys[:, None] // weights % modulus
+    origin = (0,) * nvars
+    kept: List = []
+    constants: List[int] = []
+    for poly in polys:
+        if not poly.compiled.integral:
+            raise ValueError("the counts need integer coefficients")
+        coeffs = {e: c % modulus if modulus else c
+                  for e, c in poly.coeffs.items()}
+        constant = int(coeffs.pop(origin, 0))
+        coeffs = {e: c for e, c in coeffs.items() if c}
+        if not coeffs:
+            if constant:
+                return 0
+            continue
+        if coeffs != poly.coeffs:  # else keep the poly and its compiled form
+            poly = Polynomial(nvars=nvars, coeffs=coeffs)
+        kept.append(poly)
+        constants.append(constant)
+    side = high - low + 1
+    groups = _variable_components([e for poly in kept for e in poly.coeffs],
+                                  nvars)
+    free = side ** (nvars - sum(map(len, groups)))
+    if not groups:
+        return free
 
+    bound = max(abs(low), abs(high))
+    layout: List[List[Tuple[int, int]]] = []  # per column, (poly, weight)
+    product = 2 ** 62
+    for j, (poly, constant) in enumerate(zip(kept, constants)):
+        radix = modulus or 2 * (poly.compiled.weight
+                                * bound ** poly.compiled.degree
+                                + abs(constant)) + 1
+        if product * radix >= 2 ** 62:
+            layout.append([])
+            product = 1
+        layout[-1] = [(k, w * radix) for k, w in layout[-1]] + [(j, 1)]
+        product *= radix
+
+    def pack(values: List[np.ndarray]) -> np.ndarray:
+        """The keys of the value vectors ``values``, one array per poly."""
+        if modulus is not None:
+            values = [residues_mod(v, modulus) for v in values]
+        keys = [sum(values[j] * w for j, w in column) for column in layout]
+        return keys[0] if len(keys) == 1 else np.stack(keys, axis=-1)
+
+    def digits(keys: np.ndarray) -> List[np.ndarray]:
+        columns = [keys] if len(layout) == 1 else np.moveaxis(keys, -1, 0)
+        return [column // w % modulus
+                for column, members in zip(columns, layout)
+                for _, w in members]
+
+    if modulus is None:
+        add, negate = np.add, np.negative
+    else:
+        def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return pack([u + v for u, v in zip(digits(a), digits(b))])
+
+        def negate(keys: np.ndarray) -> np.ndarray:
+            return pack([-u for u in digits(keys)])
+
+    # counts up to the whole grid of the components, which int64 may not hold
+    count_type = (np.int64 if side ** sum(map(len, groups)) < 2 ** 63
+                  else object)
+
+    def grid(i: int, rows: Optional[int]) -> Iterator[np.ndarray]:
+        """The grid of component i, the other variables 0, in blocks of
+        ``rows`` rows (all of it when None)."""
+        group = groups[i]
+        for block in grid_chunks([low] * len(group), [high] * len(group),
+                                 rows):
+            points = block
+            if len(group) < nvars:
+                points = np.zeros((block.shape[0], nvars), dtype=np.int64)
+                points[:, group] = block
+            yield points
+
+    def keyed(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return (pack([evaluate_batch(poly, points) for poly in kept]),
+                np.ones(points.shape[0], dtype=count_type))
+
+    histograms: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def form(members: List[int]) -> None:
+        """Form the histograms of ``members``, their grids evaluated in one
+        block: over Z one variable each; mod m each grid is at most the
+        square root of the whole, a larger one being streamed."""
+        members = [i for i in members if i not in histograms]
+        if members:
+            blocks = [next(grid(i, None)) for i in members]
+            cuts = np.cumsum([block.shape[0] for block in blocks])[:-1]
+            keys, counts = keyed(np.concatenate(blocks))
+            for i, part in zip(members, zip(np.split(keys, cuts),
+                                            np.split(counts, cuts))):
+                histograms[i] = _merge_histogram([part])
+
+    def fold(half: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """The histogram of the partial sums of the components ``half``."""
+        if not half:
+            return (pack([np.zeros(1, dtype=np.int64)] * len(kept)),
+                    np.ones(1, dtype=count_type))
+        folded = histograms[half[0]]
+        for i in half[1:]:
+            meter.charge(folded[0].shape[0] * histograms[i][0].shape[0])
+            folded = _accumulate(_sum_blocks(folded, histograms[i], add))
+        return folded
+
+    meter.charge(sum(side ** len(group) for group in groups))
+    if modulus is None:
+        form(list(range(len(groups))))
+        # a sorted histogram lists its multiset of value vectors in order,
+        # and negation reverses it
+        tables = [np.repeat(keys, counts.astype(np.int64), axis=0)
+                  for keys, counts in map(histograms.get, range(len(groups)))]
+        signed = [[(sign * table[::sign]).tolist() for table in tables]
+                  for sign in (1, -1)]
+        multisets = min(signed, key=lambda lists: (sorted(lists), lists))
+        order = sorted(range(len(groups)), key=multisets.__getitem__)
+    else:
+        order = sorted(range(len(groups)), key=lambda i: -len(groups[i]))
+    halves: Tuple[List[int], List[int]] = ([], [])
+
+    def width(half: List[int]) -> int:
+        return sum(len(groups[i]) for i in half)
+
+    for i in order:
+        min(halves, key=width).append(i)
+    (*front, last), other = sorted(halves, key=width, reverse=True)
+    form(front + other + ([last] if front else []))
+    if front:
+        head = fold(front)
+        meter.charge(head[0].shape[0] * histograms[last][0].shape[0])
+        blocks = _sum_blocks(head, histograms[last], add)
+    else:
+        blocks = ([histograms[last]] if last in histograms
+                  else map(keyed, grid(last, _CHUNK_ROWS)))
+    lookup, weights = fold(other)
+    if any(constants):
+        lookup = add(lookup, pack([np.array([c]) for c in constants]))
+    lookup, weights = _merge_histogram([(negate(lookup), weights)])
+    total = 0
+    for keys, counts in blocks:
+        ids = lookup
+        if keys.ndim > 1:
+            ids = _row_ids(np.concatenate([lookup, keys]))
+            ids, keys = ids[:lookup.shape[0]], ids[lookup.shape[0]:]
+        at = np.minimum(np.searchsorted(ids, keys), ids.shape[0] - 1)
+        hit = ids[at] == keys
+        total += int(np.dot(counts[hit], weights[at[hit]]))
+    return free * total
+
+
+def _sum_blocks(left, right, add) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(keys, counts) blocks of the histogram of u + v, u from histogram
+    ``left`` and v from ``right``, the keys added by ``add`` (a key is an
+    int64 or a row of value columns)."""
     (left_keys, left_counts), (right_keys, right_counts) = left, right
-    right_digits = digits(right_keys)
     step = max(1, _CONVOLVE_ROWS // right_keys.shape[0])
     for start in range(0, left_keys.shape[0], step):
-        sums = digits(left_keys[start:start + step])[:, None] + right_digits
-        if modulus is None:
-            keys = sums.reshape(-1, *left_keys.shape[1:])
-        else:
-            keys = (sums % modulus @ weights).ravel()
-        yield keys, (left_counts[start:start + step, None]
-                     * right_counts[None, :]).ravel()
+        keys = add(left_keys[start:start + step, None], right_keys[None])
+        yield (keys.reshape(-1, *left_keys.shape[1:]),
+               (left_counts[start:start + step, None]
+                * right_counts[None, :]).ravel())
 
 
 def _accumulate(blocks: Iterator[Tuple[np.ndarray, np.ndarray]]
@@ -220,8 +395,8 @@ def _accumulate(blocks: Iterator[Tuple[np.ndarray, np.ndarray]]
 def _merge_histogram(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct keys of the (keys, counts) ``parts``, with the counts of
-    equal keys summed.  A key is an int64, and the keys come out sorted,
-    or a row of value columns (see :func:`_row_ids`)."""
+    equal keys summed.  A key is an int64, or a row of value columns (see
+    :func:`_row_ids`); the keys come out sorted, rows lexicographically."""
     keys = np.concatenate([k for k, _ in parts])
     counts = np.concatenate([c for _, c in parts])
     ids = keys if keys.ndim == 1 else _row_ids(keys)
@@ -233,8 +408,9 @@ def _merge_histogram(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
 
 def _row_ids(rows: np.ndarray) -> np.ndarray:
     """One int64 per row of the 2-D ``rows``, equal exactly when the rows
-    are: the columns are re-ranked into it one at a time, so the id stays
-    below the number of rows whatever the size of the values."""
+    are and ordered as they are, lexicographically: the columns are
+    re-ranked into it one at a time, so the id stays below the number of
+    rows whatever the size of the values."""
     ids = np.zeros(rows.shape[0], dtype=np.int64)
     for column in rows.T:
         _, ranks = np.unique(column, return_inverse=True)
@@ -291,104 +467,14 @@ def _is_diagonal(form: HomogeneousForm) -> bool:
 def _diagonal_fiber(form: HomogeneousForm, y: IntVector, x_bound: int,
                     meter: _Budget) -> int:
     """#{x in [-X, X]^n : c_1(x, y) = ... = c_d(x, y) = 0} for a diagonal
-    F, by one convolution of value histograms over Z.
-
-    The slices c_j(x, y) = binom(d, j) sum_i a_i y_i^(d-j) x_i^j split into
-    variable components, one variable each; a variable in none of them is
-    free and contributes a factor 2X+1.  Each component's grid is
-    evaluated into a table of its value vectors (c_j)_j.  The components
-    go into two halves of balanced grid size, each half is folded into the
-    histogram A or B of its partial sums, and the count is the sum of
-    A(k) B(-k) over the keys k.
-
-    A key is exact.  M_j = (sum of |coefficients of c_j|) X^j bounds |c_j|
-    on the box and on every partial sum, so with radix R_j = 2 M_j + 1 the
-    balanced mixed-radix sum_j c_j prod_(l<j) R_l is one int64 when
-    prod_j R_j < 2^62, and the key of a sum is the sum of the keys.
-    Otherwise the c_j are cut into runs whose radices multiply to less than
-    2^62, each run packed so into one column, and a key is the row of
-    those columns, matched by :func:`_row_ids`.
-
-    Charges the meter the grid rows of every component before evaluating
-    them, and |left| * |right| entries before each fold forms them.  The
-    components are folded in the order of :func:`_fold_order`, so a signed
-    permutation sigma with F o sigma = +-F, which maps the tables at y onto
-    those at sigma y up to one sign, leaves the charge unchanged.
-    """
-    slices = [s for s in (integer_slice_form(form, y, j)
-                          for j in range(1, form.degree + 1))
-              if not s.is_zero]
-    n = form.nvars
-    groups = _variable_components([e for s in slices for e in s.coeffs], n)
-    side = 2 * x_bound + 1
-    digits: List[List[int]] = []  # per key column, the weight of each c_j
-    product = 2 ** 62
-    for j, sliced in enumerate(slices):
-        radix = 2 * sliced.compiled.weight * x_bound ** sliced.degree + 1
-        if product * radix >= 2 ** 62:
-            digits.append([0] * len(slices))
-            product = 1
-        digits[-1][j] = product
-        product *= radix
-    weights = np.array(digits, dtype=np.int64).T
-    if weights.shape[1] == 1:
-        weights = weights[:, 0]
-    # counts up to the whole grid of the components, which int64 may not hold
-    count_type = (np.int64 if side ** sum(map(len, groups)) < 2 ** 63
-                  else object)
-
-    meter.charge(sum(side ** len(group) for group in groups))
-    tables = []
-    for group in groups:
-        points = np.zeros((side ** len(group), n), dtype=np.int64)
-        points[:, group] = next(grid_chunks([-x_bound] * len(group),
-                                            [x_bound] * len(group)))
-        tables.append(np.stack([evaluate_batch(s, points) for s in slices],
-                               axis=1))
-
-    def histogram(i: int) -> Tuple[np.ndarray, np.ndarray]:
-        return _merge_histogram([(tables[i] @ weights, np.ones(
-            tables[i].shape[0], dtype=count_type))])
-
-    def fold(half: List[int]) -> Tuple[np.ndarray, np.ndarray]:
-        if not half:
-            return (np.zeros((1, *weights.shape[1:]), dtype=np.int64),
-                    np.ones(1, dtype=count_type))
-        folded = histogram(half[0])
-        for i in half[1:]:
-            values = histogram(i)
-            meter.charge(folded[0].shape[0] * values[0].shape[0])
-            folded = _accumulate(_sum_blocks(folded, values))
-        return folded
-
-    # every component is one variable, so equal halves have equal grids
-    halves: Tuple[List[int], ...] = ([], [])
-    for i in _fold_order(tables):
-        min(halves, key=len).append(i)
-    (left_keys, left_counts), (right_keys, right_counts) = map(fold, halves)
-    right_keys = -right_keys
-    if weights.ndim > 1:
-        ids = _row_ids(np.concatenate([left_keys, right_keys]))
-        left_keys, right_keys = ids[:len(left_keys)], ids[len(left_keys):]
-    order = np.argsort(right_keys)
-    right_keys, right_counts = right_keys[order], right_counts[order]
-    at = np.minimum(np.searchsorted(right_keys, left_keys),
-                    right_keys.shape[0] - 1)
-    hit = right_keys[at] == left_keys
-    matched = int(np.dot(left_counts[hit], right_counts[at[hit]]))
-    return matched * side ** (n - sum(map(len, groups)))
-
-
-def _fold_order(tables: Sequence[np.ndarray]) -> List[int]:
-    """Indices of the value ``tables`` sorted by the multisets of their
-    rows, all taken with the one sign (+ or -) whose sorted list of
-    multisets comes first.  Equal multisets are then equal tables up to
-    row order, so the order depends on the multisets alone, up to one
-    common sign."""
-    signed = [[sorted(map(tuple, (sign * table).tolist()))
-               for table in tables] for sign in (1, -1)]
-    keys = min(signed, key=lambda multisets: (sorted(multisets), multisets))
-    return sorted(range(len(tables)), key=keys.__getitem__)
+    F, by :func:`_convolution_count` over Z: the slices c_j(x, y) =
+    binom(d, j) sum_i a_i y_i^(d-j) x_i^j split into one component per
+    variable of F, and a signed permutation sigma with F o sigma = +-F,
+    which maps the value vectors at y onto those at sigma y up to one
+    sign, keeps the charge."""
+    return _convolution_count(
+        [integer_slice_form(form, y, j) for j in range(1, form.degree + 1)],
+        form.nvars, -x_bound, x_bound, None, meter)
 
 
 def _slice_lattice(form: HomogeneousForm,
@@ -690,16 +776,21 @@ def _pairs_at_base_point(form: HomogeneousForm, y: Tuple[int, ...],
                          x_bound: int, exclude_proportional: bool,
                          stratum_rho: Optional[int],
                          meter: _Budget) -> Tuple[int, int, int]:
-    """Pair counts contributed by one base point on the hypersurface.
+    """(total, proportional, stratified) pair counts contributed by one
+    base point y on the hypersurface.
 
-    Without a stratum, a diagonal form's fiber is :func:`_diagonal_fiber`.
+    The stratified count needs the Hessian corank of every x of the fiber
+    only when y itself is in the stratum (corank >= ``stratum_rho``), and
+    is 0 otherwise.  So a diagonal form's fiber is :func:`_diagonal_fiber`
+    unless y is in the stratum; then, as for every other form, the slicing
+    lattice is scanned.
     """
     prop_y = _proportional_count(y, x_bound)
     y_in_stratum = (stratum_rho is not None
                     and hessian_corank(form, y) >= stratum_rho)
     count = 0
     strat_count = 0
-    if stratum_rho is None and _is_diagonal(form):
+    if not y_in_stratum and _is_diagonal(form):
         count = _diagonal_fiber(form, y, x_bound, meter)
     else:
         for chunk, mask in _hits(form, y, _slice_lattice(form, y), x_bound,

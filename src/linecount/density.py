@@ -30,7 +30,7 @@ import mpmath
 import numpy as np
 
 from . import __version__, sobol
-from .counting import _Budget, _accumulate, _sum_blocks, _variable_components
+from .counting import _Budget, _convolution_count, _variable_components
 from .errors import DimensionMismatch, DomainError, ResourceLimit
 from .exponents import format_rational
 from .expsums import _phase_sum
@@ -227,104 +227,11 @@ def _solution_mask(polys: Sequence[Polynomial], block: np.ndarray,
 
 def _residue_count(polys: Sequence[Polynomial], nvars: int,
                    modulus: int) -> int:
-    """#{x mod ``modulus`` in ``nvars`` variables: every poly vanishes}.
-
-    Monomials with coefficient = 0 mod ``modulus`` are dropped, and the
-    variables fall into connected components: two variables are joined
-    when a remaining monomial uses both.  A variable in no monomial
-    contributes a factor ``modulus``.  Each component but the largest is
-    scanned on its own residue grid into a histogram of its value vectors
-    mod ``modulus`` (over the polys those components touch), the
-    histograms are convolved, and the largest component is scanned row by
-    row, each row counting the histogram entry that cancels its values and
-    the constant terms.  With one component this is the scan of the whole
-    grid.  Charges nothing; callers charge the full grid.
-    """
-    terms: List[Dict[Tuple[int, ...], int]] = []
-    constants: List[int] = []
-    origin = (0,) * nvars
-    for poly in polys:
-        if not poly.compiled.integral:
-            raise ValueError("residue counts need integer coefficients")
-        reduced = {e: int(c) % modulus for e, c in poly.coeffs.items()
-                   if int(c) % modulus}
-        constant = reduced.pop(origin, 0)
-        if reduced:
-            terms.append(reduced)
-            constants.append(constant)
-        elif constant:
-            return 0
-    groups = _variable_components([e for t in terms for e in t], nvars)
-    free = nvars - sum(len(g) for g in groups)
-    if not groups:
-        return modulus ** nvars
-    groups.sort(key=len, reverse=True)
-    # polys touched by a component other than the largest: their values
-    # are looked up in the histogram, the others must vanish on the largest
-    owner = {v: k for k, group in enumerate(groups) for v in group}
-    touched = sorted({i for i, t in enumerate(terms)
-                      for e in t if owner[_first_variable(e)] > 0})
-    if modulus ** len(touched) >= 2 ** 62:
-        # value vectors would not fit an int64 key: scan all together
-        groups = [sorted(v for group in groups for v in group)]
-        owner = dict.fromkeys(groups[0], 0)
-        touched = []
-    weights = np.array([modulus ** k for k in range(len(touched))],
-                       dtype=np.int64)
-
-    def restricted(i: int, k: int, constant: int = 0) -> Polynomial:
-        """Poly i restricted to component k, in its own variables."""
-        group = groups[k]
-        coeffs = {tuple(e[v] for v in group): c
-                  for e, c in terms[i].items()
-                  if owner[_first_variable(e)] == k}
-        if constant:
-            coeffs[(0,) * len(group)] = constant
-        return Polynomial(nvars=len(group), coeffs=coeffs)
-
-    # keys encode value vectors in base modulus, one digit per touched poly
-    histogram = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
-    for k in range(1, len(groups)):
-        parts = [(w, restricted(i, k)) for w, i in zip(weights, touched)]
-        parts = [(w, part) for w, part in parts if not part.is_zero]
-        values = _accumulate(_value_blocks(parts, len(groups[k]), modulus))
-        histogram = _accumulate(_sum_blocks(histogram, values, weights,
-                                            modulus))
-
-    largest = len(groups[0])
-    looked_up = [(w, restricted(i, 0, constants[i]))
-                 for w, i in zip(weights, touched)]
-    vanishing = [restricted(i, 0, constants[i]) for i in range(len(terms))
-                 if i not in touched]
-    keys, counts = histogram
-    total = 0
-    for block in _residue_grid(largest, modulus):
-        rows = block[_solution_mask(vanishing, block, modulus)]
-        if not looked_up:
-            total += rows.shape[0]
-            continue
-        target = np.zeros(rows.shape[0], dtype=np.int64)
-        for w, part in looked_up:
-            target += w * (-residues_mod(evaluate_batch(part, rows),
-                                         modulus) % modulus)
-        at = np.minimum(np.searchsorted(keys, target), keys.shape[0] - 1)
-        total += int(counts[at][keys[at] == target].sum())
-    return total * modulus ** free
-
-
-def _first_variable(exponents: Tuple[int, ...]) -> int:
-    return next(v for v, e in enumerate(exponents) if e)
-
-
-def _value_blocks(parts, nvars: int, modulus: int
-                  ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(keys, counts) per chunk of the residue grid: the key of a row is
-    sum w * (part value mod ``modulus``) over the (w, part) in ``parts``."""
-    for block in _residue_grid(nvars, modulus):
-        key = np.zeros(block.shape[0], dtype=np.int64)
-        for w, part in parts:
-            key += w * residues_mod(evaluate_batch(part, block), modulus)
-        yield key, np.ones_like(key)
+    """#{x mod ``modulus`` in ``nvars`` variables: every poly vanishes}, by
+    the convolution of :func:`counting._convolution_count` on the residue
+    grid.  Charges nothing; callers charge the full grid."""
+    return _convolution_count(polys, nvars, 0, modulus - 1, modulus,
+                              _Budget(None))
 
 
 def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
@@ -336,14 +243,14 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
     Counts directly when p^(H * nvars) fits the budget, and charges those
     p^(H * nvars) residues whatever the count visits: the variables split
     into components joined by shared monomials (coefficients = 0 mod p^H
-    dropped), each component but the largest is scanned on its own grid
-    into a histogram of its values, and only the largest is scanned in
-    full (:func:`_residue_count`).  So a diagonal system costs a few
-    one-variable scans.  Otherwise solutions mod p are classified by the
-    rank of the Jacobian: points where it reaches the number of
-    (non-trivial) equations lift to exactly p^((H-1)(nvars - rank))
-    solutions mod p^H, and the remaining singular fibers are enumerated
-    exhaustively.
+    dropped), and the count is a convolution of the components' value
+    histograms mod p^H (:func:`_residue_count`), one half of them folded
+    into a histogram and the other streamed against it.  So a diagonal
+    system costs a few one-variable scans.  Otherwise solutions mod p are
+    classified by the rank of the Jacobian: points where it reaches the
+    number of (non-trivial) equations lift to exactly
+    p^((H-1)(nvars - rank)) solutions mod p^H, and the remaining singular
+    fibers are enumerated exhaustively.
 
     Raises:
         ResourceLimit: the scan or a singular fiber exceeds the budget.
@@ -467,11 +374,12 @@ def singular_series_truncated(form: HomogeneousForm, y: Sequence[int],
         A_y(q) = sum_{e | q, e squarefree} mu(e) e^s (q/e)^{d-1} N(q/e),
 
     where N(m) counts lattice residues mod m on which every slice value
-    vanishes.  N(1) and N(p^k) come from exact residue counts by
-    variable-disjoint components (see :func:`count_congruence_solutions`)
-    or from Hensel lifting; every other N(m) is, by the Chinese remainder
-    theorem, the product of N(p^k) over the prime powers exactly dividing
-    m.  So the result is an exact rational.  Every modulus m still charges
+    vanishes.  N(1) and N(p^k) come from exact residue counts, one
+    convolution of the value histograms of the variable-disjoint components
+    (see :func:`count_congruence_solutions`), or from Hensel lifting; every
+    other N(m) is, by the Chinese remainder theorem, the product of N(p^k)
+    over the prime powers exactly dividing m.  So the result is an exact
+    rational.  Every modulus m still charges
     the m^s residues a scan would visit to ``budget``, so the budget fails
     on the same windows as a scan of every modulus.
 
@@ -871,14 +779,14 @@ def chi_global_padic(form: HomogeneousForm, p: int, H: int = 1, *,
     normalises by p^(H (d + 1 - 2n)) (d + 1 equations in 2n variables —
     a convention recorded with every prediction that uses it).
 
-    A pencil whose variables split into at least two components (joined
-    by shared monomials; for a diagonal form the pairs (x_i, y_i)) is
-    counted component by component, whatever the degree, as in
-    :func:`count_congruence_solutions`.  A quadric pencil that does not
-    split goes through the pairing path: the outer coefficients select the
-    residue solutions of F on each side, and the middle coefficient is a
-    bilinear pairing counted with blocked integer matrix products.  The
-    charges do not depend on the path: p^(2nH) pairs for d != 2, and for
+    The pencil is counted by one convolution of the value histograms of
+    its variable components mod p^H (joined by shared monomials; for a
+    diagonal form the pairs (x_i, y_i)), as in
+    :func:`count_congruence_solutions`, unless it is a quadric pencil that
+    does not split.  That one goes through the pairing path: the outer
+    coefficients select the residue solutions of F on each side, and the
+    middle coefficient is a bilinear pairing counted with blocked integer
+    matrix products.  The charges do not depend on the path: p^(2nH) pairs for d != 2, and for
     quadrics the p^(nH) residues of F plus the square of its number of
     solutions.
 

@@ -535,6 +535,27 @@ class TestDirectionReuse:
         assert report.total == 0
         assert report.stratified == 0
 
+    def test_stratum_charge_outside_the_stratum(self, monkeypatch):
+        """quadric-5 has no base point of Hessian corank >= 1, so with
+        stratum_rho = 1 every fiber is the convolution and no lattice is
+        scanned: the charge is the 5^5 rows of the y-box plus the
+        convolution charge of every base point's fiber."""
+        form = diagonal_quadric(5)
+        base_points = [y for y in itertools.product(range(-2, 3), repeat=5)
+                       if any(y) and evaluate_form(form, y) == 0]
+        assert all(hessian_corank(form, y) == 0 for y in base_points)
+        needed = 5 ** 5 + sum(diagonal_fiber_charge(form, y, 2)
+                              for y in base_points)
+        assert needed == 12565
+        calls = counted(monkeypatch, "_slice_lattice")
+        with pytest.raises(ResourceLimit):
+            count_pairs(form, 2, 2, stratum_rho=1, exclude_proportional=True,
+                        budget=needed - 1)
+        report = count_pairs(form, 2, 2, stratum_rho=1,
+                             exclude_proportional=True, budget=needed)
+        assert (report.total, report.stratified) == (0, 0)
+        assert calls == []
+
 
 def signed_relabel(form, perm, signs):
     """F o S for the signed permutation (S x)_i = signs[i] * x[perm[i]],

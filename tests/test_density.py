@@ -9,12 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 from sympy import divisors, factorint, mobius
 
-from linecount import density, sobol
+from linecount import counting, density, sobol
 from linecount.density import (
     DensityEstimate,
     EulerCache,
@@ -58,6 +58,7 @@ from linecount.forms import (
     residues_mod,
 )
 from linecount.lattice import slicing_lattice
+from test_counting import counted
 
 QUINTIC = fermat_quintic()
 YQ = QUINTIC_BASE_POINT
@@ -522,6 +523,12 @@ def partitioned_systems(draw):
     return polys, nvars, modulus
 
 
+#: One component, with a constant term.
+ONE_COMPONENT = [{(3, 0, 0, 0): 1, (0, 3, 0, 0): 2, (1, 0, 1, 0): 1,
+                  (0, 0, 2, 0): -1, (0, 0, 0, 0): 5},
+                 {(1, 1, 0, 0): 1, (0, 0, 1, 1): 3}]
+
+
 class TestResidueCount:
     """The component count against the scan of the whole grid."""
 
@@ -535,10 +542,7 @@ class TestResidueCount:
 
     @pytest.mark.parametrize("modulus", [2, 3, 4, 5, 6, 7, 8, 9, 11])
     @pytest.mark.parametrize("system", [
-        # one component, with a constant term
-        [{(3, 0, 0, 0): 1, (0, 3, 0, 0): 2, (1, 0, 1, 0): 1,
-          (0, 0, 2, 0): -1, (0, 0, 0, 0): 5},
-         {(1, 1, 0, 0): 1, (0, 0, 1, 1): 3}],
+        ONE_COMPONENT,
         # four singletons
         [{(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1,
           (0, 0, 0, 2): -1},
@@ -558,15 +562,51 @@ class TestResidueCount:
         assert _residue_count(polys, 4, modulus) \
             == scan_count(polys, 4, modulus)
 
-    def test_value_vectors_too_wide_for_a_key(self):
-        """Nine polys mod 257 would need digit weights up to 257^8 > 2^63,
-        so the two singletons are scanned together."""
+    def test_value_vectors_too_wide_for_a_key(self, monkeypatch):
+        """Nine polys mod 257 would need digit weights up to 257^8 > 2^62,
+        so a key is a row of two int64 columns, matched by re-ranking."""
         from linecount.density import _residue_count
+        calls = counted(monkeypatch, "_row_ids")
         polys = [Polynomial(nvars=2, coeffs={(k, 0): Fraction(1),
                                              (0, k): Fraction(k)})
                  for k in range(1, 10)]
         assert _residue_count(polys, 2, 257) \
             == scan_count(polys, 2, 257) == 1
+        assert calls and all(rows.shape[1] == 2 for rows, in calls)
+
+    @pytest.mark.parametrize("modulus", [7, 49])
+    def test_one_component_streams(self, monkeypatch, modulus):
+        """A system of one component is never accumulated: its grid rows
+        are looked up, block by block, in the one-entry histogram at minus
+        the constant terms."""
+        from linecount.density import _residue_count
+        accumulated = counted(monkeypatch, "_accumulate")
+        merged = counted(monkeypatch, "_merge_histogram")
+        polys = [Polynomial(nvars=4, coeffs={e: Fraction(c)
+                                             for e, c in terms.items()})
+                 for terms in ONE_COMPONENT]
+        assert _residue_count(polys, 4, modulus) \
+            == scan_count(polys, 4, modulus)
+        assert accumulated == []
+        assert [sum(len(keys) for keys, _ in parts)
+                for parts, in merged] == [1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(partitioned_systems(), st.integers(-2, 0), st.integers(0, 2))
+    @example(([Polynomial(nvars=1, coeffs={(1,): Fraction(1),
+                                           (0,): Fraction(c)})
+               for c in (1, -1)], 1, 2), 0, 0)
+    def test_integer_box_matches_scan(self, system, low, high):
+        """The same counter over Z, on a box [low, high]^n.  The example
+        has values 1 and -1 at the one point 0, so the radices must leave
+        room for the constant terms."""
+        polys, nvars, _ = system
+        assume((high - low + 1) ** nvars <= 4096)
+        want = sum(1 for x in itertools.product(range(low, high + 1),
+                                                repeat=nvars)
+                   if all(poly(x) == 0 for poly in polys))
+        assert counting._convolution_count(
+            polys, nvars, low, high, None, counting._Budget(None)) == want
 
     def test_components(self):
         from linecount.counting import _variable_components
