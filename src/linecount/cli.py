@@ -17,12 +17,15 @@ errors exit 64.
 
 ``--manifest-out FILE`` records the run (command, parameters, seeds, tool
 version, wall time, digest of the emitted bytes); ``--from-manifest FILE``
-replays a recorded run and reproduces its standard output byte for byte.
+replays a recorded run and prints its standard output only when the sha256
+of that output equals the recorded digest, and exits 2 naming both digests
+otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -802,7 +805,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(_render_json(
                 {"error": {"type": type(exc).__name__, "message": str(exc)}}))
             return EXIT_VALIDATION
-        return main(manifest.argv)
+        replay = io.StringIO()
+        with contextlib.redirect_stdout(replay):
+            code = main(manifest.argv)
+        output = replay.getvalue()
+        digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
+        if digest != manifest.outputs_digest:
+            sys.stdout.write(_render_json({"error": {
+                "type": "DigestMismatch",
+                "message": f"the replay printed output of sha256 {digest}, "
+                           f"the manifest records "
+                           f"{manifest.outputs_digest}",
+                "recorded": manifest.outputs_digest, "replayed": digest}}))
+            return EXIT_VALIDATION
+        sys.stdout.write(output)
+        return code
 
     parser = build_parser()
     try:

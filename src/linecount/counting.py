@@ -630,26 +630,104 @@ def _symmetry_generators(form: HomogeneousForm) -> List[_SignedPermutation]:
     return generators
 
 
-def _direction_orbit(direction: Tuple[int, ...],
-                     generators: Sequence[_SignedPermutation]
-                     ) -> List[Tuple[int, ...]]:
-    """The primitive directions sigma y for sigma in the group the
-    generators span, y = ``direction`` (breadth-first).
+#: A component of the group the generators span: its coordinates, its
+#: kind ("B", "D" or "S") and, for kind S, the signs delta that balance
+#: its transpositions (see :func:`_orbit_components`).
+_Component = Tuple[List[int], str, np.ndarray]
 
-    A signed permutation keeps the content, so each image is normalised as
-    :func:`_primitive_direction` would by its sign alone.
+
+def _orbit_components(generators: Sequence[_SignedPermutation], n: int
+                      ) -> List[_Component]:
+    """The group the generators span, one factor per component.
+
+    The transpositions join coordinates into components (a coordinate in
+    none is its own), and every generator acts inside one, so the group is
+    the product of the groups G_C they span on each component C; as
+    permutations of C they span all of them.  G_C is one of three kinds:
+
+    - B: a single sign change lies in C, so every sign change does, and
+      G_C is every signed permutation of C;
+    - D: no sign change lies in C, and no signs delta_i = +-1 make each
+      transposition x_i <-> s x_j one with s = delta_i delta_j (an edge
+      that carries both signs is the shortest such cycle), so G_C holds
+      every flip of two signs and is the even signed permutations;
+    - S: such signs delta exist, and G_C = delta S_C delta permutes delta y.
     """
-    orbit = {direction}
-    frontier = [direction]
-    for y in frontier:
-        for perm, signs in generators:
-            image = tuple([s * y[p] for p, s in zip(perm, signs)])
-            if next(v for v in image if v) < 0:
-                image = tuple([-v for v in image])
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return frontier
+    flips = set()
+    edges: List[Tuple[int, int, int]] = []
+    for perm, signs in generators:
+        moved = [i for i in range(n) if perm[i] != i]
+        if moved:
+            edges.append((moved[0], moved[1], signs[moved[0]]))
+        else:
+            flips.add(signs.index(-1))
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    joined = [tuple(int(k in (i, j)) for k in range(n)) for i, j, _ in edges]
+    components: List[_Component] = []
+    for group in _variable_components(unit + joined, n):
+        delta = {group[0]: 1}
+        balanced = True
+        frontier = [group[0]]
+        for i in frontier:
+            for a, b, sign in edges:
+                if i not in (a, b):
+                    continue
+                j = b if i == a else a
+                if j not in delta:
+                    delta[j] = sign * delta[i]
+                    frontier.append(j)
+                balanced &= delta[j] == sign * delta[i]
+        kind = ("B" if flips.intersection(group)
+                else "S" if balanced else "D")
+        components.append((group, kind,
+                           np.array([delta[i] for i in group], np.int64)))
+    return components
+
+
+def _orbit_keys(directions: np.ndarray,
+                components: Sequence[_Component]) -> np.ndarray:
+    """One row per row of ``directions``, equal for two rows exactly when
+    the group of ``components`` maps one onto the other: per component C,
+    sort(|y_C|) for kind B, that and the parity of the negative entries
+    (0 when some y_i = 0, which a flip leaves fixed) for kind D, and
+    sort(delta y_C) for kind S."""
+    columns = []
+    for group, kind, delta in components:
+        part = directions[:, group]
+        if kind == "S":
+            columns.append(np.sort(part * delta, axis=1))
+            continue
+        columns.append(np.sort(np.abs(part), axis=1))
+        if kind == "D":
+            odd = np.count_nonzero(part < 0, axis=1) % 2
+            columns.append((odd * np.all(part, axis=1))[:, None])
+    return np.concatenate(columns, axis=1)
+
+
+def _line_keys(points: np.ndarray, components: Sequence[_Component],
+               y_bound: int) -> np.ndarray:
+    """The key of the line through each nonzero row of ``points`` (entries
+    in [-Y, Y]): the orbit key of p or of -p, p the row divided by its
+    content, whichever is lexicographically smaller, as one integer.  Two
+    rows get one key exactly when a symmetry maps the line through one
+    onto the line through the other.
+
+    Every column of an orbit key lies in [-Y, Y], so a key is packed as
+    the balanced digits of radix 2Y + 1, the first most significant,
+    which orders the integers as the rows: int64 when they fit, else
+    Python ints.
+    """
+    direction = points // np.gcd.reduce(points, axis=1)[:, None]
+    radix = 2 * y_bound + 1
+    packed = []
+    for sign in (1, -1):
+        keys = _orbit_keys(sign * direction, components)
+        dtype = np.int64 if radix ** keys.shape[1] < 2 ** 63 else object
+        total = np.zeros(keys.shape[0], dtype=dtype)
+        for column in keys.T:
+            total = total * radix + column.astype(dtype)
+        packed.append(total)
+    return np.minimum(*packed)
 
 
 def _proportional_count(y: IntVector, x_bound: int) -> int:
@@ -661,28 +739,63 @@ def _proportional_count(y: IntVector, x_bound: int) -> int:
     return 2 * (x_bound // max(abs(v) for v in _primitive_direction(y)))
 
 
-def _base_points(form: HomogeneousForm, y_bound: int, meter: _Budget
-                 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """(y, leader) for each nonzero zero y of F in [-Y, Y]^n, in grid
-    order, charging every row of the box to the meter.  The leader is the
-    first base point whose primitive direction is in the symmetry orbit of
-    y's (see :func:`count_pairs`)."""
+def _base_point_blocks(form: HomogeneousForm, y_bound: int,
+                       meter: _Budget) -> Iterator[np.ndarray]:
+    """The nonzero zeros of F in [-Y, Y]^n in grid order, in blocks of at
+    least ``_CHUNK_ROWS`` rows (the last may hold fewer), each row of the
+    box charged to the meter as it is evaluated.  Sparse zeros are thus
+    keyed a block at a time, not a few rows per chunk of the box."""
     n = form.nvars
-    generators = _symmetry_generators(form)
-    leaders: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    pending: List[np.ndarray] = []
+    rows = 0
     for chunk in grid_chunks([-y_bound] * n, [y_bound] * n, _CHUNK_ROWS):
         meter.charge(chunk.shape[0])
-        for row in chunk[evaluate_batch(form, chunk) == 0]:
-            y = tuple(int(v) for v in row)
-            if not any(y):
-                continue
-            key = _primitive_direction(y)
-            leader = leaders.get(key)
-            if leader is None:
-                leader = y
-                for mate in _direction_orbit(key, generators):
-                    leaders[mate] = y
-            yield y, leader
+        points = chunk[evaluate_batch(form, chunk) == 0]
+        pending.append(points[np.any(points, axis=1)])
+        rows += pending[-1].shape[0]
+        if rows >= _CHUNK_ROWS:
+            yield np.concatenate(pending)
+            pending, rows = [], 0
+    if rows:
+        yield np.concatenate(pending)
+
+
+def _orbit_tally(form: HomogeneousForm, y_bound: int, meter: _Budget,
+                 keep: bool = False
+                 ) -> Tuple[List[Tuple[int, ...]], List[int],
+                            List[Tuple[np.ndarray, np.ndarray]]]:
+    """(leaders, sizes, blocks) of the nonzero zeros y of F in [-Y, Y]^n,
+    scanned in grid order with every row charged to the meter.
+
+    The base points fall into orbits: two share one when a symmetry of F
+    maps the line through one onto the line through the other
+    (:func:`_line_keys`).  ``leaders[k]`` is the first base point of orbit
+    k and ``sizes[k]`` its number of base points, the orbits numbered in
+    the order of their leaders.  With ``keep``, ``blocks`` holds the base
+    points block by block (:func:`_base_point_blocks`) with their orbit
+    numbers, in grid order.
+    """
+    components = _orbit_components(_symmetry_generators(form), form.nvars)
+    orbit_of: Dict[int, int] = {}
+    leaders: List[Tuple[int, ...]] = []
+    sizes: List[int] = []
+    blocks: List[Tuple[np.ndarray, np.ndarray]] = []
+    for points in _base_point_blocks(form, y_bound, meter):
+        keys, first, inverse, counts = np.unique(
+            _line_keys(points, components, y_bound), return_index=True,
+            return_inverse=True, return_counts=True)
+        orbit = np.empty(keys.shape[0], dtype=np.int64)
+        for u in np.argsort(first):
+            key = int(keys[u])
+            if key not in orbit_of:
+                orbit_of[key] = len(leaders)
+                leaders.append(tuple(points[first[u]].tolist()))
+                sizes.append(0)
+            orbit[u] = orbit_of[key]
+            sizes[orbit[u]] += int(counts[u])
+        if keep:
+            blocks.append((points, orbit[inverse.reshape(-1)]))
+    return leaders, sizes, blocks
 
 
 def stratum_count(form: HomogeneousForm, y_bound: int,
@@ -693,7 +806,7 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
     the dyadic growth table and a least-squares fitted exponent of the count
     against the box size (nan when fewer than two dyadic boxes are nonempty).
 
-    The corank is computed once per orbit leader of :func:`_base_points`:
+    The corank is computed once per orbit leader of :func:`_orbit_tally`:
     the Hessian scales as H(k y) = k^(d-2) H(y), and H_F(sigma y) =
     +-sigma H_F(y) sigma^T for a signed permutation sigma with F o sigma =
     +-F, so neither changes the rank.
@@ -703,17 +816,16 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
         raise DomainError(f"rho must be in 1..{n}")
     if y_bound < 1:
         raise DomainError("y_bound must be positive")
-    coranks: Dict[Tuple[int, ...], int] = {}
-    norms: List[int] = []
-    for y, leader in _base_points(form, y_bound, _Budget(None)):
-        if leader not in coranks:
-            coranks[leader] = hessian_corank(form, leader)
-        if coranks[leader] >= rho:
-            norms.append(max(abs(v) for v in y))
+    leaders, _, blocks = _orbit_tally(form, y_bound, _Budget(None), keep=True)
+    coranks = np.array([hessian_corank(form, y) for y in leaders], np.int64)
+    norms = np.concatenate(
+        [np.zeros(0, np.int64)]
+        + [np.abs(points[coranks[orbit] >= rho]).max(axis=1)
+           for points, orbit in blocks])
     dyadic: List[Tuple[int, int]] = []
     size = 2
     while size <= y_bound:
-        dyadic.append((size, sum(1 for m in norms if m <= size)))
+        dyadic.append((size, int(np.count_nonzero(norms <= size))))
         size *= 2
     fitted = float("nan")
     points = [(math.log(s), math.log(c)) for s, c in dyadic if c > 0]
@@ -721,7 +833,7 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
         xs = np.array([p[0] for p in points])
         ys = np.array([p[1] for p in points])
         fitted = float(np.polyfit(xs, ys, 1)[0])
-    return StratumReport(rho=rho, y_bound=y_bound, count=len(norms),
+    return StratumReport(rho=rho, y_bound=y_bound, count=norms.shape[0],
                          fitted_exponent=fitted,
                          dyadic_counts=tuple(dyadic))
 
@@ -848,11 +960,12 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     onto the one at sigma y and keeps the Hessian corank, so the total,
     proportional and stratified counts and the number of points enumerated
     (for a diagonal form, the charge of :func:`_diagonal_fiber`) are the
-    same.  So one scan of the y-box (:func:`_base_points`) tallies the
+    same.  So one scan of the y-box (:func:`_orbit_tally`) tallies the
     orbits of primitive directions +-y under the group spanned by the sign
-    changes and signed transpositions that are symmetries of F, and the
-    x-side is counted once per orbit, at its leader; ``workers`` processes
-    split the leaders.  ``budget`` bounds what is charged over the scan and
+    changes and signed transpositions that are symmetries of F, by a
+    closed-form key per line (:func:`_orbit_components`), and the x-side
+    is counted once per orbit, at its leader; ``workers`` processes split
+    the leaders.  ``budget`` bounds what is charged over the scan and
     every fiber: the box rows plus, for each base point, the charge of its
     fiber, as if counted afresh, so the same inputs exceed it whatever the
     number of workers.
@@ -864,30 +977,25 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     if x_bound < 1 or y_bound < 1:
         raise DomainError("x_bound and y_bound must be at least 1")
     meter = _Budget(budget)
-    orbit_size: Dict[Tuple[int, ...], int] = {}
-    leader_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    for y, leader in _base_points(form, y_bound, meter):
-        orbit_size[leader] = orbit_size.get(leader, 0) + 1
-        if breakdown:
-            leader_of[y] = leader
+    leaders, sizes, blocks = _orbit_tally(form, y_bound, meter, keep=breakdown)
     fiber = functools.partial(_leader_fiber, form, x_bound,
                               exclude_proportional, stratum_rho, budget)
-    if workers > 1 and len(orbit_size) > 1:
+    if workers > 1 and len(leaders) > 1:
         with ProcessPoolExecutor(
-                max_workers=min(workers, len(orbit_size))) as pool:
-            futures = [pool.submit(fiber, y) for y in orbit_size]
+                max_workers=min(workers, len(leaders))) as pool:
+            futures = [pool.submit(fiber, y) for y in leaders]
             fibers = [f.result() for f in futures]
     else:
-        fibers = map(fiber, orbit_size)
-    counts: Dict[Tuple[int, ...], Tuple[int, int, int]] = {}
-    for (leader, size), (fiber_counts, charged) in zip(
-            orbit_size.items(), fibers):
+        fibers = map(fiber, leaders)
+    counts: List[Tuple[int, int, int]] = []
+    for size, (fiber_counts, charged) in zip(sizes, fibers):
         meter.charge(size * charged)
-        counts[leader] = fiber_counts
+        counts.append(fiber_counts)
     total, proportional, stratified = (
-        sum(orbit_size[leader] * c[k] for leader, c in counts.items())
-        for k in range(3))
-    per_y = ({y: counts[leader][0] for y, leader in leader_of.items()}
+        sum(size * c[k] for size, c in zip(sizes, counts)) for k in range(3))
+    per_y = ({tuple(y): counts[k][0]
+              for points, orbit in blocks
+              for y, k in zip(points.tolist(), orbit.tolist())}
              if breakdown else None)
     return PairCountReport(
         x_bound=x_bound, y_bound=y_bound, total=total,

@@ -26,14 +26,12 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
-import mpmath
 import numpy as np
 
 from . import __version__, sobol
 from .counting import _Budget, _convolution_count, _variable_components
 from .errors import DimensionMismatch, DomainError, ResourceLimit
 from .exponents import format_rational
-from .expsums import _phase_sum
 from .forms import (
     HomogeneousForm,
     Polynomial,
@@ -187,28 +185,6 @@ def phase_histogram(form: HomogeneousForm, y: Sequence[int], q: int,
             total = (total + coeff[j] * residues) % q
         counts += np.bincount(total, minlength=q)
     return {r: int(c) for r, c in enumerate(counts) if c}
-
-
-def complete_sum_S(form: HomogeneousForm, y: Sequence[int], q: int,
-                   a: Sequence[int], *, precision: int = 120,
-                   budget: Optional[int] = DEFAULT_COUNT_BUDGET
-                   ) -> mpmath.mpc:
-    """The complete exponential sum over the lattice residues mod q.
-
-    Sums e((a_2 c_2(x) + ... + a_d c_d(x)) / q) over the image of the
-    slicing lattice in (Z/q)^n: the exact :func:`phase_histogram` goes
-    through the histogram-to-sum step of ``expsums.exponential_sum_T``, so
-    e(.) is evaluated once per residue at the requested precision, weighted
-    by its count exactly, and each part is rounded once.
-
-    Satisfies |S| <= q^rank, with equality at a = 0.
-
-    Raises:
-        ZeroVectorInput: degenerate base point.
-        ResourceLimit: q^rank residues exceed the budget.
-    """
-    return _phase_sum(phase_histogram(form, y, q, a, budget=budget), q,
-                      precision)
 
 
 # ---------------------------------------------------------------------------

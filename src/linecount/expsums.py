@@ -37,12 +37,10 @@ from .errors import (
 from .exponents import ExponentProfile, format_rational, parse_rational
 from .forms import (
     HomogeneousForm,
-    Polynomial,
     RationalForm,
     evaluate_batch,
     grid_chunks,
     nonzero_slices,
-    pullback,
     residues_mod,
 )
 from .lattice import box_profile, enumerate_points, slicing_lattice
@@ -267,25 +265,6 @@ def exponential_sum_U(form: HomogeneousForm, y: Sequence[int], alpha,
 # ---------------------------------------------------------------------------
 # Difference machinery and the square-and-difference check
 # ---------------------------------------------------------------------------
-
-def phase_polynomial(form: HomogeneousForm, y: Sequence[int],
-                     basis: Sequence[Sequence[int]], alpha) -> Polynomial:
-    """The phase as an exact polynomial in the lattice coordinates.
-
-    Substitutes x = sum_m xi_m b_m into every integer slice and combines
-    them with the frequencies: the result is the polynomial
-    sum_j alpha_j c_j(B^T xi) with rational coefficients.
-    """
-    point = _coerce_frequency(alpha, form.degree)
-    n = form.nvars
-    if any(len(row) != n for row in basis):
-        raise DimensionMismatch("basis rows must have the ambient length")
-    # slices of different degree share no monomial, so the sum is a merge
-    combined = {exponents: point[j] * value
-                for j, sliced in nonzero_slices(form, y) if point[j]
-                for exponents, value in sliced.coeffs.items()}
-    return pullback(Polynomial(nvars=n, coeffs=combined), basis)
-
 
 @dataclass(frozen=True)
 class WeylReport:

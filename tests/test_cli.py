@@ -457,6 +457,28 @@ class TestManifest:
         assert code == EXIT_OK
         assert second == first
 
+    def test_replay_checks_the_digest(self, capsys, tmp_path):
+        """A manifest whose digest differs in one hex digit from the
+        replayed output's is refused with exit 2, naming both digests,
+        and the output is not printed."""
+        path = tmp_path / "run.json"
+        code, first = run_cli(capsys, "count", "--fixture", "quintic",
+                              "--X", "1", "--Y", "1",
+                              "--manifest-out", str(path))
+        assert code == EXIT_OK
+        raw = json.loads(path.read_text())
+        digest = raw["outputs_digest"]
+        edited = digest[:-1] + ("0" if digest[-1] != "0" else "1")
+        path.write_text(json.dumps(dict(raw, outputs_digest=edited)))
+        code, out = run_json(capsys, "--from-manifest", str(path))
+        assert code == EXIT_VALIDATION
+        assert out["error"]["type"] == "DigestMismatch"
+        assert (out["error"]["recorded"], out["error"]["replayed"]) \
+            == (edited, digest)
+        assert edited in out["error"]["message"]
+        assert digest in out["error"]["message"]
+        assert "total" not in out
+
     def test_form_hash_pins_the_form(self, capsys, tmp_path, quintic_file):
         manifest_path = str(tmp_path / "run.json")
         run_cli(capsys, "count", "--form", quintic_file, "--X", "1",

@@ -3,9 +3,11 @@
 import itertools
 import math
 import random
+from collections import defaultdict
 from concurrent.futures import Future
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -703,7 +705,271 @@ class TestOrbitReuse:
         assert len(cubic) == 6
         assert counting._symmetry_generators(
             random_dense_form(3, 3, seed=0)) == []
-        assert counting._direction_orbit((1, 2, 0), []) == [(1, 2, 0)]
+        assert direction_orbit((1, 2, 0), []) == [(1, 2, 0)]
+
+
+def direction_orbit(direction, generators):
+    """The primitive directions sigma y for sigma in the group the
+    generators span, y = ``direction``, by a breadth-first walk.  A signed
+    permutation keeps the content, so each image is normalised as
+    ``counting._primitive_direction`` would by its sign alone."""
+    orbit = {direction}
+    frontier = [direction]
+    for y in frontier:
+        for perm, signs in generators:
+            image = tuple([s * y[p] for p, s in zip(perm, signs)])
+            if next(v for v in image if v) < 0:
+                image = tuple([-v for v in image])
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return frontier
+
+
+def row_base_points(form, y_bound):
+    """(y, leader) for each nonzero zero y of F in [-Y, Y]^n, in grid order,
+    one row at a time: the leader is the first base point whose primitive
+    direction lies in the walked orbit of y's."""
+    generators = counting._symmetry_generators(form)
+    leaders = {}
+    box = range(-y_bound, y_bound + 1)
+    for y in itertools.product(box, repeat=form.nvars):
+        if not any(y) or evaluate_form(form, y) != 0:
+            continue
+        key = counting._primitive_direction(y)
+        if key not in leaders:
+            for mate in direction_orbit(key, generators):
+                leaders[mate] = y
+        yield y, leaders[key]
+
+
+def row_pair_count(form, x_bound, y_bound, exclude_proportional,
+                   stratum_rho):
+    """count_pairs over :func:`row_base_points`: ((total, proportional,
+    stratified, per_y), leaders in the order their fibers are counted)."""
+    sizes = {}
+    per_leader = {}
+    for y, leader in row_base_points(form, y_bound):
+        sizes[leader] = sizes.get(leader, 0) + 1
+        per_leader[y] = leader
+    counts = {leader: counting._pairs_at_base_point(
+        form, leader, x_bound, exclude_proportional, stratum_rho,
+        counting._Budget(None)) for leader in sizes}
+    total, proportional, stratified = (
+        sum(size * counts[leader][k] for leader, size in sizes.items())
+        for k in range(3))
+    per_y = {y: counts[leader][0] for y, leader in per_leader.items()}
+    return ((total, proportional,
+             stratified if stratum_rho is not None else None, per_y),
+            list(sizes))
+
+
+def row_stratum_count(form, y_bound, rho):
+    """(count, dyadic counts, coranked leaders) of stratum_count over
+    :func:`row_base_points`, one corank per leader."""
+    coranks = {}
+    norms = []
+    for y, leader in row_base_points(form, y_bound):
+        if leader not in coranks:
+            coranks[leader] = hessian_corank(form, leader)
+        if coranks[leader] >= rho:
+            norms.append(max(abs(v) for v in y))
+    dyadic = []
+    size = 2
+    while size <= y_bound:
+        dyadic.append((size, sum(1 for m in norms if m <= size)))
+        size *= 2
+    return len(norms), tuple(dyadic), list(coranks)
+
+
+def orbit_kinds(form, y_bound):
+    """The kinds of the form's orbit components, after checking that the
+    line keys split the nonzero points of [-Y, Y]^n as the walked orbits
+    of their primitive directions do."""
+    generators = counting._symmetry_generators(form)
+    components = counting._orbit_components(generators, form.nvars)
+    box = [y for y in itertools.product(range(-y_bound, y_bound + 1),
+                                        repeat=form.nvars) if any(y)]
+    keys = counting._line_keys(np.array(box, dtype=np.int64), components,
+                               y_bound)
+    by_key = defaultdict(set)
+    for y, key in zip(box, keys.tolist()):
+        by_key[key].add(y)
+    orbit_of = {}
+    by_walk = defaultdict(set)
+    for y in box:
+        direction = counting._primitive_direction(y)
+        if direction not in orbit_of:
+            orbit = direction_orbit(direction, generators)
+            orbit_of.update(dict.fromkeys(orbit, direction))
+        by_walk[orbit_of[direction]].add(y)
+    assert sorted(map(sorted, by_key.values())) \
+        == sorted(map(sorted, by_walk.values()))
+    assert sorted(i for group, _, _ in components for i in group) \
+        == list(range(form.nvars))
+    return {kind for _, kind, _ in components}
+
+
+@st.composite
+def orbit_forms(draw):
+    """Forms whose symmetry groups have components of every kind, under a
+    random signed relabelling: diagonal forms sum a_i x_i^d (n = 2..6,
+    d = 2..5, a_i in +-1, +-2), x1x2 +- x3x4, x1x2x3,
+    x1x2 + x2x3 + x1x3, and dense random forms."""
+    shape = draw(st.sampled_from(["diagonal", "text", "dense"]))
+    if shape == "diagonal":
+        n = draw(st.integers(2, 6))
+        degree = draw(st.integers(2, 5))
+        form = HomogeneousForm(nvars=n, degree=degree, coeffs={
+            tuple(degree if k == i else 0 for k in range(n)):
+                draw(st.sampled_from([1, -1, 2, -2])) for i in range(n)})
+    elif shape == "text":
+        text, n = draw(st.sampled_from([
+            ("x1*x2 + x3*x4", 4), ("x1*x2 - x3*x4", 4), ("x1*x2*x3", 3),
+            ("x1*x2 + x2*x3 + x1*x3", 3)]))
+        form = parse_form(text, n_hint=n)
+    else:
+        n, degree, seed = draw(st.sampled_from(
+            [(3, 3, 0), (3, 3, 2), (4, 2, 1), (3, 2, 6)]))
+        form = random_dense_form(n, degree, seed=seed)
+    perm = draw(st.permutations(range(form.nvars)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=form.nvars,
+                          max_size=form.nvars))
+    return signed_relabel(form, perm, signs)
+
+
+class TestOrbitKeys:
+    """The closed-form line key splits directions as the breadth-first
+    orbit walk does, and the counts built on it equal the per-row scan."""
+
+    @given(orbit_forms())
+    @settings(max_examples=60, deadline=None)
+    def test_keys_match_the_orbit_walk(self, form):
+        orbit_kinds(form, {2: 3, 3: 2, 4: 2}.get(form.nvars, 1))
+
+    def test_every_kind_occurs(self):
+        """Even-degree diagonal forms have every sign change (B); x1^3 +
+        x2^3 has x1 <-> x2 with both signs and no sign change (D);
+        x1x2 + x2x3 + x1x3 has the transpositions with one sign (S), also
+        after a signed relabelling; x1x2 + x3^2 + x4x5 + x5^2 has all three."""
+        cases = [
+            (diagonal_quadric(5), {"B"}),
+            (fermat_form(2, 3), {"D"}),
+            (parse_form("x1*x2 + x2*x3 + x1*x3", n_hint=3), {"S"}),
+            (signed_relabel(parse_form("x1*x2 + x2*x3 + x1*x3", n_hint=3),
+                            (1, 2, 0), (1, -1, 1)), {"S"}),
+            (parse_form("x1*x2 - x3*x4", n_hint=4), {"D"}),
+            (parse_form("x1*x2*x3", n_hint=3), {"B"}),
+            (parse_form("x1*x2 + x3^2 + x4*x5 + x5^2", n_hint=5),
+             {"B", "D", "S"}),
+            (random_dense_form(3, 3, seed=0), {"S"}),
+        ]
+        for form, kinds in cases:
+            assert orbit_kinds(form, 2) == kinds
+        relabelled = counting._orbit_components(
+            counting._symmetry_generators(cases[3][0]), 3)
+        # the relabelled form is x1x2 - x2x3 - x1x3: delta flips x3
+        assert [d.tolist() for _, _, d in relabelled] == [[1, 1, -1]]
+
+    def test_keys_beyond_int64(self):
+        """When (2Y + 1)^width passes int64 the keys are Python ints, and
+        they split the lines as the int64 keys of a small Y do."""
+        form = parse_form("x1*x2 + x3^2 + x4*x5 + x5^2", n_hint=5)
+        components = counting._orbit_components(
+            counting._symmetry_generators(form), 5)
+        box = np.array([y for y in itertools.product(range(-2, 3), repeat=5)
+                        if any(y)])
+        small = counting._line_keys(box, components, 2)
+        wide = counting._line_keys(box, components, 2 ** 20)
+        assert (small.dtype, wide.dtype) == (np.int64, object)
+        pairs = set(zip(small.tolist(), wide.tolist()))
+        assert len(pairs) == len(set(small.tolist())) \
+            == len(set(wide.tolist())) > 1
+
+    @given(orbit_forms(), st.integers(1, 2), st.integers(1, 3),
+           st.booleans(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_pairs_match_the_row_scan(self, form, x_bound, y_bound,
+                                      exclude_proportional, data):
+        y_bound = min(y_bound, {2: 3, 3: 2, 4: 2}.get(form.nvars, 1))
+        rho = data.draw(st.sampled_from([None, 1, 2]))
+        want, leaders = row_pair_count(form, x_bound, y_bound,
+                                       exclude_proportional, rho)
+        for workers in (1, 2):
+            calls = []
+            original = counting._pairs_at_base_point
+
+            def recorded(*args):
+                calls.append(args[1])
+                return original(*args)
+
+            with mock.patch.object(counting, "ProcessPoolExecutor",
+                                   inline_pool([])), \
+                    mock.patch.object(counting, "_pairs_at_base_point",
+                                      recorded):
+                report = count_pairs(
+                    form, x_bound, y_bound,
+                    exclude_proportional=exclude_proportional,
+                    stratum_rho=rho, breakdown=True, workers=workers)
+            assert (report.total, report.proportional_pairs,
+                    report.stratified, report.per_y_breakdown) == want
+            assert list(report.per_y_breakdown) == list(want[3])
+            assert calls == leaders
+
+    @pytest.mark.parametrize("rows", [5, 64])
+    @pytest.mark.parametrize("form, y_bound", [
+        (diagonal_quadric(5), 3),
+        (fermat_form(4, 3), 3),
+        (signed_relabel(parse_form("x1*x2 + x2*x3 + x1*x3", n_hint=3),
+                        (1, 2, 0), (1, -1, 1)), 4),
+    ])
+    def test_many_blocks_match_the_row_scan(self, monkeypatch, rows, form,
+                                            y_bound):
+        """With chunks of a few rows the base points are keyed in many
+        blocks, and an orbit met again in a later block keeps its leader
+        and number."""
+        want, leaders = row_pair_count(form, 1, y_bound, False, 1)
+        count, dyadic, _ = row_stratum_count(form, y_bound, 1)
+        monkeypatch.setattr(counting, "_CHUNK_ROWS", rows)
+        calls = counted(monkeypatch, "_pairs_at_base_point")
+        report = count_pairs(form, 1, y_bound, stratum_rho=1, breakdown=True)
+        assert (report.total, report.proportional_pairs, report.stratified,
+                report.per_y_breakdown) == want
+        assert list(report.per_y_breakdown) == list(want[3])
+        assert [args[1] for args in calls] == leaders
+        strata = stratum_count(form, y_bound, 1)
+        assert (strata.count, strata.dyadic_counts) == (count, dyadic)
+
+    @pytest.mark.parametrize("form, y_bound", [
+        (QUINTIC, 4),
+        (random_dense_form(3, 3, seed=0), 4),
+        (signed_relabel(fermat_form(4, 3), (2, 0, 3, 1), (-1, 1, 1, -1)), 4),
+        (parse_form("x1*x2*x3", n_hint=3), 4),
+        (parse_form("x1*x2 + x2*x3 + x1*x3", n_hint=3), 4),
+        (parse_form("x1*x2 - x3*x4", n_hint=4), 3),
+    ])
+    @pytest.mark.parametrize("rho", [1, 2])
+    def test_strata_match_the_row_scan(self, monkeypatch, form, y_bound,
+                                       rho):
+        count, dyadic, leaders = row_stratum_count(form, y_bound, rho)
+        calls = counted(monkeypatch, "hessian_corank")
+        report = stratum_count(form, y_bound, rho)
+        assert (report.count, report.dyadic_counts) == (count, dyadic)
+        assert [y for _, y in calls] == leaders
+
+    @pytest.mark.parametrize("p, q, total, proportional", [
+        (4, 3, 4944704, 16448),
+        (4, 4, 169270272, 92160),
+    ])
+    def test_split_quadrics(self, p, q, total, proportional):
+        """The split quadrics x1^2 + .. + x_p^2 - .. - x_(p+q)^2 at
+        X = Y = 2, as counted by the per-row orbit walk."""
+        form = HomogeneousForm(nvars=p + q, degree=2, coeffs={
+            tuple(2 if k == i else 0 for k in range(p + q)):
+                1 if i < p else -1 for i in range(p + q)})
+        report = count_pairs(form, 2, 2)
+        assert (report.total, report.proportional_pairs) \
+            == (total, proportional)
 
 
 def per_y_stratum_scan(form, y_bound, rho):

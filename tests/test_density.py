@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 from sympy import divisors, factorint, mobius
 
-from linecount import counting, density, sobol
+from linecount import counting, density, expsums, sobol
 from linecount.density import (
     DensityEstimate,
     EulerCache,
@@ -22,7 +22,6 @@ from linecount.density import (
     chi_global_padic,
     chi_global_real,
     chi_p_fixed_y,
-    complete_sum_S,
     count_congruence_solutions,
     lattice_congruence_count,
     oscillatory_v,
@@ -353,6 +352,18 @@ class TestPhaseHistogram:
     def test_bad_modulus(self):
         with pytest.raises(DomainError):
             phase_histogram(QUINTIC, YQ, 0, [1, 0, 0, 0])
+
+
+def complete_sum_S(form, y, q, a, *, precision=120,
+                   budget=density.DEFAULT_COUNT_BUDGET):
+    """The complete exponential sum over the lattice residues mod q:
+    e((a_2 c_2(x) + ... + a_d c_d(x)) / q) summed over the image of the
+    slicing lattice in (Z/q)^n, from the exact :func:`phase_histogram`
+    through the histogram-to-sum step of ``expsums.exponential_sum_T``
+    (e(.) once per residue, weighted by its count exactly, each part
+    rounded once).  Satisfies |S| <= q^rank, with equality at a = 0."""
+    return expsums._phase_sum(phase_histogram(form, y, q, a, budget=budget),
+                              q, precision)
 
 
 class TestCompleteSum:

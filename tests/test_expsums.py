@@ -30,7 +30,6 @@ from linecount.expsums import (
     exponential_sum_U,
     major_arc_witness,
     nested_arc_membership,
-    phase_polynomial,
     weyl_inequality_check,
 )
 from linecount.fixtures import (
@@ -41,11 +40,13 @@ from linecount.fixtures import (
     random_dense_form,
 )
 from linecount.forms import (
+    Polynomial,
     b_coefficient_vector,
     grid_chunks,
     integer_slice_form,
     iterated_difference,
     nonzero_slices,
+    pullback,
 )
 from linecount.lattice import box_profile, enumerate_points, slicing_lattice
 from point_blocks import point_tuples
@@ -101,6 +102,21 @@ RATIONALS = st.one_of(st.just(Fraction(0)),
 #: 2^80, so the residues run in Python ints.
 DYADICS = st.builds(lambda k, e: float(Fraction(k, 2 ** e)),
                     st.integers(0, 2 ** 53 - 1), st.integers(0, 80))
+
+
+def phase_polynomial(form, y, basis, alpha):
+    """The phase as an exact polynomial in the lattice coordinates: every
+    integer slice with x = sum_m xi_m b_m substituted, combined with the
+    frequencies into sum_j alpha_j c_j(B^T xi), rational coefficients."""
+    point = expsums._coerce_frequency(alpha, form.degree)
+    n = form.nvars
+    if any(len(row) != n for row in basis):
+        raise DimensionMismatch("basis rows must have the ambient length")
+    # slices of different degree share no monomial, so the sum is a merge
+    combined = {exponents: point[j] * value
+                for j, sliced in nonzero_slices(form, y) if point[j]
+                for exponents, value in sliced.coeffs.items()}
+    return pullback(Polynomial(nvars=n, coeffs=combined), basis)
 
 
 def differenced_phase(form, y, basis, alpha, h_list):
