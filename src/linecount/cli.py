@@ -17,9 +17,9 @@ errors exit 64.
 
 ``--manifest-out FILE`` records the run (command, parameters, seeds, tool
 version, wall time, digest of the emitted bytes); ``--from-manifest FILE``
-replays a recorded run and prints its standard output only when the sha256
-of that output equals the recorded digest, and exits 2 naming both digests
-otherwise.
+replays a recorded run, writing no manifest, and prints its standard output
+only when the sha256 of that output equals the recorded digest, and exits 2
+naming both digests otherwise.
 """
 
 from __future__ import annotations
@@ -807,7 +807,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_VALIDATION
         replay = io.StringIO()
         with contextlib.redirect_stdout(replay):
-            code = main(manifest.argv)
+            code = _run(manifest.argv, record=False)
         output = replay.getvalue()
         digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
         if digest != manifest.outputs_digest:
@@ -820,7 +820,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_VALIDATION
         sys.stdout.write(output)
         return code
+    return _run(argv, record=True)
 
+
+def _run(argv: List[str], record: bool) -> int:
+    """Run one subcommand and print its output; with ``record``, also
+    write the manifest that ``--manifest-out`` asks for (a replay writes
+    none)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -855,7 +861,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     sys.stdout.write(text)
     output = text.encode("utf-8")
-    if getattr(args, "manifest_out", None):
+    if record and getattr(args, "manifest_out", None):
         manifest = _manifest_for(args, argv, form_hash,
                                  time.monotonic() - started, output)
         with open(args.manifest_out, "w", encoding="utf-8") as handle:

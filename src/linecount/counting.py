@@ -20,7 +20,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -435,46 +435,10 @@ def _condition_mask(conditions, chunk: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _hits(form: HomogeneousForm, y: IntVector,
-          lattice: Optional[IntegerLattice], x_bound: int, meter: _Budget,
-          leading_range: Optional[Tuple[int, int]] = None,
-          ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(chunk, mask) per chunk of candidate x, each chunk charged to the
-    meter; mask marks the x that span a line with y.
-
-    The candidates are the points of ``lattice``, the reduced slicing
-    lattice of y (see :func:`_slice_lattice`), or the full box when it is
-    None.
-    """
-    conditions = nonzero_slices(form, y)
-    if lattice is None:
-        chunks = grid_chunks([-x_bound] * form.nvars, [x_bound] * form.nvars,
-                             _CHUNK_ROWS)
-    else:
-        chunks = enumerate_points(lattice, x_bound,
-                                  leading_range=leading_range)
-    for chunk in chunks:
-        meter.charge(chunk.shape[0])
-        yield chunk, _condition_mask(conditions, chunk)
-
-
 def _is_diagonal(form: HomogeneousForm) -> bool:
     """True when every monomial of F is a pure power a x_i^d."""
     return all(sum(1 for e in exponents if e) == 1
                for exponents in form.coeffs)
-
-
-def _diagonal_fiber(form: HomogeneousForm, y: IntVector, x_bound: int,
-                    meter: _Budget) -> int:
-    """#{x in [-X, X]^n : c_1(x, y) = ... = c_d(x, y) = 0} for a diagonal
-    F, by :func:`_convolution_count` over Z: the slices c_j(x, y) =
-    binom(d, j) sum_i a_i y_i^(d-j) x_i^j split into one component per
-    variable of F, and a signed permutation sigma with F o sigma = +-F,
-    which maps the value vectors at y onto those at sigma y up to one
-    sign, keeps the charge."""
-    return _convolution_count(
-        [integer_slice_form(form, y, j) for j in range(1, form.degree + 1)],
-        form.nvars, -x_bound, x_bound, None, meter)
 
 
 def _slice_lattice(form: HomogeneousForm,
@@ -485,6 +449,75 @@ def _slice_lattice(form: HomogeneousForm,
     if sliced.all_zero:
         return None
     return reduce_basis(kernel_lattice(sliced.vector))
+
+
+#: One piece of a fiber: the reduced slicing lattice at y (never None) and
+#: an inclusive range of its first coordinate (None: all of it).
+_Piece = Tuple[IntegerLattice, Optional[Tuple[int, int]]]
+
+
+def _fiber(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
+           stratum_rho: Optional[int], piece: Optional[_Piece],
+           meter: _Budget) -> Tuple[int, int]:
+    """(count, stratified) over the x in [-X, X]^n with c_1(x, y) = ... =
+    c_d(x, y) = 0: ``count`` includes the zero vector, and ``stratified``
+    counts the nonzero x of Hessian corank >= ``stratum_rho`` (0 when it
+    is None).
+
+    For a diagonal F, when neither a stratum nor a piece is asked for, the
+    fiber is one :func:`_convolution_count` over Z: the slices c_j(x, y) =
+    binom(d, j) sum_i a_i y_i^(d-j) x_i^j split into one component per
+    variable of F, and a signed permutation sigma with F o sigma = +-F,
+    which maps the value vectors at y onto those at sigma y up to one
+    sign, keeps the charge.  Otherwise the candidates are the points of
+    ``piece``, or, when it is None, of the reduced slicing lattice built
+    here, or the full box when the gradient vanishes at y; each block is
+    charged to the meter before the slice conditions test it.
+    """
+    if piece is None and stratum_rho is None and _is_diagonal(form):
+        return _convolution_count(
+            [integer_slice_form(form, y, j)
+             for j in range(1, form.degree + 1)],
+            form.nvars, -x_bound, x_bound, None, meter), 0
+    lattice, leading_range = piece or (_slice_lattice(form, y), None)
+    if lattice is None:
+        chunks = grid_chunks([-x_bound] * form.nvars, [x_bound] * form.nvars,
+                             _CHUNK_ROWS)
+    else:
+        chunks = enumerate_points(lattice, x_bound,
+                                  leading_range=leading_range)
+    conditions = nonzero_slices(form, y)
+    count = stratified = 0
+    for chunk in chunks:
+        meter.charge(chunk.shape[0])
+        hits = chunk[_condition_mask(conditions, chunk)]
+        count += hits.shape[0]
+        if stratum_rho is not None:
+            stratified += sum(1 for x in map(tuple, hits.tolist())
+                              if any(x)
+                              and hessian_corank(form, x) >= stratum_rho)
+    return count, stratified
+
+
+def _metered(call, budget: Optional[int], args: tuple) -> Tuple[object, int]:
+    """(call(*args, meter), points charged), under a meter of ``budget``
+    of its own."""
+    meter = _Budget(budget)
+    return call(*args, meter), meter.spent
+
+
+def _metered_map(call, calls: Sequence[tuple], workers: int,
+                 budget: Optional[int]) -> Iterable[Tuple[object, int]]:
+    """:func:`_metered` at each argument tuple of ``calls``, in order: in a
+    pool of at most ``workers`` processes when there are more calls than
+    one and workers > 1, else lazily in this process, so that a caller
+    charging each result in turn stops at the first that overruns."""
+    run = functools.partial(_metered, call, budget)
+    if workers > 1 and len(calls) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+            futures = [pool.submit(run, args) for args in calls]
+            return [f.result() for f in futures]
+    return map(run, calls)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +531,9 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
 
     Counts every x of the slicing lattice at which all slice conditions of
     degree 2..d vanish.  The zero vector and multiples of y are included;
-    pair-level counts remove and tally them separately.  A diagonal form is
-    counted in one process by :func:`_diagonal_fiber`, whatever
-    ``workers``.
+    pair-level counts remove and tally them separately.  The fiber is
+    :func:`_fiber`; a diagonal form's is one convolution, counted in one
+    process whatever ``workers``, and so is a full box.
 
     Args:
         form: the form cutting out the hypersurface.
@@ -519,54 +552,29 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
         raise ZeroVectorInput("base point must be nonzero")
     if x_bound < 0:
         raise DomainError("x_bound must be nonnegative")
-    if _is_diagonal(form):
-        return _diagonal_fiber(form, y, x_bound, _Budget(budget))
-    lattice = _slice_lattice(form, y)
-    if lattice is None:
-        warnings.warn(
-            f"gradient vanishes at y={tuple(y)}; scanning the full box",
-            FallbackFullBox, stacklevel=2)
-    elif workers > 1:
-        return _count_fixed_y_parallel(form, y, lattice, x_bound, workers,
-                                       budget)
-    return _fixed_y_piece(form, y, lattice, x_bound, None, budget)[0]
-
-
-def _split_range(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
-    """[lo, hi] cut into at most ``parts`` contiguous inclusive ranges of
-    equal length (the last may be shorter)."""
-    size = hi - lo + 1
-    step = math.ceil(size / max(1, min(parts, size)))
-    return [(start, min(start + step, hi + 1) - 1)
-            for start in range(lo, hi + 1, step)]
-
-
-def _fixed_y_piece(form: HomogeneousForm, y: Tuple[int, ...],
-                   lattice: Optional[IntegerLattice], x_bound: int,
-                   leading_range: Optional[Tuple[int, int]],
-                   budget: Optional[int]) -> Tuple[int, int]:
-    """(count, points charged) over the whole fiber, or over one range of
-    the first lattice coordinate."""
-    meter = _Budget(budget)
-    count = sum(int(mask.sum()) for _, mask in _hits(
-        form, y, lattice, x_bound, meter, leading_range))
-    return count, meter.spent
-
-
-def _count_fixed_y_parallel(form: HomogeneousForm, y: IntVector,
-                            lattice: IntegerLattice, x_bound: int,
-                            workers: int, budget: Optional[int]) -> int:
-    radius = box_profile(lattice, x_bound).int_bounds[0]
-    pieces = _split_range(-radius, radius, workers)
-    y = tuple(int(v) for v in y)
-    with ProcessPoolExecutor(max_workers=min(workers, len(pieces))) as pool:
-        futures = [pool.submit(_fixed_y_piece, form, y, lattice, x_bound,
-                               piece, budget)
-                   for piece in pieces]
-        results = [f.result() for f in futures]
+    pieces: List[Optional[_Piece]] = [None]
+    if not _is_diagonal(form):
+        lattice = _slice_lattice(form, y)
+        if lattice is None:
+            warnings.warn(
+                f"gradient vanishes at y={tuple(y)}; scanning the full box",
+                FallbackFullBox, stacklevel=2)
+        elif workers > 1:
+            # at most ``workers`` ranges of equal length (the last may be
+            # shorter) of the first coordinate
+            radius = box_profile(lattice, x_bound).int_bounds[0]
+            step = math.ceil((2 * radius + 1) / min(workers, 2 * radius + 1))
+            pieces = [(lattice, (lo, min(lo + step - 1, radius)))
+                      for lo in range(-radius, radius + 1, step)]
+        else:
+            pieces = [(lattice, None)]
+    fiber = functools.partial(_fiber, form, tuple(int(v) for v in y),
+                              x_bound, None)
+    results = list(_metered_map(fiber, [(piece,) for piece in pieces],
+                                workers, budget))
     # the pieces' charges add up to the sequential total, whatever the split
-    _Budget(budget).charge(sum(spent for _, spent in results))
-    return sum(count for count, _ in results)
+    _Budget(budget).charge(sum(charged for _, charged in results))
+    return sum(count for (count, _), _ in results)
 
 
 # ---------------------------------------------------------------------------
@@ -889,53 +897,26 @@ def _pairs_at_base_point(form: HomogeneousForm, y: Tuple[int, ...],
                          stratum_rho: Optional[int],
                          meter: _Budget) -> Tuple[int, int, int]:
     """(total, proportional, stratified) pair counts contributed by one
-    base point y on the hypersurface.
+    base point y on the hypersurface: its fiber (:func:`_fiber`) less the
+    zero vector, and less the proportional x when they are excluded.
 
     The stratified count needs the Hessian corank of every x of the fiber
     only when y itself is in the stratum (corank >= ``stratum_rho``), and
-    is 0 otherwise.  So a diagonal form's fiber is :func:`_diagonal_fiber`
-    unless y is in the stratum; then, as for every other form, the slicing
-    lattice is scanned.
+    is 0 otherwise.
     """
     prop_y = _proportional_count(y, x_bound)
     y_in_stratum = (stratum_rho is not None
                     and hessian_corank(form, y) >= stratum_rho)
-    count = 0
-    strat_count = 0
-    if not y_in_stratum and _is_diagonal(form):
-        count = _diagonal_fiber(form, y, x_bound, meter)
-    else:
-        for chunk, mask in _hits(form, y, _slice_lattice(form, y), x_bound,
-                                 meter):
-            count += int(mask.sum())
-            if y_in_stratum:
-                for row in chunk[mask]:
-                    x = tuple(int(v) for v in row)
-                    if all(v == 0 for v in x):
-                        continue
-                    if hessian_corank(form, x) >= stratum_rho:
-                        strat_count += 1
+    count, stratified = _fiber(form, y, x_bound,
+                               stratum_rho if y_in_stratum else None, None,
+                               meter)
     count -= 1  # the zero vector always satisfies every condition
-    total_y = count - prop_y if exclude_proportional else count
-    if y_in_stratum:
-        # proportional x inherit the stratum membership of y exactly
-        strat_y = (strat_count - prop_y if exclude_proportional
-                   else strat_count)
-    else:
-        strat_y = 0
-    return total_y, prop_y, strat_y
-
-
-def _leader_fiber(form: HomogeneousForm, x_bound: int,
-                  exclude_proportional: bool, stratum_rho: Optional[int],
-                  budget: Optional[int], y: Tuple[int, ...]
-                  ) -> Tuple[Tuple[int, int, int], int]:
-    """(counts, points charged) of the fiber of y, under a budget of its
-    own."""
-    meter = _Budget(budget)
-    counts = _pairs_at_base_point(form, y, x_bound, exclude_proportional,
-                                  stratum_rho, meter)
-    return counts, meter.spent
+    if exclude_proportional:
+        count -= prop_y
+        if y_in_stratum:
+            # proportional x inherit the stratum membership of y exactly
+            stratified -= prop_y
+    return count, prop_y, stratified
 
 
 def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
@@ -959,13 +940,13 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     keeps the sup-norm box and the zero set, maps the slicing lattice at y
     onto the one at sigma y and keeps the Hessian corank, so the total,
     proportional and stratified counts and the number of points enumerated
-    (for a diagonal form, the charge of :func:`_diagonal_fiber`) are the
-    same.  So one scan of the y-box (:func:`_orbit_tally`) tallies the
-    orbits of primitive directions +-y under the group spanned by the sign
-    changes and signed transpositions that are symmetries of F, by a
-    closed-form key per line (:func:`_orbit_components`), and the x-side
-    is counted once per orbit, at its leader; ``workers`` processes split
-    the leaders.  ``budget`` bounds what is charged over the scan and
+    (for a diagonal form, the charge of its convolution) are the same.  So
+    one scan of the y-box (:func:`_orbit_tally`) tallies the orbits of
+    primitive directions +-y under the group spanned by the sign changes
+    and signed transpositions that are symmetries of F, by a closed-form
+    key per line (:func:`_orbit_components`), and the x-side is counted
+    once per orbit, at its leader (:func:`_pairs_at_base_point`);
+    ``workers`` processes split the leaders.  ``budget`` bounds what is charged over the scan and
     every fiber: the box rows plus, for each base point, the charge of its
     fiber, as if counted afresh, so the same inputs exceed it whatever the
     number of workers.
@@ -978,15 +959,10 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
         raise DomainError("x_bound and y_bound must be at least 1")
     meter = _Budget(budget)
     leaders, sizes, blocks = _orbit_tally(form, y_bound, meter, keep=breakdown)
-    fiber = functools.partial(_leader_fiber, form, x_bound,
-                              exclude_proportional, stratum_rho, budget)
-    if workers > 1 and len(leaders) > 1:
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(leaders))) as pool:
-            futures = [pool.submit(fiber, y) for y in leaders]
-            fibers = [f.result() for f in futures]
-    else:
-        fibers = map(fiber, leaders)
+    fibers = _metered_map(
+        functools.partial(_pairs_at_base_point, form),
+        [(y, x_bound, exclude_proportional, stratum_rho) for y in leaders],
+        workers, budget)
     counts: List[Tuple[int, int, int]] = []
     for size, (fiber_counts, charged) in zip(sizes, fibers):
         meter.charge(size * charged)

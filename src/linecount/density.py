@@ -147,47 +147,6 @@ def _residue_grid(nvars: int, modulus: int) -> Iterator[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Complete sums
-# ---------------------------------------------------------------------------
-
-def phase_histogram(form: HomogeneousForm, y: Sequence[int], q: int,
-                    a: Sequence[int], *,
-                    budget: Optional[int] = DEFAULT_COUNT_BUDGET
-                    ) -> Dict[int, int]:
-    """Counts of (sum_j a_j c_j(x, y)) mod q over the lattice image mod q.
-
-    The histogram determines the complete sum exactly: the sum equals
-    sum_r count[r] e(r / q).  Exposed separately so that algebraic
-    identities (multiplicativity under coprime factorisation) can be
-    verified in exact integer arithmetic.
-    """
-    if q < 1:
-        raise DomainError("modulus must be at least 1")
-    d = form.degree
-    if len(a) != d - 1:
-        raise DimensionMismatch(
-            f"need {d - 1} phase coefficients, got {len(a)}")
-    lattice = slicing_lattice(form, y)
-    slices = nonzero_slices(form, y)
-    ledger = _Budget(budget)
-    counts = np.zeros(q, dtype=np.int64)
-    coeff = {j: int(a[j - 2]) % q for j in range(2, d + 1)}
-    basis = np.asarray(lattice.basis, dtype=np.int64)
-    for grid in _residue_grid(lattice.rank, q):
-        # ambient representatives of the lattice image mod q
-        block = (grid @ basis) % q
-        ledger.charge(block.shape[0])
-        total = np.zeros(block.shape[0], dtype=np.int64)
-        for j, sliced in slices:
-            if coeff[j] == 0:
-                continue
-            residues = residues_mod(evaluate_batch(sliced, block), q)
-            total = (total + coeff[j] * residues) % q
-        counts += np.bincount(total, minlength=q)
-    return {r: int(c) for r, c in enumerate(counts) if c}
-
-
-# ---------------------------------------------------------------------------
 # Congruence counting: direct scan and Hensel lifting
 # ---------------------------------------------------------------------------
 

@@ -253,14 +253,6 @@ class RationalForm(_Sparse):
             raise ValueError("degree must be >= 0")
         _validate_coeffs(self.nvars, self.coeffs, self.degree)
 
-    @property
-    def common_denominator(self) -> int:
-        den = 1
-        for coefficient in self.coeffs.values():
-            den = den * coefficient.denominator // math.gcd(
-                den, coefficient.denominator)
-        return den
-
 
 @dataclass(frozen=True)
 class Polynomial(_Sparse):

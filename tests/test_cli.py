@@ -479,6 +479,25 @@ class TestManifest:
         assert digest in out["error"]["message"]
         assert "total" not in out
 
+    def test_replay_writes_no_manifest(self, capsys, tmp_path):
+        """The replayed argv still holds --manifest-out, yet a replay
+        refused for its edited digest leaves the manifest's bytes as they
+        were, so a second replay is refused again."""
+        path = tmp_path / "run.json"
+        run_cli(capsys, "count", "--fixture", "quintic", "--X", "1",
+                "--Y", "1", "--manifest-out", str(path))
+        raw = json.loads(path.read_text())
+        assert "--manifest-out" in raw["argv"]
+        digest = raw["outputs_digest"]
+        edited = digest[:-1] + ("0" if digest[-1] != "0" else "1")
+        path.write_text(json.dumps(dict(raw, outputs_digest=edited)))
+        before = path.read_bytes()
+        for _ in range(2):
+            code, out = run_json(capsys, "--from-manifest", str(path))
+            assert code == EXIT_VALIDATION
+            assert out["error"]["type"] == "DigestMismatch"
+            assert path.read_bytes() == before
+
     def test_form_hash_pins_the_form(self, capsys, tmp_path, quintic_file):
         manifest_path = str(tmp_path / "run.json")
         run_cli(capsys, "count", "--form", quintic_file, "--X", "1",

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 from collections import defaultdict
 from concurrent.futures import Future
 from unittest import mock
@@ -36,12 +37,14 @@ from linecount.fixtures import (
 )
 from linecount.forms import (
     HomogeneousForm,
+    evaluate_batch,
     evaluate_form,
     gradient,
     is_line_generator_pair,
+    nonzero_slices,
     parse_form,
 )
-from linecount.lattice import box_profile, slicing_lattice
+from linecount.lattice import box_profile, enumerate_points, slicing_lattice
 
 QUINTIC = fermat_quintic()
 Y0 = QUINTIC_BASE_POINT
@@ -70,11 +73,22 @@ def singular_points_in_box(form, x_bound):
 
 
 def lattice_scan(form, y, x_bound):
-    """count_fixed_y by the scan of the slicing lattice (the full box when
-    the gradient vanishes at y), whatever the form."""
-    y = tuple(y)
-    return counting._fixed_y_piece(form, y, counting._slice_lattice(form, y),
-                                   x_bound, None, None)[0]
+    """count_fixed_y by a plain scan, whatever the form: the points of the
+    slicing lattice at y (the full box when the gradient vanishes at y) at
+    which every slice condition of degree 2..d vanishes."""
+    if any(gradient(form, y)):
+        blocks = enumerate_points(slicing_lattice(form, y), x_bound)
+    else:
+        box = range(-x_bound, x_bound + 1)
+        blocks = [np.array(list(itertools.product(box, repeat=form.nvars)),
+                           dtype=np.int64)]
+    count = 0
+    for block in blocks:
+        hit = np.ones(block.shape[0], dtype=bool)
+        for _, condition in nonzero_slices(form, y):
+            hit &= evaluate_batch(condition, block) == 0
+        count += int(hit.sum())
+    return count
 
 
 def diagonal_fiber_charge(form, y, x_bound):
@@ -490,6 +504,38 @@ class TestCountPairs:
             count_pairs(QUADRIC, 2, 2, budget=12144)
         assert count_pairs(QUADRIC, 2, 2, budget=12145).total \
             == count_pairs(QUADRIC, 2, 2).total
+
+
+class TestFiberEntries:
+    """count_fixed_y and count_pairs reach one fiber routine: at every base
+    point y, the fixed-y count less the zero vector is y's entry in the
+    pair breakdown, with one worker or two."""
+
+    @pytest.mark.parametrize("text, n, x_bound, y_bound, base_points, total, "
+                             "full_boxes", [
+        ("x1*x2 + x3*x4 + x5*x6", 6, 2, 1, 244, 124240, 0),
+        ("x1*x2*x3 + x4^3 - x5^3", 5, 2, 2, 360, 44592, 12),
+        ("x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x1", 4, 2, 2, 108, 2384, 0),
+    ])
+    def test_fixed_y_counts_are_the_breakdown(self, text, n, x_bound,
+                                               y_bound, base_points, total,
+                                               full_boxes):
+        form = parse_form(text, n_hint=n)
+        for workers in (1, 2):
+            with mock.patch.object(counting, "ProcessPoolExecutor",
+                                   inline_pool([])):
+                report = count_pairs(form, x_bound, y_bound, breakdown=True,
+                                     workers=workers)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", FallbackFullBox)
+                    fixed = {y: count_fixed_y(form, y, x_bound,
+                                              workers=workers) - 1
+                             for y in report.per_y_breakdown}
+            assert len(fixed) == base_points
+            assert report.total == total
+            assert fixed == report.per_y_breakdown
+            assert len(caught) == full_boxes == sum(
+                not any(gradient(form, y)) for y in fixed)
 
 
 class TestDirectionReuse:

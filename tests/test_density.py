@@ -25,7 +25,6 @@ from linecount.density import (
     count_congruence_solutions,
     lattice_congruence_count,
     oscillatory_v,
-    phase_histogram,
     predict_fixed_y,
     predict_pairs,
     real_density_window,
@@ -52,6 +51,7 @@ from linecount.forms import (
     gradient,
     grid_chunks,
     integer_slice_form,
+    nonzero_slices,
     parse_form,
     pencil_coefficients,
     residues_mod,
@@ -352,6 +352,40 @@ class TestPhaseHistogram:
     def test_bad_modulus(self):
         with pytest.raises(DomainError):
             phase_histogram(QUINTIC, YQ, 0, [1, 0, 0, 0])
+
+
+def phase_histogram(form, y, q, a, *, budget=density.DEFAULT_COUNT_BUDGET):
+    """Counts of (sum_j a_j c_j(x, y)) mod q over the lattice image mod q.
+
+    The histogram determines the complete sum exactly: the sum equals
+    sum_r count[r] e(r / q).  Exposed separately so that algebraic
+    identities (multiplicativity under coprime factorisation) can be
+    verified in exact integer arithmetic.
+    """
+    if q < 1:
+        raise DomainError("modulus must be at least 1")
+    d = form.degree
+    if len(a) != d - 1:
+        raise DimensionMismatch(
+            f"need {d - 1} phase coefficients, got {len(a)}")
+    lattice = slicing_lattice(form, y)
+    slices = nonzero_slices(form, y)
+    ledger = counting._Budget(budget)
+    counts = np.zeros(q, dtype=np.int64)
+    coeff = {j: int(a[j - 2]) % q for j in range(2, d + 1)}
+    basis = np.asarray(lattice.basis, dtype=np.int64)
+    for grid in density._residue_grid(lattice.rank, q):
+        # ambient representatives of the lattice image mod q
+        block = (grid @ basis) % q
+        ledger.charge(block.shape[0])
+        total = np.zeros(block.shape[0], dtype=np.int64)
+        for j, sliced in slices:
+            if coeff[j] == 0:
+                continue
+            residues = residues_mod(evaluate_batch(sliced, block), q)
+            total = (total + coeff[j] * residues) % q
+        counts += np.bincount(total, minlength=q)
+    return {r: int(c) for r, c in enumerate(counts) if c}
 
 
 def complete_sum_S(form, y, q, a, *, precision=120,
