@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -271,14 +272,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="write a replayable run manifest")
 
 
-def _resolve_form(args) -> Tuple[object, str]:
+def _resolve_form(args):
     if getattr(args, "form", None):
-        form = load_form(args.form)
-    else:
-        form = _fixture_form(args.fixture)
-    digest = hashlib.sha256(
-        json.dumps(form_to_json(form), sort_keys=True).encode()).hexdigest()
-    return form, digest
+        return load_form(args.form)
+    return _fixture_form(args.fixture)
 
 
 def _default_budget(args) -> int:
@@ -767,7 +764,11 @@ _SUBCOMMANDS = {
 _CSV_PROJECTIONS = {"count": _csv_count, "ledger": _csv_ledger}
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built on the first call and shared
+    by all later ones.  Sharing is safe: ``parse_args`` returns a fresh
+    namespace, and every default is immutable."""
     parser = _Parser(prog="linecount", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"linecount {__version__}")
@@ -778,8 +779,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _manifest_for(args, argv: Sequence[str], form_hash: Optional[str],
+def _manifest_for(args, argv: Sequence[str], form,
                   wall_time: float, output: bytes) -> RunManifest:
+    form_hash = None if form is None else hashlib.sha256(
+        json.dumps(form_to_json(form), sort_keys=True).encode()).hexdigest()
     parameters = {}
     for key, value in vars(args).items():
         if key in ("subcommand", "manifest_out") or key.startswith("_"):
@@ -839,12 +842,8 @@ def _run(argv: List[str], record: bool) -> int:
     _, run, takes_form = _SUBCOMMANDS[args.subcommand]
     started = time.monotonic()
     try:
-        form_hash = None
-        if takes_form:
-            form, form_hash = _resolve_form(args)
-            payload = run(args, form)
-        else:
-            payload = run(args)
+        form = _resolve_form(args) if takes_form else None
+        payload = run(args, form)
         if getattr(args, "csv", False):
             text = _CSV_PROJECTIONS[args.subcommand](payload)
         else:
@@ -862,7 +861,7 @@ def _run(argv: List[str], record: bool) -> int:
     sys.stdout.write(text)
     output = text.encode("utf-8")
     if record and getattr(args, "manifest_out", None):
-        manifest = _manifest_for(args, argv, form_hash,
+        manifest = _manifest_for(args, argv, form,
                                  time.monotonic() - started, output)
         with open(args.manifest_out, "w", encoding="utf-8") as handle:
             json.dump(manifest.to_json(), handle, sort_keys=True, indent=2)

@@ -46,9 +46,7 @@ from .lattice import (
     IntegerLattice,
     box_profile,
     enumerate_points,
-    kernel_lattice,
-    linear_slice_coefficients,
-    reduce_basis,
+    slicing_lattice,
 )
 
 IntVector = Sequence[int]
@@ -441,19 +439,19 @@ def _is_diagonal(form: HomogeneousForm) -> bool:
                for exponents in form.coeffs)
 
 
-def _slice_lattice(form: HomogeneousForm,
-                   y: IntVector) -> Optional[IntegerLattice]:
-    """The reduced slicing lattice at y, or None when the gradient vanishes
-    there (the lattice is undefined and the full box is scanned instead)."""
-    sliced = linear_slice_coefficients(form, y)
-    if sliced.all_zero:
-        return None
-    return reduce_basis(kernel_lattice(sliced.vector))
+#: One piece of a fiber: the reduced slicing lattice at y, None for the
+#: full box (the gradient vanishes at y), and an inclusive range of the
+#: lattice's first coordinate (None: all of it).
+_Piece = Tuple[Optional[IntegerLattice], Optional[Tuple[int, int]]]
 
 
-#: One piece of a fiber: the reduced slicing lattice at y (never None) and
-#: an inclusive range of its first coordinate (None: all of it).
-_Piece = Tuple[IntegerLattice, Optional[Tuple[int, int]]]
+def _whole_fiber(form: HomogeneousForm, y: IntVector) -> _Piece:
+    """The one piece of the whole fiber at a nonzero y: its reduced slicing
+    lattice, or the full box when the gradient vanishes there."""
+    try:
+        return slicing_lattice(form, y), None
+    except ZeroVectorInput:
+        return None, None
 
 
 def _fiber(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
@@ -470,16 +468,15 @@ def _fiber(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
     variable of F, and a signed permutation sigma with F o sigma = +-F,
     which maps the value vectors at y onto those at sigma y up to one
     sign, keeps the charge.  Otherwise the candidates are the points of
-    ``piece``, or, when it is None, of the reduced slicing lattice built
-    here, or the full box when the gradient vanishes at y; each block is
-    charged to the meter before the slice conditions test it.
+    ``piece``, or, when it is None, of :func:`_whole_fiber` at y; each
+    block is charged to the meter before the slice conditions test it.
     """
     if piece is None and stratum_rho is None and _is_diagonal(form):
         return _convolution_count(
             [integer_slice_form(form, y, j)
              for j in range(1, form.degree + 1)],
             form.nvars, -x_bound, x_bound, None, meter), 0
-    lattice, leading_range = piece or (_slice_lattice(form, y), None)
+    lattice, leading_range = piece or _whole_fiber(form, y)
     if lattice is None:
         chunks = grid_chunks([-x_bound] * form.nvars, [x_bound] * form.nvars,
                              _CHUNK_ROWS)
@@ -554,7 +551,8 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
         raise DomainError("x_bound must be nonnegative")
     pieces: List[Optional[_Piece]] = [None]
     if not _is_diagonal(form):
-        lattice = _slice_lattice(form, y)
+        pieces = [_whole_fiber(form, y)]
+        lattice = pieces[0][0]
         if lattice is None:
             warnings.warn(
                 f"gradient vanishes at y={tuple(y)}; scanning the full box",
@@ -566,8 +564,6 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
             step = math.ceil((2 * radius + 1) / min(workers, 2 * radius + 1))
             pieces = [(lattice, (lo, min(lo + step - 1, radius)))
                       for lo in range(-radius, radius + 1, step)]
-        else:
-            pieces = [(lattice, None)]
     fiber = functools.partial(_fiber, form, tuple(int(v) for v in y),
                               x_bound, None)
     results = list(_metered_map(fiber, [(piece,) for piece in pieces],
@@ -872,12 +868,11 @@ def m2_dimension(form: HomogeneousForm, y: IntVector) -> M2Report:
     matrix = hessian(form, y)
     span_dim = echelon(echelon(matrix).nullspace() + [list(y)]).rank
 
-    lattice = _slice_lattice(form, y)
-    if lattice is None:
+    try:
+        basis = [list(row) for row in slicing_lattice(form, y).basis]
+    except ZeroVectorInput:  # the gradient vanishes at y
         basis = [[1 if i == k else 0 for k in range(form.nvars)]
                  for i in range(form.nvars)]
-    else:
-        basis = [list(row) for row in lattice.basis]
     # Gram-like system: M[a][b] = b_a . H . b_b; its kernel is the space of
     # lattice directions h with vanishing degree-2 coefficient vector.
     h_rows = [[sum(h * v for h, v in zip(matrix[i], b)) for b in basis]

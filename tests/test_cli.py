@@ -1,5 +1,6 @@
 """Tests for the command-line entry point."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ from linecount.cli import (
     RunManifest,
     _jsonable,
     _minimal_admissible_n,
+    build_parser,
     main,
 )
 from linecount import counting
@@ -37,6 +39,25 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def fresh_python(code, *args):
+    """Run ``code`` with ``args`` in a new interpreter that imports the
+    linecount under test."""
+    import linecount
+    source = os.path.dirname(os.path.dirname(linecount.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": source}, capture_output=True,
+        text=True, timeout=120)
+
+
+def run_fresh(argv):
+    """(exit code, stdout) of ``main(argv)`` as the first call of a new
+    interpreter."""
+    probe = fresh_python("import sys\nfrom linecount.cli import main\n"
+                         "sys.exit(main(sys.argv[1:]))", *argv)
+    return probe.returncode, probe.stdout
 
 
 @pytest.fixture
@@ -534,6 +555,66 @@ class TestManifest:
         assert code == EXIT_USAGE
 
 
+def parser_tree(parser):
+    """The parser and every subparser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from parser_tree(sub)
+
+
+def immutable(value):
+    if isinstance(value, tuple):
+        return all(immutable(v) for v in value)
+    return value is None or isinstance(value, (bool, int, float, str))
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and parses every call
+    with it, which is safe while no parse can leave state in the parser."""
+
+    def test_no_action_carries_state(self):
+        parsers = list(parser_tree(build_parser()))
+        assert len(parsers) == 9
+        assert sum(len(parser._mutually_exclusive_groups)
+                   for parser in parsers) == 8
+        for parser in parsers:
+            grouped = [action for group in parser._mutually_exclusive_groups
+                       for action in group._group_actions]
+            for action in parser._actions + grouped:
+                where = (parser.prog, action.dest)
+                assert immutable(action.default), where
+                assert immutable(action.const), where
+                # extend is a subclass of append
+                assert not isinstance(action, (argparse._AppendAction,
+                                               argparse._AppendConstAction)), \
+                    where
+            assert immutable(tuple(parser._defaults.values()))
+
+    def test_repeated_calls_match_fresh_processes(self, capsys,
+                                                  monkeypatch):
+        """Each call's exit code and stdout equal those of the same
+        command run first in a new interpreter."""
+        monkeypatch.setenv("COLUMNS", "80")
+        density = ["density", "--fixture", "quadric-5", "--y", "1,0,0,0,0",
+                   "--integral", "4", "--samples", "4096"]
+        sequence = [
+            ["--help"],
+            ["count", "--fixture", "quadric-5", "--Y", "2"],
+            ["count", "--fixture", "quadric-5", "--X", "2", "--Y", "2",
+             "--breakdown", "--csv"],
+            ["count", "--fixture", "quadric-5", "--X", "2", "--Y", "2"],
+            density + ["--seed", "3"],
+            density,
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in sequence]
+        assert [code for code, _ in in_process] \
+            == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert in_process == [run_fresh(argv) for argv in sequence]
+        assert build_parser() is build_parser()
+
+
 class TestBudgetEnvironment:
     def test_env_budget_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("LINECOUNT_BUDGET", "5")
@@ -558,12 +639,9 @@ class TestBudgetEnvironment:
 class TestImports:
     @staticmethod
     def probe(code):
-        import linecount
-        source = os.path.dirname(os.path.dirname(linecount.__file__))
-        return subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": source}, capture_output=True,
-            text=True, timeout=120, check=True)
+        probe = fresh_python(code)
+        probe.check_returncode()
+        return probe
 
     def test_cli_import_leaves_out_scipy_stats(self):
         """scipy.stats takes most of the start-up time, so importing the

@@ -222,7 +222,7 @@ class TestCountFixedY:
         assert count_fixed_y(QUADRIC, y, 5, workers=2, budget=1331) == 231
 
     def test_workers_reduce_the_lattice_once(self, monkeypatch):
-        calls = counted(monkeypatch, "reduce_basis")
+        calls = counted(monkeypatch, "slicing_lattice")
         monkeypatch.setattr(counting, "ProcessPoolExecutor", inline_pool([]))
         assert count_fixed_y(QUADRIC, (1, 0, 0, 0), 3, workers=2) == 91
         assert len(calls) == 1
@@ -350,7 +350,7 @@ class TestDiagonalConvolution:
         assert calls
 
     def test_no_lattice_and_one_process(self, monkeypatch):
-        calls = counted(monkeypatch, "_slice_lattice")
+        calls = counted(monkeypatch, "slicing_lattice")
         monkeypatch.setattr(counting, "ProcessPoolExecutor", None)
         assert count_fixed_y(QUINTIC, Y0, 3, workers=2) == 49
         assert calls == []
@@ -595,7 +595,7 @@ class TestDirectionReuse:
         needed = 5 ** 5 + sum(diagonal_fiber_charge(form, y, 2)
                               for y in base_points)
         assert needed == 12565
-        calls = counted(monkeypatch, "_slice_lattice")
+        calls = counted(monkeypatch, "slicing_lattice")
         with pytest.raises(ResourceLimit):
             count_pairs(form, 2, 2, stratum_rho=1, exclude_proportional=True,
                         budget=needed - 1)
