@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__, sobol
 from .counting import _Budget, _convolution_count, _variable_components
-from .errors import DimensionMismatch, DomainError, ResourceLimit
+from .errors import (DimensionMismatch, DomainError, ResourceLimit,
+                     ZeroVectorInput)
 from .exponents import format_rational
 from .forms import (
     HomogeneousForm,
@@ -40,10 +41,9 @@ from .forms import (
     form_to_json,
     grid_chunks,
     nonzero_slices,
-    pullback,
     residues_mod,
 )
-from .lattice import box_profile, slicing_lattice
+from .lattice import box_profile, linear_slice_coefficients, slicing_lattice
 
 DEFAULT_COUNT_BUDGET = 10 ** 7
 SCRAMBLES = 16
@@ -175,20 +175,20 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
                                ) -> int:
     """Number of solutions of the polynomial system mod p^H.
 
-    Counts directly when p^(H * nvars) fits the budget, and charges those
-    p^(H * nvars) residues whatever the count visits: the variables split
-    into components joined by shared monomials (coefficients = 0 mod p^H
-    dropped), and the count is a convolution of the components' value
-    histograms mod p^H (:func:`_residue_count`), one half of them folded
-    into a histogram and the other streamed against it.  So a diagonal
-    system costs a few one-variable scans.  Otherwise solutions mod p are
-    classified by the rank of the Jacobian: points where it reaches the
-    number of (non-trivial) equations lift to exactly
+    The variables split into components joined by shared monomials
+    (coefficients = 0 mod p^H dropped).  When their residue grids,
+    sum_c p^(H |c|), fit the budget, the count is the convolution of
+    :func:`counting._convolution_count` mod p^H, charged the grid rows and
+    histogram entries it forms; so a diagonal system costs a few
+    one-variable scans.  Otherwise solutions mod p (p^nvars residues
+    charged) are classified by the rank of the Jacobian: points where it
+    reaches the number of (non-trivial) equations lift to exactly
     p^((H-1)(nvars - rank)) solutions mod p^H, and the remaining singular
-    fibers are enumerated exhaustively.
+    fibers are enumerated exhaustively, p^((H-1) nvars) residues each.
 
     Raises:
-        ResourceLimit: the scan or a singular fiber exceeds the budget.
+        ResourceLimit: the convolution or a singular fiber exceeds the
+            budget.
     """
     if p < 2 or H < 1:
         raise DomainError("need a modulus p >= 2 and H >= 1")
@@ -200,10 +200,12 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
               and any(int(c) % modulus for c in poly.coeffs.values())]
     if not active:
         return modulus ** nvars
-    direct = modulus ** nvars
-    if budget is None or direct <= budget:
-        ledger.charge(direct)
-        return _residue_count(active, nvars, modulus)
+    groups = _variable_components(
+        [e for poly in active for e, c in poly.coeffs.items()
+         if any(e) and int(c) % modulus], nvars)
+    if budget is None or sum(modulus ** len(g) for g in groups) <= budget:
+        return _convolution_count(active, nvars, 0, modulus - 1, modulus,
+                                  ledger)
 
     # Hensel route: classify the mod-p solutions by Jacobian rank.
     base = p ** nvars
@@ -230,18 +232,31 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
     return total
 
 
-def _lattice_system(form: HomogeneousForm,
-                    y: Sequence[int]) -> Tuple[List[Polynomial], int]:
-    """Slice congruences pulled back to lattice coordinates."""
-    lattice = slicing_lattice(form, y)
-    return [pullback(sliced, lattice.basis)
-            for _, sliced in nonzero_slices(form, y)], lattice.rank
+def _slice_system(form: HomogeneousForm, y: Sequence[int],
+                  primitive: bool) -> list:
+    """The fixed-y slice congruences in the n ambient coordinates: a linear
+    row, then the nonzero slices of degree 2..d.
 
+    With ``primitive`` the linear row is h . x, h = grad F(y) / content:
+    the slicing lattice Lambda_y = ker(h) in Z^n is saturated and h is
+    primitive, so reduction mod m maps Lambda_y / m Lambda_y one to one
+    onto {x mod m : h . x = 0}, and the system counts the lattice residues
+    on which every slice vanishes.  Otherwise the row is grad F(y) . x, the
+    full-space system of degrees 1..d.
 
-def _fullspace_system(form: HomogeneousForm,
-                      y: Sequence[int]) -> Tuple[list, int]:
-    """Slice congruences for degrees 1..d in the ambient coordinates."""
-    return [sliced for _, sliced in nonzero_slices(form, y, 1)], form.nvars
+    Raises:
+        ZeroVectorInput: y = 0, or grad F(y) = 0.
+    """
+    linear = linear_slice_coefficients(form, y)
+    if linear.all_zero:
+        raise ZeroVectorInput("gradient vanishes at y: no slicing hyperplane")
+    rows = [sliced for _, sliced in nonzero_slices(form, y, 1)]
+    if primitive:
+        n = form.nvars
+        rows[0] = Polynomial(nvars=n, coeffs={
+            tuple(int(i == k) for i in range(n)): Fraction(h)
+            for k, h in enumerate(linear.vector) if h})
+    return rows
 
 
 def lattice_congruence_count(form: HomogeneousForm, y: Sequence[int],
@@ -250,23 +265,26 @@ def lattice_congruence_count(form: HomogeneousForm, y: Sequence[int],
                              ) -> int:
     """#{x in the lattice image mod ``modulus``: all slice values vanish}.
 
-    For prime-power moduli the count can fall through to Hensel lifting;
-    general moduli are scanned directly.
+    Counted in the ambient coordinates, as #{x mod ``modulus`` : h . x = 0
+    and every slice of degree 2..d vanishes} (see :func:`_slice_system`).
+    Prime-power moduli go through :func:`count_congruence_solutions`, so
+    they can fall through to Hensel lifting; other moduli are one
+    convolution, charged the rows and entries it forms.
     """
-    polys, s = _lattice_system(form, y)
-    return _congruence_count(polys, s, modulus, budget)
+    return _congruence_count(_slice_system(form, y, True), form.nvars,
+                             modulus, budget)
 
 
-def _congruence_count(polys: List[Polynomial], s: int, modulus: int,
+def _congruence_count(polys: list, nvars: int, modulus: int,
                       budget: Optional[int]) -> int:
-    """#{xi mod ``modulus`` in s lattice coordinates: every pulled-back
-    slice in ``polys`` vanishes}."""
+    """#{x mod ``modulus`` in ``nvars`` variables: every poly in ``polys``
+    vanishes}, each call metered against its own ``budget``."""
     factorised = _prime_power(modulus)
     if factorised is not None:
-        return count_congruence_solutions(polys, s, factorised[0],
+        return count_congruence_solutions(polys, nvars, factorised[0],
                                           factorised[1], budget=budget)
-    _Budget(budget).charge(modulus ** s)
-    return _residue_count(polys, s, modulus)
+    return _convolution_count(polys, nvars, 0, modulus - 1, modulus,
+                              _Budget(budget))
 
 
 def _prime_power(q: int) -> Optional[Tuple[int, int]]:
@@ -308,31 +326,31 @@ def singular_series_truncated(form: HomogeneousForm, y: Sequence[int],
 
         A_y(q) = sum_{e | q, e squarefree} mu(e) e^s (q/e)^{d-1} N(q/e),
 
-    where N(m) counts lattice residues mod m on which every slice value
-    vanishes.  N(1) and N(p^k) come from exact residue counts, one
-    convolution of the value histograms of the variable-disjoint components
-    (see :func:`count_congruence_solutions`), or from Hensel lifting; every
-    other N(m) is, by the Chinese remainder theorem, the product of N(p^k)
-    over the prime powers exactly dividing m.  So the result is an exact
-    rational.  Every modulus m still charges
-    the m^s residues a scan would visit to ``budget``, so the budget fails
-    on the same windows as a scan of every modulus.
+    where s = n - 1 is the rank of the slicing lattice and N(m) counts
+    its residues mod m on which every slice value vanishes, in the ambient
+    coordinates (:func:`_slice_system`).  N(1) and N(p^k) come from
+    :func:`count_congruence_solutions`: one convolution of the value
+    histograms of the variable-disjoint components, or Hensel lifting;
+    each is charged to its own ``budget``.  Every other N(m) is, by the
+    Chinese remainder theorem, the product of N(p^k) over the prime powers
+    exactly dividing m, and is charged nothing.  So the result is an exact
+    rational.
 
     Raises:
-        ResourceLimit: a modulus m needs more than ``budget`` residues.
+        ResourceLimit: the count of a prime power exceeds ``budget``.
     """
     if window < 1:
         raise DomainError("window must be at least 1")
-    polys, s = _lattice_system(form, y)
+    polys = _slice_system(form, y, True)
+    s = form.nvars - 1
     d = form.degree
     counts: Dict[int, int] = {}
     for m in range(1, window + 1):
         factors = _factorise(m)
         if len(factors) > 1:
-            _Budget(budget).charge(m ** s)
             counts[m] = math.prod(counts[p ** h] for p, h in factors)
         else:
-            counts[m] = _congruence_count(polys, s, m, budget)
+            counts[m] = _congruence_count(polys, form.nvars, m, budget)
     total = Fraction(0)
     for q in range(1, window + 1):
         inner = Fraction(0)
@@ -378,7 +396,13 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
     both exponents; that variant breaks the partial-sum identity and is
     provided only so the discrepancy can be demonstrated.
 
+    The slicing lattice has rank s = n - 1, so both scales are
+    p^(H (d - n)).  Both counts run in the n ambient coordinates
+    (:func:`_slice_system`) through :func:`count_congruence_solutions`,
+    each charged to its own ``budget``.
+
     Raises:
+        ZeroVectorInput: y = 0, or grad F(y) = 0.
         ResourceLimit: counting exceeds the budget.
     """
     if H < 1:
@@ -389,14 +413,10 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
     n = form.nvars
     D = d * (d + 1) // 2
     head = D if display_convention else d
-    lattice_polys, s = _lattice_system(form, y)
-    n_lattice = count_congruence_solutions(lattice_polys, s, p, H,
-                                           budget=budget)
-    full_polys, _ = _fullspace_system(form, y)
-    n_full = count_congruence_solutions(full_polys, n, p, H, budget=budget)
-    lattice_value = Fraction(p) ** (H * (head - 1 - s)) * n_lattice
-    full_value = Fraction(p) ** (H * (head - n)) * n_full
-    return lattice_value, full_value
+    scale = Fraction(p) ** (H * (head - n))
+    return tuple(scale * count_congruence_solutions(
+        _slice_system(form, y, primitive), n, p, H, budget=budget)
+        for primitive in (True, False))
 
 
 # ---------------------------------------------------------------------------
@@ -808,11 +828,10 @@ def predict_fixed_y(form: HomogeneousForm, y: Sequence[int], x_bound: int,
     The series factor is exact; the integral factor is a QMC estimate whose
     dyadic mean enters the recombination exactly, so the returned main term
     divided by the two factors is exactly the power of X.  ``budget``
-    bounds each residue scan of the series and, separately, the QMC
-    samples of the integral.
+    bounds each prime-power residue count of the series and, separately,
+    the QMC samples of the integral.
     """
-    lattice = slicing_lattice(form, y)
-    s = lattice.rank
+    s = form.nvars - 1
     D = form.degree * (form.degree + 1) // 2
     series = singular_series_truncated(form, y, window, budget=budget)
     integral = singular_integral_truncated(form, y, window, samples, seed,

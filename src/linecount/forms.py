@@ -731,33 +731,6 @@ def nonzero_slices(form: HomogeneousForm, y: IntVector,
     return out
 
 
-def pullback(form, basis: Sequence[IntVector]) -> Polynomial:
-    """The form composed with x = B^T xi, as a polynomial in the s lattice
-    coordinates xi (B the s x n matrix whose rows are ``basis``)."""
-    s = len(basis)
-    linear = []
-    for i in range(form.nvars):
-        row = {}
-        for m in range(s):
-            if basis[m][i]:
-                key = tuple(1 if t == m else 0 for t in range(s))
-                row[key] = Fraction(basis[m][i])
-        linear.append(row)
-    total: Dict[Exponent, Fraction] = {}
-    for exponents, coefficient in form.coeffs.items():
-        term: Dict[Exponent, Fraction] = {(0,) * s: Fraction(coefficient)}
-        for i, e in enumerate(exponents):
-            for _ in range(e):
-                term = _poly_mul(term, linear[i])
-                if not term:
-                    break
-            if not term:
-                break
-        for key, value in term.items():
-            _add_term(total, key, value)
-    return Polynomial(nvars=s, coeffs=total)
-
-
 # ---------------------------------------------------------------------------
 # Derivatives
 # ---------------------------------------------------------------------------

@@ -267,16 +267,12 @@ def test_criterion_05_euler_factor_orthogonality():
             assert partial == rhs, (p, H, partial, rhs)
             display = Fraction(p) ** (H * (D - 1 - s)) * count
             assert display != partial, (p, H)
-            if (p, H) != (5, 2):
-                # chi's full-space normalisation is intractable at q = 25
-                # (singular fibers over 7 ambient variables); the direct
-                # count above already pins the q = 25 lattice value.
-                working, _ = chi_p_fixed_y(cubic, y, p, H, budget=10 ** 8)
-                assert working == rhs, (p, H)
-                shown, _ = chi_p_fixed_y(cubic, y, p, H,
-                                         display_convention=True,
-                                         budget=10 ** 8)
-                assert shown == display, (p, H)
+            working, _ = chi_p_fixed_y(cubic, y, p, H, budget=10 ** 8)
+            assert working == rhs, (p, H)
+            shown, _ = chi_p_fixed_y(cubic, y, p, H,
+                                     display_convention=True,
+                                     budget=10 ** 8)
+            assert shown == display, (p, H)
             checked.append((p, H))
     verdict(5, True,
             f"orthogonality exact at (p, H) in {checked}; the display "

@@ -45,6 +45,7 @@ from linecount.fixtures import (
     random_dense_form,
 )
 from linecount.forms import (
+    HomogeneousForm,
     Polynomial,
     evaluate_batch,
     evaluate_form,
@@ -57,6 +58,7 @@ from linecount.forms import (
     residues_mod,
 )
 from linecount.lattice import slicing_lattice
+from lattice_oracle import lattice_system, sheared
 from test_counting import counted
 
 QUINTIC = fermat_quintic()
@@ -122,8 +124,7 @@ def exact_coprime_a_sum(form, y, q):
 def scanned_series(form, y, window):
     """The truncated singular series with every N(m), m <= window, from a
     direct scan of the lattice coordinates mod m (no CRT, no Hensel)."""
-    from linecount.density import _lattice_system
-    polys, s = _lattice_system(form, y)
+    polys, s = lattice_system(form, y)
     counts = {m: sum(1 for xi in itertools.product(range(m), repeat=s)
                      if all(int(poly(xi)) % m == 0 for poly in polys))
               for m in range(1, window + 1)}
@@ -444,6 +445,24 @@ class TestCompleteSum:
 # Congruence counting
 # ---------------------------------------------------------------------------
 
+@st.composite
+def diagonal_base_points(draw):
+    """(form, y, m): a diagonal form sum a_i x_i^d with n <= 6 and d <= 4,
+    or its shear (:func:`lattice_oracle.sheared`), a base point y with
+    grad F(y) != 0, and a modulus m <= 12 with m^n <= 10^5."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    y = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    assume(any(a * v for a, v in zip(weights, y)))
+    form = HomogeneousForm(nvars=n, degree=d, coeffs={
+        tuple(d * (i == k) for i in range(n)): a
+        for k, a in enumerate(weights) if a})
+    if draw(st.booleans()):
+        form, y = sheared(form, y)
+    return form, y, draw(st.integers(1, min(12, int(10 ** (5 / n)))))
+
+
 class TestCongruenceCounting:
     @pytest.mark.parametrize("q,expected", [(2, 4), (3, 9), (4, 24)])
     def test_quintic_lattice_counts(self, q, expected):
@@ -460,28 +479,55 @@ class TestCongruenceCounting:
             if all(int(s(x)) % 6 == 0 for s in slices))
         assert lattice_congruence_count(QUINTIC, YQ, 6) == brute == 36
 
-    def test_hensel_matches_direct_quintic(self):
-        from linecount.density import _lattice_system
-        polys, s = _lattice_system(QUINTIC, YQ)
-        direct = count_congruence_solutions(polys, s, 3, 2, budget=10 ** 6)
-        hensel = count_congruence_solutions(polys, s, 3, 2, budget=700)
+    @staticmethod
+    def hensel_calls(monkeypatch):
+        """The (nvars, modulus) of every residue grid the Hensel route
+        scans: the base mod p, then each singular fiber."""
+        calls = []
+        original = density._residue_grid
+
+        def wrapper(nvars, modulus):
+            calls.append((nvars, modulus))
+            return original(nvars, modulus)
+
+        monkeypatch.setattr(density, "_residue_grid", wrapper)
+        return calls
+
+    def test_hensel_matches_direct_quintic(self, monkeypatch):
+        # the sheared quintic joins its 4 variables into one component, so
+        # mod 9 the direct count streams 9^4 residues and a budget below
+        # that takes the Hensel route; both give the quintic's N(9)
+        form, y = sheared(QUINTIC, YQ)
+        polys = density._slice_system(form, y, True)
+        calls = self.hensel_calls(monkeypatch)
+        direct = count_congruence_solutions(polys, 4, 3, 2, budget=None)
+        assert calls == []
+        hensel = count_congruence_solutions(polys, 4, 3, 2, budget=10 ** 3)
+        assert calls[0] == (4, 3)
         assert direct == hensel == 135
 
-    def test_hensel_matches_direct_cubic_fullspace(self):
-        from linecount.density import _fullspace_system
-        polys, n = _fullspace_system(CUBIC7, YC7)
-        direct = count_congruence_solutions(polys, n, 2, 2, budget=10 ** 7)
-        hensel = count_congruence_solutions(polys, n, 2, 2, budget=10 ** 4)
-        assert direct == hensel == 1088
+    def test_hensel_matches_direct_cubic_fullspace(self, monkeypatch):
+        form, y = sheared(CUBIC7, YC7)
+        polys = density._slice_system(form, y, False)
+        calls = self.hensel_calls(monkeypatch)
+        direct = count_congruence_solutions(polys, 7, 3, 2, budget=None)
+        assert calls == []
+        hensel = count_congruence_solutions(polys, 7, 3, 2,
+                                            budget=9 ** 7 - 1)
+        assert calls[0] == (7, 3)
+        assert direct == hensel == 334611
 
-    def test_hensel_handles_all_singular_base(self):
-        # a slice with p-divisible coefficients gives a vanishing Jacobian
-        # row mod p, so every base solution is singular and the lift has to
-        # fall back to exhaustive fibers
-        from linecount.density import _lattice_system
-        polys, s = _lattice_system(CUBIC7, YC7)
-        direct = count_congruence_solutions(polys, s, 3, 2, budget=10 ** 6)
-        forced = count_congruence_solutions(polys, s, 3, 2, budget=3 * 10 ** 5)
+    def test_hensel_handles_all_singular_base(self, monkeypatch):
+        # c_2 = 3 (x1^2 - x2^2) vanishes to second order on ker h mod 3,
+        # so the Jacobian never reaches full rank: each of the 243 base
+        # solutions is lifted by an exhaustive scan of its fiber
+        form, y = sheared(CUBIC7, YC7)
+        polys = density._slice_system(form, y, True)
+        calls = self.hensel_calls(monkeypatch)
+        direct = count_congruence_solutions(polys, 7, 3, 2, budget=None)
+        assert calls == []
+        forced = count_congruence_solutions(polys, 7, 3, 2, budget=10 ** 6)
+        assert calls == [(7, 3)] * (1 + 243)
         assert direct == forced == 111537
 
     def test_vacuous_equation_dropped(self):
@@ -500,31 +546,50 @@ class TestCongruenceCounting:
             count_congruence_solutions([], 2, 2, 0)
 
     def test_budget(self):
-        from linecount.density import _lattice_system
-        polys, s = _lattice_system(QUINTIC, YQ)
+        polys = density._slice_system(QUINTIC, YQ, True)
         with pytest.raises(ResourceLimit):
-            count_congruence_solutions(polys, s, 3, 2, budget=10)
+            count_congruence_solutions(polys, 4, 3, 2, budget=10)
 
     @pytest.mark.parametrize("system,p,expected", [
         ("quintic-lattice", 5, 25), ("cubic7-fullspace", 2, 32)])
     def test_scan_charge_boundary(self, system, p, expected):
-        """The direct count charges the p^nvars residues of the scan: one
-        below that the count stops, at it the count is the scan's."""
-        from linecount.density import _fullspace_system, _lattice_system
-        polys, nvars = (_lattice_system(QUINTIC, YQ)
-                        if system == "quintic-lattice"
-                        else _fullspace_system(CUBIC7, YC7))
+        """The direct count charges what the convolution forms: the
+        residue grids of the single-variable components (2 * 5 for the
+        quintic's x3, x4; 7 * 2 for the cubic), then the entries of each
+        fold.  One below that the count stops, at it the count is the
+        scan's."""
+        form, y, primitive = ((QUINTIC, YQ, True)
+                              if system == "quintic-lattice"
+                              else (CUBIC7, YC7, False))
+        polys = density._slice_system(form, y, primitive)
+        nvars = form.nvars
+        charge = {"quintic-lattice": 70, "cubic7-fullspace": 46}[system]
         with pytest.raises(ResourceLimit):
             count_congruence_solutions(polys, nvars, p, 1,
-                                       budget=p ** nvars - 1)
+                                       budget=charge - 1)
         assert count_congruence_solutions(polys, nvars, p, 1,
-                                          budget=p ** nvars) \
+                                          budget=charge) \
             == scan_count(polys, nvars, p) == expected
 
     def test_composite_modulus_charge_boundary(self):
+        """Mod 6 the count is one convolution, charged the 2 * 6 residues
+        of x3 and x4 and the 84 entries its folds form."""
         with pytest.raises(ResourceLimit):
-            lattice_congruence_count(QUINTIC, YQ, 6, budget=6 ** 3 - 1)
-        assert lattice_congruence_count(QUINTIC, YQ, 6, budget=6 ** 3) == 36
+            lattice_congruence_count(QUINTIC, YQ, 6, budget=96 - 1)
+        assert lattice_congruence_count(QUINTIC, YQ, 6, budget=96) == 36
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagonal_base_points())
+    @example((QUADRIC5, (1, 0, 0, 0, 0), 2))
+    def test_ambient_count_matches_lattice_scan(self, case):
+        """The ambient count of the lattice residues equals a scan of the
+        pulled-back system in the lattice coordinates, on diagonal forms
+        and on their shears, whose variables join.  The content of
+        grad F(y) is a multiple of d, so m often shares a factor with it,
+        where h . x and grad F(y) . x differ (as mod 2 in the example)."""
+        form, y, m = case
+        assert lattice_congruence_count(form, y, m, budget=None) \
+            == scan_count(*lattice_system(form, y), m)
 
 
 @st.composite
@@ -708,7 +773,9 @@ class TestSingularSeries:
         with pytest.raises(ResourceLimit):
             singular_series_truncated(QUINTIC, YQ, 50, budget=100)
 
-    def test_one_lattice_for_all_moduli(self, monkeypatch):
+    def test_series_builds_no_slicing_lattice(self, monkeypatch):
+        """The series counts in the ambient coordinates, so it reduces no
+        lattice basis."""
         builds = []
 
         def counted(form, y):
@@ -717,7 +784,7 @@ class TestSingularSeries:
 
         monkeypatch.setattr(density, "slicing_lattice", counted)
         value = singular_series_truncated(CUBIC7, YC7, 12).value
-        assert builds == [YC7]
+        assert builds == []
         assert value == Fraction(2774, 49)
 
     @pytest.mark.parametrize("form,y", [(QUINTIC, YQ), (CUBIC4, YC4)])
@@ -737,14 +804,31 @@ class TestSingularSeries:
         singular_series_truncated(CUBIC4, YC4, 12)
         assert scanned == [1, 2, 3, 4, 5, 7, 8, 9, 11]
 
-    def test_composite_modulus_charges_its_scan(self):
-        """m = 6 charges 6^s = 216 residues, as a scan of it would: one
-        below that the series stops, at it the series passes."""
+    def test_composite_modulus_charges_nothing(self):
+        """Each prime power is charged to its own budget, and N(6) is
+        N(2) N(3) by CRT: the window-6 series needs the 70 that counting
+        mod 5 is charged, not the 96 of counting mod 6.  One below 70 the
+        series stops, at it the series passes."""
         with pytest.raises(ResourceLimit) as info:
-            singular_series_truncated(QUINTIC, YQ, 6, budget=6 ** 3 - 1)
-        assert info.value.budget == 6 ** 3 - 1
-        value = singular_series_truncated(QUINTIC, YQ, 6, budget=6 ** 3)
+            singular_series_truncated(QUINTIC, YQ, 6, budget=70 - 1)
+        assert info.value.budget == 70 - 1
+        with pytest.raises(ResourceLimit):
+            lattice_congruence_count(QUINTIC, YQ, 6, budget=70)
+        value = singular_series_truncated(QUINTIC, YQ, 6, budget=70)
         assert value.value == scanned_series(QUINTIC, YQ, 6)
+
+    def test_ten_variable_cubic_at_the_default_budget(self):
+        """Fermat-3-10 at an indefinite y has a rank-9 slicing lattice.
+        In the ambient coordinates every modulus of the window-16 series
+        is a convolution of single variables, within the default budget;
+        N(1..4) agree with a scan of the lattice coordinates."""
+        form = fermat_form(10, 3)
+        y = (1, 1, 1, 1, 1, -1, -1, -1, -1, 2)
+        polys, s = lattice_system(form, y)
+        assert [lattice_congruence_count(form, y, m) for m in range(1, 5)] \
+            == [scan_count(polys, s, m) for m in range(1, 5)] \
+            == [1, 256, 19683, 35072]
+        assert singular_series_truncated(form, y, 16).value > 0
 
     def test_factorise_matches_sympy(self):
         from linecount.density import _factorise, _moebius, _prime_power
@@ -814,6 +898,17 @@ class TestChiPFixedY:
     def test_rejects_bad_level(self):
         with pytest.raises(DomainError):
             chi_p_fixed_y(QUINTIC, YQ, 2, 0)
+
+    def test_quintic_mod_125_at_the_default_budget(self):
+        """Both systems of the quintic are single-variable components, so
+        mod 5^3 each count is a few small convolutions; charged the whole
+        grid it was refused at the default budget."""
+        assert chi_p_fixed_y(QUINTIC, YQ, 5, 3) \
+            == (Fraction(17578125), Fraction(87890625))
+
+    def test_degenerate_point_rejected(self):
+        with pytest.raises(ZeroVectorInput):
+            chi_p_fixed_y(QUINTIC, (0, 0, 0, 0), 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1542,6 +1637,20 @@ class TestPredictions:
         integral = Fraction(prediction.components["integral"]["mean"])
         assert prediction.main_term / (series * integral) \
             == Fraction(100) ** (3 - 15 + 1)
+
+    def test_fixed_y_reduces_one_lattice(self, monkeypatch):
+        """Only the integral samples the slicing lattice; the series and
+        the exponent s = n - 1 need none."""
+        builds = []
+
+        def counted(form, y):
+            builds.append(tuple(y))
+            return slicing_lattice(form, y)
+
+        monkeypatch.setattr(density, "slicing_lattice", counted)
+        prediction = predict_fixed_y(QUINTIC, YQ, 100, 2, 4096, seed=5)
+        assert builds == [YQ]
+        assert prediction.components["rank"] == 3
 
     def test_fixed_y_smoke_order_of_magnitude(self):
         from linecount.counting import count_fixed_y

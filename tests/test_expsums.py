@@ -46,9 +46,9 @@ from linecount.forms import (
     integer_slice_form,
     iterated_difference,
     nonzero_slices,
-    pullback,
 )
 from linecount.lattice import box_profile, enumerate_points, slicing_lattice
+from lattice_oracle import pullback
 from point_blocks import point_tuples
 
 QUINTIC = fermat_quintic()
