@@ -316,11 +316,13 @@ def _configure_count(parser) -> None:
     parser.add_argument("--breakdown", action="store_true",
                         help="include per-base-point counts")
     parser.add_argument("--workers", type=int, default=1,
-                        help="processes to split the work across: the "
-                             "first lattice coordinate with --y, the orbit "
-                             "leaders' fibers with --Y (default 1); a "
-                             "diagonal form's fiber is counted in one "
-                             "process by convolution")
+                        help="processes to split the work across "
+                             "(default 1): the first lattice coordinate "
+                             "with --y, the orbit leaders' fibers with --Y "
+                             "(only leaders are split).  A diagonal form's "
+                             "--y fiber, and its --Y total without "
+                             "--breakdown or --rho, are one convolution "
+                             "each and run in one process")
     parser.add_argument("--csv", action="store_true",
                         help="emit the per-base-point table as CSV "
                              "(needs --breakdown)")

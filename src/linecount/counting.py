@@ -6,11 +6,13 @@ histograms of the slice system, save at the base points inside the
 stratum of a stratified pair count; for other forms it runs over the
 slicing lattice of the base point (or the full box in the
 degenerate-gradient fallback) and applies the integer slice conditions.
-The y-side scans the coefficient box for zeros of the form.  Vectorised
-(numpy) evaluation is used for throughput, with exact object arithmetic
-as the overflow fallback, so no float ever decides a count.  The
-convolution counter counts over a box in Z and over the residues mod m
-alike, and the residue counts of ``density`` call it.
+The y-side scans the coefficient box for zeros of the form, except in a
+diagonal pair count without breakdown or stratum, which is one
+convolution of the pencil over both boxes.  Vectorised (numpy)
+evaluation is used for throughput, with exact object arithmetic as the
+overflow fallback, so no float ever decides a count.  The convolution
+counter counts over a box in Z and over the residues mod m alike, and
+the residue counts of ``density`` call it.
 """
 
 from __future__ import annotations
@@ -169,15 +171,16 @@ def _variable_components(monomials: Sequence[Tuple[int, ...]],
     return sorted(sorted(group) for group in groups)
 
 
-def _convolution_count(polys: Sequence, nvars: int, low: int, high: int,
+def _convolution_count(polys: Sequence, bounds: Sequence[Tuple[int, int]],
                        modulus: Optional[int], meter: _Budget) -> int:
-    """#{x in [low, high]^nvars : every poly of ``polys`` vanishes}, over Z
-    when ``modulus`` is None and mod ``modulus`` otherwise.
+    """#{x : low_i <= x_i <= high_i, every poly of ``polys`` vanishes},
+    (low_i, high_i) = ``bounds[i]`` for each of the len(bounds) variables,
+    over Z when ``modulus`` is None and mod ``modulus`` otherwise.
 
     Monomials whose coefficient is 0 (mod ``modulus``) drop out, and a
     poly left constant vanishes everywhere or nowhere.  The variables fall
     into components, joined when a monomial uses both; a variable in none
-    is free, a factor high - low + 1.  A poly is its constant c plus the
+    is free, a factor high_i - low_i + 1.  A poly is its constant c plus the
     sum of its values on the components, so the count convolves the
     components' histograms of value vectors.  The components go into two
     halves of balanced grid size; the smaller half is folded into the
@@ -186,13 +189,13 @@ def _convolution_count(polys: Sequence, nvars: int, low: int, high: int,
     blocks, never accumulated, each counting B at -(c + k).
 
     Keys are exact.  Mod m a poly is a digit of radix m; over Z its radix
-    is 2 M + 1, where M = (sum |coefficient|) max(|low|, |high|)^degree +
-    |c| bounds every partial sum.  The polys are packed, the first most
-    significant, into one int64 column per run of radices whose product is
-    below 2^62 (a poly of larger radix keeps its exact values).  Over Z
-    keys add as the values do and sort as the value vectors do; mod m they
-    add digit by digit.  A key of several columns is a row, matched by
-    :func:`_row_ids`.
+    is 2 M + 1, where M = (sum |coefficient|) b^degree + |c|, b the
+    largest |low_i| or |high_i|, bounds every partial sum.  The polys are
+    packed, the first most significant, into one int64 column per run of
+    radices whose product is below 2^62 (a poly of larger radix keeps its
+    exact values).  Over Z keys add as the values do and sort as the value
+    vectors do; mod m they add digit by digit.  A key of several columns
+    is a row, matched by :func:`_row_ids`.
 
     Charges the meter the grid rows of every component before evaluating
     them, and |left| * |right| entries before each fold forms them.  Over
@@ -202,6 +205,7 @@ def _convolution_count(polys: Sequence, nvars: int, low: int, high: int,
     variables that maps the value vectors onto themselves up to one sign
     keeps the charge.  Mod m the larger components go first.
     """
+    nvars = len(bounds)
     origin = (0,) * nvars
     kept: List = []
     constants: List[int] = []
@@ -220,14 +224,16 @@ def _convolution_count(polys: Sequence, nvars: int, low: int, high: int,
             poly = Polynomial(nvars=nvars, coeffs=coeffs)
         kept.append(poly)
         constants.append(constant)
-    side = high - low + 1
+    lows, highs = zip(*bounds)
+    sides = [high - low + 1 for low, high in bounds]
     groups = _variable_components([e for poly in kept for e in poly.coeffs],
                                   nvars)
-    free = side ** (nvars - sum(map(len, groups)))
+    grids = [math.prod([sides[v] for v in group]) for group in groups]
+    free = math.prod(sides) // math.prod(grids)
     if not groups:
         return free
 
-    bound = max(abs(low), abs(high))
+    bound = max(map(abs, lows + highs))
     layout: List[List[Tuple[int, int]]] = []  # per column, (poly, weight)
     product = 2 ** 62
     for j, (poly, constant) in enumerate(zip(kept, constants)):
@@ -263,15 +269,14 @@ def _convolution_count(polys: Sequence, nvars: int, low: int, high: int,
             return pack([-u for u in digits(keys)])
 
     # counts up to the whole grid of the components, which int64 may not hold
-    count_type = (np.int64 if side ** sum(map(len, groups)) < 2 ** 63
-                  else object)
+    count_type = np.int64 if math.prod(grids) < 2 ** 63 else object
 
     def grid(i: int, rows: Optional[int]) -> Iterator[np.ndarray]:
         """The grid of component i, the other variables 0, in blocks of
         ``rows`` rows (all of it when None)."""
         group = groups[i]
-        for block in grid_chunks([low] * len(group), [high] * len(group),
-                                 rows):
+        for block in grid_chunks([lows[v] for v in group],
+                                 [highs[v] for v in group], rows):
             points = block
             if len(group) < nvars:
                 points = np.zeros((block.shape[0], nvars), dtype=np.int64)
@@ -308,7 +313,7 @@ def _convolution_count(polys: Sequence, nvars: int, low: int, high: int,
             folded = _accumulate(_sum_blocks(folded, histograms[i], add))
         return folded
 
-    meter.charge(sum(side ** len(group) for group in groups))
+    meter.charge(sum(grids))
     if modulus is None:
         form(list(range(len(groups))))
         # a sorted histogram lists its multiset of value vectors in order,
@@ -475,7 +480,7 @@ def _fiber(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
         return _convolution_count(
             [integer_slice_form(form, y, j)
              for j in range(1, form.degree + 1)],
-            form.nvars, -x_bound, x_bound, None, meter), 0
+            [(-x_bound, x_bound)] * form.nvars, None, meter), 0
     lattice, leading_range = piece or _whole_fiber(form, y)
     if lattice is None:
         chunks = grid_chunks([-x_bound] * form.nvars, [x_bound] * form.nvars,
@@ -914,6 +919,51 @@ def _pairs_at_base_point(form: HomogeneousForm, y: Tuple[int, ...],
     return count, prop_y, stratified
 
 
+def _pencil_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
+                  meter: _Budget) -> Tuple[int, int]:
+    """(total, proportional) pair counts of a diagonal F, proportional pairs
+    included in the total, with no scan of the y-box.
+
+    A pair spans a line when every pencil form c_0..c_d vanishes at (x,
+    y), and for a diagonal F each c_j = binom(d, j) sum_i a_i x_i^j
+    y_i^(d-j) splits into one component (x_i, y_i) per variable.  So
+    :func:`_convolution_count` of the pencil over the x-box times the
+    y-box counts every such pair, x = 0 or y = 0 included: with Z(B) =
+    #{|v| <= B : F(v) = 0}, zero included, the pairs with x = 0 number
+    Z(Y) and those with y = 0 number Z(X), so
+
+        total = conv(pencil) - Z(X) - Z(Y) + 1.
+
+    A nonzero zero is k p for one primitive zero p (both signs counted)
+    and k >= 1, and its proportional partners number 2 floor(X / |p|).
+    With P(t) the primitive zeros of sup-norm t, the nonzero zeros of
+    sup-norm exactly t number Z(t) - Z(t - 1) = sum_{s | t} P(s), solved
+    for P(t) for t = 1..min(X, Y), and
+
+        proportional = sum_t P(t) floor(Y / t) 2 floor(X / t).
+
+    Each Z(B) is the convolution of [F] over [-B, B]^n; all the
+    convolutions charge ``meter``.
+    """
+    n = form.nvars
+    total = _convolution_count(
+        form.pencil, [(-x_bound, x_bound)] * n + [(-y_bound, y_bound)] * n,
+        None, meter)
+    least = min(x_bound, y_bound)
+    zeros = {bound: _convolution_count([form], [(-bound, bound)] * n, None,
+                                       meter)
+             for bound in sorted({*range(1, least + 1), x_bound, y_bound})}
+    total -= zeros[x_bound] + zeros[y_bound] - 1
+    primitive = [0] * (least + 1)
+    proportional = 0
+    for t in range(1, least + 1):
+        # Z(0) = 1 counts the zero vector alone
+        primitive[t] = (zeros[t] - zeros.get(t - 1, 1)
+                        - sum(primitive[s] for s in range(1, t) if t % s == 0))
+        proportional += primitive[t] * (y_bound // t) * 2 * (x_bound // t)
+    return total, proportional
+
+
 def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
                 exclude_proportional: bool = False,
                 stratum_rho: Optional[int] = None,
@@ -929,30 +979,51 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     points both have Hessian corank >= rho.  ``breakdown`` records the
     per-base-point counts, whose sum reproduces the total exactly.
 
-    The fiber of y depends only on the line through y (the slice values
-    scale as c_j(x, k y) = k^(d-j) c_j(x, y)), and a signed permutation
-    sigma with F o sigma = +-F maps it onto the fiber of sigma y: sigma
-    keeps the sup-norm box and the zero set, maps the slicing lattice at y
-    onto the one at sigma y and keeps the Hessian corank, so the total,
-    proportional and stratified counts and the number of points enumerated
-    (for a diagonal form, the charge of its convolution) are the same.  So
-    one scan of the y-box (:func:`_orbit_tally`) tallies the orbits of
-    primitive directions +-y under the group spanned by the sign changes
-    and signed transpositions that are symmetries of F, by a closed-form
-    key per line (:func:`_orbit_components`), and the x-side is counted
-    once per orbit, at its leader (:func:`_pairs_at_base_point`);
-    ``workers`` processes split the leaders.  ``budget`` bounds what is charged over the scan and
-    every fiber: the box rows plus, for each base point, the charge of its
-    fiber, as if counted afresh, so the same inputs exceed it whatever the
-    number of workers.
+    For a diagonal F, when neither ``breakdown`` nor ``stratum_rho`` is
+    given, the count scans no y-box and counts no fiber
+    (:func:`_pencil_pairs`).  Every pencil form c_j(x, y) is a sum over
+    the components (x_i, y_i), so with Z(B) = #{|v| <= B : F(v) = 0},
+    zero included,
+
+        total = conv(pencil over x-box x y-box) - Z(X) - Z(Y) + 1,
+
+    each term one :func:`_convolution_count`.  The primitive zeros P(t) of
+    sup-norm t <= min(X, Y) follow from Z(t) - Z(t - 1) = sum_{s | t}
+    P(s) by a Moebius step, and the proportional pairs are sum_t P(t)
+    floor(Y / t) 2 floor(X / t).  This path runs in one process, whatever
+    ``workers``.
+
+    A breakdown, a stratum or a form that is not diagonal keeps the scan
+    of the y-box.  The fiber of y depends only on the line through y (the
+    slice values scale as c_j(x, k y) = k^(d-j) c_j(x, y)), and a signed
+    permutation sigma with F o sigma = +-F maps it onto the fiber of sigma
+    y: sigma keeps the sup-norm box and the zero set, maps the slicing
+    lattice at y onto the one at sigma y and keeps the Hessian corank, so
+    the total, proportional and stratified counts and the number of points
+    enumerated (for a diagonal form, the charge of its convolution) are
+    the same.  So one scan of the y-box (:func:`_orbit_tally`) tallies the
+    orbits of primitive directions +-y under the group spanned by the sign
+    changes and signed transpositions that are symmetries of F, by a
+    closed-form key per line (:func:`_orbit_components`), and the x-side
+    is counted once per orbit, at its leader (:func:`_pairs_at_base_point`);
+    ``workers`` processes split the leaders.  ``budget`` bounds what is
+    charged: the pencil path's convolutions, or the box rows of the scan
+    plus, for each base point, the charge of its fiber, as if counted
+    afresh, so the same inputs exceed it whatever the number of workers.
 
     Raises:
         DomainError: X < 1 or Y < 1.
-        ResourceLimit: the scan exceeded the budget.
+        ResourceLimit: the count exceeded the budget.
     """
     if x_bound < 1 or y_bound < 1:
         raise DomainError("x_bound and y_bound must be at least 1")
     meter = _Budget(budget)
+    if not breakdown and stratum_rho is None and _is_diagonal(form):
+        total, proportional = _pencil_pairs(form, x_bound, y_bound, meter)
+        if exclude_proportional:
+            total -= proportional
+        return PairCountReport(x_bound=x_bound, y_bound=y_bound, total=total,
+                               proportional_pairs=proportional)
     leaders, sizes, blocks = _orbit_tally(form, y_bound, meter, keep=breakdown)
     fibers = _metered_map(
         functools.partial(_pairs_at_base_point, form),

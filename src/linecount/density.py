@@ -165,7 +165,7 @@ def _residue_count(polys: Sequence[Polynomial], nvars: int,
     """#{x mod ``modulus`` in ``nvars`` variables: every poly vanishes}, by
     the convolution of :func:`counting._convolution_count` on the residue
     grid.  Charges nothing; callers charge the full grid."""
-    return _convolution_count(polys, nvars, 0, modulus - 1, modulus,
+    return _convolution_count(polys, [(0, modulus - 1)] * nvars, modulus,
                               _Budget(None))
 
 
@@ -204,8 +204,8 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
         [e for poly in active for e, c in poly.coeffs.items()
          if any(e) and int(c) % modulus], nvars)
     if budget is None or sum(modulus ** len(g) for g in groups) <= budget:
-        return _convolution_count(active, nvars, 0, modulus - 1, modulus,
-                                  ledger)
+        return _convolution_count(active, [(0, modulus - 1)] * nvars,
+                                  modulus, ledger)
 
     # Hensel route: classify the mod-p solutions by Jacobian rank.
     base = p ** nvars
@@ -283,7 +283,7 @@ def _congruence_count(polys: list, nvars: int, modulus: int,
     if factorised is not None:
         return count_congruence_solutions(polys, nvars, factorised[0],
                                           factorised[1], budget=budget)
-    return _convolution_count(polys, nvars, 0, modulus - 1, modulus,
+    return _convolution_count(polys, [(0, modulus - 1)] * nvars, modulus,
                               _Budget(budget))
 
 

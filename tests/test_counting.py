@@ -370,6 +370,72 @@ class TestDiagonalConvolution:
                                  budget=needed) == 157
 
 
+@st.composite
+def pencil_cases(draw):
+    """(F, X, Y): F = sum a_i x_i^d with n = 2..6, d = 2..4 and signed a_i,
+    some of them 0 (the variable is absent), and two distinct bounds X, Y
+    in 1..3."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(2, 4))
+    a = draw(st.lists(st.sampled_from([-3, -2, -1, -1, 0, 1, 1, 2]),
+                      min_size=n, max_size=n).filter(any))
+    x_bound, y_bound = draw(st.permutations(range(1, 4)))[:2]
+    form = HomogeneousForm(nvars=n, degree=d, coeffs={
+        tuple(d if k == i else 0 for k in range(n)): c
+        for i, c in enumerate(a) if c})
+    return form, x_bound, y_bound
+
+
+def split_quadric(p, q):
+    """x1^2 + .. + x_p^2 - x_(p+1)^2 - .. - x_(p+q)^2."""
+    return HomogeneousForm(nvars=p + q, degree=2, coeffs={
+        tuple(2 if k == i else 0 for k in range(p + q)):
+            1 if i < p else -1 for i in range(p + q)})
+
+
+class TestPencilPairs:
+    """A diagonal pair count without breakdown or stratum is one
+    convolution of the pencil over the x-box times the y-box; the y-box
+    scan, which ``breakdown=True`` keeps, stays the oracle."""
+
+    @given(pencil_cases(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_scan(self, case, exclude_proportional):
+        form, x_bound, y_bound = case
+        report = count_pairs(form, x_bound, y_bound,
+                             exclude_proportional=exclude_proportional)
+        assert report.per_y_breakdown is None
+        for workers in (1, 2):
+            with mock.patch.object(counting, "ProcessPoolExecutor",
+                                   inline_pool([])):
+                scan = count_pairs(form, x_bound, y_bound,
+                                   exclude_proportional=exclude_proportional,
+                                   breakdown=True, workers=workers)
+            assert (report.total, report.proportional_pairs) \
+                == (sum(scan.per_y_breakdown.values()),
+                    scan.proportional_pairs)
+        if exclude_proportional:
+            included = count_pairs(form, x_bound, y_bound)
+            assert report.total \
+                == included.total - included.proportional_pairs
+
+    def test_split_octonary_quadric(self):
+        """The n = 8 split quadric at X = Y = 4, as counted by the y-box
+        scan, whose 9^8 = 43M rows the pencil convolution never
+        evaluates."""
+        report = count_pairs(split_quadric(4, 4), 4, 4)
+        assert (report.total, report.proportional_pairs) \
+            == (51187228672, 2744320)
+
+    def test_no_scan_and_no_fiber(self, monkeypatch):
+        tallies = counted(monkeypatch, "_orbit_tally")
+        fibers = counted(monkeypatch, "_pairs_at_base_point")
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", None)
+        report = count_pairs(diagonal_quadric(5), 2, 4, workers=2)
+        assert report.total == report.proportional_pairs == 384
+        assert tallies == fibers == []
+
+
 def _pencil_tail(form, x, y):
     """Pencil coefficients of degree >= 1 in x, from the interpolation route
     (independent of the slice-form evaluation used by the counters)."""
@@ -558,13 +624,14 @@ class TestDirectionReuse:
     ])
     def test_workers_enumerate_one_fiber_per_orbit(self, monkeypatch, form,
                                                    y_bound, fibers):
-        """Workers split the orbit leaders, so no orbit's fiber is
-        enumerated twice however many workers run."""
+        """Workers split the orbit leaders of the y-box scan (which a
+        breakdown keeps), so no orbit's fiber is enumerated twice however
+        many workers run."""
         calls = counted(monkeypatch, "_pairs_at_base_point")
         monkeypatch.setattr(counting, "ProcessPoolExecutor", inline_pool([]))
         for workers in (1, 2):
             calls.clear()
-            count_pairs(form, 2, y_bound, workers=workers)
+            count_pairs(form, 2, y_bound, breakdown=True, workers=workers)
             assert len(calls) == fibers
 
     def test_breakdown_keeps_every_base_point(self):
@@ -686,10 +753,15 @@ class TestOrbitReuse:
                 with pytest.raises(ResourceLimit):
                     count_pairs(form, x_bound, y_bound,
                                 exclude_proportional=exclude_proportional,
-                                stratum_rho=stratum_rho, workers=workers,
-                                budget=charged - 1)
+                                stratum_rho=stratum_rho, breakdown=True,
+                                workers=workers, budget=charged - 1)
             assert (report.total, report.proportional_pairs,
                     report.stratified, report.per_y_breakdown) == want
+        plain = count_pairs(form, x_bound, y_bound,
+                            exclude_proportional=exclude_proportional,
+                            stratum_rho=stratum_rho)
+        assert (plain.total, plain.proportional_pairs,
+                plain.stratified) == want[:3]
 
     @given(symmetric_forms(), st.integers(1, 2), st.integers(1, 3),
            st.booleans(), st.data())
@@ -726,14 +798,34 @@ class TestOrbitReuse:
     ])
     def test_budget_boundary(self, form, needed):
         """Reused fibers are charged as if counted again: the scan at
-        (X, Y) = (2, 3) needs exactly ``needed``, the 7^n rows of the
-        y-box plus the convolution charge of every base point's fiber, as
-        when every base point was counted afresh."""
+        (X, Y) = (2, 3), kept by a breakdown, needs exactly ``needed``,
+        the 7^n rows of the y-box plus the convolution charge of every
+        base point's fiber, as when every base point was counted afresh."""
         assert needed == 7 ** form.nvars + sum(
             diagonal_fiber_charge(form, y, 2)
             for y in itertools.product(range(-3, 4), repeat=form.nvars)
             if any(y) and evaluate_form(form, y) == 0)
         assert per_base_point_oracle(form, 2, 3, False, None)[1] == needed
+        with pytest.raises(ResourceLimit):
+            count_pairs(form, 2, 3, breakdown=True, budget=needed - 1)
+        count_pairs(form, 2, 3, breakdown=True, budget=needed)
+
+    @pytest.mark.parametrize("form, needed", [
+        (diagonal_quadric(5), 4044),
+        (parse_form("x1^3 - x2^3 + x3^3 + x4^3", n_hint=4), 2816),
+    ])
+    def test_pencil_budget_boundary(self, form, needed):
+        """Without a breakdown the count at (X, Y) = (2, 3) needs exactly
+        ``needed``, the charges of the convolution of the pencil and of F
+        at B = 1, 2, 3."""
+        n = form.nvars
+        meter = counting._Budget(None)
+        counting._convolution_count(form.pencil, [(-2, 2)] * n
+                                    + [(-3, 3)] * n, None, meter)
+        for bound in (1, 2, 3):
+            counting._convolution_count([form], [(-bound, bound)] * n, None,
+                                        meter)
+        assert meter.spent == needed
         with pytest.raises(ResourceLimit):
             count_pairs(form, 2, 3, budget=needed - 1)
         count_pairs(form, 2, 3, budget=needed)
@@ -1010,10 +1102,7 @@ class TestOrbitKeys:
     def test_split_quadrics(self, p, q, total, proportional):
         """The split quadrics x1^2 + .. + x_p^2 - .. - x_(p+q)^2 at
         X = Y = 2, as counted by the per-row orbit walk."""
-        form = HomogeneousForm(nvars=p + q, degree=2, coeffs={
-            tuple(2 if k == i else 0 for k in range(p + q)):
-                1 if i < p else -1 for i in range(p + q)})
-        report = count_pairs(form, 2, 2)
+        report = count_pairs(split_quadric(p, q), 2, 2)
         assert (report.total, report.proportional_pairs) \
             == (total, proportional)
 

@@ -702,21 +702,25 @@ class TestResidueCount:
                 for parts, in merged] == [1]
 
     @settings(max_examples=100, deadline=None)
-    @given(partitioned_systems(), st.integers(-2, 0), st.integers(0, 2))
+    @given(partitioned_systems(),
+           st.lists(st.tuples(st.integers(-2, 0), st.integers(0, 2)),
+                    min_size=12, max_size=12))
     @example(([Polynomial(nvars=1, coeffs={(1,): Fraction(1),
                                            (0,): Fraction(c)})
-               for c in (1, -1)], 1, 2), 0, 0)
-    def test_integer_box_matches_scan(self, system, low, high):
-        """The same counter over Z, on a box [low, high]^n.  The example
-        has values 1 and -1 at the one point 0, so the radices must leave
-        room for the constant terms."""
+               for c in (1, -1)], 1, 2), [(0, 0)] * 12)
+    def test_integer_box_matches_scan(self, system, bounds):
+        """The same counter over Z, on a box prod_i [low_i, high_i], one
+        bound pair per variable.  The example has values 1 and -1 at the
+        one point 0, so the radices must leave room for the constant
+        terms."""
         polys, nvars, _ = system
-        assume((high - low + 1) ** nvars <= 4096)
-        want = sum(1 for x in itertools.product(range(low, high + 1),
-                                                repeat=nvars)
+        bounds = bounds[:nvars]
+        assume(math.prod(high - low + 1 for low, high in bounds) <= 4096)
+        want = sum(1 for x in itertools.product(
+                       *(range(low, high + 1) for low, high in bounds))
                    if all(poly(x) == 0 for poly in polys))
         assert counting._convolution_count(
-            polys, nvars, low, high, None, counting._Budget(None)) == want
+            polys, bounds, None, counting._Budget(None)) == want
 
     def test_components(self):
         from linecount.counting import _variable_components
