@@ -6,7 +6,7 @@ arithmetic; archimedean ingredients (oscillatory integrals, window
 densities) are scrambled quasi-Monte-Carlo estimates whose uncertainty is
 measured across independent scrambles.  All four estimators draw their
 samples through one sampling loop, which charges them to a budget and
-walks each scramble in fixed row tiles.  The two kinds meet in the
+walks each scramble in tiles of rows.  The two kinds meet in the
 prediction assemblers, which recombine the pieces exactly.
 
 Every analytic output crosses the API as a :class:`DensityEstimate`
@@ -16,6 +16,7 @@ no bare floats leave the module.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 
 import numpy as np
 
-from . import __version__, sobol
+from . import __version__
 from .counting import _Budget, _convolution_count, _variable_components
 from .errors import (DimensionMismatch, DomainError, ResourceLimit,
                      ZeroVectorInput)
@@ -426,80 +427,120 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 # The four real-density estimators below share one sampling loop,
 # :func:`_sample_means`.  Scramble i is the point set of
 # ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed + i)``, which
-# :mod:`.sobol` builds bit for bit in numpy: importing scipy.stats would
-# cost ~60 MB and over a second of start-up.  The loop walks each scramble
-# in tiles of QMC_TILE points, each built from its integer words and handed
-# to the integrand as the points (2u - 1) r of the estimator's box of radii
-# r, scaled in one pass per tile (:func:`_scaled_points`), so an
-# integrand's temporaries stay tile-sized and no scramble is held whole.
-# Tiles are coordinate-major from the words on: an integrand gets a
-# (rows, dim) F-ordered array, and the two slab integrands map it to
-# F-ordered ambient points, so every column a form or the box test reads
-# is contiguous.  The slab integrands give zero to the rows outside the
-# sup-norm box, and skip that test where no row can leave the box
-# (:func:`_box_cannot_be_left`).  The loop takes the mean of a scramble
-# over one vector of all its per-point values: the summation order and so
-# every seeded mean do not depend on the tile size.
+# :func:`.sobol.tiles` builds bit for bit in numpy (importing scipy.stats
+# would cost ~60 MB and over a second of start-up), one tile of rows at a
+# time, as a Gray table and a per-tile offset of centred words
+# 4 (q - 2^29).  An estimator describes its points as columns: column j is
+# Sobol' coordinate k_j scaled to [-|r_j|, |r_j|) with the sign of r_j, or
+# zero.  The loop turns the words of a column straight into points, one
+# XOR and one multiply into buffers allocated once per call.
+# The loop builds, for every row, only the columns the integrand reads on
+# every row; the integrand asks for whole points only at the rows it keeps
+# (the window estimators: the rows inside the first window).  The slab
+# integrands sample the ambient points directly where the lattice basis is
+# a signed coordinate basis (:func:`_signed_columns`), and map tile points
+# by a matmul otherwise; they give zero to the rows outside the sup-norm
+# box, and skip that test where no row can leave the box.  Each integrand
+# writes its values straight into the scramble's value vector, and the
+# loop takes the mean over that whole vector: the summation order, and so
+# every seeded mean, do not depend on the tile size.
 
-#: Rows of a scramble handed to an integrand at once.  On quadric-5 at
-#: y = e1 with 2^22 samples, 2^11, 2^13, 2^15 and 2^18 rows took 0.27,
-#: 0.21, 0.21 and 0.44 s for the integral and 0.14, 0.07, 0.07 and 0.14 s
-#: for the window estimate (median of 5, 2-core x86 VM, one BLAS thread);
-#: 2^13 ties 2^15 with a quarter of its temporaries.
+#: Values per Sobol' coordinate of a tile.  The tile rule: a tile holds
+#: QMC_TILE * dim values of the coordinates built for every row, so it has
+#: 2^t QMC_TILE rows, 2^t <= dim / (coordinates built) < 2^(t + 1):
+#: QMC_TILE rows when every coordinate is built, as for the slab
+#: integrals, and 4 QMC_TILE for a window on quadric-5 at a unit y, whose
+#: first window reads one of five coordinates.  On quadric-5 at y = e1
+#: with 2^22 samples, QMC_TILE = 2^11, 2^12, 2^13, 2^14 and 2^15 took 126,
+#: 110, 94, 94 and 100 ms for the integral and 24, 19, 18, 21 and 27 ms for
+#: the window estimate (median of 7, 2-core Xeon, one BLAS thread).
 QMC_TILE = 1 << 13
 
 
-def _scaled_points(words: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The points (2u - 1) r of a (dim, rows) tile of Sobol' words q,
-    u = q 2^-30, in the box of radii r, as a (rows, dim) F-ordered array;
-    ``scale`` is 2^-29 r and ``words`` is overwritten.
-
-    They are computed as (q - 2^29) (2^-29 r): both factors are exact, so
-    each point is the real product (2u - 1) r rounded once, the same value
-    as ``(2u - 1) * r``.
-    """
-    q = words.view(np.int32)
-    q -= 1 << (sobol.BITS - 1)
-    return np.multiply(q, scale[:, None]).T
-
-
-def _sample_means(radii: np.ndarray, samples: int, seed: int,
+def _sample_means(dim: int, columns: Sequence[Tuple[int, float]],
+                  reads: Sequence[int], samples: int, seed: int,
                   budget: Optional[int], dtype,
-                  integrand: Callable[[np.ndarray], np.ndarray]
-                  ) -> Tuple[int, List]:
+                  integrand: Callable[..., None]) -> Tuple[int, List]:
     """The mean of ``integrand`` over each of SCRAMBLES scrambled Sobol'
-    sequences in the box prod_c [-r_c, r_c) of ``radii``; returns (total
-    points, means).
+    sequences of dimension ``dim``; returns (total points, means).
 
-    Each scramble holds the smallest power of two 2^k of points giving at
-    least ``samples`` points overall.  ``integrand`` maps a (rows, dim)
-    tile of points (2u - 1) r of the box (see :func:`_scaled_points`),
-    F-ordered so that each coordinate is a contiguous column, to one value
-    of ``dtype`` per row; it may overwrite the tile.  The rounded total
-    SCRAMBLES * 2^k is charged to ``budget`` before the first scramble is
-    drawn.
+    Each point has one entry per (k, r) of ``columns``: coordinate k of the
+    Sobol' point mapped to [-|r|, |r|) with the sign of r, so a column of
+    radius 0 is zero (of either sign).  Each scramble holds the smallest
+    power of two 2^k of points giving at least ``samples`` points overall,
+    and the rounded total SCRAMBLES * 2^k is charged to ``budget`` before
+    the first scramble is drawn.
+
+    ``integrand(points, rows, out)`` gets a (tile rows, columns) F-ordered
+    array in which only the columns ``reads`` are built (the others read
+    +0), a function ``rows(idx)`` that returns every column of the points
+    at rows ``idx`` as a new F-ordered array, and the tile's slice of the
+    scramble's value vector of ``dtype``, into which it writes one value
+    per row.  A tile holds QMC_TILE * dim values of the coordinates in
+    ``reads`` (see QMC_TILE).
 
     Raises:
+        DomainError: fewer than one sample.
         ResourceLimit: the total exceeds ``budget``.
     """
-    per = max(1, -(-samples // SCRAMBLES))
-    exponent = max(0, (per - 1).bit_length())
+    # imported here, so that a command that never samples does not parse
+    # the generator
+    from . import sobol
+    if samples < 1:
+        raise DomainError(f"need at least one QMC sample, got {samples}")
+    exponent = (-(-samples // SCRAMBLES) - 1).bit_length()
     total = SCRAMBLES << exponent
     if budget is not None and total > budget:
         raise ResourceLimit(
             f"sampling needs {total} QMC samples, more than the budget "
             f"of {budget}", needed=total, budget=budget)
-    scale = np.asarray(radii, dtype=np.float64) * 2.0 ** (1 - sobol.BITS)
+    # column j is the centred word w of coordinate source[j] times
+    # scale[j] = r_j 2^-31: both factors are exact, so each point is the
+    # real product (2u - 1) r_j, u = q 2^-30, rounded once, the same value
+    # as ``(2u - 1) * r``
+    source, scale = np.array(columns).T
+    source = source.astype(np.intp)
+    scale *= sobol.CENTRED_UNIT
+    built = [j for j in sorted(reads) if scale[j]]
+    tile = min(QMC_TILE << ((dim // max(1, len(set(source[built]))))
+                            .bit_length() - 1), 1 << exponent)
+    # runs [column, coordinate, length] of consecutive built columns of
+    # consecutive coordinates, each one XOR and one multiply per tile
+    runs: List[List[int]] = []
+    for j in built:
+        if runs and runs[-1][0] + runs[-1][2] == j \
+                and runs[-1][1] + runs[-1][2] == source[j]:
+            runs[-1][2] += 1
+        else:
+            runs.append([j, source[j], 1])
+    points = np.zeros((tile, len(columns)), order="F")
+    words = np.empty((len(built), tile), dtype=np.uint32)
     values = np.empty(1 << exponent, dtype=dtype)
     means = []
     for i in range(SCRAMBLES):
-        start = 0
-        for words in sobol.tiles(len(radii), exponent, seed + i, QMC_TILE):
-            stop = start + words.shape[1]
-            values[start:stop] = integrand(_scaled_points(words, scale))
-            start = stop
+        for a, (table, offset) in enumerate(
+                sobol.tiles(dim, exponent, seed + i, tile)):
+            for j, k, n in runs:
+                np.bitwise_xor(table[k:k + n], offset[k:k + n, None],
+                               out=words[:n])
+                np.multiply(words[:n].view(np.int32), scale[j:j + n, None],
+                            out=points.T[j:j + n])
+            rows = functools.partial(_whole_rows, table, offset, source,
+                                     scale)
+            integrand(points, rows, values[a * tile:(a + 1) * tile])
         means.append(np.mean(values))
     return total, means
+
+
+def _whole_rows(table: np.ndarray, offset: np.ndarray, source: np.ndarray,
+                scale: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Every column of the points at rows ``idx`` of a tile, as a new
+    F-ordered array: column j is the centred word of coordinate source[j]
+    times scale[j] (see :func:`_sample_means`)."""
+    words = np.take(table, idx, axis=1)
+    words ^= offset[:, None]
+    return np.multiply(words.view(np.int32).take(source, axis=0),
+                       scale[:, None]).T
 
 
 def _combine(kind: str, means: Sequence[complex], samples: int,
@@ -523,23 +564,48 @@ def _in_box(points: np.ndarray, bound: float) -> np.ndarray:
     return inside
 
 
-def _box_cannot_be_left(basis: np.ndarray, radii: np.ndarray,
-                        bound: float) -> bool:
-    """True when every row of ``tile @ basis`` lies in the sup-norm box of
-    ``bound``, in floating point, for every tile of points of the box of
-    ``radii``.
+def _signed_columns(basis: np.ndarray, radii: np.ndarray
+                    ) -> Optional[List[Tuple[int, float]]]:
+    """The ambient points t @ ``basis`` of the box of ``radii`` as sampling
+    columns (see :func:`_sample_means`), when the basis is a signed
+    coordinate basis; else None.
 
-    This is so when each column of the basis has at most one nonzero
-    entry, of size 1, and the radius of that entry's row is at most the
-    bound: the column of the product is then exactly zero or plus or minus
-    one coordinate t_c, and |t_c| <= r_c because t_c is the rounded
-    product of r_c and a factor in [-1, 1].
+    A signed coordinate basis has at most one nonzero entry per column, and
+    that entry is s = +-1.  Ambient column j is then s t_k for the entry's
+    row k, sampled as coordinate k with the radius s r_k, or zero (radius
+    0).  These are the doubles the matmul gives: the rounding of
+    w (s r_k 2^-31) is symmetric in s, and the matmul adds exact zeros to
+    s t_k.  They may differ in the sign of a zero only, which no output
+    sees: :func:`evaluate_batch` sums every value from +0 and
+    :func:`_in_box` takes absolute values.
     """
     nonzero = basis != 0
     if (nonzero.sum(axis=0) > 1).any() \
             or (np.abs(basis[nonzero]) != 1).any():
-        return False
-    return bool((radii[nonzero.any(axis=1)] <= bound).all())
+        return None
+    rows = nonzero.argmax(axis=0)
+    signed = basis[rows, range(basis.shape[1])] * radii[rows]
+    return list(zip(rows.tolist(), signed.tolist()))
+
+
+def _slab_points(basis: np.ndarray, radii: np.ndarray, bound: float):
+    """(columns, ambient, box_test) for a slab integrand over the tile
+    points t of the box of ``radii``: the sampling columns, the map from
+    the sampled points to the F-ordered ambient points t @ ``basis``, and
+    whether a row can leave the sup-norm box of ``bound``.
+
+    A signed coordinate basis samples the ambient points directly, and no
+    row leaves the box when every radius is at most the bound: each point
+    is zero or +-t_k, and |t_k| <= r_k because t_k is the rounded product
+    of r_k and a factor in [-1, 1].  Any other basis samples the tile
+    points, maps them by a matmul and keeps the box test.
+    """
+    signed = _signed_columns(basis, radii)
+    if signed is None:
+        return (list(enumerate(radii.tolist())),
+                lambda tile: _ambient(tile, basis), True)
+    return (signed, lambda points: points,
+            any(abs(r) > bound for _, r in signed))
 
 
 def _ambient(tile: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -595,20 +661,19 @@ def oscillatory_v(form: HomogeneousForm, y: Sequence[int], beta,
               if table[j]]
     volume = float(np.prod(2 * radii))
     bound = float(x_bound)
-    box_test = not _box_cannot_be_left(basis, radii, bound)
+    columns, ambient_of, box_test = _slab_points(basis, radii, bound)
 
-    def integrand(tile: np.ndarray) -> np.ndarray:
-        ambient = _ambient(tile, basis)
+    def integrand(points, rows, out):
+        ambient = ambient_of(points)
         phase = np.zeros(ambient.shape[0])
         for frequency, sliced in slices:
             phase += frequency * evaluate_batch(sliced, ambient)
-        values = np.exp(2j * np.pi * phase)
+        np.exp(2j * np.pi * phase, out=out)
         if box_test:
-            values[~_in_box(ambient, bound)] = 0
-        return values
+            out[~_in_box(ambient, bound)] = 0
 
-    total, means = _sample_means(radii, samples, seed, budget, complex,
-                                 integrand)
+    total, means = _sample_means(len(radii), columns, range(len(columns)),
+                                 samples, seed, budget, complex, integrand)
     return _combine("integral",
                     [complex(m) * volume * root_cov for m in means],
                     total, seed)
@@ -642,29 +707,32 @@ def singular_integral_truncated(form: HomogeneousForm, y: Sequence[int],
     volume = float(np.prod(2 * radii))
     width = 2 * window
     tiny = np.finfo(np.float64).eps
-    box_test = not _box_cannot_be_left(basis, radii, 1.0)
+    columns, ambient_of, box_test = _slab_points(basis, radii, 1.0)
 
-    def integrand(tile: np.ndarray) -> np.ndarray:
-        ambient = _ambient(tile, basis)
-        kernel = None
-        for _, sliced in slices:
-            # width * np.sinc(width * c), in place, with np.sinc's steps
+    def integrand(points, rows, out):
+        ambient = ambient_of(points)
+        if not slices:          # a linear form has no slice of degree >= 2
+            out[:] = 1.0
+        for j, (_, sliced) in enumerate(slices):
+            # width * np.sinc(width * c), in place, with np.sinc's steps,
+            # multiplied into the values slice by slice
             x = evaluate_batch(sliced, ambient)
             x *= width
             x *= np.pi
             x[x == 0] = tiny
-            sinc = np.sin(x)
-            sinc /= x
-            sinc *= width
-            kernel = sinc if kernel is None else np.multiply(kernel, sinc,
-                                                             out=kernel)
-        if kernel is None:      # a linear form has no slice of degree >= 2
-            kernel = np.ones(ambient.shape[0])
+            if j == 0:
+                np.sin(x, out=out)
+                out /= x
+                out *= width
+            else:
+                np.divide(np.sin(x), x, out=x)
+                x *= width
+                out *= x
         if box_test:
-            kernel[~_in_box(ambient, 1.0)] = 0.0
-        return kernel
+            out[~_in_box(ambient, 1.0)] = 0.0
 
-    total, means = _sample_means(radii, samples, seed, budget, np.float64,
+    total, means = _sample_means(len(radii), columns, range(len(columns)),
+                                 samples, seed, budget, np.float64,
                                  integrand)
     return _combine("integral", [float(m) * volume for m in means], total,
                     seed)
@@ -683,6 +751,7 @@ def real_density_window(form: HomogeneousForm, y: Sequence[int],
     ``budget`` (no limit by default).
 
     Raises:
+        DomainError: a width is not positive, or fewer than one sample.
         ResourceLimit: the rounded sample count exceeds ``budget``.
     """
     eps = _window_widths(epsilon, form.degree)
@@ -706,19 +775,25 @@ def _window_density(eps: Sequence[float], windows, dim: int, samples: int,
     """QMC volume of the points of [-1, 1]^dim at which |g| <= width / 2
     for every (width, g) in ``windows``, scaled by 2^dim / prod(eps)."""
     scale = 2.0 ** dim / math.prod(eps)
+    (first_width, first), *later = windows
+    # the first window is evaluated on every row, the later ones only on
+    # the rows still inside: a row's value does not depend on the others
+    reads = sorted({i for e in first.coeffs for i, v in enumerate(e) if v})
 
-    def integrand(tile: np.ndarray) -> np.ndarray:
-        (first_width, first), *later = windows
-        inside = np.abs(evaluate_batch(first, tile)) <= first_width / 2
+    def integrand(points, rows, out):
+        np.less_equal(np.abs(evaluate_batch(first, points)),
+                      first_width / 2, out=out)
+        if not later:
+            return
+        idx = np.flatnonzero(out)
+        inside = rows(idx)
         for width, g in later:
-            # a row's value does not depend on the other rows, so only the
-            # rows still inside need evaluating
-            idx = np.flatnonzero(inside)
-            inside[idx] = np.abs(evaluate_batch(g, tile[idx])) <= width / 2
-        return inside
+            keep = np.abs(evaluate_batch(g, inside)) <= width / 2
+            out[idx] = keep
+            idx, inside = idx[keep], inside[keep]
 
-    total, means = _sample_means(np.ones(dim), samples, seed, budget, bool,
-                                 integrand)
+    total, means = _sample_means(dim, [(k, 1.0) for k in range(dim)], reads,
+                                 samples, seed, budget, bool, integrand)
     return _combine("real", [float(m) * scale for m in means], total, seed)
 
 
@@ -808,6 +883,7 @@ def chi_global_real(form: HomogeneousForm, epsilon: Sequence[float],
     charged to ``budget`` (no limit by default).
 
     Raises:
+        DomainError: a width is not positive, or fewer than one sample.
         ResourceLimit: the rounded sample count exceeds ``budget``.
     """
     eps = _window_widths(epsilon, form.degree + 1)

@@ -26,7 +26,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import mpmath
 import numpy as np
 
-from . import sobol
 from .counting import _Budget
 from .errors import (
     DimensionMismatch,
@@ -251,8 +250,13 @@ def exponential_sum_U(form: HomogeneousForm, y: Sequence[int], alpha,
     base = _box_fractions(nonzero_slices(form, y), point, ambient)
 
     exponent = max(0, (eta_samples - 1).bit_length())
-    words = next(sobol.tiles(lattice.rank, exponent, seed, 1 << exponent))
-    etas = np.vstack([np.zeros(lattice.rank), words.T * 2.0 ** -sobol.BITS])
+    from . import sobol     # parsed only by the commands that sample
+    table, offset = next(sobol.tiles(lattice.rank, exponent, seed,
+                                     1 << exponent))
+    # the points u = ((2u - 1) + 1) / 2, exactly
+    centred = (table ^ offset[:, None]).view(np.int32)
+    etas = np.vstack([np.zeros(lattice.rank),
+                      (centred.T * sobol.CENTRED_UNIT + 1) * 0.5])
     best = 0.0
     for start in range(0, etas.shape[0], 64):
         chunk = etas[start:start + 64]

@@ -12,7 +12,9 @@ seed=s).random_base2(m)`` bit for bit without importing ``scipy.stats``:
   by the bits of gray(k) = k ^ (k >> 1).
 
 Points are 30-bit integer words q; the scipy point is q * 2^-30 exactly.
-A tile holds one row of words per coordinate, so that a consumer reads each
+The generator hands out centred words 4 (q - 2^29), as int32 bit patterns,
+so that one multiply maps a word onto a point of a box centred at zero.  A
+tile holds one row of words per coordinate, so that a consumer reads each
 coordinate of its points as one contiguous vector.
 """
 
@@ -27,6 +29,9 @@ import numpy as np
 
 #: Bits per coordinate word, as in scipy's default Sobol' engine.
 BITS = 30
+#: A centred word 4 (q - 2^29) times CENTRED_UNIT is the point 2u - 1 of
+#: [-1, 1), u = q 2^-30, exactly.
+CENTRED_UNIT = 2.0 ** -(BITS + 1)
 #: Dimensions of the direction-number table.
 MAXDIM = 21201
 #: Dimensions scrambled per random draw, so that the (dims, BITS, BITS)
@@ -122,28 +127,38 @@ def _gray_table(directions: np.ndarray, rows: int) -> np.ndarray:
 
 
 def tiles(dim: int, exponent: int, seed: int, tile: int
-          ) -> Iterator[np.ndarray]:
-    """The 2^exponent words of ``qmc.Sobol(dim, scramble=True,
-    seed=seed).random_base2(exponent)`` in order, as fresh C-contiguous
-    (dim, rows) uint32 arrays of at most ``tile`` points (a power of two):
-    row c holds coordinate c of the tile's points, so the transpose of a
-    tile is its block of scipy's (points, dim) array.
+          ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The 2^exponent points of ``qmc.Sobol(dim, scramble=True,
+    seed=seed).random_base2(exponent)`` in order, in tiles of at most
+    ``tile`` points (a power of two), each as a pair (table, offset) of
+    uint32 arrays of shapes (dim, rows) and (dim,).
+
+    Column r of ``table ^ offset[:, None]``, read as int32, holds the
+    centred words 4 (q - 2^29) of the tile's point r, one row per
+    coordinate: the word q of a scipy point u = q 2^-30 is stored as
+    (q ^ 2^29) << 2, whose int32 value is 4 (q - 2^29) (bit 29 becomes the
+    sign bit).  So a consumer XORs only the coordinates and rows it reads.
 
     Point aT + r of tile a is table[:, r] ^ offset(a): for r < T = 2^t,
-    gray(aT + r) = gray(aT) ^ gray(r), so one table of T points serves
-    every tile and no scramble is held whole.
+    gray(aT + r) = gray(aT) ^ gray(r), so one read-only table of T points
+    serves every tile of the scramble and no scramble is held whole.
     """
     if not 0 <= exponent <= BITS:
         raise ValueError(f"at most 2^{BITS} Sobol' points per scramble")
     if tile < 1 or tile & (tile - 1):
         raise ValueError("the tile must be a power of two rows")
     shift, directions = scramble(dim, seed)
+    # every word shifted by two bits, and the centring bit in the shift:
+    # XOR commutes with both
+    directions <<= 2
+    centre = (shift ^ np.uint32(1 << (BITS - 1))) << 2
     rows = min(tile, 1 << exponent)
     table = _gray_table(directions, rows)
+    table.flags.writeable = False
     for start in range(0, 1 << exponent, rows):
-        offset = shift.copy()
+        offset = centre.copy()
         gray = start ^ (start >> 1)
         for b in range(gray.bit_length()):
             if gray >> b & 1:
                 offset ^= directions[:, b]
-        yield table ^ offset[:, None]
+        yield table, offset

@@ -358,6 +358,24 @@ class TestSampleBudget:
         assert code == EXIT_RESOURCE
 
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("command", [
+        ("density", "--fixture", "quadric-5", "--y", "1,0,0,0,0",
+         "--window", "0.1,0.1"),
+        ("density", "--fixture", "quadric-4", "--window", "1,1,1"),
+        ("predict", "--fixture", "quadric-5", "--X", "2", "--Y", "2",
+         "--p-max", "3", "--epsilon", "0.5,0.5,0.5"),
+    ])
+    def test_non_positive_samples_are_refused(self, capsys, command,
+                                              samples):
+        """No estimate from 16 samples: the window and pair modes exit 2."""
+        code, out = run_json(capsys, *command, "--samples", samples)
+        assert code == EXIT_VALIDATION
+        assert out["error"] == {
+            "type": "DomainError",
+            "message": f"need at least one QMC sample, got {samples}"}
+
+
 class TestPredictCommand:
     def test_fixed_y_components(self, capsys):
         code, out = run_json(capsys, "predict", "--fixture", "quadric-5",

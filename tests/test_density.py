@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1138,16 +1139,22 @@ class TestStreamedScrambles:
         monkeypatch.setattr(sobol, "scramble", counted)
         seen = []
 
-        def integrand(tile):
+        def integrand(points, rows, out):
             seen.append(len(drawn))
-            assert tile.shape == (8, 3)
-            return np.zeros(tile.shape[0])
+            assert points.shape == (8, 3)
+            out[:] = 0.0
 
-        total, means = density._sample_means(np.ones(3), 100, 5, None,
-                                             np.float64, integrand)
+        total, means = density._sample_means(3, unit_columns(3), range(3),
+                                             100, 5, None, np.float64,
+                                             integrand)
         assert total == density.SCRAMBLES * 8
         assert seen == list(range(1, density.SCRAMBLES + 1))
         assert drawn == [5 + i for i in range(density.SCRAMBLES)]
+
+
+def unit_columns(dim):
+    """Sampling columns of the points 2u - 1 of [-1, 1)^dim."""
+    return [(k, 1.0) for k in range(dim)]
 
 
 def _scramble_batches(dim, samples, seed):
@@ -1168,43 +1175,101 @@ def symmetric(words):
         * 2.0 ** (1 - sobol.BITS)
 
 
-class TestScaledPoints:
-    """The sampling loop hands an integrand the points (q - 2^29) (2^-29 r)
-    of the box of radii r, from a coordinate-major tile of words in one
-    multiply: bit for bit ``symmetric(words.T) * r``, F-ordered."""
+def random_words(dim, rows, seed):
+    """(dim, rows) random Sobol' words q, with the extreme words 0 (the
+    corner -r) and 2^30 - 1 among them."""
+    words = np.random.default_rng(seed).integers(
+        0, 1 << sobol.BITS, size=(dim, rows), dtype=np.uint32)
+    words[:, 0] = 0
+    words[:, -1] = (1 << sobol.BITS) - 1
+    return words
 
-    @given(st.integers(1, 6), st.sampled_from([1, 2, 8, 64, 100, 256]),
+
+def stored_tiles(words, seed):
+    """A stand-in for :func:`sobol.tiles` that hands out the Sobol' words
+    ``words`` as one tile of every scramble, stored as the generator stores
+    them: centred, shifted and masked by a random offset."""
+    def tiles(dim, exponent, scramble_seed, tile):
+        assert words.shape == (dim, 1 << exponent) and tile >= 1 << exponent
+        offset = np.random.default_rng(seed).integers(
+            0, 1 << sobol.BITS, size=dim, dtype=np.uint32) << 2
+        centred = (words ^ np.uint32(1 << (sobol.BITS - 1))) << 2
+        yield centred ^ offset[:, None], offset
+    return tiles
+
+
+def built_points(words, columns, reads, picked):
+    """(points, rows(picked)) the sampling loop hands an integrand for a
+    scramble of one tile holding ``words``; both are F-ordered."""
+    dim, rows = words.shape
+    seen = []
+
+    def integrand(points, rows_of, out):
+        built = rows_of(picked)
+        assert points.flags.f_contiguous and built.flags.f_contiguous
+        seen.append((points.copy(), built))
+        out[:] = 0.0
+
+    with mock.patch.object(sobol, "tiles", stored_tiles(words, rows)):
+        density._sample_means(dim, columns, reads,
+                              rows * density.SCRAMBLES, 0, None,
+                              np.float64, integrand)
+    assert len(seen) == density.SCRAMBLES
+    return seen[0]
+
+
+class TestScaledPoints:
+    """The sampling loop builds column (k, r) of a point as the centred
+    word 4 (q - 2^29) of coordinate k times r 2^-31, both for the columns
+    built on every row and for the rows an integrand asks for: bit for bit
+    ``symmetric(q) * r``, F-ordered, and zero for a zero column."""
+
+    @staticmethod
+    def check(words, columns, reads, picked):
+        points, rows = built_points(words, columns, reads, picked)
+        assert points.shape == (words.shape[1], len(columns))
+        assert rows.shape == (len(picked), len(columns))
+        for j, (k, radius) in enumerate(columns):
+            if radius == 0:
+                assert not points[:, j].any() and not rows[:, j].any()
+                continue
+            want = symmetric(words[k]) * radius
+            if j in reads:
+                assert points[:, j].tobytes() == want.tobytes()
+            else:
+                assert not points[:, j].any()
+            assert rows[:, j].tobytes() == want[picked].tobytes()
+
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 8, 64, 256]),
            st.integers(0, 2 ** 32), st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_symmetric_times_radii(self, dim, rows, seed, data):
-        radii = np.array(data.draw(st.lists(
-            st.floats(1e-6, 1e6), min_size=dim, max_size=dim)))
-        rng = np.random.default_rng(seed)
-        words = rng.integers(0, 1 << sobol.BITS, size=(dim, rows),
-                             dtype=np.uint32)
-        words[:, 0] = 0
-        words[:, -1] = (1 << sobol.BITS) - 1
-        want = symmetric(words.T) * radii
-        got = density._scaled_points(words.copy(),
-                                     radii * 2.0 ** (1 - sobol.BITS))
-        assert got.shape == want.shape
-        assert got.flags.f_contiguous
-        assert got.tobytes() == want.tobytes()
+        width = data.draw(st.integers(1, 7))
+        columns = [(data.draw(st.integers(0, dim - 1)),
+                    data.draw(st.sampled_from([0.0, 1.0]))
+                    * data.draw(st.floats(1e-6, 1e6))
+                    * data.draw(st.sampled_from([1.0, -1.0])))
+                   for _ in range(width)]
+        reads = data.draw(st.sets(st.integers(0, width - 1)))
+        picked = np.array(sorted(data.draw(st.sets(
+            st.integers(0, rows - 1), max_size=rows))), dtype=np.intp)
+        self.check(random_words(dim, rows, seed), columns, reads, picked)
 
     def test_non_dyadic_radii(self):
-        radii = np.array([1e-6, 1 / 3, 0.68, 2 ** 0.5, 1e6])
+        radii = [1e-6, 1 / 3, 0.68, 2 ** 0.5, 1e6]
         words = np.array([[0] * 5, [(1 << sobol.BITS) - 1] * 5,
-                          [1, 2, 3, 1 << 29, 12345]] * 64, dtype=np.uint32)
-        want = symmetric(words) * radii
-        got = density._scaled_points(np.ascontiguousarray(words.T),
-                                     radii * 2.0 ** (1 - sobol.BITS))
-        assert got.tobytes() == want.tobytes()
+                          [1, 2, 3, 1 << 29, 12345]] * 64,
+                         dtype=np.uint32)[:128].T.copy()
+        columns = [(k, r) for k, r in enumerate(radii)] \
+            + [(4, -radii[4]), (2, 0.0), (0, -radii[0])]
+        self.check(words, columns, {1, 3, 5, 6}, np.arange(0, 128, 3))
 
 
 class TestSobol:
-    """sobol.tiles against scipy's engine: each tile is a C-contiguous
-    (dim, rows) block of words, the tiles side by side are the transposed
-    words of qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m), and
+    """sobol.tiles against scipy's engine: each tile is one read-only
+    C-contiguous (dim, rows) Gray table shared by the scramble's tiles and
+    an offset, the centred words 4 (q - 2^29) of the tiles side by side are
+    those of qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m), and
     the sampling loop's points are 2u - 1 of scipy's points u, bit for
     bit."""
 
@@ -1213,13 +1278,18 @@ class TestSobol:
         want = qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(m)
         tiles = list(sobol.tiles(dim, m, seed, tile))
         assert len(tiles) == max(1, (1 << m) // tile)
-        assert all(words.dtype == np.uint32
-                   and words.shape == (dim, min(tile, 1 << m))
-                   and words.flags.c_contiguous
-                   for words in tiles)
-        words = np.hstack(tiles).T
-        assert np.array_equal(words * 2.0 ** -sobol.BITS, want)
-        assert np.array_equal(symmetric(words), 2 * want - 1)
+        table = tiles[0][0]
+        assert table.dtype == np.uint32
+        assert table.shape == (dim, min(tile, 1 << m))
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert all(other is table and offset.dtype == np.uint32
+                   and offset.shape == (dim,) for other, offset in tiles)
+        centred = np.hstack([(table ^ offset[:, None]).view(np.int32)
+                             for table, offset in tiles]).T
+        assert np.array_equal(centred * sobol.CENTRED_UNIT, 2 * want - 1)
+        assert np.array_equal((centred * sobol.CENTRED_UNIT + 1) * 0.5, want)
+        assert np.array_equal(symmetric(centred // 4 + (1 << 29)),
+                              2 * want - 1)
 
     @given(st.sampled_from([1, 2, 5]), st.integers(0, 14),
            st.one_of(st.integers(0, 100), st.integers(2 ** 30, 2 ** 64)),
@@ -1312,10 +1382,23 @@ SAMPLED_FORMS = [
     (CUBIC4, [YC4, (1, -1, 0, 0), (1, 1, 1, 2)]),
 ]
 
-#: Sample counts whose scrambles hold a quarter, one and four tiles.
-TILE_SAMPLES = [density.SCRAMBLES * density.QMC_TILE // 4,
-                density.SCRAMBLES * density.QMC_TILE,
-                density.SCRAMBLES * density.QMC_TILE * 4]
+def tile_samples(tile):
+    """Sample counts whose scrambles hold a quarter of a tile of ``tile``
+    rows, one tile and four tiles."""
+    return [density.SCRAMBLES * tile // 4, density.SCRAMBLES * tile,
+            density.SCRAMBLES * tile * 4]
+
+
+#: Sample counts for a loop that builds every coordinate of every row,
+#: as the slab integrands do: its tiles hold QMC_TILE rows.
+TILE_SAMPLES = tile_samples(density.QMC_TILE)
+
+#: The ten signed unit base points of quadric-5.  Each slab basis is a
+#: signed coordinate basis with one zero column, and the first window,
+#: 2 y_k x_k, reads one of the five coordinates, so its tiles hold
+#: 4 QMC_TILE rows.
+UNIT_POINTS = [tuple(sign * (i == k) for i in range(5))
+               for k in range(5) for sign in (1, -1)]
 
 
 class TestSamplingLoop:
@@ -1420,21 +1503,60 @@ class TestSamplingLoop:
                   whole_batch_window(eps, list(zip(eps, form.pencil)),
                                      2 * form.nvars, samples, seed))
 
+    @pytest.mark.parametrize("which", range(len(UNIT_POINTS)))
+    def test_signed_unit_base_points(self, which):
+        """Every signed unit y of quadric-5: the slab integrands sample the
+        ambient points with no matmul and no box test, the window builds
+        one coordinate on every row; scrambles of a quarter, one and four
+        tiles, by turns."""
+        y = UNIT_POINTS[which]
+        _, radii, basis, _ = density._slab_geometry(QUADRIC5, y, 2)
+        columns = density._signed_columns(basis, radii)
+        assert columns is not None and (0, 0.0) in columns
+        assert not density._slab_points(basis, radii, 2.0)[2]
+        samples = TILE_SAMPLES[which % 3]
+        seed = 3 + which
+        self.same(singular_integral_truncated(QUADRIC5, y, 16, samples,
+                                              seed=seed),
+                  whole_batch_integral(QUADRIC5, y, 16, samples, seed))
+        self.same(oscillatory_v(QUADRIC5, y, [0.3], 2, samples, seed=seed),
+                  whole_batch_oscillatory(QUADRIC5, y, [0.3], 2, samples,
+                                          seed))
+        eps = [0.1, 0.1]
+        windows = [(eps[j - 1], sliced) for j, sliced
+                   in density.nonzero_slices(QUADRIC5, y, 1)]
+        samples = tile_samples(4 * density.QMC_TILE)[which % 3]
+        self.same(real_density_window(QUADRIC5, y, eps, samples, seed=seed),
+                  whole_batch_window(eps, windows, 5, samples, seed))
+
+    @pytest.mark.parametrize("samples", TILE_SAMPLES)
+    def test_negated_column(self, samples):
+        """The quintic at (0, 0, 1, -1): ambient coordinates 3 and 4 are
+        t_3 and -t_3, both sampled from one Sobol' coordinate."""
+        _, radii, basis, _ = density._slab_geometry(QUINTIC, YQ, 1)
+        assert density._signed_columns(basis, radii) == [
+            (0, 1.0), (1, 1.0), (2, 1.0), (2, -1.0)]
+        self.same(singular_integral_truncated(QUINTIC, YQ, 3, samples,
+                                              seed=7),
+                  whole_batch_integral(QUINTIC, YQ, 3, samples, 7))
+        self.same(oscillatory_v(QUINTIC, YQ, [0.3, 0.0, 0.0, 0.1], 2,
+                                samples, seed=7),
+                  whole_batch_oscillatory(QUINTIC, YQ, [0.3, 0.0, 0.0, 0.1],
+                                          2, samples, 7))
+
 
 def random_tile(radii, rows, seed):
-    """A tile of points of the box of ``radii`` from random Sobol' words,
-    with the extreme words 0 (the corner -r) and 2^30 - 1 among them."""
-    words = np.random.default_rng(seed).integers(
-        0, 1 << sobol.BITS, size=(len(radii), rows), dtype=np.uint32)
-    words[:, 0] = 0
-    words[:, -1] = (1 << sobol.BITS) - 1
-    return density._scaled_points(words, radii * 2.0 ** (1 - sobol.BITS))
+    """A (rows, dim) F-ordered tile of points of the box of ``radii`` from
+    random Sobol' words, with the extreme words among them."""
+    return np.asfortranarray(symmetric(random_words(len(radii), rows,
+                                                    seed).T) * radii)
 
 
 class TestBoxTestSkip:
-    """The slab integrands skip the box test only where it cannot drop a
-    row: each basis column has at most one nonzero entry, of size 1, whose
-    row's radius is at most the bound."""
+    """The slab integrands sample a signed coordinate basis without the
+    matmul, and skip the box test only where it cannot drop a row: each
+    basis column has at most one nonzero entry, of size 1, whose row's
+    radius is at most the bound."""
 
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2 ** 32),
            st.data())
@@ -1442,8 +1564,9 @@ class TestBoxTestSkip:
     def test_every_row_is_inside_when_the_skip_holds(self, rank, n, seed,
                                                      data):
         """Bases of signed unit columns (some zero) and any bound at least
-        the radii of the rows they pick: the skip holds, and every ambient
-        row of random tiles lies in the box."""
+        the radii of the rows they pick: the skip holds, the points the
+        loop builds from random words equal the matmul, and every row lies
+        in the box."""
         radii = np.array(data.draw(st.lists(
             st.floats(1e-6, 1e6), min_size=rank, max_size=rank)))
         basis = np.zeros((rank, n))
@@ -1454,8 +1577,16 @@ class TestBoxTestSkip:
         used = radii[(basis != 0).any(axis=1)]
         least = float(used.max()) if used.size else 0.0
         bound = least * data.draw(st.sampled_from([1.0, 1.5, 1e3]))
-        assert density._box_cannot_be_left(basis, radii, bound)
-        ambient = density._ambient(random_tile(radii, 256, seed), basis)
+        columns, ambient_of, box_test = density._slab_points(basis, radii,
+                                                             bound)
+        assert not box_test
+        words = random_words(rank, 256, seed)
+        points, _ = built_points(words, columns, range(n), np.arange(0))
+        ambient = ambient_of(points)
+        # equal values; a zero may differ in sign, which no output sees
+        assert np.array_equal(ambient,
+                              density._ambient(symmetric(words.T) * radii,
+                                               basis))
         assert density._in_box(ambient, bound).all()
 
     @pytest.mark.parametrize("column, bound", [
@@ -1467,7 +1598,18 @@ class TestBoxTestSkip:
     def test_other_bases_keep_the_box_test(self, column, bound):
         radii = np.array([2.0, 1.0])
         basis = np.array([column, [0.0, 1.0]]).T
-        assert not density._box_cannot_be_left(basis, radii, bound)
+        assert density._slab_points(basis, radii, bound)[2]
+
+    @pytest.mark.parametrize("column", [[2.0, 0.0], [0.5, 0.0], [1.0, 1.0]])
+    def test_other_bases_are_mapped_by_the_matmul(self, column):
+        radii = np.array([2.0, 1.0])
+        basis = np.array([column, [0.0, 1.0]]).T
+        assert density._signed_columns(basis, radii) is None
+        columns, ambient_of, _ = density._slab_points(basis, radii, 4.0)
+        assert columns == [(0, 2.0), (1, 1.0)]
+        tile = random_tile(radii, 8, 0)
+        assert ambient_of(tile).tobytes() \
+            == density._ambient(tile, basis).tobytes()
 
     def test_the_corner_leaves_a_box_one_ulp_too_small(self):
         """Word 0 is the point -r exactly, so a radius above the bound
@@ -1487,35 +1629,65 @@ class TestBoxTestSkip:
         y = [0] * 5
         y[k] = sign
         _, radii, basis, _ = density._slab_geometry(QUADRIC5, y, x_bound)
-        assert density._box_cannot_be_left(basis, radii, float(x_bound))
+        assert not density._slab_points(basis, radii, float(x_bound))[2]
         for skewed in [(3, 4, 0, 0, 5), (5, -3, 8, -1, 7)]:
             _, radii, basis, _ = density._slab_geometry(QUADRIC5, skewed,
                                                         x_bound)
-            assert not density._box_cannot_be_left(basis, radii,
-                                                   float(x_bound))
+            assert density._slab_points(basis, radii, float(x_bound))[2]
 
 
 class TestTileLayout:
     """Integrands and the slab estimators read each coordinate as one
-    contiguous column."""
+    contiguous column, and a tile holds QMC_TILE * dim values of the
+    coordinates built for every row."""
 
     @pytest.mark.parametrize("samples", [100, TILE_SAMPLES[0],
                                          TILE_SAMPLES[2]])
     def test_integrand_tiles_are_f_contiguous(self, samples):
         layouts = []
 
-        def integrand(tile):
-            layouts.append((tile.shape[1], tile.flags.f_contiguous))
-            return np.zeros(tile.shape[0])
+        def integrand(points, rows, out):
+            layouts.append((points.shape[1], points.flags.f_contiguous,
+                            rows(np.arange(3)).flags.f_contiguous))
+            out[:] = 0.0
 
-        density._sample_means(np.ones(3), samples, 1, None, np.float64,
+        density._sample_means(3, unit_columns(3), range(3), samples, 1, None,
+                              np.float64, integrand)
+        assert layouts and set(layouts) == {(3, True, True)}
+
+    #: (dim, reads, samples per scramble, tile rows): QMC_TILE 2^t rows
+    #: for 2^t <= dim / (coordinates read on every row) < 2^(t + 1), and
+    #: the whole scramble when it is smaller.
+    RULE = [(5, [0], 1 << 17, 4 * density.QMC_TILE),
+            (5, [4], 1 << 15, 4 * density.QMC_TILE),
+            (5, range(5), 1 << 15, density.QMC_TILE),
+            (4, [2, 3], 1 << 15, 2 * density.QMC_TILE),
+            (3, [1], 1 << 15, 2 * density.QMC_TILE),
+            (8, [4, 5, 6, 7], 1 << 15, 2 * density.QMC_TILE),
+            (10, [5, 6, 7, 8, 9], 1 << 10, 1 << 10),
+            (5, [0], 8, 8)]
+
+    @pytest.mark.parametrize("dim, reads, rows, tile", RULE)
+    def test_tile_rule(self, dim, reads, rows, tile):
+        """Only the columns read on every row are built; the others read
+        zero."""
+        shapes = set()
+
+        def integrand(points, rows_of, out):
+            shapes.add(points.shape)
+            assert all(points[:, j].any() == (j in reads)
+                       for j in range(dim))
+            out[:] = 0.0
+
+        density._sample_means(dim, unit_columns(dim), reads,
+                              rows * density.SCRAMBLES, 1, None, np.float64,
                               integrand)
-        assert layouts and set(layouts) == {(3, True)}
+        assert shapes == {(tile, dim)}
 
-    @pytest.mark.parametrize("estimator", ["oscillatory", "integral"])
-    def test_slab_ambient_is_f_contiguous(self, estimator, monkeypatch):
-        """At a skewed base point, where both the slices and the box test
-        read the ambient points."""
+    @staticmethod
+    def layouts(estimator, y, monkeypatch):
+        """(name, columns, F-ordered) of the points each call of
+        evaluate_batch and _in_box reads in one run of ``estimator``."""
         layouts = []
 
         def recorded(name, position):
@@ -1532,18 +1704,51 @@ class TestTileLayout:
         recorded("evaluate_batch", 1)
         recorded("_in_box", 0)
         if estimator == "oscillatory":
-            oscillatory_v(QUADRIC5, (3, 4, 0, 0, 5), [0.3], 2, 4096, seed=1)
+            oscillatory_v(QUADRIC5, y, [0.3], 2, 4096, seed=1)
         else:
-            singular_integral_truncated(QUADRIC5, (3, 4, 0, 0, 5), 1.5,
-                                        4096, seed=1)
-        assert set(layouts) == {("evaluate_batch", 5, True),
-                                ("_in_box", 5, True)}
+            singular_integral_truncated(QUADRIC5, y, 1.5, 4096, seed=1)
+        return set(layouts)
+
+    @pytest.mark.parametrize("estimator", ["oscillatory", "integral"])
+    def test_slab_ambient_is_f_contiguous(self, estimator, monkeypatch):
+        """At a skewed base point, where both the slices and the box test
+        read the ambient points the matmul maps."""
+        assert self.layouts(estimator, (3, 4, 0, 0, 5), monkeypatch) == {
+            ("evaluate_batch", 5, True), ("_in_box", 5, True)}
+
+    @pytest.mark.parametrize("estimator", ["oscillatory", "integral"])
+    def test_sampled_ambient_is_f_contiguous(self, estimator, monkeypatch):
+        """At a unit base point the slices read the sampled ambient points,
+        and no row is box-tested."""
+        assert self.layouts(estimator, (0, 0, 0, -1, 0), monkeypatch) == {
+            ("evaluate_batch", 5, True)}
+
+
+def first_window_reads(monkeypatch):
+    """Records (dim, columns read on every row, tile rows) of each
+    sampling loop run."""
+    runs = []
+    real = density._sample_means
+
+    def recorded(dim, columns, reads, samples, seed, budget, dtype,
+                 integrand):
+        def wrapped(points, rows, out):
+            runs.append((dim, tuple(sorted(reads)), points.shape[0]))
+            integrand(points, rows, out)
+
+        return real(dim, columns, reads, samples, seed, budget, dtype,
+                    wrapped)
+
+    monkeypatch.setattr(density, "_sample_means", recorded)
+    return runs
 
 
 class TestWindowSurvivors:
-    """Later windows are evaluated only on the rows still inside: the
-    booleans, and so the seeded means, equal the all-rows loop, also when
-    few or no rows survive the first window."""
+    """The first window is evaluated on every row, built from the
+    coordinates it reads; later windows are evaluated only on the rows
+    still inside, built whole.  The booleans, and so the seeded means,
+    equal the all-rows loop, also when few or no rows survive the first
+    window."""
 
     @given(st.sampled_from(range(len(SAMPLED_FORMS))), st.integers(0, 2),
            st.integers(0, 50), st.sampled_from([1e-9, 0.01, 0.1, 0.5]))
@@ -1577,6 +1782,48 @@ class TestWindowSurvivors:
             whole_batch_window(eps, list(zip(eps, form.pencil)),
                                2 * form.nvars, 1 << 15, 2))
 
+    #: name: (form, base point, the coordinates its first window reads,
+    #: tile rows).  The quintic's c_1 = 5 x_3 + 5 x_4 reads two of four
+    #: coordinates; the dense c_1 of CUBIC4 at (1, 1, 1, 2) reads all four;
+    #: the skewed quadric-5 point reads three of five.
+    FIRST_WINDOWS = {
+        "quintic": (QUINTIC, YQ, [2, 3], 2 * density.QMC_TILE),
+        "dense": (CUBIC4, (1, 1, 1, 2), [0, 1, 2, 3], density.QMC_TILE),
+        "skewed": (QUADRIC5, (3, 4, 0, 0, 5), [0, 1, 4], density.QMC_TILE),
+        "unit": (QUADRIC5, (0, 0, 0, 0, -1), [4], 4 * density.QMC_TILE),
+    }
+
+    @pytest.mark.parametrize("scale", range(3))
+    @pytest.mark.parametrize("name", sorted(FIRST_WINDOWS))
+    def test_first_window_reads(self, name, scale, monkeypatch):
+        """Scrambles of a quarter, one and four tiles of the tile rule."""
+        form, y, reads, tile = self.FIRST_WINDOWS[name]
+        runs = first_window_reads(monkeypatch)
+        eps = [0.2] * form.degree
+        windows = [(eps[j - 1], sliced) for j, sliced
+                   in density.nonzero_slices(form, y, 1)]
+        samples = tile_samples(tile)[scale]
+        TestSamplingLoop.same(
+            real_density_window(form, y, eps, samples, seed=4),
+            whole_batch_window(eps, windows, form.nvars, samples, 4))
+        assert {run[:2] for run in runs} == {(form.nvars, tuple(reads))}
+        assert {run[2] for run in runs} == {min(tile, samples // 16)}
+
+    @pytest.mark.parametrize("scale", range(3))
+    def test_pair_window_reads_the_y_half(self, scale, monkeypatch):
+        """c_0 = F(y) reads the last four of the eight coordinates of a
+        QUADRIC4 pair, so the tiles hold 2 QMC_TILE rows."""
+        runs = first_window_reads(monkeypatch)
+        eps = [0.3] * 3
+        samples = tile_samples(2 * density.QMC_TILE)[scale]
+        TestSamplingLoop.same(
+            chi_global_real(QUADRIC4, eps, samples, seed=6),
+            whole_batch_window(eps, list(zip(eps, QUADRIC4.pencil)), 8,
+                               samples, 6))
+        assert {run[:2] for run in runs} == {(8, (4, 5, 6, 7))}
+        assert {run[2] for run in runs} == {
+            min(2 * density.QMC_TILE, samples // 16)}
+
 
 class TestSampleBudget:
     """Each estimator charges its rounded sample total SCRAMBLES * 2^k
@@ -1603,6 +1850,24 @@ class TestSampleBudget:
         assert estimate(4097, 8192).samples == 8192
         with pytest.raises(ResourceLimit):
             estimate(4097, 8191)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("name", ["window", "pairs"])
+    def test_non_positive_samples_are_refused(self, name, samples,
+                                              monkeypatch):
+        """The sampling loop refuses fewer than one sample before drawing
+        a scramble, whatever the budget."""
+        def undrawable(*args):
+            raise AssertionError("a scramble was drawn")
+
+        monkeypatch.setattr(sobol, "scramble", undrawable)
+        for budget in (None, 4096):
+            with pytest.raises(DomainError,
+                               match=f"at least one QMC sample, got "
+                                     f"{samples}"):
+                self.ESTIMATORS[name](samples, budget)
+        with pytest.raises(DomainError, match="at least one QMC sample"):
+            predict_pairs(QUADRIC5, 2, 2, 3, 1, [0.5] * 3, samples)
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_no_limit_by_default(self, name):
