@@ -161,20 +161,11 @@ def _solution_mask(polys: Sequence[Polynomial], block: np.ndarray,
     return mask
 
 
-def _residue_count(polys: Sequence[Polynomial], nvars: int,
-                   modulus: int) -> int:
-    """#{x mod ``modulus`` in ``nvars`` variables: every poly vanishes}, by
-    the convolution of :func:`counting._convolution_count` on the residue
-    grid.  Charges nothing; callers charge the full grid."""
-    return _convolution_count(polys, [(0, modulus - 1)] * nvars, modulus,
-                              _Budget(None))
-
-
 def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
                                p: int, H: int, *,
                                budget: Optional[int] = DEFAULT_COUNT_BUDGET
                                ) -> int:
-    """Number of solutions of the polynomial system mod p^H.
+    """Number of solutions of the polynomial system mod p^H, p prime.
 
     The variables split into components joined by shared monomials
     (coefficients = 0 mod p^H dropped).  When their residue grids,
@@ -188,11 +179,14 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
     fibers are enumerated exhaustively, p^((H-1) nvars) residues each.
 
     Raises:
+        DomainError: p is not prime, or H < 1.
         ResourceLimit: the convolution or a singular fiber exceeds the
             budget.
     """
-    if p < 2 or H < 1:
-        raise DomainError("need a modulus p >= 2 and H >= 1")
+    if H < 1:
+        raise DomainError("H must be at least 1")
+    if _factorise(p) != [(p, 1)]:
+        raise DomainError("p must be prime")
     ledger = _Budget(budget)
     modulus = p ** H
     # equations all of whose coefficients vanish mod p^H impose nothing
@@ -268,30 +262,17 @@ def lattice_congruence_count(form: HomogeneousForm, y: Sequence[int],
 
     Counted in the ambient coordinates, as #{x mod ``modulus`` : h . x = 0
     and every slice of degree 2..d vanishes} (see :func:`_slice_system`).
-    Prime-power moduli go through :func:`count_congruence_solutions`, so
-    they can fall through to Hensel lifting; other moduli are one
-    convolution, charged the rows and entries it forms.
+    By the Chinese remainder theorem the count is the product of the
+    counts mod the prime powers p^h exactly dividing ``modulus`` (1 for
+    ``modulus`` = 1), each from :func:`count_congruence_solutions` and
+    charged to its own ``budget``.
     """
-    return _congruence_count(_slice_system(form, y, True), form.nvars,
-                             modulus, budget)
-
-
-def _congruence_count(polys: list, nvars: int, modulus: int,
-                      budget: Optional[int]) -> int:
-    """#{x mod ``modulus`` in ``nvars`` variables: every poly in ``polys``
-    vanishes}, each call metered against its own ``budget``."""
-    factorised = _prime_power(modulus)
-    if factorised is not None:
-        return count_congruence_solutions(polys, nvars, factorised[0],
-                                          factorised[1], budget=budget)
-    return _convolution_count(polys, [(0, modulus - 1)] * nvars, modulus,
-                              _Budget(budget))
-
-
-def _prime_power(q: int) -> Optional[Tuple[int, int]]:
-    """(p, h) when q = p^h for a prime p, else None."""
-    factors = _factorise(q)
-    return factors[0] if len(factors) == 1 else None
+    if modulus < 1:
+        raise DomainError("modulus must be at least 1")
+    polys = _slice_system(form, y, True)
+    return math.prod(count_congruence_solutions(polys, form.nvars, p, h,
+                                                budget=budget)
+                     for p, h in _factorise(modulus))
 
 
 def _factorise(q: int) -> List[Tuple[int, int]]:
@@ -329,13 +310,13 @@ def singular_series_truncated(form: HomogeneousForm, y: Sequence[int],
 
     where s = n - 1 is the rank of the slicing lattice and N(m) counts
     its residues mod m on which every slice value vanishes, in the ambient
-    coordinates (:func:`_slice_system`).  N(1) and N(p^k) come from
+    coordinates (:func:`_slice_system`).  Each N(p^k) comes from
     :func:`count_congruence_solutions`: one convolution of the value
     histograms of the variable-disjoint components, or Hensel lifting;
     each is charged to its own ``budget``.  Every other N(m) is, by the
     Chinese remainder theorem, the product of N(p^k) over the prime powers
-    exactly dividing m, and is charged nothing.  So the result is an exact
-    rational.
+    exactly dividing m (N(1) = 1), and is charged nothing.  So the result
+    is an exact rational.
 
     Raises:
         ResourceLimit: the count of a prime power exceeds ``budget``.
@@ -348,10 +329,10 @@ def singular_series_truncated(form: HomogeneousForm, y: Sequence[int],
     counts: Dict[int, int] = {}
     for m in range(1, window + 1):
         factors = _factorise(m)
-        if len(factors) > 1:
-            counts[m] = math.prod(counts[p ** h] for p, h in factors)
-        else:
-            counts[m] = _congruence_count(polys, form.nvars, m, budget)
+        counts[m] = (count_congruence_solutions(polys, form.nvars,
+                                                *factors[0], budget=budget)
+                     if len(factors) == 1
+                     else math.prod(counts[p ** h] for p, h in factors))
     total = Fraction(0)
     for q in range(1, window + 1):
         inner = Fraction(0)
@@ -403,21 +384,18 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
     each charged to its own ``budget``.
 
     Raises:
+        DomainError: p is not prime, or H < 1.
         ZeroVectorInput: y = 0, or grad F(y) = 0.
         ResourceLimit: counting exceeds the budget.
     """
-    if H < 1:
-        raise DomainError("H must be at least 1")
-    if p < 2 or _prime_power(p) != (p, 1):
-        raise DomainError("p must be prime")
     d = form.degree
     n = form.nvars
-    D = d * (d + 1) // 2
-    head = D if display_convention else d
+    counts = [count_congruence_solutions(_slice_system(form, y, primitive),
+                                         n, p, H, budget=budget)
+              for primitive in (True, False)]
+    head = d * (d + 1) // 2 if display_convention else d
     scale = Fraction(p) ** (H * (head - n))
-    return tuple(scale * count_congruence_solutions(
-        _slice_system(form, y, primitive), n, p, H, budget=budget)
-        for primitive in (True, False))
+    return tuple(scale * count for count in counts)
 
 
 # ---------------------------------------------------------------------------
@@ -802,49 +780,44 @@ def _window_density(eps: Sequence[float], windows, dim: int, samples: int,
 # ---------------------------------------------------------------------------
 
 def chi_global_padic(form: HomogeneousForm, p: int, H: int = 1, *,
-                     budget: Optional[int] = 10 ** 9) -> DensityEstimate:
+                     budget: Optional[int] = DEFAULT_COUNT_BUDGET
+                     ) -> DensityEstimate:
     """Exact pair-system density at p: all pencil coefficients vanish.
 
     Counts pairs (x, y) mod p^H with c_j(x, y) = 0 for j = 0..d and
     normalises by p^(H (d + 1 - 2n)) (d + 1 equations in 2n variables —
     a convention recorded with every prediction that uses it).
 
-    The pencil is counted by one convolution of the value histograms of
-    its variable components mod p^H (joined by shared monomials; for a
-    diagonal form the pairs (x_i, y_i)), as in
-    :func:`count_congruence_solutions`, unless it is a quadric pencil that
-    does not split.  That one goes through the pairing path: the outer
-    coefficients select the residue solutions of F on each side, and the
-    middle coefficient is a bilinear pairing counted with blocked integer
-    matrix products.  The charges do not depend on the path: p^(2nH) pairs for d != 2, and for
-    quadrics the p^(nH) residues of F plus the square of its number of
-    solutions.
+    The pencil is counted by :func:`count_congruence_solutions` in the 2n
+    variables: one convolution of the value histograms of its variable
+    components mod p^H (joined by shared monomials; for a diagonal form
+    the pairs (x_i, y_i)), charged the rows and entries it forms, or
+    Hensel lifting when the components' grids exceed ``budget``.  A
+    quadric pencil that does not split into several components goes
+    through the pairing path instead: the outer coefficients select the
+    residue solutions of F on each side, and the middle coefficient is a
+    bilinear pairing counted with blocked integer matrix products,
+    charged the p^(nH) residues of F and then the pairs of its solutions.
 
     Raises:
-        ResourceLimit: the pair count exceeds the budget.
+        DomainError: p is not prime, or H < 1.
+        ResourceLimit: the count exceeds the budget.
     """
     if H < 1:
         raise DomainError("H must be at least 1")
-    if p < 2 or _prime_power(p) != (p, 1):
+    if _factorise(p) != [(p, 1)]:
         raise DomainError("p must be prime")
     n = form.nvars
     d = form.degree
     modulus = p ** H
-    ledger = _Budget(budget)
     pencil = form.pencil
-    if d != 2:
-        ledger.charge(modulus ** (2 * n))
-        count = _residue_count(pencil, 2 * n, modulus)
-    elif len(_variable_components(
+    if d != 2 or len(_variable_components(
             [e for poly in pencil for e, c in poly.coeffs.items()
              if c % modulus], 2 * n)) > 1:
-        # charge what the quadric path would: the scan of F, then the
-        # pairs of its solutions
-        ledger.charge(modulus ** n)
-        ledger.charge(_residue_count([form], n, modulus) ** 2)
-        count = _residue_count(pencil, 2 * n, modulus)
+        count = count_congruence_solutions(pencil, 2 * n, p, H,
+                                           budget=budget)
     else:
-        count = _quadric_pair_count(form, modulus, ledger)
+        count = _quadric_pair_count(form, modulus, _Budget(budget))
     value = Fraction(p) ** (H * (d + 1 - 2 * n)) * count
     return DensityEstimate(kind="p-adic", value=value)
 
@@ -932,14 +905,15 @@ def predict_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
                   p_max: int, H: int, epsilon: Sequence[float],
                   samples: int, seed: int = 0, *,
                   cache: Optional["EulerCache"] = None,
-                  budget: Optional[int] = 10 ** 9) -> Prediction:
+                  budget: Optional[int] = DEFAULT_COUNT_BUDGET
+                  ) -> Prediction:
     """Global pair-count prediction (XY)^(n - D) chi_inf prod_p chi_p.
 
     Local factors run over primes up to p_max at level H; the real factor
     is the windowed density.  The normalisation convention (d + 1 pencil
     equations over 2n variables) is recorded in the components.
-    ``budget`` bounds each pair scan and, separately, the QMC samples of
-    the real factor.
+    ``budget`` bounds each exact count of :func:`chi_global_padic` and,
+    separately, the QMC samples of the real factor.
     """
     n = form.nvars
     D = form.degree * (form.degree + 1) // 2
@@ -979,7 +953,7 @@ def _real_mean(estimate: DensityEstimate) -> Fraction:
 
 
 def _primes_up_to(limit: int) -> List[int]:
-    return [p for p in range(2, limit + 1) if _prime_power(p) == (p, 1)]
+    return [p for p in range(2, limit + 1) if _factorise(p) == [(p, 1)]]
 
 
 # ---------------------------------------------------------------------------

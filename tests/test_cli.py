@@ -28,6 +28,7 @@ from linecount.density import chi_global_padic, singular_series_truncated
 from linecount.errors import DomainError
 from linecount.fixtures import diagonal_quadric, fermat_form, fermat_quintic
 from linecount.forms import form_to_json, load_form
+from test_counting import split_quadric
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +306,29 @@ class TestDensityCommand:
         mean = out["estimate"]["mean"]
         value = mean[0] if isinstance(mean, list) else mean
         assert value / math.sqrt(2) == pytest.approx(8, abs=0.2)
+
+    @pytest.mark.parametrize("budget,code", [(5869, EXIT_RESOURCE),
+                                             (5870, EXIT_OK)])
+    def test_chi_p_pairs_charge_boundary(self, capsys, budget, code):
+        """The pencil of quadric-5 mod 7 is charged what its convolution
+        forms, 5870."""
+        status, out = run_json(capsys, "density", "--fixture", "quadric-5",
+                               "--p", "7", "--budget", str(budget))
+        assert status == code
+        if code == EXIT_OK:
+            assert out == {"mode": "chi-p-pairs", "p": 7, "H": 1,
+                           "estimate": {"kind": "p-adic",
+                                        "value": "2407/2401"}}
+
+    def test_chi_p_pairs_split_octonary_quadric(self, capsys, monkeypatch,
+                                                tmp_path):
+        monkeypatch.delenv("LINECOUNT_BUDGET", raising=False)
+        path = tmp_path / "split8.json"
+        path.write_text(json.dumps(form_to_json(split_quadric(4, 4))))
+        status, out = run_json(capsys, "density", "--form", str(path),
+                               "--p", "2", "--H", "3")
+        assert status == EXIT_OK
+        assert out["estimate"]["value"] == "791/256"
 
     def test_series_requires_base_point(self, capsys):
         code, out = run_json(capsys, "density", "--fixture", "quintic",

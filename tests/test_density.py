@@ -60,7 +60,7 @@ from linecount.forms import (
 )
 from linecount.lattice import slicing_lattice
 from lattice_oracle import lattice_system, sheared
-from test_counting import counted
+from test_counting import counted, split_quadric
 
 QUINTIC = fermat_quintic()
 YQ = QUINTIC_BASE_POINT
@@ -148,6 +148,13 @@ def scan_count(polys, nvars, modulus):
             mask &= residues_mod(evaluate_batch(poly, block), modulus) == 0
         total += int(mask.sum())
     return total
+
+
+def convolution_count(polys, nvars, modulus):
+    """#{x mod modulus: every poly vanishes}, by the unmetered convolution
+    of the whole residue grid, at any modulus, prime or composite."""
+    return counting._convolution_count(polys, [(0, modulus - 1)] * nvars,
+                                       modulus, counting._Budget(None))
 
 
 @functools.lru_cache(maxsize=None)
@@ -545,6 +552,8 @@ class TestCongruenceCounting:
             count_congruence_solutions([], 2, 1, 1)
         with pytest.raises(DomainError):
             count_congruence_solutions([], 2, 2, 0)
+        with pytest.raises(DomainError):
+            lattice_congruence_count(QUINTIC, YQ, 0)
 
     def test_budget(self):
         polys = density._slice_system(QUINTIC, YQ, True)
@@ -573,11 +582,24 @@ class TestCongruenceCounting:
             == scan_count(polys, nvars, p) == expected
 
     def test_composite_modulus_charge_boundary(self):
-        """Mod 6 the count is one convolution, charged the 2 * 6 residues
-        of x3 and x4 and the 84 entries its folds form."""
-        with pytest.raises(ResourceLimit):
-            lattice_congruence_count(QUINTIC, YQ, 6, budget=96 - 1)
-        assert lattice_congruence_count(QUINTIC, YQ, 6, budget=96) == 36
+        """Mod 6 the count is N(2) N(3), each prime power charged to its
+        own budget: the larger charge, 30 for mod 3, is the boundary."""
+        for m, charge in [(2, 16), (3, 30), (6, 30)]:
+            with pytest.raises(ResourceLimit):
+                lattice_congruence_count(QUINTIC, YQ, m, budget=charge - 1)
+        assert lattice_congruence_count(QUINTIC, YQ, 6, budget=30) == 36
+
+    @pytest.mark.parametrize("p", [4, 6, 9])
+    def test_rejects_composite_p(self, p):
+        """A composite p is refused on either route: the Hensel route's
+        elimination mod p would need inverses that do not exist."""
+        # x1 x2 + x2 x3 + x3^2 + x1, one component of grid p^6 mod p^2
+        poly = Polynomial(nvars=3, coeffs={
+            (1, 1, 0): Fraction(1), (0, 1, 1): Fraction(1),
+            (0, 0, 2): Fraction(1), (1, 0, 0): Fraction(1)})
+        for budget in (None, p ** 6 - 1):
+            with pytest.raises(DomainError, match="prime"):
+                count_congruence_solutions([poly], 3, p, 2, budget=budget)
 
     @settings(max_examples=60, deadline=None)
     @given(diagonal_base_points())
@@ -646,9 +668,8 @@ class TestResidueCount:
     @settings(max_examples=300, deadline=None)
     @given(partitioned_systems())
     def test_matches_scan(self, system):
-        from linecount.density import _residue_count
         polys, nvars, modulus = system
-        assert _residue_count(polys, nvars, modulus) \
+        assert convolution_count(polys, nvars, modulus) \
             == scan_count(polys, nvars, modulus)
 
     @pytest.mark.parametrize("modulus", [2, 3, 4, 5, 6, 7, 8, 9, 11])
@@ -666,22 +687,20 @@ class TestResidueCount:
          {(1, 1, 0, 0): 4, (0, 1, 0, 0): 1}],
     ])
     def test_fixed_systems(self, system, modulus):
-        from linecount.density import _residue_count
         polys = [Polynomial(nvars=4, coeffs={e: Fraction(c)
                                              for e, c in terms.items()})
                  for terms in system]
-        assert _residue_count(polys, 4, modulus) \
+        assert convolution_count(polys, 4, modulus) \
             == scan_count(polys, 4, modulus)
 
     def test_value_vectors_too_wide_for_a_key(self, monkeypatch):
         """Nine polys mod 257 would need digit weights up to 257^8 > 2^62,
         so a key is a row of two int64 columns, matched by re-ranking."""
-        from linecount.density import _residue_count
         calls = counted(monkeypatch, "_row_ids")
         polys = [Polynomial(nvars=2, coeffs={(k, 0): Fraction(1),
                                              (0, k): Fraction(k)})
                  for k in range(1, 10)]
-        assert _residue_count(polys, 2, 257) \
+        assert convolution_count(polys, 2, 257) \
             == scan_count(polys, 2, 257) == 1
         assert calls and all(rows.shape[1] == 2 for rows, in calls)
 
@@ -690,13 +709,12 @@ class TestResidueCount:
         """A system of one component is never accumulated: its grid rows
         are looked up, block by block, in the one-entry histogram at minus
         the constant terms."""
-        from linecount.density import _residue_count
         accumulated = counted(monkeypatch, "_accumulate")
         merged = counted(monkeypatch, "_merge_histogram")
         polys = [Polynomial(nvars=4, coeffs={e: Fraction(c)
                                              for e, c in terms.items()})
                  for terms in ONE_COMPONENT]
-        assert _residue_count(polys, 4, modulus) \
+        assert convolution_count(polys, 4, modulus) \
             == scan_count(polys, 4, modulus)
         assert accumulated == []
         assert [sum(len(keys) for keys, _ in parts)
@@ -730,12 +748,11 @@ class TestResidueCount:
         assert _variable_components(monomials, 6) == [[0, 1, 3], [2], [5]]
 
     def test_nonzero_constant_has_no_solutions(self):
-        from linecount.density import _residue_count
         polys = [Polynomial(nvars=2, coeffs={(1, 0): Fraction(1)}),
                  Polynomial(nvars=2, coeffs={(0, 0): Fraction(4),
                                              (0, 2): Fraction(6)})]
-        assert _residue_count(polys, 2, 6) == scan_count(polys, 2, 6) == 0
-        assert _residue_count(polys, 2, 2) == scan_count(polys, 2, 2) == 2
+        assert convolution_count(polys, 2, 6) == scan_count(polys, 2, 6) == 0
+        assert convolution_count(polys, 2, 2) == scan_count(polys, 2, 2) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -797,28 +814,27 @@ class TestSingularSeries:
         assert singular_series_truncated(form, y, 12).value \
             == scanned_series(form, y, 12)
 
-    def test_only_one_and_prime_powers_are_scanned(self, monkeypatch):
+    def test_only_prime_powers_are_scanned(self, monkeypatch):
         scanned = []
-        original = density._congruence_count
+        original = density.count_congruence_solutions
 
-        def counted(polys, s, modulus, budget):
-            scanned.append(modulus)
-            return original(polys, s, modulus, budget)
+        def counted(polys, nvars, p, H, *, budget):
+            scanned.append(p ** H)
+            return original(polys, nvars, p, H, budget=budget)
 
-        monkeypatch.setattr(density, "_congruence_count", counted)
+        monkeypatch.setattr(density, "count_congruence_solutions", counted)
         singular_series_truncated(CUBIC4, YC4, 12)
-        assert scanned == [1, 2, 3, 4, 5, 7, 8, 9, 11]
+        assert scanned == [2, 3, 4, 5, 7, 8, 9, 11]
 
     def test_composite_modulus_charges_nothing(self):
         """Each prime power is charged to its own budget, and N(6) is
         N(2) N(3) by CRT: the window-6 series needs the 70 that counting
-        mod 5 is charged, not the 96 of counting mod 6.  One below 70 the
-        series stops, at it the series passes."""
+        mod 5 is charged, and N(6) alone the 30 of counting mod 3.  One
+        below 70 the series stops, at it the series passes."""
         with pytest.raises(ResourceLimit) as info:
             singular_series_truncated(QUINTIC, YQ, 6, budget=70 - 1)
         assert info.value.budget == 70 - 1
-        with pytest.raises(ResourceLimit):
-            lattice_congruence_count(QUINTIC, YQ, 6, budget=70)
+        assert lattice_congruence_count(QUINTIC, YQ, 6, budget=70) == 36
         value = singular_series_truncated(QUINTIC, YQ, 6, budget=70)
         assert value.value == scanned_series(QUINTIC, YQ, 6)
 
@@ -836,13 +852,11 @@ class TestSingularSeries:
         assert singular_series_truncated(form, y, 16).value > 0
 
     def test_factorise_matches_sympy(self):
-        from linecount.density import _factorise, _moebius, _prime_power
+        from linecount.density import _factorise, _moebius
         for q in range(1, 400):
             factors = sorted(factorint(q).items())
             assert _factorise(q) == factors
             assert _moebius(q) == int(mobius(q))
-            assert _prime_power(q) == (factors[0] if len(factors) == 1
-                                       else None)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +1052,63 @@ class TestRealDensityWindow:
 # Global pair densities
 # ---------------------------------------------------------------------------
 
+@st.composite
+def pair_cases(draw):
+    """(form, p, H): a diagonal form with n <= 3 and d in {2, 3}, or its
+    shear, whose monomials join neighbouring variables, with p in {2, 3}
+    and H <= 2, at most 3^8 pairs mod p^H.  Some coefficient is a unit
+    mod p, so F mod p does not vanish everywhere."""
+    p = draw(st.sampled_from([2, 3]))
+    # sheared quadrics mostly take the pairing path, sheared cubics at
+    # level 2 (listed twice) can take Hensel lifting, diagonal forms split
+    d, shear, H = draw(st.sampled_from([(2, True, 1), (2, True, 2),
+                                        (3, True, 2), (3, True, 2),
+                                        (2, False, 2), (3, False, 1)]))
+    n = draw(st.integers(1, 3 if p ** H < 9 else 2))
+    weights = draw(st.lists(st.integers(-4, 4).filter(bool),
+                            min_size=n, max_size=n))
+    assume(any(w % p for w in weights))
+    form = HomogeneousForm(nvars=n, degree=d, coeffs={
+        tuple(d * (i == k) for i in range(n)): w
+        for k, w in enumerate(weights)})
+    if shear:
+        form, _ = sheared(form, (1,) * n)
+    return form, p, H
+
+
 class TestChiGlobal:
+    @settings(max_examples=40, deadline=None)
+    @given(pair_cases())
+    @example((sheared(diagonal_quadric(2), (1, 1))[0], 3, 1))
+    @example((diagonal_quadric(2), 3, 2))
+    @example((sheared(fermat_form(2, 3), (1, 1))[0], 2, 2))
+    def test_every_route_matches_the_pair_oracle(self, case):
+        """The pairing path (a quadric pencil of one component), the
+        direct convolution (every other pencil, at no budget) and Hensel
+        lifting (a pencil of one component at level 2, one below its
+        grid) all give the exhaustive pair scan.  The residue grids each
+        route scans tell the routes apart."""
+        form, p, H = case
+        n = form.nvars
+        modulus = p ** H
+        groups = counting._variable_components(
+            [e for poly in form.pencil for e, c in poly.coeffs.items()
+             if c % modulus], 2 * n)
+        want = brute_pair_chi(form, p, H)
+        pairing = form.degree == 2 and len(groups) == 1
+        with mock.patch.object(density, "_residue_grid",
+                               wraps=density._residue_grid) as grids:
+            assert chi_global_padic(form, p, H, budget=None).value == want
+        assert [c.args for c in grids.call_args_list] \
+            == ([(n, modulus)] if pairing else [])
+        if not pairing and H == 2 and groups == [list(range(2 * n))]:
+            with mock.patch.object(density, "_residue_grid",
+                                   wraps=density._residue_grid) as grids:
+                assert chi_global_padic(form, p, H,
+                                        budget=modulus ** (2 * n) - 1
+                                        ).value == want
+            assert grids.call_args_list[0].args == (2 * n, p)
+
     def test_cubic_matches_exhaustive_pair_scan(self):
         assert chi_global_padic(CUBIC4, 2, 1).value \
             == brute_pair_chi(CUBIC4, 2, 1) == Fraction(5, 2)
@@ -1070,23 +1140,39 @@ class TestChiGlobal:
     @pytest.mark.parametrize("p,expected", [(2, Fraction(5, 2)),
                                             (3, Fraction(9))])
     def test_cubic_charge_boundary(self, p, expected):
-        """A cubic pencil charges the p^(2n) pairs of the full scan."""
+        """A diagonal cubic pencil splits into the pairs (x_i, y_i), and
+        is charged what its convolution forms: the 4 p^2 rows of their
+        grids, then the entries of each fold."""
+        charge = {2: 48, 3: 114}[p]
         with pytest.raises(ResourceLimit):
-            chi_global_padic(CUBIC4, p, 1, budget=p ** 8 - 1)
-        assert chi_global_padic(CUBIC4, p, 1, budget=p ** 8).value \
+            chi_global_padic(CUBIC4, p, 1, budget=charge - 1)
+        assert chi_global_padic(CUBIC4, p, 1, budget=charge).value \
             == expected
 
     @pytest.mark.parametrize("p,solutions", [(2, 8), (3, 21)])
     def test_split_quadric_charge_boundary(self, p, solutions):
-        """A diagonal quadric pencil splits into the pairs (x_i, y_i) but
-        charges what the quadric path does: the p^n residues of F, then
-        the pairs of its ``solutions`` zeros."""
+        """A diagonal quadric pencil splits into the pairs (x_i, y_i) like
+        a cubic one, and is charged what its convolution forms: less than
+        the pairing path would be charged, the p^n residues of F and the
+        pairs of its ``solutions`` zeros."""
         assert scan_count([QUADRIC4], 4, p) == solutions
-        charge = p ** 4 + solutions ** 2
+        charge = {2: 48, 3: 86}[p]
+        assert charge < p ** 4 + solutions ** 2
         with pytest.raises(ResourceLimit):
             chi_global_padic(QUADRIC4, p, 1, budget=charge - 1)
         assert chi_global_padic(QUADRIC4, p, 1, budget=charge).value \
             == brute_pair_chi(QUADRIC4, p, 1)
+
+    def test_split_octonary_quadric_at_the_default_budget(self):
+        """The n = 8 split quadric's pencil splits into the pairs
+        (x_i, y_i), so each level below is a few small convolutions
+        within the default budget."""
+        form = split_quadric(4, 4)
+        values = {(2, 1): "2", (2, 2): "23/8", (2, 3): "791/256",
+                  (3, 1): "803/729", (5, 1): "16229/15625",
+                  (7, 1): "120007/117649", (13, 1): "4855213/4826809"}
+        for (p, H), value in values.items():
+            assert chi_global_padic(form, p, H).value == Fraction(value)
 
     @pytest.mark.parametrize("p,solutions", [(2, 4), (3, 9)])
     def test_connected_quadric_pair_path(self, p, solutions):
