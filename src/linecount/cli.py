@@ -7,13 +7,15 @@ every value survives a round trip through standard parsers.  Floats use the
 canonical shortest representation, which is deterministic for identical
 computations.
 
-Every potentially exponential loop takes a ``--budget`` (points enumerated,
-rows evaluated and histogram entries formed, residues scanned or QMC
-samples drawn; the LINECOUNT_BUDGET environment
-variable overrides the default) and overruns surface as a clean resource
-error, exit code 3.
-Validation failures exit 2 with a machine-readable error object; usage
-errors exit 64.
+The six subcommands that run a potentially exponential loop (count,
+expsum, arcs, density, predict and selftest) take ``--budget``, the one
+source of the work budget (default 10^7).  Each stage charges its own work
+to it: lattice points enumerated, rows scanned and histogram entries
+formed, residues scanned, window cells summed, arc-search work units or
+QMC samples.  An overrun exits 3 with an error naming the work and the
+budget; a budget below 1 is a validation failure.  ``ledger`` and
+``lattice`` charge nothing and take no budget.  Validation failures exit 2
+with a machine-readable error object; usage errors exit 64.
 
 ``--manifest-out FILE`` records the run (command, parameters, seeds, tool
 version, wall time, digest of the emitted bytes); ``--from-manifest FILE``
@@ -44,9 +46,9 @@ import mpmath
 import numpy as np
 
 from . import __version__
-from .counting import count_fixed_y, count_pairs, hessian_corank, m2_dimension
+from .counting import (DEFAULT_COUNT_BUDGET, count_fixed_y, count_pairs,
+                       hessian_corank, m2_dimension)
 from .density import (
-    DEFAULT_COUNT_BUDGET,
     chi_global_padic,
     chi_global_real,
     chi_p_fixed_y,
@@ -261,38 +263,19 @@ def _add_form_flags(parser: argparse.ArgumentParser) -> None:
                        help=f"built-in form: {_FIXTURE_GRAMMAR}")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=int, default=None,
-                        help="budget of points enumerated, rows "
-                             "evaluated and histogram entries formed, "
-                             "residues scanned or QMC samples drawn "
-                             "(default "
-                             f"LINECOUNT_BUDGET or {DEFAULT_COUNT_BUDGET})")
-    parser.add_argument("--manifest-out", metavar="FILE", default=None,
-                        help="write a replayable run manifest")
+def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--budget", type=int, default=DEFAULT_COUNT_BUDGET,
+                        help="positive work budget, charged by each stage "
+                             "in its own units (lattice points, rows and "
+                             "histogram entries, residues, window cells, "
+                             "arc-search work units or QMC samples); an "
+                             "overrun exits 3 (default %(default)s)")
 
 
 def _resolve_form(args):
     if getattr(args, "form", None):
         return load_form(args.form)
     return _fixture_form(args.fixture)
-
-
-def _default_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        if args.budget < 1:
-            raise DomainError("budget must be positive")
-        return args.budget
-    env = os.environ.get("LINECOUNT_BUDGET")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise DomainError(f"LINECOUNT_BUDGET must be an integer, got {env!r}")
-        if value < 1:
-            raise DomainError("LINECOUNT_BUDGET must be positive")
-        return value
-    return DEFAULT_COUNT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +309,10 @@ def _configure_count(parser) -> None:
     parser.add_argument("--csv", action="store_true",
                         help="emit the per-base-point table as CSV "
                              "(needs --breakdown)")
-    _add_common_flags(parser)
+    _add_budget_flag(parser)
 
 
 def _run_count(args, form) -> dict:
-    budget = _default_budget(args)
     # refuse before any pool starts: it starts all its workers at once
     limit = os.cpu_count() or 1
     if not 1 <= args.workers <= limit:
@@ -349,7 +331,7 @@ def _run_count(args, form) -> dict:
                 raise DomainError(f"{flag} applies to pair runs (--Y), not "
                                   "to a fixed base point (--y)")
         total = count_fixed_y(form, args.y, args.X, workers=args.workers,
-                              budget=budget)
+                              budget=args.budget)
         return {"mode": "fixed-y", "X": args.X, "y": list(args.y),
                 "total": total}
     if args.csv and not args.breakdown:
@@ -358,7 +340,7 @@ def _run_count(args, form) -> dict:
     report = count_pairs(form, args.X, args.Y,
                          exclude_proportional=args.exclude_proportional,
                          stratum_rho=args.rho, breakdown=args.breakdown,
-                         workers=args.workers, budget=budget)
+                         workers=args.workers, budget=args.budget)
     payload = report.to_json()
     payload["mode"] = "pairs"
     return payload
@@ -378,13 +360,13 @@ def _configure_expsum(parser) -> None:
                         help="frequency vector, rationals p/q or floats")
     parser.add_argument("--P", type=int, required=True,
                         help="box bound for the lattice sum")
-    _add_common_flags(parser)
+    _add_budget_flag(parser)
 
 
 def _run_expsum(args, form) -> dict:
     alpha = FrequencyPoint.from_values(args.alpha)
     value = exponential_sum_T(form, args.y, alpha, args.P,
-                              budget=_default_budget(args))
+                              budget=args.budget)
     return {"P": args.P, "alpha": alpha.to_json(), "y": list(args.y),
             "value": value, "abs": float(abs(value))}
 
@@ -412,11 +394,10 @@ def _configure_arcs(parser) -> None:
     parser.add_argument("--rho", type=int, default=None)
     parser.add_argument("--psi", type=_rational, default=None, metavar="P/Q")
     parser.add_argument("--start-degree", type=int, default=2)
-    _add_common_flags(parser)
+    _add_budget_flag(parser)
 
 
 def _run_arcs(args, form) -> dict:
-    budget = _default_budget(args)
     alpha = FrequencyPoint.from_values(args.alpha)
     if args.witness is not None:
         witness = major_arc_witness(alpha, args.X, args.witness)
@@ -428,7 +409,7 @@ def _run_arcs(args, form) -> dict:
     if args.weyl is not None:
         report = weyl_inequality_check(form, args.y, alpha, args.weyl,
                                        args.X, trials=args.trials,
-                                       seed=args.seed, budget=budget)
+                                       seed=args.seed, budget=args.budget)
         payload = report.to_json()
         payload["mode"] = "weyl"
         return payload
@@ -436,7 +417,7 @@ def _run_arcs(args, form) -> dict:
     y_sup, mu1_sq = arc_geometry(form, args.y)
     report = nested_arc_membership(alpha, args.X, profile, y_sup, mu1_sq,
                                    start_degree=args.start_degree,
-                                   budget=budget)
+                                   budget=args.budget)
     payload = report.to_json()
     payload.update({"mode": "nested", "n": n, "rho": rho, "psi": psi,
                     "y_sup": y_sup, "mu1_sq": mu1_sq})
@@ -468,11 +449,11 @@ def _configure_density(parser) -> None:
                         help="box scale for --oscillatory")
     parser.add_argument("--samples", type=int, default=1 << 14)
     parser.add_argument("--seed", type=int, default=0)
-    _add_common_flags(parser)
+    _add_budget_flag(parser)
 
 
 def _run_density(args, form) -> dict:
-    budget = _default_budget(args)
+    budget = args.budget
     if args.p is not None:
         if args.y is not None:
             lattice_value, full_value = chi_p_fixed_y(
@@ -535,24 +516,23 @@ def _configure_predict(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cache", metavar="FILE", default=None,
                         help="persistent store for exact local factors")
-    _add_common_flags(parser)
+    _add_budget_flag(parser)
 
 
 def _run_predict(args, form) -> dict:
-    budget = _default_budget(args)
     if args.y is not None:
         if args.W is None:
             raise DomainError("fixed-y prediction needs --W")
         prediction = predict_fixed_y(form, args.y, args.X, args.W,
                                      args.samples, seed=args.seed,
-                                     budget=budget)
+                                     budget=args.budget)
         return prediction.to_json()
     if args.Y is None or args.p_max is None or args.epsilon is None:
         raise DomainError("pair prediction needs --Y, --p-max, and --epsilon")
     cache = EulerCache(args.cache) if args.cache else None
     prediction = predict_pairs(form, args.X, args.Y, args.p_max, args.H,
                                args.epsilon, args.samples, seed=args.seed,
-                               cache=cache, budget=budget)
+                               cache=cache, budget=args.budget)
     return prediction.to_json()
 
 
@@ -572,7 +552,6 @@ def _configure_ledger(parser) -> None:
                         help="also report the closing-inequality thresholds")
     parser.add_argument("--csv", action="store_true",
                         help="emit the condition table as CSV")
-    _add_common_flags(parser)
 
 
 def _profile_from_flags(args, d: int):
@@ -649,7 +628,6 @@ def _configure_lattice(parser) -> None:
                         metavar="V,V,...")
     parser.add_argument("--write", metavar="FILE", default=None,
                         help="also save the resolved form as a JSON file")
-    _add_common_flags(parser)
 
 
 def _run_lattice(args, form) -> dict:
@@ -678,11 +656,11 @@ def _run_lattice(args, form) -> dict:
 
 def _configure_selftest(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    _add_common_flags(parser)
+    _add_budget_flag(parser)
 
 
 def _run_selftest(args, form=None) -> dict:
-    budget = _default_budget(args)
+    budget = args.budget
     checks: List[Dict[str, object]] = []
 
     def record(name: str, fn: Callable[[], bool]) -> None:
@@ -729,7 +707,7 @@ def _run_selftest(args, form=None) -> dict:
 
     def slab_volume() -> bool:
         est = oscillatory_v(quintic, yq, (0.0, 0.0, 0.0, 0.0), 1, 4096,
-                            seed=args.seed)
+                            seed=args.seed, budget=budget)
         mean = est.mean.real if isinstance(est.mean, complex) else est.mean
         return abs(mean - 8 * 2 ** 0.5) <= max(4 * est.stderr, 1e-9)
 
@@ -778,6 +756,8 @@ def build_parser() -> _Parser:
     for name, (configure, _, _takes_form) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name)
         configure(sub)
+        sub.add_argument("--manifest-out", metavar="FILE", default=None,
+                         help="write a replayable run manifest")
     return parser
 
 
@@ -844,6 +824,8 @@ def _run(argv: List[str], record: bool) -> int:
     _, run, takes_form = _SUBCOMMANDS[args.subcommand]
     started = time.monotonic()
     try:
+        if "budget" in vars(args) and args.budget < 1:
+            raise DomainError("budget must be positive")
         form = _resolve_form(args) if takes_form else None
         payload = run(args, form)
         if getattr(args, "csv", False):

@@ -134,21 +134,30 @@ class M2Report:
 # Budget accounting
 # ---------------------------------------------------------------------------
 
+#: The work budget of every metered stage unless the caller passes one.
+DEFAULT_COUNT_BUDGET = 10 ** 7
+
+#: What the counts of this module charge.
+_ROW_WORK = "rows scanned and histogram entries formed"
+
+
 class _Budget:
-    """Mutable work meter shared across enumeration loops."""
+    """Mutable work meter shared across enumeration loops; ``work`` names
+    the units it counts.  The only place that refuses work."""
 
-    __slots__ = ("limit", "spent")
+    __slots__ = ("limit", "work", "spent")
 
-    def __init__(self, limit: Optional[int]) -> None:
+    def __init__(self, limit: Optional[int], work: str) -> None:
         self.limit = limit
+        self.work = work
         self.spent = 0
 
     def charge(self, amount: int) -> None:
         self.spent += amount
         if self.limit is not None and self.spent > self.limit:
             raise ResourceLimit(
-                f"the count needs more than {self.limit} rows scanned and "
-                f"histogram entries formed", needed=self.spent,
+                f"the run needs at least {self.spent} {self.work}, more "
+                f"than the budget of {self.limit}", needed=self.spent,
                 budget=self.limit)
 
 
@@ -402,23 +411,26 @@ def _merge_histogram(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
     :func:`_row_ids`); the keys come out sorted, rows lexicographically."""
     keys = np.concatenate([k for k, _ in parts])
     counts = np.concatenate([c for _, c in parts])
-    ids = keys if keys.ndim == 1 else _row_ids(keys)
-    order = np.argsort(ids, kind="stable")
-    keys, counts, ids = keys[order], counts[order], ids[order]
-    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    order = (np.argsort(keys, kind="stable") if keys.ndim == 1
+             else np.lexsort(keys.T[::-1]))
+    keys, counts = keys[order], counts[order]
+    changed = keys[1:] != keys[:-1]
+    if keys.ndim > 1:
+        changed = changed.any(axis=1)
+    starts = np.flatnonzero(np.r_[True, changed])
     return keys[starts], np.add.reduceat(counts, starts)
 
 
 def _row_ids(rows: np.ndarray) -> np.ndarray:
     """One int64 per row of the 2-D ``rows``, equal exactly when the rows
-    are and ordered as they are, lexicographically: the columns are
-    re-ranked into it one at a time, so the id stays below the number of
-    rows whatever the size of the values."""
+    are and ordered as they are, lexicographically: the rank of the row
+    among the distinct rows, so the id stays below the number of rows
+    whatever the size of the values.  One stable lexsort orders the rows,
+    and the ids count the changes between neighbours in that order."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
     ids = np.zeros(rows.shape[0], dtype=np.int64)
-    for column in rows.T:
-        _, ranks = np.unique(column, return_inverse=True)
-        _, ids = np.unique(ids * (int(ranks.max(initial=0)) + 1) + ranks,
-                           return_inverse=True)
+    ids[order[1:]] = np.cumsum((rows[1:] != rows[:-1]).any(axis=1))
     return ids
 
 
@@ -504,7 +516,7 @@ def _fiber(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
 def _metered(call, budget: Optional[int], args: tuple) -> Tuple[object, int]:
     """(call(*args, meter), points charged), under a meter of ``budget``
     of its own."""
-    meter = _Budget(budget)
+    meter = _Budget(budget, _ROW_WORK)
     return call(*args, meter), meter.spent
 
 
@@ -574,7 +586,7 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
     results = list(_metered_map(fiber, [(piece,) for piece in pieces],
                                 workers, budget))
     # the pieces' charges add up to the sequential total, whatever the split
-    _Budget(budget).charge(sum(charged for _, charged in results))
+    _Budget(budget, _ROW_WORK).charge(sum(charged for _, charged in results))
     return sum(count for (count, _), _ in results)
 
 
@@ -825,7 +837,8 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
         raise DomainError(f"rho must be in 1..{n}")
     if y_bound < 1:
         raise DomainError("y_bound must be positive")
-    leaders, _, blocks = _orbit_tally(form, y_bound, _Budget(None), keep=True)
+    leaders, _, blocks = _orbit_tally(form, y_bound,
+                                      _Budget(None, _ROW_WORK), keep=True)
     coranks = np.array([hessian_corank(form, y) for y in leaders], np.int64)
     norms = np.concatenate(
         [np.zeros(0, np.int64)]
@@ -1017,7 +1030,7 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     """
     if x_bound < 1 or y_bound < 1:
         raise DomainError("x_bound and y_bound must be at least 1")
-    meter = _Budget(budget)
+    meter = _Budget(budget, _ROW_WORK)
     if not breakdown and stratum_rho is None and _is_diagonal(form):
         total, proportional = _pencil_pairs(form, x_bound, y_bound, meter)
         if exclude_proportional:

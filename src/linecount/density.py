@@ -30,9 +30,9 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 import numpy as np
 
 from . import __version__
-from .counting import _Budget, _convolution_count, _variable_components
-from .errors import (DimensionMismatch, DomainError, ResourceLimit,
-                     ZeroVectorInput)
+from .counting import (DEFAULT_COUNT_BUDGET, _Budget, _convolution_count,
+                       _variable_components)
+from .errors import DimensionMismatch, DomainError, ZeroVectorInput
 from .exponents import format_rational
 from .forms import (
     HomogeneousForm,
@@ -46,7 +46,6 @@ from .forms import (
 )
 from .lattice import box_profile, linear_slice_coefficients, slicing_lattice
 
-DEFAULT_COUNT_BUDGET = 10 ** 7
 SCRAMBLES = 16
 #: How chi_global_padic normalises its count; recorded with each global
 #: prediction and part of every EulerCache key.
@@ -187,7 +186,8 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
         raise DomainError("H must be at least 1")
     if _factorise(p) != [(p, 1)]:
         raise DomainError("p must be prime")
-    ledger = _Budget(budget)
+    ledger = _Budget(budget,
+                     "residues scanned and histogram entries formed")
     modulus = p ** H
     # equations all of whose coefficients vanish mod p^H impose nothing
     active = [poly for poly in polys
@@ -468,10 +468,7 @@ def _sample_means(dim: int, columns: Sequence[Tuple[int, float]],
         raise DomainError(f"need at least one QMC sample, got {samples}")
     exponent = (-(-samples // SCRAMBLES) - 1).bit_length()
     total = SCRAMBLES << exponent
-    if budget is not None and total > budget:
-        raise ResourceLimit(
-            f"sampling needs {total} QMC samples, more than the budget "
-            f"of {budget}", needed=total, budget=budget)
+    _Budget(budget, "QMC samples").charge(total)
     # column j is the centred word w of coordinate source[j] times
     # scale[j] = r_j 2^-31: both factors are exact, so each point is the
     # real product (2u - 1) r_j, u = q 2^-30, rounded once, the same value
@@ -817,7 +814,9 @@ def chi_global_padic(form: HomogeneousForm, p: int, H: int = 1, *,
         count = count_congruence_solutions(pencil, 2 * n, p, H,
                                            budget=budget)
     else:
-        count = _quadric_pair_count(form, modulus, _Budget(budget))
+        count = _quadric_pair_count(
+            form, modulus,
+            _Budget(budget, "residues and residue pairs scanned"))
     value = Fraction(p) ** (H * (d + 1 - 2 * n)) * count
     return DensityEstimate(kind="p-adic", value=value)
 

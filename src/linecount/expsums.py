@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import mpmath
 import numpy as np
 
-from .counting import _Budget
+from .counting import DEFAULT_COUNT_BUDGET, _Budget
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -47,9 +47,6 @@ from .lattice import box_profile, enumerate_points, slicing_lattice
 #: Comparison slack applied to arc membership when the input frequencies
 #: arrived as binary floats rather than exact rationals.
 FLOAT_SLACK = Fraction(1, 2 ** 40)
-
-DEFAULT_WEYL_BUDGET = 10 ** 7
-DEFAULT_ARC_BUDGET = 10 ** 5
 
 RationalLike = Union[int, float, str, Fraction]
 
@@ -187,7 +184,7 @@ def exponential_sum_T(form: HomogeneousForm, y: Sequence[int], alpha,
     # residues stay below the modulus, so weight * residue + residue fits
     # int64 when modulus * weight < 2^62
     wide = modulus * max((w for w, _ in weights), default=0) >= 2 ** 62
-    meter = _Budget(budget)
+    meter = _Budget(budget, "lattice points enumerated")
     histogram: Dict[int, int] = {}
     for block in enumerate_points(lattice, x_bound):
         meter.charge(len(block))
@@ -305,7 +302,7 @@ class WeylReport:
 def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
                           i: int, x_bound: int, *, trials: int = 0,
                           seed: int = 0, eta_samples: int = 32,
-                          budget: Optional[int] = DEFAULT_WEYL_BUDGET,
+                          budget: Optional[int] = DEFAULT_COUNT_BUDGET,
                           ) -> WeylReport:
     """Measure the i-fold square-and-difference inequality directly.
 
@@ -344,7 +341,7 @@ def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
     ambient = grid @ np.asarray(lattice.basis, dtype=np.int64)
     slices = nonzero_slices(form, y)
     box_count = grid.shape[0]
-    ledger = _Budget(budget)
+    ledger = _Budget(budget, "window cells summed")
 
     rng = random.Random(seed)
     points = [point]
@@ -598,7 +595,7 @@ def arc_geometry(form: HomogeneousForm, y: Sequence[int]) -> Tuple[int, int]:
 
 def nested_arc_membership(alpha, x_bound: int, profile: ExponentProfile,
                           y_sup: int, mu1_sq: int, *, start_degree: int = 2,
-                          budget: Optional[int] = DEFAULT_ARC_BUDGET,
+                          budget: Optional[int] = DEFAULT_COUNT_BUDGET,
                           ) -> NestedArcReport:
     """Exact membership in the nested per-degree arc system.
 
@@ -625,7 +622,7 @@ def nested_arc_membership(alpha, x_bound: int, profile: ExponentProfile,
     if not 2 <= start_degree <= d:
         raise DomainError(f"start degree {start_degree} outside 2..{d}")
     slack = FLOAT_SLACK if point.dyadic_input else Fraction(0)
-    ledger = _Budget(budget)
+    ledger = _Budget(budget, "arc-search work units")
     x_bits = max(1, x_bound.bit_length())
     y_bits = max(1, y_sup.bit_length())
     mu_bits = max(1, mu1_sq.bit_length())

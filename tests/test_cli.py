@@ -320,9 +320,7 @@ class TestDensityCommand:
                            "estimate": {"kind": "p-adic",
                                         "value": "2407/2401"}}
 
-    def test_chi_p_pairs_split_octonary_quadric(self, capsys, monkeypatch,
-                                                tmp_path):
-        monkeypatch.delenv("LINECOUNT_BUDGET", raising=False)
+    def test_chi_p_pairs_split_octonary_quadric(self, capsys, tmp_path):
         path = tmp_path / "split8.json"
         path.write_text(json.dumps(form_to_json(split_quadric(4, 4))))
         status, out = run_json(capsys, "density", "--form", str(path),
@@ -349,8 +347,8 @@ class TestSampleBudget:
         if code == EXIT_RESOURCE:
             assert out["error"]["type"] == "ResourceLimit"
             assert out["error"]["message"] == (
-                "sampling needs 4096 QMC samples, more than the budget "
-                "of 4095")
+                "the run needs at least 4096 QMC samples, more than the "
+                "budget of 4095")
         else:
             assert out["estimate"]["samples"] == 4096
 
@@ -657,25 +655,93 @@ class TestParserReuse:
         assert build_parser() is build_parser()
 
 
-class TestBudgetEnvironment:
-    def test_env_budget_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv("LINECOUNT_BUDGET", "5")
-        code, out = run_json(capsys, "count", "--fixture", "quintic",
-                             "--X", "3", "--Y", "3")
+#: A small run of each subcommand, other than selftest, that charges
+#: --budget; each does more than one unit of work.
+METERED = {
+    "count": ("count", "--fixture", "quintic", "--y", "0,0,1,-1",
+              "--X", "1"),
+    "expsum": ("expsum", "--fixture", "quintic", "--y", "0,0,1,-1",
+               "--alpha", "1/3,0,0,1/2", "--P", "1"),
+    "arcs": ("arcs", "--fixture", "quintic", "--y", "0,0,1,-1",
+             "--alpha", "0,0,0,0", "--X", "1", "--weyl", "1"),
+    "density": ("density", "--fixture", "quintic", "--y", "0,0,1,-1",
+                "--p", "2"),
+    "predict": ("predict", "--fixture", "quadric-5", "--y", "1,0,0,0,0",
+                "--X", "5", "--W", "2", "--samples", "4096"),
+}
+
+
+class TestBudgetFlag:
+    """--budget is the one source of the work budget, and only the
+    subcommands that charge it take it."""
+
+    def test_only_metered_subcommands_take_a_budget(self):
+        subparsers = list(parser_tree(build_parser()))[1:]
+        flags = {sub.prog.split()[-1]: {action.dest
+                                        for action in sub._actions}
+                 for sub in subparsers}
+        assert len(flags) == 8
+        assert {name for name, dests in flags.items()
+                if "budget" in dests} == set(METERED) | {"selftest"}
+        assert all("manifest_out" in dests for dests in flags.values())
+
+    @pytest.mark.parametrize("name", sorted(METERED))
+    def test_a_unit_budget_refuses(self, capsys, name):
+        code, out = run_json(capsys, *METERED[name], "--budget", "1")
         assert code == EXIT_RESOURCE
+        assert out["error"]["type"] == "ResourceLimit"
 
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LINECOUNT_BUDGET", "5")
-        code, out = run_json(capsys, "count", "--fixture", "quintic",
-                             "--X", "1", "--y", "0,0,1,-1",
-                             "--budget", "100000")
-        assert code == EXIT_OK
+    @pytest.mark.parametrize("argv", [
+        ("ledger", "--d", "5"),
+        ("lattice", "--fixture", "quintic", "--y", "0,0,1,-1"),
+    ])
+    def test_unmetered_subcommands_refuse_the_flag(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        assert run_cli(capsys, *argv, "--budget", "1")[0] == EXIT_USAGE
 
-    def test_garbage_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("LINECOUNT_BUDGET", "many")
-        code, out = run_json(capsys, "count", "--fixture", "quintic",
-                             "--X", "1", "--Y", "1")
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_non_positive_budget_is_validation(self, capsys, budget):
+        code, out = run_json(capsys, *METERED["count"], "--budget", budget)
         assert code == EXIT_VALIDATION
+        assert out["error"] == {"type": "DomainError",
+                                "message": "budget must be positive"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (("expsum", "--fixture", "quintic", "--y", "0,0,1,-1", "--P", "12",
+          "--alpha", "1/3,1/5,2/7,1/2", "--budget", "100"),
+         "the run needs at least 15625 lattice points enumerated, more "
+         "than the budget of 100"),
+        (("arcs", "--fixture", "quintic", "--y", "0,0,1,-1",
+          "--alpha", "1/3,1/5,2/7,1/2", "--weyl", "1", "--X", "3",
+          "--budget", "100"),
+         "the run needs at least 102 window cells summed, more than the "
+         "budget of 100"),
+        (("arcs", "--fixture", "quintic", "--y", "0,0,1,-1",
+          "--alpha", "0.3,0.2,0.1,0.7", "--nested", "--X", "1000",
+          "--budget", "5"),
+         "the run needs at least 7 arc-search work units, more than the "
+         "budget of 5"),
+    ], ids=["expsum", "weyl", "nested"])
+    def test_refusal_names_its_work(self, capsys, argv, message):
+        code, out = run_json(capsys, *argv)
+        assert code == EXIT_RESOURCE
+        assert out["error"] == {"type": "ResourceLimit", "message": message}
+
+    @pytest.mark.parametrize("x_bound, flags, recorded", [
+        ("5", (), 10 ** 7),
+        ("300", ("--budget", "1000000000"), 10 ** 9),
+    ], ids=["default", "above-default"])
+    def test_manifest_records_the_budget(self, capsys, tmp_path, x_bound,
+                                         flags, recorded):
+        """The manifest records the budget that ran, so a run charged more
+        than the default (54,635,107 at X = 300) replays as recorded."""
+        path = str(tmp_path / "run.json")
+        code, first = run_cli(capsys, "count", "--fixture", "quadric-5",
+                              "--y", "1,0,0,0,0", "--X", x_bound, *flags,
+                              "--manifest-out", path)
+        assert code == EXIT_OK
+        assert RunManifest.from_file(path).parameters["budget"] == recorded
+        assert run_cli(capsys, "--from-manifest", path) == (EXIT_OK, first)
 
 
 class TestImports:

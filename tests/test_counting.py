@@ -349,6 +349,33 @@ class TestDiagonalConvolution:
         assert count_fixed_y(QUINTIC, Y0, 28) == 3249
         assert calls
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), max_size=24),
+           st.integers(1, 3), st.booleans())
+    def test_row_keys_against_sorted_tuples(self, rows, width, wide):
+        """Row ids are the ranks of the rows among the distinct rows, and a
+        merge sums the counts of equal keys in sorted order, for int64 and
+        for object rows beyond int64."""
+        rows = [tuple(v * 2 ** 70 if wide else v for v in row[:width])
+                for row in rows]
+        keys = np.array(rows, dtype=object if wide else np.int64)
+        keys = keys.reshape(len(rows), width)
+        distinct = sorted(set(rows))
+        assert counting._row_ids(keys).tolist() \
+            == [distinct.index(row) for row in rows]
+        if rows:
+            counts = np.arange(1, len(rows) + 1, dtype=np.int64)
+            for merged in (keys, keys[:, 0]):
+                got_keys, got_counts = counting._merge_histogram(
+                    [(merged[:5], counts[:5]), (merged[5:], counts[5:])])
+                want: dict = {}
+                for key, count in zip(merged.tolist(), counts.tolist()):
+                    key = tuple(key) if merged.ndim > 1 else key
+                    want[key] = want.get(key, 0) + count
+                assert [tuple(k) if merged.ndim > 1 else k
+                        for k in got_keys.tolist()] == sorted(want)
+                assert got_counts.tolist() == [want[k] for k in sorted(want)]
+
     def test_no_lattice_and_one_process(self, monkeypatch):
         calls = counted(monkeypatch, "slicing_lattice")
         monkeypatch.setattr(counting, "ProcessPoolExecutor", None)
@@ -640,7 +667,8 @@ class TestDirectionReuse:
         assert len(report.per_y_breakdown) == 320
         for y, count in report.per_y_breakdown.items():
             fresh = counting._pairs_at_base_point(
-                form, y, 2, False, None, counting._Budget(None))
+                form, y, 2, False, None,
+                counting._Budget(None, counting._ROW_WORK))
             assert count == fresh[0]
 
     def test_stratum_with_proportional_excluded(self):
@@ -691,7 +719,7 @@ def per_base_point_oracle(form, x_bound, y_bound, exclude_proportional,
     """count_pairs with a fresh _pairs_at_base_point call for every base
     point and no reuse: ((total, proportional, stratified, per_y), the
     points the scan charges)."""
-    meter = counting._Budget(None)
+    meter = counting._Budget(None, counting._ROW_WORK)
     meter.charge((2 * y_bound + 1) ** form.nvars)
     total = proportional = stratified = 0
     per_y = {}
@@ -819,7 +847,7 @@ class TestOrbitReuse:
         ``needed``, the charges of the convolution of the pencil and of F
         at B = 1, 2, 3."""
         n = form.nvars
-        meter = counting._Budget(None)
+        meter = counting._Budget(None, counting._ROW_WORK)
         counting._convolution_count(form.pencil, [(-2, 2)] * n
                                     + [(-3, 3)] * n, None, meter)
         for bound in (1, 2, 3):
@@ -892,7 +920,8 @@ def row_pair_count(form, x_bound, y_bound, exclude_proportional,
         per_leader[y] = leader
     counts = {leader: counting._pairs_at_base_point(
         form, leader, x_bound, exclude_proportional, stratum_rho,
-        counting._Budget(None)) for leader in sizes}
+        counting._Budget(None, counting._ROW_WORK))
+        for leader in sizes}
     total, proportional, stratified = (
         sum(size * counts[leader][k] for leader, size in sizes.items())
         for k in range(3))

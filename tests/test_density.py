@@ -154,7 +154,8 @@ def convolution_count(polys, nvars, modulus):
     """#{x mod modulus: every poly vanishes}, by the unmetered convolution
     of the whole residue grid, at any modulus, prime or composite."""
     return counting._convolution_count(polys, [(0, modulus - 1)] * nvars,
-                                       modulus, counting._Budget(None))
+                                       modulus,
+                                       counting._Budget(None, "residues"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,15 +196,18 @@ def brute_pencil(form, x, y):
 
 
 def brute_pair_chi(form, p, H):
-    """Pair-system density oracle by exhaustive scan with exact pencils."""
+    """Pair-system density oracle by exhaustive scan with exact pencils.
+
+    The outer pencil coefficients are c_0 = F(y) and c_d = F(x), so only
+    pairs of zeros of F mod p^H can count; every coefficient of those is
+    checked."""
     n = form.nvars
     d = form.degree
     modulus = p ** H
-    count = 0
-    for x in itertools.product(range(modulus), repeat=n):
-        for y in itertools.product(range(modulus), repeat=n):
-            if all(c % modulus == 0 for c in brute_pencil(form, x, y)):
-                count += 1
+    zeros = [x for x in itertools.product(range(modulus), repeat=n)
+             if form(x) % modulus == 0]
+    count = sum(1 for x in zeros for y in zeros
+                if all(c % modulus == 0 for c in brute_pencil(form, x, y)))
     return Fraction(p) ** (H * (d + 1 - 2 * n)) * count
 
 
@@ -379,7 +383,7 @@ def phase_histogram(form, y, q, a, *, budget=density.DEFAULT_COUNT_BUDGET):
             f"need {d - 1} phase coefficients, got {len(a)}")
     lattice = slicing_lattice(form, y)
     slices = nonzero_slices(form, y)
-    ledger = counting._Budget(budget)
+    ledger = counting._Budget(budget, "lattice residues scanned")
     counts = np.zeros(q, dtype=np.int64)
     coeff = {j: int(a[j - 2]) % q for j in range(2, d + 1)}
     basis = np.asarray(lattice.basis, dtype=np.int64)
@@ -739,7 +743,8 @@ class TestResidueCount:
                        *(range(low, high + 1) for low, high in bounds))
                    if all(poly(x) == 0 for poly in polys))
         assert counting._convolution_count(
-            polys, bounds, None, counting._Budget(None)) == want
+            polys, bounds, None,
+            counting._Budget(None, counting._ROW_WORK)) == want
 
     def test_components(self):
         from linecount.counting import _variable_components

@@ -381,7 +381,7 @@ def per_shift_weyl(form, y, alpha, i, x_bound, trials=0, seed=0,
     ambient = grid @ np.asarray(lattice.basis, dtype=np.int64)
     slices = nonzero_slices(form, y)
     box_count = grid.shape[0]
-    ledger = Budget(budget)
+    ledger = Budget(budget, "window cells summed")
     rng = random.Random(seed)
     points = [point]
     for _ in range(trials):
