@@ -11,26 +11,29 @@ The six subcommands that run a potentially exponential loop (count,
 expsum, arcs, density, predict and selftest) take ``--budget``, the one
 source of the work budget (default 10^7).  Each stage charges its own work
 to it: lattice points enumerated, rows scanned and histogram entries
-formed, residues scanned, window cells summed, arc-search work units or
-QMC samples.  An overrun exits 3 with an error naming the work and the
-budget; a budget below 1 is a validation failure.  ``ledger`` and
-``lattice`` charge nothing and take no budget.  Validation failures exit 2
-with a machine-readable error object; usage errors exit 64.
+formed, residues scanned, window cells summed, denominators tried,
+arc-search work units or QMC samples.  An overrun exits 3 with an error
+naming the work and the budget; a budget below 1 is a validation failure.
+``ledger`` and ``lattice`` charge nothing and take no budget.  Validation
+failures exit 2 with a machine-readable error object; usage errors exit 64,
+with the usage of the parser that refused the argument.
 
 ``--manifest-out FILE`` records the run (command, parameters, seeds, tool
 version, wall time, digest of the emitted bytes); ``--from-manifest FILE``
 replays a recorded run, writing no manifest, and prints its standard output
 only when the sha256 of that output equals the recorded digest, and exits 2
 naming both digests otherwise.
+
+Each subcommand imports the layers it runs when it runs, so ``count`` and
+``lattice`` load neither density, exponents, expsums, mpmath nor a
+process pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import hashlib
 import io
 import json
 import math
@@ -42,43 +45,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
 from . import __version__
 from .counting import (DEFAULT_COUNT_BUDGET, count_fixed_y, count_pairs,
                        hessian_corank, m2_dimension)
-from .density import (
-    chi_global_padic,
-    chi_global_real,
-    chi_p_fixed_y,
-    EulerCache,
-    predict_fixed_y,
-    predict_pairs,
-    real_density_window,
-    singular_integral_truncated,
-    singular_series_truncated,
-    oscillatory_v,
-)
 from .errors import DomainError, LineCountError, ResourceLimit
-from .exponents import (
-    check_conditions,
-    format_rational,
-    identity_suite,
-    parse_rational,
-    preset_profile,
-    theorem_thresholds,
-)
-from .expsums import (
-    FrequencyPoint,
-    arc_geometry,
-    exponential_sum_T,
-    major_arc_witness,
-    nested_arc_membership,
-    weyl_inequality_check,
-)
-from .fixtures import diagonal_quadric, fermat_form, fermat_quintic, random_dense_form
-from .forms import form_to_json, gradient, load_form
+from .forms import (form_to_json, format_rational, gradient, load_form,
+                    parse_rational)
 from .lattice import lattice_to_json, slicing_lattice
 
 EXIT_OK = 0
@@ -95,6 +69,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _SubcommandParser(_Parser):
+    """Parser of one subcommand: it refuses the arguments it does not
+    take itself, so the error shows its own usage, not the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 @dataclass(frozen=True)
@@ -159,10 +144,12 @@ def _jsonable(value):
         return value
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (mpmath.mpf,)):
-        return float(value)
-    if isinstance(value, (mpmath.mpc,)):
-        return [float(value.real), float(value.imag)]
+    mpmath = sys.modules.get("mpmath")  # its values exist only once it loads
+    if mpmath is not None:
+        if isinstance(value, mpmath.mpf):
+            return float(value)
+        if isinstance(value, mpmath.mpc):
+            return [float(value.real), float(value.imag)]
     if isinstance(value, np.integer):
         return _jsonable(int(value))
     if isinstance(value, np.floating):
@@ -181,6 +168,7 @@ def _render_json(payload) -> str:
 
 
 def _render_csv(rows: Sequence[Dict[str, object]]) -> str:
+    import csv
     if not rows:
         return ""
     buffer = io.StringIO()
@@ -239,6 +227,8 @@ _FIXTURE_GRAMMAR = ("quintic | fermat-<degree>-<nvars> | quadric-<nvars> | "
 
 
 def _fixture_form(name: str):
+    from .fixtures import (diagonal_quadric, fermat_form, fermat_quintic,
+                           random_dense_form)
     if name == "quintic":
         return fermat_quintic()
     match = re.fullmatch(r"fermat-(\d+)-(\d+)", name)
@@ -268,8 +258,9 @@ def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
                         help="positive work budget, charged by each stage "
                              "in its own units (lattice points, rows and "
                              "histogram entries, residues, window cells, "
-                             "arc-search work units or QMC samples); an "
-                             "overrun exits 3 (default %(default)s)")
+                             "denominators, arc-search work units or QMC "
+                             "samples); an overrun exits 3 (default "
+                             "%(default)s)")
 
 
 def _resolve_form(args):
@@ -364,6 +355,7 @@ def _configure_expsum(parser) -> None:
 
 
 def _run_expsum(args, form) -> dict:
+    from .expsums import FrequencyPoint, exponential_sum_T
     alpha = FrequencyPoint.from_values(args.alpha)
     value = exponential_sum_T(form, args.y, alpha, args.P,
                               budget=args.budget)
@@ -398,9 +390,12 @@ def _configure_arcs(parser) -> None:
 
 
 def _run_arcs(args, form) -> dict:
+    from .expsums import (FrequencyPoint, arc_geometry, major_arc_witness,
+                          nested_arc_membership, weyl_inequality_check)
     alpha = FrequencyPoint.from_values(args.alpha)
     if args.witness is not None:
-        witness = major_arc_witness(alpha, args.X, args.witness)
+        witness = major_arc_witness(alpha, args.X, args.witness,
+                                    budget=args.budget)
         return {"mode": "witness", "X": args.X, "alpha": alpha.to_json(),
                 "window": args.witness, "member": witness is not None,
                 "witness": None if witness is None else witness.to_json()}
@@ -453,6 +448,10 @@ def _configure_density(parser) -> None:
 
 
 def _run_density(args, form) -> dict:
+    from .density import (chi_global_padic, chi_global_real, chi_p_fixed_y,
+                          oscillatory_v, real_density_window,
+                          singular_integral_truncated,
+                          singular_series_truncated)
     budget = args.budget
     if args.p is not None:
         if args.y is not None:
@@ -520,6 +519,7 @@ def _configure_predict(parser) -> None:
 
 
 def _run_predict(args, form) -> dict:
+    from .density import EulerCache, predict_fixed_y, predict_pairs
     if args.y is not None:
         if args.W is None:
             raise DomainError("fixed-y prediction needs --W")
@@ -555,6 +555,7 @@ def _configure_ledger(parser) -> None:
 
 
 def _profile_from_flags(args, d: int):
+    from .exponents import preset_profile
     psi = args.psi if args.psi is not None else Fraction(1, 2 * d ** 4)
     if args.rho is not None:
         rho = args.rho
@@ -570,6 +571,8 @@ def _profile_from_flags(args, d: int):
 def _minimal_admissible_n(preset: str, d: int, rho: int,
                           psi: Fraction) -> int:
     """Smallest ambient dimension the preset accepts, found by bisection."""
+    from .exponents import preset_profile
+
     def admissible(n: int) -> bool:
         try:
             preset_profile(preset, d, n, rho, psi)
@@ -595,6 +598,7 @@ def _minimal_admissible_n(preset: str, d: int, rho: int,
 
 
 def _run_ledger(args, form=None) -> dict:
+    from .exponents import check_conditions, identity_suite, theorem_thresholds
     if args.d < 2:
         raise DomainError("degree must be at least 2")
     profile, n, rho, psi = _profile_from_flags(args, args.d)
@@ -660,6 +664,11 @@ def _configure_selftest(parser) -> None:
 
 
 def _run_selftest(args, form=None) -> dict:
+    from .density import (chi_p_fixed_y, oscillatory_v,
+                          singular_series_truncated)
+    from .exponents import identity_suite, theorem_thresholds
+    from .expsums import FrequencyPoint, exponential_sum_T
+    from .fixtures import fermat_form, fermat_quintic
     budget = args.budget
     checks: List[Dict[str, object]] = []
 
@@ -752,7 +761,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="linecount", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"linecount {__version__}")
-    subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND",
+                                       parser_class=_SubcommandParser)
     for name, (configure, _, _takes_form) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name)
         configure(sub)
@@ -761,10 +771,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _sha256(data: bytes) -> str:
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
 def _manifest_for(args, argv: Sequence[str], form,
                   wall_time: float, output: bytes) -> RunManifest:
-    form_hash = None if form is None else hashlib.sha256(
-        json.dumps(form_to_json(form), sort_keys=True).encode()).hexdigest()
+    form_hash = None if form is None else _sha256(
+        json.dumps(form_to_json(form), sort_keys=True).encode())
     parameters = {}
     for key, value in vars(args).items():
         if key in ("subcommand", "manifest_out") or key.startswith("_"):
@@ -775,7 +790,7 @@ def _manifest_for(args, argv: Sequence[str], form,
         command=args.subcommand, argv=list(argv), form_hash=form_hash,
         parameters=parameters, seeds=seeds, tool_version=__version__,
         wall_time=round(wall_time, 6),
-        outputs_digest=hashlib.sha256(output).hexdigest())
+        outputs_digest=_sha256(output))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -794,7 +809,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with contextlib.redirect_stdout(replay):
             code = _run(manifest.argv, record=False)
         output = replay.getvalue()
-        digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
+        digest = _sha256(output.encode("utf-8"))
         if digest != manifest.outputs_digest:
             sys.stdout.write(_render_json({"error": {
                 "type": "DigestMismatch",

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -58,6 +58,14 @@ _CHUNK_ROWS = 1 << 14
 #: Pairs of histogram entries added at once when two histograms are
 #: convolved.
 _CONVOLVE_ROWS = 1 << 16
+
+
+def __getattr__(name: str):
+    # the process pool loads multiprocessing: import it when a pool starts
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FallbackFullBox(UserWarning):
@@ -528,7 +536,9 @@ def _metered_map(call, calls: Sequence[tuple], workers: int,
     charging each result in turn stops at the first that overruns."""
     run = functools.partial(_metered, call, budget)
     if workers > 1 and len(calls) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+        # the module attribute, so that a patched executor is the one used
+        executor = sys.modules[__name__].ProcessPoolExecutor
+        with executor(max_workers=min(workers, len(calls))) as pool:
             futures = [pool.submit(run, args) for args in calls]
             return [f.result() for f in futures]
     return map(run, calls)

@@ -33,13 +33,13 @@ from . import __version__
 from .counting import (DEFAULT_COUNT_BUDGET, _Budget, _convolution_count,
                        _variable_components)
 from .errors import DimensionMismatch, DomainError, ZeroVectorInput
-from .exponents import format_rational
 from .forms import (
     HomogeneousForm,
     Polynomial,
     echelon,
     evaluate_batch,
     form_to_json,
+    format_rational,
     grid_chunks,
     nonzero_slices,
     residues_mod,
@@ -853,6 +853,14 @@ def chi_global_real(form: HomogeneousForm, epsilon: Sequence[float],
     the given width; the volume fraction is scaled by 4^n over the product
     of the widths.  The samples go through the shared tiled loop and are
     charged to ``budget`` (no limit by default).
+
+    No content factor is needed, unlike the fixed-y window, because every
+    place uses the same c_j as :func:`chi_global_padic`.  For a quadric,
+    c_1 = 2 sum a_i x_i y_i has content 2.  Dividing c_1 by 2 would halve
+    the limit chi_2(infinity) and double chi_infinity, so by the product
+    formula their product would not move.  But chi_2 at a finite level is
+    not its limit: on the n = 8 split quadric it is 2, 23/8 and 791/256 at
+    H = 1, 2 and 3, rising towards about 3.16.
 
     Raises:
         DomainError: a width is not positive, or fewer than one sample.

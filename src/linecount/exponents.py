@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import DomainError, PsiOutOfRange
+from .forms import format_rational, parse_rational
 
 RationalLike = Union[int, str, Fraction]
 
@@ -40,22 +41,6 @@ CONDITION_LABELS: Tuple[str, ...] = (
     "quadratic-window",     # two-sided window for the quadratic step
     "window-nonempty",      # the window above is nonempty
 )
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or "p") into an exact rational; no decimals allowed."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
-
-
-def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _as_fraction(value: RationalLike) -> Fraction:

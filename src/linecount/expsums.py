@@ -33,13 +33,15 @@ from .errors import (
     IndexOutOfRange,
     ZeroVectorInput,
 )
-from .exponents import ExponentProfile, format_rational, parse_rational
+from .exponents import ExponentProfile
 from .forms import (
     HomogeneousForm,
     RationalForm,
     evaluate_batch,
+    format_rational,
     grid_chunks,
     nonzero_slices,
+    parse_rational,
     residues_mod,
 )
 from .lattice import box_profile, enumerate_points, slicing_lattice
@@ -467,14 +469,20 @@ class MajorArcWitness:
         }
 
 
-def major_arc_witness(alpha, x_bound: int,
-                      window: RationalLike) -> Optional[MajorArcWitness]:
+def major_arc_witness(alpha, x_bound: int, window: RationalLike, *,
+                      budget: Optional[int] = DEFAULT_COUNT_BUDGET,
+                      ) -> Optional[MajorArcWitness]:
     """Smallest-denominator approximation within the arc window, if any.
 
     Scans q = 1..floor(window) in order, rounds each q * alpha_j to the
     nearest integer, and returns the first q for which every distance
     |alpha_j - b_j/q| is at most window * x_bound^-j.  Deterministic: the
-    smallest admissible q wins.  Returns None when no q qualifies.
+    smallest admissible q wins.  Returns None when no q qualifies.  Each q
+    tried is charged one unit to ``budget``.
+
+    Raises:
+        DomainError: window or x_bound below 1.
+        ResourceLimit: more denominators are tried than the budget allows.
     """
     point = _coerce_frequency(alpha, None)
     window = Fraction(window) if not isinstance(window, str) \
@@ -482,7 +490,9 @@ def major_arc_witness(alpha, x_bound: int,
     if window < 1 or x_bound < 1:
         raise DomainError("window and x_bound must be at least 1")
     slack = FLOAT_SLACK if point.dyadic_input else Fraction(0)
+    meter = _Budget(budget, "denominators tried")
     for q in range(1, math.floor(window) + 1):
+        meter.charge(1)
         numerators: Dict[int, int] = {}
         distances: Dict[int, Fraction] = {}
         good = True

@@ -32,9 +32,11 @@ mode (int64, exact object, float64) follows the dtype of its points, with
 the exact Gauss-Jordan elimination over Q or F_p behind every rank,
 rational kernel, determinant and solve (the integer kernel of a slicing
 lattice is a Hermite normal form, in :mod:`linecount.lattice`); and
-:func:`grid_chunks`, the lexicographic integer grid in row chunks.  Each
-form object compiles its monomials and builds its partial derivatives and
-its pencil forms once, on first use.
+:func:`grid_chunks`, the lexicographic integer grid in row chunks.  It
+also holds the "p/q" text of rationals, :func:`parse_rational` and
+:func:`format_rational`, which every JSON output uses.  Each form object
+compiles its monomials and builds its partial derivatives and its pencil
+forms once, on first use.
 """
 
 from __future__ import annotations
@@ -453,6 +455,24 @@ def load_form(path: str) -> HomogeneousForm:
     """Read a canonical JSON form file."""
     with open(path, "r", encoding="utf-8") as handle:
         return form_from_json(json.load(handle))
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" (or "p") into an exact rational; no decimals allowed."""
+    text = text.strip()
+    if "/" in text:
+        num, _, den = text.partition("/")
+        return Fraction(int(num), int(den))
+    return Fraction(int(text))
+
+
+def format_rational(value: Fraction) -> str:
+    """The "p/q" string of a rational ("p" when it is an integer), the
+    inverse of :func:`parse_rational`."""
+    value = Fraction(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,24 @@ class TestExitCodes:
                           "--X", "1", "--Y", "1", "--bogus")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, usage, unrecognized", [
+        (("ledger", "--d", "5", "--budget", "1"), "usage: linecount ledger ",
+         "--budget 1"),
+        (("count", "--fixture", "quintic", "--X", "1", "--Y", "1",
+          "--bogus"), "usage: linecount count ", "--bogus"),
+        (("--bogus", "ledger", "--d", "5"), "usage: linecount [-h]",
+         "--bogus"),
+    ], ids=["ledger", "count", "root"])
+    def test_unknown_flag_shows_its_parser_usage(self, capsys, argv, usage,
+                                                 unrecognized):
+        """A flag the subcommand does not take is reported with that
+        subcommand's usage; one before the subcommand with the root's."""
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(usage)
+        assert err.endswith(f"error: unrecognized arguments: {unrecognized}\n")
+
     def test_unknown_subcommand_is_usage(self, capsys):
         code, _ = run_cli(capsys, "frobnicate")
         assert code == EXIT_USAGE
@@ -721,7 +739,11 @@ class TestBudgetFlag:
           "--budget", "5"),
          "the run needs at least 7 arc-search work units, more than the "
          "budget of 5"),
-    ], ids=["expsum", "weyl", "nested"])
+        (("arcs", "--fixture", "quintic", "--alpha", "0.30001,0.2,0.1,0.7",
+          "--X", "1000000", "--witness", "300000", "--budget", "1"),
+         "the run needs at least 2 denominators tried, more than the "
+         "budget of 1"),
+    ], ids=["expsum", "weyl", "nested", "witness"])
     def test_refusal_names_its_work(self, capsys, argv, message):
         code, out = run_json(capsys, *argv)
         assert code == EXIT_RESOURCE
@@ -750,6 +772,45 @@ class TestImports:
         probe = fresh_python(code)
         probe.check_returncode()
         return probe
+
+    @staticmethod
+    def loaded_after(argv, names):
+        """The modules of ``names`` that a fresh interpreter holds after
+        ``main(argv)`` exits 0."""
+        probe = TestImports.probe(
+            "import sys\n"
+            "from linecount.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print(sorted(set({names!r}) & set(sys.modules)), "
+            "file=sys.stderr)")
+        return probe.stderr.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--fixture", "quintic", "--y", "0,0,1,-1", "--X", "2"],
+        ["count", "--fixture", "fermat-3-4", "--X", "1", "--Y", "1",
+         "--breakdown", "--csv"],
+        ["lattice", "--fixture", "quintic", "--y", "0,0,1,-1"],
+    ], ids=["fixed-y", "pairs-csv", "lattice"])
+    def test_count_and_lattice_load_only_their_layers(self, argv):
+        """count and lattice run on forms, lattice and counting alone, so
+        they load neither the prediction layers nor a process pool."""
+        assert self.loaded_after(argv, [
+            "mpmath", "linecount.density", "linecount.exponents",
+            "linecount.expsums", "linecount.sobol",
+            "multiprocessing"]) == "[]"
+
+    def test_series_loads_no_exponential_sums(self):
+        assert self.loaded_after(
+            ["density", "--fixture", "fermat-3-7", "--y",
+             "1,-1,0,0,0,0,0", "--series", "2"],
+            ["mpmath", "linecount.expsums"]) == "[]"
+
+    def test_selftest_imports_what_it_runs(self):
+        probe = fresh_python("import sys\n"
+                             "from linecount.cli import main\n"
+                             "sys.exit(main(['selftest']))")
+        assert probe.returncode == EXIT_OK
+        assert json.loads(probe.stdout)["failed"] == 0
 
     def test_cli_import_leaves_out_scipy_stats(self):
         """scipy.stats takes most of the start-up time, so importing the

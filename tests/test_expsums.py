@@ -651,6 +651,25 @@ class TestMajorArcWitness:
         with pytest.raises(DomainError):
             major_arc_witness(FrequencyPoint.zero(5), 10, Fraction(1, 2))
 
+    def test_budget_counts_denominators_tried(self):
+        """Each q tried costs one unit: the scan that finds q = 6 fits a
+        budget of 6 and not of 5, and a scan that finds nothing costs
+        floor(window)."""
+        point = FrequencyPoint({2: Fraction(1, 6), 3: Fraction(5, 6),
+                                4: Fraction(1, 6), 5: Fraction(5, 6)})
+        assert major_arc_witness(point, 10, 6, budget=6).q == 6
+        with pytest.raises(ResourceLimit) as refused:
+            major_arc_witness(point, 10, 6, budget=5)
+        assert str(refused.value) == ("the run needs at least 6 "
+                                      "denominators tried, more than the "
+                                      "budget of 5")
+        tail = FrequencyPoint({2: Fraction(0), 3: Fraction(0),
+                               4: Fraction(0), 5: Fraction(1, 11)})
+        assert major_arc_witness(tail, 1000, Fraction(21, 2),
+                                 budget=10) is None
+        with pytest.raises(ResourceLimit):
+            major_arc_witness(tail, 1000, Fraction(21, 2), budget=9)
+
     def test_json(self):
         witness = major_arc_witness(FrequencyPoint.zero(5), 10, 3)
         data = witness.to_json()
