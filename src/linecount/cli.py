@@ -253,6 +253,14 @@ def _add_form_flags(parser: argparse.ArgumentParser) -> None:
                        help=f"built-in form: {_FIXTURE_GRAMMAR}")
 
 
+def _add_qmc_seed_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0,
+                        help="QMC seed: the 16 scrambles use seeds "
+                             "SEED..SEED+15, so runs meant to be "
+                             "independent need seeds at least 16 apart "
+                             "(default %(default)s)")
+
+
 def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=DEFAULT_COUNT_BUDGET,
                         help="positive work budget, charged by each stage "
@@ -443,7 +451,7 @@ def _configure_density(parser) -> None:
     parser.add_argument("--X", type=int, default=1,
                         help="box scale for --oscillatory")
     parser.add_argument("--samples", type=int, default=1 << 14)
-    parser.add_argument("--seed", type=int, default=0)
+    _add_qmc_seed_flag(parser)
     _add_budget_flag(parser)
 
 
@@ -512,7 +520,7 @@ def _configure_predict(parser) -> None:
     parser.add_argument("--epsilon", type=_float_vector, default=None,
                         metavar="E,E,...")
     parser.add_argument("--samples", type=int, default=1 << 14)
-    parser.add_argument("--seed", type=int, default=0)
+    _add_qmc_seed_flag(parser)
     parser.add_argument("--cache", metavar="FILE", default=None,
                         help="persistent store for exact local factors")
     _add_budget_flag(parser)

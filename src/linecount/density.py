@@ -17,15 +17,13 @@ no bare floats leave the module.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -419,9 +417,11 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 # a signed coordinate basis (:func:`_signed_columns`), and map tile points
 # by a matmul otherwise; they give zero to the rows outside the sup-norm
 # box, and skip that test where no row can leave the box.  Each integrand
-# writes its values straight into the scramble's value vector, and the
-# loop takes the mean over that whole vector: the summation order, and so
-# every seeded mean, do not depend on the tile size.
+# writes its values straight into one tile-sized value buffer, and the
+# loop sums each tile as it is filled and adds the tile sums in a balanced
+# binary tree (:func:`_streamed_mean`).  That is numpy's pairwise order,
+# so each mean is bit for bit ``np.mean`` of the scramble's whole value
+# vector, for any tile size, while no buffer grows with the sample count.
 
 #: Values per Sobol' coordinate of a tile.  The tile rule: a tile holds
 #: QMC_TILE * dim values of the coordinates built for every row, so it has
@@ -447,15 +447,18 @@ def _sample_means(dim: int, columns: Sequence[Tuple[int, float]],
     radius 0 is zero (of either sign).  Each scramble holds the smallest
     power of two 2^k of points giving at least ``samples`` points overall,
     and the rounded total SCRAMBLES * 2^k is charged to ``budget`` before
-    the first scramble is drawn.
+    the first scramble is drawn.  Scramble i is drawn from the seed
+    ``seed + i``, so seeds s and s + 1 share SCRAMBLES - 1 scrambles: runs
+    meant to be independent need seeds at least SCRAMBLES apart.
 
     ``integrand(points, rows, out)`` gets a (tile rows, columns) F-ordered
     array in which only the columns ``reads`` are built (the others read
     +0), a function ``rows(idx)`` that returns every column of the points
-    at rows ``idx`` as a new F-ordered array, and the tile's slice of the
-    scramble's value vector of ``dtype``, into which it writes one value
-    per row.  A tile holds QMC_TILE * dim values of the coordinates in
-    ``reads`` (see QMC_TILE).
+    at rows ``idx`` as a new F-ordered array, and a buffer of ``dtype``
+    with one entry per row, into which it writes one value per row.  A
+    tile holds QMC_TILE * dim values of the coordinates in ``reads`` (see
+    QMC_TILE); the buffer is reused by every tile, so the memory does not
+    depend on ``samples``.
 
     Raises:
         DomainError: fewer than one sample.
@@ -490,11 +493,10 @@ def _sample_means(dim: int, columns: Sequence[Tuple[int, float]],
             runs.append([j, source[j], 1])
     points = np.zeros((tile, len(columns)), order="F")
     words = np.empty((len(built), tile), dtype=np.uint32)
-    values = np.empty(1 << exponent, dtype=dtype)
-    means = []
-    for i in range(SCRAMBLES):
-        for a, (table, offset) in enumerate(
-                sobol.tiles(dim, exponent, seed + i, tile)):
+    values = np.empty(tile, dtype=dtype)
+
+    def filled(scramble_seed: int) -> Iterator[np.ndarray]:
+        for table, offset in sobol.tiles(dim, exponent, scramble_seed, tile):
             for j, k, n in runs:
                 np.bitwise_xor(table[k:k + n], offset[k:k + n, None],
                                out=words[:n])
@@ -502,9 +504,40 @@ def _sample_means(dim: int, columns: Sequence[Tuple[int, float]],
                             out=points.T[j:j + n])
             rows = functools.partial(_whole_rows, table, offset, source,
                                      scale)
-            integrand(points, rows, values[a * tile:(a + 1) * tile])
-        means.append(np.mean(values))
+            integrand(points, rows, values)
+            yield values
+
+    means = [_streamed_mean(filled(seed + i), 1 << exponent)
+             for i in range(SCRAMBLES)]
     return total, means
+
+
+def _streamed_mean(tiles: Iterable[np.ndarray], count: int):
+    """``np.mean`` of the concatenation of ``tiles`` (``count`` values),
+    bit for bit, holding no tile after the next is drawn.
+
+    The tiles are equally long, a power of two that is at least 128 unless
+    there is only one tile.  numpy sums a float vector pairwise: it splits
+    a vector of more than 128 doubles into halves and sums blocks of at
+    most 128 in eight lanes (Higham, SIAM J. Sci. Comput. 14, 1993).  So
+    ``np.add.reduce`` of one tile is a subtree of that sum, and adding the
+    tile sums in a balanced binary tree, each pushed on a binary-counter
+    stack of (level, sum), is the whole sum.  Booleans are counted exactly
+    (``np.mean`` sums them as float64, exact below 2^53).
+    """
+    stack: List[Tuple[int, object]] = []
+    for values in tiles:
+        if values.dtype == bool:
+            total = np.float64(np.count_nonzero(values))
+        else:
+            total = np.add.reduce(values)
+        level = 0
+        while stack and stack[-1][0] == level:
+            total = stack.pop()[1] + total
+            level += 1
+        stack.append((level, total))
+    (_, total), = stack
+    return total / count
 
 
 def _whole_rows(table: np.ndarray, offset: np.ndarray, source: np.ndarray,
@@ -993,6 +1026,8 @@ class EulerCache:
              "p": p, "H": H, "convention": _PAIR_CONVENTION,
              "version": __version__},
             sort_keys=True)
+        # imported here, so that a run without a cache does not load it
+        import hashlib
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def get(self, form: HomogeneousForm, y: Optional[Sequence[int]],
@@ -1005,6 +1040,7 @@ class EulerCache:
         self._table[self._key(form, y, p, H)] = format_rational(value)
         # write a sibling file and rename it over the cache, so a failed
         # write leaves the previous cache intact
+        import tempfile
         directory = os.path.dirname(os.path.abspath(self.path))
         handle, temp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:

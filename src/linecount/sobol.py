@@ -4,8 +4,8 @@ The generator reproduces ``scipy.stats.qmc.Sobol(d, scramble=True,
 seed=s).random_base2(m)`` bit for bit without importing ``scipy.stats``:
 
 - direction numbers of Joe and Kuo (SIAM J. Sci. Comput. 30, 2008), read
-  from the table scipy installs, extended by the Bratley-Fox recurrence to
-  BITS = 30 bits;
+  from the table scipy installs (only the rows of the dimensions in use),
+  extended by the Bratley-Fox recurrence to BITS = 30 bits;
 - Matousek's linear matrix scramble with a digital shift (J. Complexity 14,
   1998), both drawn from ``np.random.default_rng(s)`` in scipy's order;
 - point k of the sequence is the shift XOR the scrambled directions picked
@@ -20,9 +20,10 @@ coordinate of its points as one contiguous vector.
 
 from __future__ import annotations
 
-import functools
 import importlib.util
+import math
 import os
+import zipfile
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -49,14 +50,33 @@ def _table_path() -> str:
                         "_sobol_direction_numbers.npz")
 
 
-@functools.lru_cache(maxsize=32)
-def _directions(dim: int) -> np.ndarray:
+def _leading_rows(member, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the .npy ``member``, a 1-d or F-ordered
+    2-d array, read column by column from its stream: the rest of each
+    column is skipped, so the whole array is never held."""
+    version = np.lib.format.read_magic(member)
+    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                   else np.lib.format.read_array_header_2_0)
+    shape, fortran_order, dtype = read_header(member)
+    if len(shape) > 1 and not fortran_order:
+        raise ValueError("the direction-number table must be F-ordered")
+    columns = np.empty((math.prod(shape[1:]), rows), dtype=dtype)
+    skip = (shape[0] - rows) * dtype.itemsize
+    for column in columns:
+        column[:] = np.frombuffer(member.read(rows * dtype.itemsize),
+                                  dtype=dtype)
+        member.seek(skip, os.SEEK_CUR)
+    return columns.T.reshape((rows,) + shape[1:])
+
+
+def _read_directions(dim: int) -> np.ndarray:
     """The (dim, BITS) unscrambled direction words of the first ``dim``
-    coordinates; column j carries bit BITS - 1 - j.  Read-only: the cache
-    hands the same array to every caller."""
-    with np.load(_table_path()) as table:
-        poly = table["poly"][:dim].copy()
-        vinit = table["vinit"][:dim].copy()
+    coordinates; column j carries bit BITS - 1 - j."""
+    with zipfile.ZipFile(_table_path()) as table:
+        with table.open("poly.npy") as member:
+            poly = _leading_rows(member, dim)
+        with table.open("vinit.npy") as member:
+            vinit = _leading_rows(member, dim)
     v = np.zeros((dim, BITS), dtype=np.int64)
     v[0] = 1
     degree = np.array([int(p).bit_length() - 1 for p in poly])
@@ -76,6 +96,20 @@ def _directions(dim: int) -> np.ndarray:
     words = v.astype(np.uint32)
     words.flags.writeable = False
     return words
+
+
+#: The directions of the most dimensions read so far: row k depends on row
+#: k of the table only, so they serve every smaller dimension.
+_DIRECTIONS = np.empty((0, BITS), dtype=np.uint32)
+
+
+def _directions(dim: int) -> np.ndarray:
+    """:func:`_read_directions` of ``dim``, read-only, as the leading rows
+    of one cached table that grows to the largest ``dim`` asked."""
+    global _DIRECTIONS
+    if dim > len(_DIRECTIONS):
+        _DIRECTIONS = _read_directions(dim)
+    return _DIRECTIONS[:dim]
 
 
 def _parity(words: np.ndarray) -> np.ndarray:

@@ -805,6 +805,29 @@ class TestImports:
              "1,-1,0,0,0,0,0", "--series", "2"],
             ["mpmath", "linecount.expsums"]) == "[]"
 
+    @pytest.mark.parametrize("argv, blocked", [
+        (["density", "--fixture", "fermat-3-7", "--y", "1,-1,0,0,0,0,0",
+          "--series", "2"], ["hashlib", "tempfile"]),
+        (["predict", "--fixture", "quadric-5", "--y", "1,0,0,0,0", "--X",
+          "4", "--W", "4", "--samples", "4096"], ["tempfile"]),
+        (["predict", "--fixture", "quadric-5", "--X", "2", "--Y", "2",
+          "--p-max", "3", "--epsilon", "0.5,0.5,0.5", "--samples", "4096"],
+         ["tempfile"]),
+    ], ids=["series", "predict-fixed-y", "predict-pairs"])
+    def test_only_the_cache_imports_hashing_and_temp_files(self, argv,
+                                                           blocked):
+        """Only EulerCache (``predict --cache``) imports hashlib and
+        tempfile, so a run without it succeeds when importing them fails.
+        (A sampling run loads hashlib all the same: numpy.random seeds
+        through ``secrets``.)  They are blocked rather than looked up in
+        ``sys.modules``, since a site hook may load them at start-up."""
+        probe = fresh_python(
+            "import sys\n"
+            f"sys.modules.update(dict.fromkeys({blocked!r}))\n"
+            "from linecount.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))", *argv)
+        assert probe.returncode == EXIT_OK, probe.stderr
+
     def test_selftest_imports_what_it_runs(self):
         probe = fresh_python("import sys\n"
                              "from linecount.cli import main\n"

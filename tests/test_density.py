@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -1405,6 +1406,152 @@ class TestSobol:
         with pytest.raises(ValueError):
             next(sobol.tiles(3, 10, 0, 100))
 
+
+
+def whole_table_directions(dim):
+    """The direction words of the first ``dim`` coordinates built from
+    ``np.load`` of scipy's whole table, by the Bratley-Fox recurrence."""
+    with np.load(sobol._table_path()) as table:
+        poly = table["poly"][:dim]
+        vinit = table["vinit"][:dim]
+    v = np.zeros((dim, sobol.BITS), dtype=np.int64)
+    v[0] = 1
+    for row in range(1, dim):
+        m = int(poly[row]).bit_length() - 1
+        v[row, :m] = vinit[row, :m]
+        for j in range(m, sobol.BITS):
+            new = v[row, j - m]
+            for k in range(m):
+                if int(poly[row]) >> (m - 1 - k) & 1:
+                    new ^= v[row, j - k - 1] << (k + 1)
+            v[row, j] = new
+    return (v << np.arange(sobol.BITS - 1, -1, -1)).astype(np.uint32)
+
+
+class TestDirections:
+    """sobol._directions reads only the leading rows of scipy's table, and
+    one cached table grown to the largest dimension asked serves every
+    smaller one: the words equal those built from the whole table, in
+    either order of asking."""
+
+    DIMS = [1, 4, 5, 10, 1111, sobol.MAXDIM]
+
+    @pytest.fixture(scope="class")
+    def want(self):
+        whole = whole_table_directions(sobol.MAXDIM)
+        return {dim: whole[:dim] for dim in self.DIMS}
+
+    @pytest.mark.parametrize("order", [DIMS, DIMS[::-1]],
+                             ids=["increasing", "decreasing"])
+    def test_equal_whole_table_rows(self, order, want, monkeypatch):
+        monkeypatch.setattr(sobol, "_DIRECTIONS",
+                            np.empty((0, sobol.BITS), dtype=np.uint32))
+        for dim in order:
+            got = sobol._directions(dim)
+            assert got.dtype == np.uint32 and not got.flags.writeable
+            assert np.array_equal(got, want[dim])
+        assert len(sobol._DIRECTIONS) == sobol.MAXDIM
+
+    def test_table_is_read_once_per_largest_dimension(self, monkeypatch):
+        """Dimensions 10, 4 and 5, as a circle pass asks for them, read
+        the table once."""
+        monkeypatch.setattr(sobol, "_DIRECTIONS",
+                            np.empty((0, sobol.BITS), dtype=np.uint32))
+        reads = []
+        real = sobol._leading_rows
+
+        def counted(member, rows):
+            reads.append(rows)
+            return real(member, rows)
+
+        monkeypatch.setattr(sobol, "_leading_rows", counted)
+        for dim in (10, 4, 5):
+            sobol._directions(dim)
+        assert reads == [10, 10]
+
+
+def pairwise_vectors(dtype, size, seed):
+    """Values of ``dtype`` spread over many binades and signs, so that a
+    change of summation order shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    if dtype == bool:
+        return rng.random(size) < rng.random()
+
+    def reals():
+        return (rng.standard_normal(size)
+                * 10.0 ** rng.integers(-8, 9, size=size))
+
+    if dtype == complex:
+        return reals() + 1j * reals()
+    return reals()
+
+
+class TestStreamedMean:
+    """The sampling loop's mean over a reused tile buffer is ``np.mean`` of
+    the whole value vector, bit for bit."""
+
+    @staticmethod
+    def streamed(values, tile):
+        buffer = np.empty(tile, dtype=values.dtype)
+
+        def tiles():
+            for start in range(0, len(values), tile):
+                buffer[:] = values[start:start + tile]
+                yield buffer
+
+        return density._streamed_mean(tiles(), len(values))
+
+    @given(st.sampled_from([np.float64, complex, bool]), st.integers(7, 13),
+           st.integers(0, 4), st.integers(0, 2 ** 32))
+    @example(np.float64, 7, 0, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_np_mean(self, dtype, log_tile, log_tiles, seed):
+        tile = 1 << log_tile
+        values = pairwise_vectors(dtype, tile << log_tiles, seed)
+        got, want = self.streamed(values, tile), np.mean(values)
+        assert type(got) is type(want)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, complex, bool])
+    @pytest.mark.parametrize("size", [1, 8, 64])
+    def test_one_short_tile(self, dtype, size):
+        """A scramble smaller than 128 values is one tile."""
+        values = pairwise_vectors(dtype, size, size)
+        assert self.streamed(values, size).tobytes() \
+            == np.mean(values).tobytes()
+
+
+class TestSampleMemory:
+    """The sampling loop's memory does not grow with the sample count: the
+    peak memory numpy reports to tracemalloc at 2^22 samples is within 10%
+    of the peak at 2^20 (a whole value vector of 2^18 doubles is 2 MB)."""
+
+    ESTIMATORS = {
+        "oscillatory": lambda samples: oscillatory_v(
+            QUADRIC5, (1, 0, 0, 0, 0), [0.3], 1, samples),
+        "integral": lambda samples: singular_integral_truncated(
+            QUADRIC5, (1, 0, 0, 0, 0), 16, samples),
+        "window": lambda samples: real_density_window(
+            QUADRIC5, (1, 0, 0, 0, 0), [0.1, 0.1], samples),
+        "pair-window": lambda samples: chi_global_real(
+            QUADRIC4, [0.5, 0.5, 0.5], samples),
+    }
+
+    @staticmethod
+    def peak(run, samples):
+        tracemalloc.start()
+        try:
+            run(samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_peak_does_not_grow_with_samples(self, name):
+        run = self.ESTIMATORS[name]
+        run(1 << 12)            # reads the direction numbers it needs
+        small, large = self.peak(run, 1 << 20), self.peak(run, 1 << 22)
+        assert large <= 1.1 * small, (small, large)
 
 def whole_batch_oscillatory(form, y, beta, x_bound, samples, seed):
     """oscillatory_v as one whole-scramble loop of its own: every scramble
