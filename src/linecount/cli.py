@@ -25,8 +25,7 @@ only when the sha256 of that output equals the recorded digest, and exits 2
 naming both digests otherwise.
 
 Each subcommand imports the layers it runs when it runs, so ``count`` and
-``lattice`` load neither density, exponents, expsums, mpmath nor a
-process pool.
+``lattice`` load neither density, exponents, expsums nor mpmath.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ import contextlib
 import functools
 import io
 import json
-import math
-import os
 import re
 import sys
 import time
@@ -53,7 +50,8 @@ from .counting import (DEFAULT_COUNT_BUDGET, count_fixed_y, count_pairs,
 from .errors import DomainError, LineCountError, ResourceLimit
 from .forms import (form_to_json, format_rational, gradient, load_form,
                     parse_rational)
-from .lattice import lattice_to_json, slicing_lattice
+from .lattice import (lattice_to_json, linear_slice_coefficients,
+                      slicing_lattice)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -119,10 +117,15 @@ class RunManifest:
             raise ValueError("manifest argv must be a list of strings")
         if argv[:1] == ["--from-manifest"]:
             raise ValueError("manifest argv must not replay a manifest")
+        for key, kind, name in (("parameters", dict, "an object"),
+                                ("seeds", list, "a list"),
+                                ("wall_time", (int, float), "a number")):
+            if key in raw and not isinstance(raw[key], kind):
+                raise ValueError(f"manifest {key} must be {name}")
         return RunManifest(
             command=raw["command"], argv=argv,
             form_hash=raw.get("form_hash"),
-            parameters=dict(raw.get("parameters", {})),
+            parameters=raw.get("parameters", {}),
             seeds=list(raw.get("seeds", [])),
             tool_version=raw.get("tool_version", ""),
             wall_time=float(raw.get("wall_time", 0.0)),
@@ -192,13 +195,22 @@ def _int_vector(text: str) -> Tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}")
 
 
+def _finite(number: float) -> float:
+    """``number``, refused when it is nan or infinite (a float literal
+    beyond the double range reads as infinite)."""
+    if not np.isfinite(number):
+        raise ValueError(f"{number} is not a finite number")
+    return number
+
+
 def _float_vector(text: str) -> Tuple[float, ...]:
     try:
-        return tuple(float(Fraction(part)) if "/" in part else float(part)
-                     for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
+        return tuple(
+            _finite(float(Fraction(part)) if "/" in part else float(part))
+            for part in text.split(","))
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}")
+            f"expected comma-separated finite numbers, got {text!r}")
 
 
 def _frequency_vector(text: str) -> Tuple[object, ...]:
@@ -206,19 +218,20 @@ def _frequency_vector(text: str) -> Tuple[object, ...]:
     for part in text.split(","):
         try:
             if "." in part or "e" in part.lower():
-                parts.append(float(part))
+                parts.append(_finite(float(part)))
             else:
                 parts.append(parse_rational(part))
-        except (ValueError, LineCountError):
+        except (ValueError, ZeroDivisionError, LineCountError):
             raise argparse.ArgumentTypeError(
-                f"expected comma-separated rationals or floats, got {text!r}")
+                "expected comma-separated rationals or finite floats, "
+                f"got {text!r}")
     return tuple(parts)
 
 
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, LineCountError):
+    except (ValueError, ZeroDivisionError, LineCountError):
         raise argparse.ArgumentTypeError(f"expected a rational p/q, got {text!r}")
 
 
@@ -297,14 +310,6 @@ def _configure_count(parser) -> None:
                              "'total' and 'per_y' stay unrestricted")
     parser.add_argument("--breakdown", action="store_true",
                         help="include per-base-point counts")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes to split the work across "
-                             "(default 1): the first lattice coordinate "
-                             "with --y, the orbit leaders' fibers with --Y "
-                             "(only leaders are split).  A diagonal form's "
-                             "--y fiber, and its --Y total without "
-                             "--breakdown or --rho, are one convolution "
-                             "each and run in one process")
     parser.add_argument("--csv", action="store_true",
                         help="emit the per-base-point table as CSV "
                              "(needs --breakdown)")
@@ -312,11 +317,6 @@ def _configure_count(parser) -> None:
 
 
 def _run_count(args, form) -> dict:
-    # refuse before any pool starts: it starts all its workers at once
-    limit = os.cpu_count() or 1
-    if not 1 <= args.workers <= limit:
-        raise DomainError(
-            f"--workers must be between 1 and {limit}, got {args.workers}")
     if (args.Y is None) == (args.y is None):
         raise DomainError("pass exactly one of --Y (pair run) or --y "
                           "(fixed base point)")
@@ -329,8 +329,7 @@ def _run_count(args, form) -> dict:
             if given:
                 raise DomainError(f"{flag} applies to pair runs (--Y), not "
                                   "to a fixed base point (--y)")
-        total = count_fixed_y(form, args.y, args.X, workers=args.workers,
-                              budget=args.budget)
+        total = count_fixed_y(form, args.y, args.X, budget=args.budget)
         return {"mode": "fixed-y", "X": args.X, "y": list(args.y),
                 "total": total}
     if args.csv and not args.breakdown:
@@ -339,7 +338,7 @@ def _run_count(args, form) -> dict:
     report = count_pairs(form, args.X, args.Y,
                          exclude_proportional=args.exclude_proportional,
                          stratum_rho=args.rho, breakdown=args.breakdown,
-                         workers=args.workers, budget=args.budget)
+                         budget=args.budget)
     payload = report.to_json()
     payload["mode"] = "pairs"
     return payload
@@ -644,14 +643,12 @@ def _configure_lattice(parser) -> None:
 
 def _run_lattice(args, form) -> dict:
     lattice = slicing_lattice(form, args.y)
-    grad = gradient(form, args.y)
-    content = math.gcd(*(abs(g) for g in grad)) if any(grad) else 0
     payload = {
         "y": list(args.y),
         "on_hypersurface": form(tuple(args.y)) == 0,
         "lattice": lattice_to_json(lattice),
-        "gradient": list(grad),
-        "gradient_content": content,
+        "gradient": list(gradient(form, args.y)),
+        "gradient_content": linear_slice_coefficients(form, args.y).content,
         "hessian_corank": hessian_corank(form, args.y),
     }
     if payload["on_hypersurface"]:

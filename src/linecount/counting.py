@@ -17,12 +17,10 @@ the residue counts of ``density`` call it.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +43,8 @@ from .forms import (
     residues_mod,
 )
 from .lattice import (
-    IntegerLattice,
-    box_profile,
     enumerate_points,
+    linear_slice_coefficients,
     slicing_lattice,
 )
 
@@ -58,14 +55,6 @@ _CHUNK_ROWS = 1 << 14
 #: Pairs of histogram entries added at once when two histograms are
 #: convolved.
 _CONVOLVE_ROWS = 1 << 16
-
-
-def __getattr__(name: str):
-    # the process pool loads multiprocessing: import it when a pool starts
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FallbackFullBox(UserWarning):
@@ -464,50 +453,33 @@ def _is_diagonal(form: HomogeneousForm) -> bool:
                for exponents in form.coeffs)
 
 
-#: One piece of a fiber: the reduced slicing lattice at y, None for the
-#: full box (the gradient vanishes at y), and an inclusive range of the
-#: lattice's first coordinate (None: all of it).
-_Piece = Tuple[Optional[IntegerLattice], Optional[Tuple[int, int]]]
-
-
-def _whole_fiber(form: HomogeneousForm, y: IntVector) -> _Piece:
-    """The one piece of the whole fiber at a nonzero y: its reduced slicing
-    lattice, or the full box when the gradient vanishes there."""
-    try:
-        return slicing_lattice(form, y), None
-    except ZeroVectorInput:
-        return None, None
-
-
 def _fiber(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
-           stratum_rho: Optional[int], piece: Optional[_Piece],
-           meter: _Budget) -> Tuple[int, int]:
+           stratum_rho: Optional[int], meter: _Budget) -> Tuple[int, int]:
     """(count, stratified) over the x in [-X, X]^n with c_1(x, y) = ... =
     c_d(x, y) = 0: ``count`` includes the zero vector, and ``stratified``
     counts the nonzero x of Hessian corank >= ``stratum_rho`` (0 when it
     is None).
 
-    For a diagonal F, when neither a stratum nor a piece is asked for, the
-    fiber is one :func:`_convolution_count` over Z: the slices c_j(x, y) =
-    binom(d, j) sum_i a_i y_i^(d-j) x_i^j split into one component per
-    variable of F, and a signed permutation sigma with F o sigma = +-F,
-    which maps the value vectors at y onto those at sigma y up to one
-    sign, keeps the charge.  Otherwise the candidates are the points of
-    ``piece``, or, when it is None, of :func:`_whole_fiber` at y; each
-    block is charged to the meter before the slice conditions test it.
+    For a diagonal F, when no stratum is asked for, the fiber is one
+    :func:`_convolution_count` over Z: the slices c_j(x, y) = binom(d, j)
+    sum_i a_i y_i^(d-j) x_i^j split into one component per variable of F,
+    and a signed permutation sigma with F o sigma = +-F, which maps the
+    value vectors at y onto those at sigma y up to one sign, keeps the
+    charge.  Otherwise the candidates are the points of the reduced
+    slicing lattice at y, or of the full box when the gradient vanishes
+    there; each block is charged to the meter before the slice conditions
+    test it.
     """
-    if piece is None and stratum_rho is None and _is_diagonal(form):
+    if stratum_rho is None and _is_diagonal(form):
         return _convolution_count(
             [integer_slice_form(form, y, j)
              for j in range(1, form.degree + 1)],
             [(-x_bound, x_bound)] * form.nvars, None, meter), 0
-    lattice, leading_range = piece or _whole_fiber(form, y)
-    if lattice is None:
+    try:
+        chunks = enumerate_points(slicing_lattice(form, y), x_bound)
+    except ZeroVectorInput:  # the gradient vanishes at y
         chunks = grid_chunks([-x_bound] * form.nvars, [x_bound] * form.nvars,
                              _CHUNK_ROWS)
-    else:
-        chunks = enumerate_points(lattice, x_bound,
-                                  leading_range=leading_range)
     conditions = nonzero_slices(form, y)
     count = stratified = 0
     for chunk in chunks:
@@ -521,52 +493,28 @@ def _fiber(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
     return count, stratified
 
 
-def _metered(call, budget: Optional[int], args: tuple) -> Tuple[object, int]:
-    """(call(*args, meter), points charged), under a meter of ``budget``
-    of its own."""
-    meter = _Budget(budget, _ROW_WORK)
-    return call(*args, meter), meter.spent
-
-
-def _metered_map(call, calls: Sequence[tuple], workers: int,
-                 budget: Optional[int]) -> Iterable[Tuple[object, int]]:
-    """:func:`_metered` at each argument tuple of ``calls``, in order: in a
-    pool of at most ``workers`` processes when there are more calls than
-    one and workers > 1, else lazily in this process, so that a caller
-    charging each result in turn stops at the first that overruns."""
-    run = functools.partial(_metered, call, budget)
-    if workers > 1 and len(calls) > 1:
-        # the module attribute, so that a patched executor is the one used
-        executor = sys.modules[__name__].ProcessPoolExecutor
-        with executor(max_workers=min(workers, len(calls))) as pool:
-            futures = [pool.submit(run, args) for args in calls]
-            return [f.result() for f in futures]
-    return map(run, calls)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-y counting
 # ---------------------------------------------------------------------------
 
 def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
-                  workers: int = 1, budget: Optional[int] = None) -> int:
+                  budget: Optional[int] = None) -> int:
     """Exact number of x in [-X, X]^n spanning a (possibly degenerate)
     line with the base point y.
 
     Counts every x of the slicing lattice at which all slice conditions of
     degree 2..d vanish.  The zero vector and multiples of y are included;
     pair-level counts remove and tally them separately.  The fiber is
-    :func:`_fiber`; a diagonal form's is one convolution, counted in one
-    process whatever ``workers``, and so is a full box.
+    :func:`_fiber`: one convolution for a diagonal form, else a scan of
+    the slicing lattice, or of the full box when the gradient vanishes.
 
     Args:
         form: the form cutting out the hypersurface.
         y: nonzero integer base point (need not lie on the hypersurface).
         x_bound: sup-norm box bound X >= 0.
-        workers: split the leading lattice coordinate across processes.
-        budget: optional cap on the lattice points examined, summed over
-            all workers, or for a diagonal form on the grid rows evaluated
-            and histogram entries formed.
+        budget: optional cap on the lattice (or box) points examined, or
+            for a diagonal form on the grid rows evaluated and histogram
+            entries formed.
 
     Raises:
         ZeroVectorInput: y = 0.
@@ -576,28 +524,13 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
         raise ZeroVectorInput("base point must be nonzero")
     if x_bound < 0:
         raise DomainError("x_bound must be nonnegative")
-    pieces: List[Optional[_Piece]] = [None]
-    if not _is_diagonal(form):
-        pieces = [_whole_fiber(form, y)]
-        lattice = pieces[0][0]
-        if lattice is None:
-            warnings.warn(
-                f"gradient vanishes at y={tuple(y)}; scanning the full box",
-                FallbackFullBox, stacklevel=2)
-        elif workers > 1:
-            # at most ``workers`` ranges of equal length (the last may be
-            # shorter) of the first coordinate
-            radius = box_profile(lattice, x_bound).int_bounds[0]
-            step = math.ceil((2 * radius + 1) / min(workers, 2 * radius + 1))
-            pieces = [(lattice, (lo, min(lo + step - 1, radius)))
-                      for lo in range(-radius, radius + 1, step)]
-    fiber = functools.partial(_fiber, form, tuple(int(v) for v in y),
-                              x_bound, None)
-    results = list(_metered_map(fiber, [(piece,) for piece in pieces],
-                                workers, budget))
-    # the pieces' charges add up to the sequential total, whatever the split
-    _Budget(budget, _ROW_WORK).charge(sum(charged for _, charged in results))
-    return sum(count for (count, _), _ in results)
+    if not _is_diagonal(form) and linear_slice_coefficients(form, y).all_zero:
+        warnings.warn(
+            f"gradient vanishes at y={tuple(y)}; scanning the full box",
+            FallbackFullBox, stacklevel=2)
+    count, _ = _fiber(form, tuple(int(v) for v in y), x_bound, None,
+                      _Budget(budget, _ROW_WORK))
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -931,8 +864,7 @@ def _pairs_at_base_point(form: HomogeneousForm, y: Tuple[int, ...],
     y_in_stratum = (stratum_rho is not None
                     and hessian_corank(form, y) >= stratum_rho)
     count, stratified = _fiber(form, y, x_bound,
-                               stratum_rho if y_in_stratum else None, None,
-                               meter)
+                               stratum_rho if y_in_stratum else None, meter)
     count -= 1  # the zero vector always satisfies every condition
     if exclude_proportional:
         count -= prop_y
@@ -991,7 +923,6 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
                 exclude_proportional: bool = False,
                 stratum_rho: Optional[int] = None,
                 breakdown: bool = False,
-                workers: int = 1,
                 budget: Optional[int] = None) -> PairCountReport:
     """Exact number of ordered pairs (x, y) of nonzero integer vectors with
     |x| <= X, |y| <= Y spanning a line inside the hypersurface.
@@ -1013,8 +944,7 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     each term one :func:`_convolution_count`.  The primitive zeros P(t) of
     sup-norm t <= min(X, Y) follow from Z(t) - Z(t - 1) = sum_{s | t}
     P(s) by a Moebius step, and the proportional pairs are sum_t P(t)
-    floor(Y / t) 2 floor(X / t).  This path runs in one process, whatever
-    ``workers``.
+    floor(Y / t) 2 floor(X / t).
 
     A breakdown, a stratum or a form that is not diagonal keeps the scan
     of the y-box.  The fiber of y depends only on the line through y (the
@@ -1028,11 +958,11 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     orbits of primitive directions +-y under the group spanned by the sign
     changes and signed transpositions that are symmetries of F, by a
     closed-form key per line (:func:`_orbit_components`), and the x-side
-    is counted once per orbit, at its leader (:func:`_pairs_at_base_point`);
-    ``workers`` processes split the leaders.  ``budget`` bounds what is
-    charged: the pencil path's convolutions, or the box rows of the scan
-    plus, for each base point, the charge of its fiber, as if counted
-    afresh, so the same inputs exceed it whatever the number of workers.
+    is counted once per orbit, at its leader (:func:`_pairs_at_base_point`),
+    under a meter of its own.  ``budget`` bounds each leader's fiber and
+    what is charged in all: the pencil path's convolutions, or the box
+    rows of the scan plus, for each base point, the charge of its fiber,
+    as if counted afresh.
 
     Raises:
         DomainError: X < 1 or Y < 1.
@@ -1048,14 +978,13 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
         return PairCountReport(x_bound=x_bound, y_bound=y_bound, total=total,
                                proportional_pairs=proportional)
     leaders, sizes, blocks = _orbit_tally(form, y_bound, meter, keep=breakdown)
-    fibers = _metered_map(
-        functools.partial(_pairs_at_base_point, form),
-        [(y, x_bound, exclude_proportional, stratum_rho) for y in leaders],
-        workers, budget)
     counts: List[Tuple[int, int, int]] = []
-    for size, (fiber_counts, charged) in zip(sizes, fibers):
-        meter.charge(size * charged)
-        counts.append(fiber_counts)
+    for y, size in zip(leaders, sizes):
+        own = _Budget(budget, _ROW_WORK)
+        counts.append(_pairs_at_base_point(form, y, x_bound,
+                                           exclude_proportional, stratum_rho,
+                                           own))
+        meter.charge(size * own.spent)
     total, proportional, stratified = (
         sum(size * c[k] for size, c in zip(sizes, counts)) for k in range(3))
     per_y = ({tuple(y): counts[k][0]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -364,9 +364,8 @@ def box_profile(lattice: IntegerLattice, x_bound: int) -> BoxProfile:
 _BLOCK_ROWS = 1 << 14
 
 
-def enumerate_points(lattice: IntegerLattice, x_bound: int,
-                     leading_range: Optional[Tuple[int, int]] = None,
-                     ) -> Iterator[np.ndarray]:
+def enumerate_points(lattice: IntegerLattice,
+                     x_bound: int) -> Iterator[np.ndarray]:
     """All lattice points with |x|_inf <= x_bound, each exactly once, in
     blocks of rows.
 
@@ -394,8 +393,6 @@ def enumerate_points(lattice: IntegerLattice, x_bound: int,
     Args:
         lattice: the (preferably reduced) lattice.
         x_bound: sup-norm bound X >= 0.
-        leading_range: optional inclusive (lo, hi) restriction on the first
-            lattice coordinate, for partitioning across workers.
 
     Yields:
         Arrays of shape (m, n), one ambient point per row.
@@ -414,28 +411,22 @@ def enumerate_points(lattice: IntegerLattice, x_bound: int,
     # partial sums, slacks and interval ends all stay within 2 * reach
     reach = max(x_bound + v for v in tail_bound[0])
     dtype = np.int64 if reach < 2 ** 62 else object
-    ranges = [(-b, b) for b in box]
-    if leading_range is not None:
-        ranges[0] = (max(-box[0], leading_range[0]),
-                     min(box[0], leading_range[1]))
-        if ranges[0][0] > ranges[0][1]:
-            return
     levels = [_Level(basis[t], [x_bound + v for v in tail_bound[t + 1]],
-                     ranges[t], dtype) for t in range(s)]
+                     box[t], dtype) for t in range(s)]
     yield from _descend(levels, np.zeros((1, n), dtype=dtype))
 
 
 class _Level:
     """One lattice coordinate xi_t of the search: the ambient coordinates
     its basis row moves, their slacks x_bound + tail_bound[t + 1], and the
-    box range of xi_t.
+    box bound of |xi_t|.
 
     A coordinate that b_t leaves alone needs no check: its slack is the one
     of the level before, which every frontier row already meets.
     """
 
     def __init__(self, row: Sequence[int], slack: Sequence[int],
-                 bounds: Tuple[int, int], dtype) -> None:
+                 bound: int, dtype) -> None:
         moving = [i for i, b in enumerate(row) if b]
         self.row = np.array(row, dtype=dtype)
         self.moving = np.array(moving, dtype=np.intp)
@@ -443,7 +434,7 @@ class _Level:
                              dtype=dtype)
         self.size = np.array([abs(row[i]) for i in moving], dtype=dtype)
         self.slack = np.array([slack[i] for i in moving], dtype=dtype)
-        self.lo, self.hi = bounds
+        self.lo, self.hi = -bound, bound
 
     def intervals(self, frontier: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:

@@ -46,8 +46,9 @@ def test_observed_privates_resolve(tracing):
 
 
 def test_base_point_is_parameter_one(tracing):
-    """The tracer reads the base point as positional argument 1."""
+    """The tracer reads the base point as positional argument 1 of the
+    public fixed-y count and of the private per-leader count."""
     assert "counting._pairs_at_base_point" in tracing.OBSERVED_PRIVATE
-    parameters = list(inspect.signature(
-        resolve("counting._pairs_at_base_point")).parameters)
-    assert parameters[1] == "y"
+    for name in ("counting.count_fixed_y", "counting._pairs_at_base_point"):
+        parameters = list(inspect.signature(resolve(name)).parameters)
+        assert parameters[1] == "y", name

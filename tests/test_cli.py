@@ -22,7 +22,6 @@ from linecount.cli import (
     build_parser,
     main,
 )
-from linecount import counting
 from linecount.counting import count_fixed_y, count_pairs
 from linecount.density import chi_global_padic, singular_series_truncated
 from linecount.errors import DomainError
@@ -201,22 +200,16 @@ class TestCount:
 
 
 class TestWorkers:
-    """Only count takes --workers, and outside 1..cpu_count refuses it
-    before any pool exists."""
-
-    @pytest.fixture(autouse=True)
-    def no_pools(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a worker pool was constructed")
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", refuse)
+    """No subcommand takes --workers: every count runs in this process,
+    and count refuses the flag with its own usage, in either mode."""
 
     @pytest.mark.parametrize("mode", [("--y", "1,0,0,0,0"), ("--Y", "1")])
     def test_count_rejects_more_workers_than_cpus(self, capsys, mode):
-        code, out = run_json(capsys, "count", "--fixture", "quadric-5",
-                             "--X", "2", *mode,
-                             "--workers", str((os.cpu_count() or 1) + 1))
-        assert code == EXIT_VALIDATION
-        assert "--workers" in out["error"]["message"]
+        code = main(["count", "--fixture", "quadric-5", "--X", "2", *mode,
+                     "--workers", str((os.cpu_count() or 1) + 1)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("usage: linecount count ")
 
     def test_predict_takes_no_workers(self, capsys):
         code, _ = run_cli(capsys, "predict", "--fixture", "quadric-4",
@@ -226,17 +219,77 @@ class TestWorkers:
         assert code == EXIT_USAGE
 
     def test_count_rejects_zero_workers(self, capsys):
-        code, _ = run_json(capsys, "count", "--fixture", "quadric-5",
-                           "--X", "2", "--y", "1,0,0,0,0", "--workers", "0")
-        assert code == EXIT_VALIDATION
+        code, _ = run_cli(capsys, "count", "--fixture", "quadric-5",
+                          "--X", "2", "--y", "1,0,0,0,0", "--workers", "0")
+        assert code == EXIT_USAGE
 
     def test_one_worker_runs_without_a_pool(self, capsys):
-        code, out = run_json(capsys, "count", "--fixture", "quadric-5",
-                             "--X", "2", "--y", "1,0,0,0,0",
-                             "--workers", "1")
+        """Even --workers 1 is refused; without it the count runs."""
+        argv = ("count", "--fixture", "quadric-5", "--X", "2",
+                "--y", "1,0,0,0,0")
+        code = main([*argv, "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("usage: linecount count ")
+        assert err.endswith("error: unrecognized arguments: --workers 1\n")
+        code, out = run_json(capsys, *argv)
         assert code == EXIT_OK
         assert out["total"] == count_fixed_y(diagonal_quadric(5),
                                              (1, 0, 0, 0, 0), 2)
+
+
+class TestNonFiniteNumbers:
+    """nan, infinities and literals beyond the double range are refused
+    as usage errors, with the usage of the subcommand, like any other
+    malformed vector; a zero denominator in a rational likewise."""
+
+    @pytest.mark.parametrize("flag, command", [
+        ("--window", ("density", "--fixture", "quadric-5",
+                      "--y", "1,0,0,0,0", "--samples", "4096")),
+        ("--oscillatory", ("density", "--fixture", "quintic",
+                           "--y", "0,0,1,-1", "--samples", "4096")),
+        ("--epsilon", ("predict", "--fixture", "quadric-4", "--X", "5",
+                       "--Y", "5", "--p-max", "3", "--samples", "2048")),
+    ])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "Infinity", "1e400",
+                                     f"{10 ** 400}/1"])
+    def test_float_vectors(self, capsys, flag, command, bad):
+        width = 4 if flag == "--oscillatory" else 3
+        value = ",".join([bad] + ["1/10"] * (width - 1))
+        code = main([*command, flag, value])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: linecount {command[0]} ")
+        assert f"error: argument {flag}: " in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ("expsum", "--fixture", "quintic", "--y", "0,0,1,-1", "--P", "2"),
+        ("arcs", "--fixture", "quintic", "--X", "10", "--witness", "2"),
+    ])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "2.5e308",
+                                     "1/0"])
+    def test_frequency_vectors(self, capsys, command, bad):
+        code = main([*command, "--alpha", f"{bad},1/5,2/7,1/2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: linecount {command[0]} ")
+        assert "error: argument --alpha: " in captured.err
+
+    def test_finite_values_still_parse(self, capsys):
+        code, out = run_json(capsys, "density", "--fixture", "quadric-5",
+                             "--y", "1,0,0,0,0", "--window", "1e-1,1/10",
+                             "--samples", "4096")
+        assert code == EXIT_OK
+        assert out["epsilon"] == [0.1, 0.1]
+
+    def test_zero_denominator_rational(self, capsys):
+        code = main(["density", "--fixture", "quintic", "--y", "0,0,1,-1",
+                     "--integral", "1/0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "error: argument --integral: " in captured.err
 
 
 class TestExpsum:
@@ -606,6 +659,24 @@ class TestManifest:
         code, out = run_json(capsys, "--from-manifest", str(path))
         assert code == EXIT_VALIDATION
         assert out["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("field, value", [
+        ("parameters", 5), ("parameters", ["X", 1]), ("seeds", 7),
+        ("seeds", {"seed": 7}), ("wall_time", [1.0]),
+    ])
+    def test_replay_refuses_malformed_fields(self, capsys, tmp_path, field,
+                                             value):
+        """A manifest field of the wrong JSON type is refused with exit 2
+        and an error object, not a traceback."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "command": "count", field: value,
+            "argv": ["count", "--fixture", "quintic", "--X", "1",
+                     "--Y", "1"]}))
+        code, out = run_json(capsys, "--from-manifest", str(path))
+        assert code == EXIT_VALIDATION
+        assert out["error"]["type"] == "ValueError"
+        assert field in out["error"]["message"]
 
     def test_replay_usage(self, capsys):
         code = main(["--from-manifest"])

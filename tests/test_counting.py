@@ -5,7 +5,6 @@ import math
 import random
 import warnings
 from collections import defaultdict
-from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -44,7 +43,7 @@ from linecount.forms import (
     nonzero_slices,
     parse_form,
 )
-from linecount.lattice import box_profile, enumerate_points, slicing_lattice
+from linecount.lattice import enumerate_points, slicing_lattice
 
 QUINTIC = fermat_quintic()
 Y0 = QUINTIC_BASE_POINT
@@ -121,28 +120,6 @@ def diagonal_fiber_charge(form, y, x_bound):
     return charge
 
 
-def inline_pool(sizes):
-    """A stand-in for ProcessPoolExecutor that records each pool size in
-    ``sizes`` and runs each piece in this process."""
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    return InlinePool
-
-
 def counted(monkeypatch, name):
     """Wrap ``counting.<name>`` and return the list of its argument
     tuples, one per call."""
@@ -203,9 +180,6 @@ class TestCountFixedY:
         # gradient vanishes at (0, 1); solutions are the x1 = 0 slab
         assert count == 5
 
-    def test_workers_match_sequential(self):
-        assert count_fixed_y(QUINTIC, Y0, 3, workers=2) == 49
-
     def test_budget_exhaustion(self):
         with pytest.raises(ResourceLimit) as info:
             count_fixed_y(QUINTIC, Y0, 20, budget=10)
@@ -213,18 +187,24 @@ class TestCountFixedY:
         assert info.value.needed > 10
 
     def test_budget_holds_across_workers(self):
-        """The 11^3 = 1331 lattice points split into pieces of 726 and
-        605: each fits a budget of 800, their sum does not."""
+        """One meter charges all 11^3 = 1331 lattice points, so budgets of
+        800 and 1330 are refused and 1331 is not."""
         y = (1, 0, 0, 0)
-        for workers in (1, 2):
-            with pytest.raises(ResourceLimit):
-                count_fixed_y(QUADRIC, y, 5, workers=workers, budget=800)
-        assert count_fixed_y(QUADRIC, y, 5, workers=2, budget=1331) == 231
+        for budget in (800, 1330):
+            with pytest.raises(ResourceLimit) as info:
+                count_fixed_y(QUADRIC, y, 5, budget=budget)
+            assert info.value.budget == budget
+        assert count_fixed_y(QUADRIC, y, 5, budget=1331) == 231
 
     def test_workers_reduce_the_lattice_once(self, monkeypatch):
+        """A form that is not diagonal builds its slicing lattice once, and
+        at a vanishing gradient the warning asks for none in addition."""
         calls = counted(monkeypatch, "slicing_lattice")
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", inline_pool([]))
-        assert count_fixed_y(QUADRIC, (1, 0, 0, 0), 3, workers=2) == 91
+        assert count_fixed_y(QUADRIC, (1, 0, 0, 0), 3) == 91
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.warns(FallbackFullBox):
+            count_fixed_y(parse_form("x1^2*x2", n_hint=2), (0, 1), 2)
         assert len(calls) == 1
 
 
@@ -281,20 +261,9 @@ class TestDiagonalConvolution:
                  for y in itertools.product(range(-y_bound, y_bound + 1),
                                             repeat=form.nvars)
                  if any(y) and evaluate_form(form, y) == 0}
-        for workers in (1, 2):
-            with mock.patch.object(counting, "ProcessPoolExecutor",
-                                   inline_pool([])):
-                report = count_pairs(form, x_bound, y_bound, breakdown=True,
-                                     workers=workers)
-            assert report.per_y_breakdown == per_y
-            assert report.total == sum(per_y.values())
-
-    def test_process_pool_breakdown(self):
-        form = fermat_form(4, 3)
-        report = count_pairs(form, 2, 2, breakdown=True, workers=2)
-        assert report == count_pairs(form, 2, 2, breakdown=True)
-        for y, count in report.per_y_breakdown.items():
-            assert count == lattice_scan(form, y, 2) - 1
+        report = count_pairs(form, x_bound, y_bound, breakdown=True)
+        assert report.per_y_breakdown == per_y
+        assert report.total == sum(per_y.values())
 
     @pytest.mark.parametrize("form, y, x_bound, count", [
         (diagonal_quadric(5), (1, 0, 0, 0, 0), 12, 817),
@@ -378,23 +347,19 @@ class TestDiagonalConvolution:
 
     def test_no_lattice_and_one_process(self, monkeypatch):
         calls = counted(monkeypatch, "slicing_lattice")
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", None)
-        assert count_fixed_y(QUINTIC, Y0, 3, workers=2) == 49
+        assert count_fixed_y(QUINTIC, Y0, 3) == 49
         assert calls == []
 
     def test_budget_boundary(self):
-        """The charge is the grid rows plus the histogram entries formed,
-        whatever the number of workers."""
+        """The charge is the grid rows plus the histogram entries
+        formed."""
         quadric, y = diagonal_quadric(5), (1, 0, 0, 0, 0)
         needed = diagonal_fiber_charge(quadric, y, 5)
         assert needed == 553
-        for workers in (1, 2):
-            with pytest.raises(ResourceLimit) as info:
-                count_fixed_y(quadric, y, 5, workers=workers,
-                              budget=needed - 1)
-            assert "histogram entries" in str(info.value)
-            assert count_fixed_y(quadric, y, 5, workers=workers,
-                                 budget=needed) == 157
+        with pytest.raises(ResourceLimit) as info:
+            count_fixed_y(quadric, y, 5, budget=needed - 1)
+        assert "histogram entries" in str(info.value)
+        assert count_fixed_y(quadric, y, 5, budget=needed) == 157
 
 
 @st.composite
@@ -432,15 +397,11 @@ class TestPencilPairs:
         report = count_pairs(form, x_bound, y_bound,
                              exclude_proportional=exclude_proportional)
         assert report.per_y_breakdown is None
-        for workers in (1, 2):
-            with mock.patch.object(counting, "ProcessPoolExecutor",
-                                   inline_pool([])):
-                scan = count_pairs(form, x_bound, y_bound,
-                                   exclude_proportional=exclude_proportional,
-                                   breakdown=True, workers=workers)
-            assert (report.total, report.proportional_pairs) \
-                == (sum(scan.per_y_breakdown.values()),
-                    scan.proportional_pairs)
+        scan = count_pairs(form, x_bound, y_bound,
+                           exclude_proportional=exclude_proportional,
+                           breakdown=True)
+        assert (report.total, report.proportional_pairs) \
+            == (sum(scan.per_y_breakdown.values()), scan.proportional_pairs)
         if exclude_proportional:
             included = count_pairs(form, x_bound, y_bound)
             assert report.total \
@@ -457,8 +418,7 @@ class TestPencilPairs:
     def test_no_scan_and_no_fiber(self, monkeypatch):
         tallies = counted(monkeypatch, "_orbit_tally")
         fibers = counted(monkeypatch, "_pairs_at_base_point")
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", None)
-        report = count_pairs(diagonal_quadric(5), 2, 4, workers=2)
+        report = count_pairs(diagonal_quadric(5), 2, 4)
         assert report.total == report.proportional_pairs == 384
         assert tallies == fibers == []
 
@@ -552,29 +512,9 @@ class TestCountPairs:
         assert report.stratified == direct
         assert report.total == count_pairs(QUINTIC, 1, 1).total
 
-    def test_workers_match_sequential(self):
-        solo = count_pairs(QUADRIC, 2, 2, breakdown=True)
-        multi = count_pairs(QUADRIC, 2, 2, breakdown=True, workers=2)
-        assert solo == multi
-
     def test_bounds_validated(self):
         with pytest.raises(DomainError):
             count_pairs(QUINTIC, 0, 1)
-
-    def test_pools_are_sized_to_their_pieces(self, monkeypatch):
-        sizes = []
-
-        monkeypatch.setattr(counting, "ProcessPoolExecutor",
-                            inline_pool(sizes))
-        report = count_pairs(QUADRIC, 1, 1, breakdown=True, workers=64)
-        assert sizes == [5]  # one process per orbit leader, 5 of them
-        assert report == count_pairs(QUADRIC, 1, 1, breakdown=True)
-        sizes.clear()
-        y = (1, 2, 3, 0)
-        assert count_fixed_y(QUADRIC, y, 2, workers=64) \
-            == count_fixed_y(QUADRIC, y, 2)
-        radius = box_profile(slicing_lattice(QUADRIC, y), 2).int_bounds[0]
-        assert sizes == [2 * radius + 1]
 
     def test_budget_exhaustion(self):
         with pytest.raises(ResourceLimit):
@@ -583,11 +523,12 @@ class TestCountPairs:
     def test_budget_holds_across_workers(self):
         """The scan charges 12145 points: the 625 rows of the y-box and
         the fibers of 128 base points in 9 orbits, none over 125 points.
-        A budget of 10000 is refused with 1 worker or 2, 12145 is not."""
-        for workers in (1, 2):
-            with pytest.raises(ResourceLimit):
-                count_pairs(QUADRIC, 2, 2, workers=workers, budget=10000)
-        assert count_pairs(QUADRIC, 2, 2, workers=2, budget=12145).total \
+        Each leader's fiber fits a budget of 10000, but the total is
+        charged to it too, so 10000 is refused and 12145 is not."""
+        with pytest.raises(ResourceLimit) as info:
+            count_pairs(QUADRIC, 2, 2, budget=10000)
+        assert info.value.needed > 10000
+        assert count_pairs(QUADRIC, 2, 2, budget=12145).total \
             == count_pairs(QUADRIC, 2, 2).total
 
     def test_budget_boundary_with_repeated_directions(self):
@@ -602,7 +543,7 @@ class TestCountPairs:
 class TestFiberEntries:
     """count_fixed_y and count_pairs reach one fiber routine: at every base
     point y, the fixed-y count less the zero vector is y's entry in the
-    pair breakdown, with one worker or two."""
+    pair breakdown."""
 
     @pytest.mark.parametrize("text, n, x_bound, y_bound, base_points, total, "
                              "full_boxes", [
@@ -614,21 +555,16 @@ class TestFiberEntries:
                                                y_bound, base_points, total,
                                                full_boxes):
         form = parse_form(text, n_hint=n)
-        for workers in (1, 2):
-            with mock.patch.object(counting, "ProcessPoolExecutor",
-                                   inline_pool([])):
-                report = count_pairs(form, x_bound, y_bound, breakdown=True,
-                                     workers=workers)
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always", FallbackFullBox)
-                    fixed = {y: count_fixed_y(form, y, x_bound,
-                                              workers=workers) - 1
-                             for y in report.per_y_breakdown}
-            assert len(fixed) == base_points
-            assert report.total == total
-            assert fixed == report.per_y_breakdown
-            assert len(caught) == full_boxes == sum(
-                not any(gradient(form, y)) for y in fixed)
+        report = count_pairs(form, x_bound, y_bound, breakdown=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", FallbackFullBox)
+            fixed = {y: count_fixed_y(form, y, x_bound) - 1
+                     for y in report.per_y_breakdown}
+        assert len(fixed) == base_points
+        assert report.total == total
+        assert fixed == report.per_y_breakdown
+        assert len(caught) == full_boxes == sum(
+            not any(gradient(form, y)) for y in fixed)
 
 
 class TestDirectionReuse:
@@ -651,15 +587,11 @@ class TestDirectionReuse:
     ])
     def test_workers_enumerate_one_fiber_per_orbit(self, monkeypatch, form,
                                                    y_bound, fibers):
-        """Workers split the orbit leaders of the y-box scan (which a
-        breakdown keeps), so no orbit's fiber is enumerated twice however
-        many workers run."""
+        """The y-box scan (which a breakdown keeps) counts the fiber of
+        each orbit leader, so no orbit's fiber is enumerated twice."""
         calls = counted(monkeypatch, "_pairs_at_base_point")
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", inline_pool([]))
-        for workers in (1, 2):
-            calls.clear()
-            count_pairs(form, 2, y_bound, breakdown=True, workers=workers)
-            assert len(calls) == fibers
+        count_pairs(form, 2, y_bound, breakdown=True)
+        assert len(calls) == fibers
 
     def test_breakdown_keeps_every_base_point(self):
         form = diagonal_quadric(5)
@@ -770,21 +702,17 @@ class TestOrbitReuse:
     def check(form, x_bound, y_bound, exclude_proportional, stratum_rho):
         want, charged = per_base_point_oracle(
             form, x_bound, y_bound, exclude_proportional, stratum_rho)
-        for workers in (1, 2):
-            with mock.patch.object(counting, "ProcessPoolExecutor",
-                                   inline_pool([])):
-                report = count_pairs(
-                    form, x_bound, y_bound,
-                    exclude_proportional=exclude_proportional,
-                    stratum_rho=stratum_rho, breakdown=True,
-                    workers=workers, budget=charged)
-                with pytest.raises(ResourceLimit):
-                    count_pairs(form, x_bound, y_bound,
-                                exclude_proportional=exclude_proportional,
-                                stratum_rho=stratum_rho, breakdown=True,
-                                workers=workers, budget=charged - 1)
-            assert (report.total, report.proportional_pairs,
-                    report.stratified, report.per_y_breakdown) == want
+        report = count_pairs(form, x_bound, y_bound,
+                             exclude_proportional=exclude_proportional,
+                             stratum_rho=stratum_rho, breakdown=True,
+                             budget=charged)
+        with pytest.raises(ResourceLimit):
+            count_pairs(form, x_bound, y_bound,
+                        exclude_proportional=exclude_proportional,
+                        stratum_rho=stratum_rho, breakdown=True,
+                        budget=charged - 1)
+        assert (report.total, report.proportional_pairs,
+                report.stratified, report.per_y_breakdown) == want
         plain = count_pairs(form, x_bound, y_bound,
                             exclude_proportional=exclude_proportional,
                             stratum_rho=stratum_rho)
@@ -812,13 +740,6 @@ class TestOrbitReuse:
         form = random_dense_form(n, degree, seed=seed)
         self.check(form, x_bound, min(y_bound, 5 - n),
                    exclude_proportional, rho)
-
-    def test_process_pool_matches_sequential(self):
-        form = signed_relabel(diagonal_quadric(5), (3, 0, 4, 1, 2),
-                              (1, -1, -1, 1, 1))
-        solo = count_pairs(form, 2, 3, stratum_rho=1, breakdown=True)
-        assert count_pairs(form, 2, 3, stratum_rho=1, breakdown=True,
-                           workers=2) == solo
 
     @pytest.mark.parametrize("form, needed", [
         (diagonal_quadric(5), 56647),
@@ -1062,26 +983,21 @@ class TestOrbitKeys:
         rho = data.draw(st.sampled_from([None, 1, 2]))
         want, leaders = row_pair_count(form, x_bound, y_bound,
                                        exclude_proportional, rho)
-        for workers in (1, 2):
-            calls = []
-            original = counting._pairs_at_base_point
+        calls = []
+        original = counting._pairs_at_base_point
 
-            def recorded(*args):
-                calls.append(args[1])
-                return original(*args)
+        def recorded(*args):
+            calls.append(args[1])
+            return original(*args)
 
-            with mock.patch.object(counting, "ProcessPoolExecutor",
-                                   inline_pool([])), \
-                    mock.patch.object(counting, "_pairs_at_base_point",
-                                      recorded):
-                report = count_pairs(
-                    form, x_bound, y_bound,
-                    exclude_proportional=exclude_proportional,
-                    stratum_rho=rho, breakdown=True, workers=workers)
-            assert (report.total, report.proportional_pairs,
-                    report.stratified, report.per_y_breakdown) == want
-            assert list(report.per_y_breakdown) == list(want[3])
-            assert calls == leaders
+        with mock.patch.object(counting, "_pairs_at_base_point", recorded):
+            report = count_pairs(form, x_bound, y_bound,
+                                 exclude_proportional=exclude_proportional,
+                                 stratum_rho=rho, breakdown=True)
+        assert (report.total, report.proportional_pairs,
+                report.stratified, report.per_y_breakdown) == want
+        assert list(report.per_y_breakdown) == list(want[3])
+        assert calls == leaders
 
     @pytest.mark.parametrize("rows", [5, 64])
     @pytest.mark.parametrize("form, y_bound", [

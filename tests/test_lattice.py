@@ -328,16 +328,6 @@ class TestEnumeration:
             assert len(stream) == len(direct)
             assert set(stream) == direct
 
-    def test_leading_range_partition(self):
-        lat = quintic_lattice()
-        full = point_tuples(enumerate_points(lat, 3))
-        box = box_profile(lat, 3).int_bounds
-        merged = []
-        for lo in range(-box[0], box[0] + 1):
-            merged.extend(point_tuples(
-                enumerate_points(lat, 3, leading_range=(lo, lo))))
-        assert merged == full
-
     def test_growth_rate_matches_covolume(self):
         """Count ~ (2X+1)^s / sqrt(covolume_sq) within a factor 2."""
         lat = quintic_lattice()
@@ -525,7 +515,7 @@ def test_enumeration_exact_vs_scan(x_bound, l):
 # Block enumerator against the recursive tuple stream
 # ---------------------------------------------------------------------------
 
-def tuple_stream(lattice, x_bound, leading_range=None):
+def tuple_stream(lattice, x_bound):
     """Reference point stream: one tuple per point, by recursive interval
     bounding over Python ints (the enumerator before it yielded blocks)."""
     if x_bound < 0:
@@ -540,11 +530,6 @@ def tuple_stream(lattice, x_bound, leading_range=None):
         for i in range(n):
             tail_bound[t][i] = tail_bound[t + 1][i] + box[t] * abs(basis[t][i])
 
-    first_lo, first_hi = -box[0], box[0]
-    if leading_range is not None:
-        first_lo = max(first_lo, leading_range[0])
-        first_hi = min(first_hi, leading_range[1])
-
     partial = [0] * n
 
     def rec(t):
@@ -552,8 +537,7 @@ def tuple_stream(lattice, x_bound, leading_range=None):
             if all(abs(v) <= x_bound for v in partial):
                 yield tuple(partial)
             return
-        lo = first_lo if t == 0 else -box[t]
-        hi = first_hi if t == 0 else box[t]
+        lo, hi = -box[t], box[t]
         row = basis[t]
         for i in range(n):
             b = row[i]
@@ -591,7 +575,6 @@ def blocks_with_cap(cap, *args):
 
 
 SKEWED = st.one_of(st.integers(-3, 3), st.integers(-60, 60))
-LEADING = st.none() | st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 CAPS = st.sampled_from([1, 2, 3, 7, 64, 1 << 14])
 
 
@@ -604,28 +587,25 @@ def kernel_lattices(draw):
     return reduce_basis(lat) if draw(st.booleans()) else lat
 
 
-@given(kernel_lattices(), st.integers(0, 4), LEADING, CAPS)
+@given(kernel_lattices(), st.integers(0, 4), CAPS)
 @settings(max_examples=150, deadline=None)
-def test_blocks_match_tuple_stream(lat, x_bound, leading_range, cap):
-    blocks = blocks_with_cap(cap, lat, x_bound, leading_range)
+def test_blocks_match_tuple_stream(lat, x_bound, cap):
+    blocks = blocks_with_cap(cap, lat, x_bound)
     for block in blocks:
         assert block.dtype == np.int64
         assert block.shape[1] == lat.ambient_dim
         assert 0 < block.shape[0] <= cap
-    assert point_tuples(blocks) \
-        == list(tuple_stream(lat, x_bound, leading_range))
+    assert point_tuples(blocks) == list(tuple_stream(lat, x_bound))
 
 
 @given(st.lists(SKEWED, min_size=1, max_size=4).filter(any),
-       st.integers(0, 60), LEADING, CAPS)
+       st.integers(0, 60), CAPS)
 @settings(max_examples=80, deadline=None)
-def test_rank_one_blocks_match_tuple_stream(row, x_bound, leading_range,
-                                            cap):
+def test_rank_one_blocks_match_tuple_stream(row, x_bound, cap):
     lat = lattice_from_basis([row])
-    blocks = blocks_with_cap(cap, lat, x_bound, leading_range)
+    blocks = blocks_with_cap(cap, lat, x_bound)
     assert all(0 < len(block) <= cap for block in blocks)
-    assert point_tuples(blocks) \
-        == list(tuple_stream(lat, x_bound, leading_range))
+    assert point_tuples(blocks) == list(tuple_stream(lat, x_bound))
 
 
 @pytest.mark.parametrize("cap, sizes", [
@@ -641,17 +621,15 @@ def test_row_cap_boundary(cap, sizes):
 
 
 def test_object_blocks_beyond_int64():
-    """A cube wider than 2^63 switches to object arrays of Python ints."""
-    lat = lattice_from_basis([[1, 2]])
+    """A cube wider than 2^63 switches to object arrays of Python ints:
+    xi (1, 2^63) lies in the cube of radius 2^64 + 3 iff |xi| <= 2."""
+    lat = lattice_from_basis([[1, 2 ** 63]])
     x_bound = 2 ** 64 + 3
-    edge = x_bound // 2  # xi (1, 2) lies in the cube iff |xi| <= edge
-    for leading_range in ((edge - 2, edge + 2), (-edge - 2, -edge + 2)):
-        blocks = list(enumerate_points(lat, x_bound, leading_range))
-        assert all(block.dtype == object for block in blocks)
-        stream = point_tuples(blocks)
-        assert stream == list(tuple_stream(lat, x_bound, leading_range))
-        assert stream == [(xi, 2 * xi) for xi in range(
-            max(leading_range[0], -edge), min(leading_range[1], edge) + 1)]
+    blocks = list(enumerate_points(lat, x_bound))
+    assert blocks and all(block.dtype == object for block in blocks)
+    stream = point_tuples(blocks)
+    assert stream == list(tuple_stream(lat, x_bound))
+    assert stream == [(xi, xi * 2 ** 63) for xi in range(-2, 3)]
 
 
 # ---------------------------------------------------------------------------
