@@ -61,8 +61,20 @@ EXIT_USAGE = 64
 _MAX_SAFE_INT = 2 ** 53
 
 
+#: A number of a vector flag: an integer, a decimal with an optional
+#: exponent, or a rational p/q.
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(/\d+)?"
+
+
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit 64 instead of 2."""
+    """Argument parser whose usage failures exit 64 instead of 2, and
+    which reads a comma-separated list of numbers whose first is negative
+    (``--y -1,1,0,0``) as a value, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            f"^-{_NUMBER}(,-?{_NUMBER})*$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

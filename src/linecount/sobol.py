@@ -24,7 +24,7 @@ import importlib.util
 import math
 import os
 import zipfile
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -50,23 +50,29 @@ def _table_path() -> str:
                         "_sobol_direction_numbers.npz")
 
 
-def _leading_rows(member, rows: int) -> np.ndarray:
+def _leading_rows(member, rows: int,
+                  columns: Optional[int] = None) -> np.ndarray:
     """The first ``rows`` rows of the .npy ``member``, a 1-d or F-ordered
-    2-d array, read column by column from its stream: the rest of each
-    column is skipped, so the whole array is never held."""
+    2-d array, and of a 2-d array its first ``columns`` columns (all when
+    None), read column by column from its stream: the rest of each column
+    is skipped and the stream is left after the last column read, so the
+    whole array is never held and the later columns never decompressed."""
     version = np.lib.format.read_magic(member)
     read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
                    else np.lib.format.read_array_header_2_0)
     shape, fortran_order, dtype = read_header(member)
     if len(shape) > 1 and not fortran_order:
         raise ValueError("the direction-number table must be F-ordered")
-    columns = np.empty((math.prod(shape[1:]), rows), dtype=dtype)
+    if columns is not None:
+        shape = shape[:1] + (columns,)
+    out = np.empty((math.prod(shape[1:]), rows), dtype=dtype)
     skip = (shape[0] - rows) * dtype.itemsize
-    for column in columns:
+    for k, column in enumerate(out):
+        if k:
+            member.seek(skip, os.SEEK_CUR)
         column[:] = np.frombuffer(member.read(rows * dtype.itemsize),
                                   dtype=dtype)
-        member.seek(skip, os.SEEK_CUR)
-    return columns.T.reshape((rows,) + shape[1:])
+    return out.T.reshape((rows,) + shape[1:])
 
 
 def _read_directions(dim: int) -> np.ndarray:
@@ -75,11 +81,12 @@ def _read_directions(dim: int) -> np.ndarray:
     with zipfile.ZipFile(_table_path()) as table:
         with table.open("poly.npy") as member:
             poly = _leading_rows(member, dim)
+        degree = np.array([int(p).bit_length() - 1 for p in poly])
+        # column m of vinit starts the polys of degree > m only
         with table.open("vinit.npy") as member:
-            vinit = _leading_rows(member, dim)
+            vinit = _leading_rows(member, dim, int(degree.max()))
     v = np.zeros((dim, BITS), dtype=np.int64)
     v[0] = 1
-    degree = np.array([int(p).bit_length() - 1 for p in poly])
     for m in np.unique(degree[1:]):
         rows = np.flatnonzero(degree == m)
         p = poly[rows]

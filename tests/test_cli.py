@@ -101,6 +101,30 @@ class TestExitCodes:
                           "--X", "1", "--Y", "1", "--bogus")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value, argv", [
+        ("--y", "-1,1,0,0", ("count", "--fixture", "quintic", "--X", "2")),
+        ("--window", "-0.1,0.1", ("density", "--fixture", "quadric-5",
+                                  "--y", "1,0,0,0,1", "--samples", "64")),
+        ("--window", "-1e-1,.1", ("density", "--fixture", "quadric-5",
+                                  "--y", "1,0,0,0,1", "--samples", "64")),
+        ("--alpha", "-1/3,1/5,2/7,1/2", ("expsum", "--fixture", "quintic",
+                                         "--y", "0,0,1,-1", "--P", "3")),
+    ])
+    def test_vector_with_negative_first_entry(self, capsys, flag, value,
+                                              argv):
+        """A vector flag whose first entry is negative is a value, read as
+        the ``--flag=value`` form is, not an unknown option."""
+        joined = run_cli(capsys, *argv, f"{flag}={value}")
+        spaced = run_cli(capsys, *argv, flag, value)
+        assert spaced == joined
+        assert spaced[0] != EXIT_USAGE
+
+    def test_negative_word_is_still_an_option(self, capsys):
+        code = main(["count", "--fixture", "quintic", "--X", "2",
+                     "--y", "-x"])
+        assert code == EXIT_USAGE
+        assert "argument --y: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, usage, unrecognized", [
         (("ledger", "--d", "5", "--budget", "1"), "usage: linecount ledger ",
          "--budget 1"),

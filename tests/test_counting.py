@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecount import counting
+from linecount import counting, forms
 from linecount.counting import (
     FallbackFullBox,
     count_fixed_y,
@@ -778,6 +778,106 @@ class TestOrbitReuse:
         with pytest.raises(ResourceLimit):
             count_pairs(form, 2, 3, budget=needed - 1)
         count_pairs(form, 2, 3, budget=needed)
+
+    @pytest.mark.parametrize("scale, columns", [
+        (10 ** 6, 2),  # the leader digit shares the first column
+        (8 * 10 ** 6, 3),  # the leader digit takes a column of its own
+        (10 ** 17, 4),  # every radix passes 2^62: exact object values
+    ])
+    def test_leaders_with_multi_column_keys(self, monkeypatch, scale,
+                                            columns):
+        """The cubic scale * (x1^3 - x2^3 + x3^3 - x4^3) at X = 2 has
+        radices of about 200 * scale per slice, so its three leaders'
+        keys are rows of several columns, matched by re-ranking."""
+        form = HomogeneousForm(nvars=4, degree=3, coeffs={
+            (3, 0, 0, 0): scale, (0, 3, 0, 0): -scale,
+            (0, 0, 3, 0): scale, (0, 0, 0, 3): -scale})
+        calls = counted(monkeypatch, "_row_ids")
+        self.check(form, 2, 2, False, None)
+        assert {rows.shape[1] for rows, in calls} >= {columns}
+
+    @pytest.mark.parametrize("batch", [2, 5])
+    @pytest.mark.parametrize("form", [diagonal_quadric(5),
+                                      fermat_form(5, 3)])
+    def test_leaders_in_batches(self, monkeypatch, batch, form):
+        """Blocks of ``batch`` x-boxes of 5^5 points: the leaders' fibers
+        are convolved ``batch`` at a time (or fewer, the last batch)."""
+        monkeypatch.setattr(counting, "_CONVOLVE_ROWS", batch * 5 ** 5)
+        batches = counted(monkeypatch, "_diagonal_fibers")
+        self.check(form, 2, 3, True, None)
+        sizes = [len(args[1]) for args in batches]
+        assert 1 < max(sizes) <= batch and sum(sizes) > max(sizes)
+
+    @pytest.mark.parametrize("rows", [None, 7, 60])
+    @pytest.mark.parametrize("form, x_bound, y_bound", [
+        (diagonal_quadric(5), 2, 3),
+        (fermat_form(4, 3), 3, 2),
+        (signed_relabel(fermat_form(4, 5), (2, 0, 3, 1), (-1, 1, 1, -1)),
+         2, 2),
+    ])
+    def test_batch_fibers_equal_single_ones(self, monkeypatch, rows, form,
+                                            x_bound, y_bound):
+        """Every base point of the y-box in one batch, its sums formed in
+        blocks of ``rows`` pairs (the default, or blocks that split the
+        entries of one leader and join those of several): each count
+        equals the scan of its slicing lattice, and each meter is charged
+        the convolution charge of its own fiber."""
+        if rows:
+            monkeypatch.setattr(counting, "_CONVOLVE_ROWS", rows)
+        ys = [y for y in itertools.product(range(-y_bound, y_bound + 1),
+                                           repeat=form.nvars)
+              if any(y) and evaluate_form(form, y) == 0]
+        meters = [counting._Budget(None, counting._ROW_WORK) for _ in ys]
+        counts = counting._diagonal_fibers(form, ys, x_bound, meters)
+        assert counts == [lattice_scan(form, y, x_bound) for y in ys]
+        assert [meter.spent for meter in meters] \
+            == [diagonal_fiber_charge(form, y, x_bound) for y in ys]
+
+    @pytest.mark.parametrize("x_bound, budget", [
+        (4, 81), (4, 120), (4, 1600), (3, 84), (3, 752), (3, 753)])
+    def test_refusal_is_the_one_met_leader_by_leader(self, x_bound, budget):
+        """x1^2 - x2^2 + x3^2 - 2 x4^2 at Y = 1 has two leaders, of charges
+        36, 45, 45 and 36, 81, 45 at X = 4 (28, 28, 28 and 28, 49, 28 at
+        X = 3), each reused by 8 base points.  The second leader's meter
+        refuses a step before the first's does, so a batch refused by any
+        meter is counted again one leader at a time: the refusal is the
+        first one that counting each leader in turn, its reuses charged
+        after it, meets."""
+        form = HomogeneousForm(nvars=4, degree=2, coeffs={
+            (2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 2, 0): 1,
+            (0, 0, 0, 2): -2})
+
+        def refusal(count):
+            try:
+                count()
+            except ResourceLimit as exc:
+                return str(exc)
+
+        def leader_by_leader():
+            meter = counting._Budget(budget, counting._ROW_WORK)
+            leaders, sizes, _ = counting._orbit_tally(form, 1, meter)
+            for y, size in zip(leaders, sizes):
+                own = counting._Budget(budget, counting._ROW_WORK)
+                counting._pairs_at_base_point(form, y, x_bound, False, None,
+                                              own)
+                meter.charge(size * own.spent)
+
+        want = refusal(leader_by_leader)
+        assert want is not None
+        assert refusal(lambda: count_pairs(
+            form, x_bound, 1, breakdown=True, budget=budget)) == want
+
+    def test_breakdown_builds_no_slice_form_or_pencil(self, monkeypatch):
+        """A diagonal breakdown reads the coefficients of F alone: no
+        slice form, pencil or polynomial is built for any leader."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("built per leader")
+
+        monkeypatch.setattr(forms, "integer_slice_form", refuse)
+        monkeypatch.setattr(counting, "Polynomial", refuse)
+        monkeypatch.setattr(HomogeneousForm, "pencil", property(refuse))
+        report = count_pairs(fermat_form(4, 3), 2, 5, breakdown=True)
+        assert (len(report.per_y_breakdown), report.total) == (330, 8520)
 
     def test_generators_of_the_fixtures(self):
         """Even degree: every sign change; odd degree: none.  Transpositions

@@ -1434,7 +1434,8 @@ class TestDirections:
     smaller one: the words equal those built from the whole table, in
     either order of asking."""
 
-    DIMS = [1, 4, 5, 10, 1111, sobol.MAXDIM]
+    # 13 and 14 straddle a degree step: 5 and 6 columns of vinit
+    DIMS = [1, 4, 5, 10, 13, 14, 1111, sobol.MAXDIM]
 
     @pytest.fixture(scope="class")
     def want(self):
@@ -1460,9 +1461,9 @@ class TestDirections:
         reads = []
         real = sobol._leading_rows
 
-        def counted(member, rows):
+        def counted(member, rows, *columns):
             reads.append(rows)
-            return real(member, rows)
+            return real(member, rows, *columns)
 
         monkeypatch.setattr(sobol, "_leading_rows", counted)
         for dim in (10, 4, 5):
