@@ -35,6 +35,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -357,9 +358,13 @@ def _run_count(args, form) -> dict:
 
 
 def _csv_count(payload: dict) -> str:
-    rows = [{"y": key, "count": value}
-            for key, value in sorted(payload["per_y"].items())]
-    return _render_csv(rows)
+    """The breakdown as CSV, written straight to text: a key holds only
+    digits, '-' and spaces and a count only digits, so no cell needs
+    quoting.  An empty breakdown prints nothing, as :func:`_render_csv`."""
+    if not payload["per_y"]:
+        return ""
+    return "y,count\n" + "".join(
+        f"{key},{count}\n" for key, count in sorted(payload["per_y"].items()))
 
 
 def _configure_expsum(parser) -> None:
@@ -582,38 +587,38 @@ def _profile_from_flags(args, d: int):
         rho = 1
     else:
         rho = d * (d + 1) // 2 + 2
-    n = args.n if args.n is not None else _minimal_admissible_n(
-        args.preset, d, rho, psi)
-    return preset_profile(args.preset, d, n, rho, psi), n, rho, psi
+    if args.n is None:
+        n, profile = _minimal_admissible_n(args.preset, d, rho, psi)
+    else:
+        n, profile = args.n, preset_profile(args.preset, d, args.n, rho, psi)
+    return profile, n, rho, psi
 
 
-def _minimal_admissible_n(preset: str, d: int, rho: int,
-                          psi: Fraction) -> int:
-    """Smallest ambient dimension the preset accepts, found by bisection."""
-    from .exponents import preset_profile
+def _minimal_admissible_n(preset: str, d: int, rho: int, psi: Fraction):
+    """(n, profile): the smallest ambient dimension the preset accepts, in
+    closed form, and the preset's profile there.
 
-    def admissible(n: int) -> bool:
-        try:
-            preset_profile(preset, d, n, rho, psi)
-        except LineCountError:
-            return False
-        return True
-
-    low = max(rho + 2, d * (d + 1) // 2 + 2)
-    high = max(low, 64)
-    while not admissible(high):
-        high *= 2
-        if high > 1 << 40:
-            raise DomainError(
-                f"no admissible dimension for preset {preset!r} at d={d}, "
-                f"rho={rho}, psi={psi}")
-    while low < high:
-        mid = (low + high) // 2
-        if admissible(mid):
-            high = mid
-        else:
-            low = mid + 1
-    return high
+    :func:`preset_profile` depends on n only through the rank margin
+    n - 1 - rho > threshold (n1, or n2 for the relaxed preset) and rho <= n
+    (rho < n relaxed), so n = max(rho + 2, D + 2, rho + 2 + floor(threshold)),
+    D = d (d + 1) / 2.  A preset that refuses that n, or an n past 2^40, has
+    no admissible dimension.
+    """
+    from .exponents import preset_profile, thresholds
+    profile = None
+    try:
+        threshold = thresholds(d, psi)[
+            "n1" if preset == "uniform-strict" else "n2"]
+        n = max(rho + 2, d * (d + 1) // 2 + 2, rho + 2 + math.floor(threshold))
+        if n <= 1 << 40:
+            profile = preset_profile(preset, d, n, rho, psi)
+    except LineCountError:
+        pass
+    if profile is None:
+        raise DomainError(
+            f"no admissible dimension for preset {preset!r} at d={d}, "
+            f"rho={rho}, psi={psi}")
+    return n, profile
 
 
 def _run_ledger(args, form=None) -> dict:

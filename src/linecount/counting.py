@@ -7,9 +7,11 @@ points, save at the base points inside the stratum of a stratified pair
 count; for other forms it runs over the
 slicing lattice of the base point (or the full box in the
 degenerate-gradient fallback) and applies the integer slice conditions.
-The y-side scans the coefficient box for zeros of the form, except in a
-diagonal pair count without breakdown or stratum, which is one
-convolution of the pencil over both boxes.  Vectorised (numpy)
+The y-side lists the zeros of the form in the coefficient box by a meet
+in the middle of two half grids (a scan of the box when no prefix of the
+coordinates splits the form), except in a diagonal pair count without
+breakdown or stratum, which is one convolution of the pencil over both
+boxes.  Vectorised (numpy)
 evaluation is used for throughput, with exact object arithmetic as the
 overflow fallback, so no float ever decides a count.  The convolution
 counter counts over a box in Z and over the residues mod m alike, and
@@ -94,7 +96,7 @@ class PairCountReport:
             out["stratified"] = self.stratified
         if self.per_y_breakdown is not None:
             out["per_y"] = {
-                " ".join(str(v) for v in y): c
+                " ".join(map(str, y)): c
                 for y, c in sorted(self.per_y_breakdown.items())
             }
         return out
@@ -495,10 +497,8 @@ def _sum_blocks(left: _Histogram, right: _Histogram, add
                 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """(keys, counts) blocks of the histogram of u + v, u from histogram
     ``left`` and v from ``right`` of the same leader, the keys added by
-    ``add`` (a key is an int64 or a row of value columns).  A block pairs a
-    run of entries of ``left``, each with every entry of its leader in
-    ``right``: at most ``_CONVOLVE_ROWS`` pairs, or the pairs of one entry
-    when it has more."""
+    ``add`` (a key is an int64 or a row of value columns), in the blocks
+    of :func:`_pair_blocks`."""
     (left_keys, left_counts, left_starts) = left
     (right_keys, right_counts, right_starts) = right
     if len(left_starts) == 2:  # one leader: rows of left against all right
@@ -511,19 +511,28 @@ def _sum_blocks(left: _Histogram, right: _Histogram, add
         return
     runs = np.diff(left_starts)
     right_starts = np.array(right_starts)
-    fan = np.repeat(np.diff(right_starts), runs)  # pairs of each entry
-    first = np.repeat(right_starts[:-1], runs)  # its first partner
+    for pairs, partners in _pair_blocks(
+            np.repeat(right_starts[:-1], runs),
+            np.repeat(np.diff(right_starts), runs)):
+        yield (add(left_keys[pairs], right_keys[partners]),
+               left_counts[pairs] * right_counts[partners])
+
+
+def _pair_blocks(first: np.ndarray, fan: np.ndarray
+                 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(rows, partners) blocks of the pairs of each row i with the partners
+    first[i], ..., first[i] + fan[i] - 1, in order of row and then
+    partner: a block pairs a run of rows, at most ``_CONVOLVE_ROWS`` pairs,
+    or the pairs of one row when it has more."""
     ends = np.cumsum(fan)
     start = 0
-    while start < left_keys.shape[0]:
+    while start < fan.shape[0]:
         before = ends[start] - fan[start]
         stop = max(start + 1, int(np.searchsorted(
             ends, before + _CONVOLVE_ROWS, side="right")))
         pairs = np.repeat(np.arange(start, stop), fan[start:stop])
-        partners = (first[pairs] + np.arange(pairs.shape[0])
-                    - (ends[pairs] - fan[pairs] - before))
-        yield (add(left_keys[pairs], right_keys[partners]),
-               left_counts[pairs] * right_counts[partners])
+        yield pairs, (first[pairs] + np.arange(pairs.shape[0])
+                      - (ends[pairs] - fan[pairs] - before))
         start = stop
 
 
@@ -891,20 +900,57 @@ def _proportional_count(y: IntVector, x_bound: int) -> int:
 def _base_point_blocks(form: HomogeneousForm, y_bound: int,
                        meter: _Budget) -> Iterator[np.ndarray]:
     """The nonzero zeros of F in [-Y, Y]^n in grid order, in blocks of at
-    least ``_CHUNK_ROWS`` rows (the last may hold fewer), each row of the
-    box charged to the meter as it is evaluated.  Sparse zeros are thus
-    keyed a block at a time, not a few rows per chunk of the box."""
+    least ``_CHUNK_ROWS`` rows (the last may hold fewer), listed by a meet
+    in the middle (Horowitz-Sahni) of two half grids.
+
+    The coordinates split at a prefix of k that no monomial of F crosses,
+    so F(l, r) = F(l, 0) + F(0, r): the k nearest n / 2 (the larger of
+    two, so that the half held whole is the smaller), or k = n when no
+    0 < k < n will do.  The right half's grid (l = 0) is evaluated once
+    and its values sorted stably, so rows of equal value keep their grid
+    order.  The left half's grid (r = 0) is evaluated in chunks of
+    ``_CHUNK_ROWS`` rows, each row l matched at -F(l, 0) by
+    ``searchsorted`` and the zeros l + r assembled in the blocks of
+    :func:`_pair_blocks`; so they come out in grid order, with no sort.
+    The values are exact (int64 where :func:`evaluate_batch` proves it
+    safe, Python ints otherwise, which ``searchsorted`` compares with
+    either).  With k = n the right grid is the one point 0 and this is a
+    scan of the box, chunk by chunk.
+
+    Charges the meter each item before forming it: the rows of the right
+    grid, each chunk of the left one, and each block of assembled zeros,
+    the zero vector included; with k = n only the chunks, one per row of
+    the box.
+    """
     n = form.nvars
+    groups = _variable_components(list(form.coeffs), n)
+    cuts = [k for k in range(1, n)
+            if all(group[-1] < k or group[0] >= k for group in groups)]
+    k = min(cuts + [n], key=lambda cut: (max(cut, n - cut), -cut))
+    top = [y_bound] * k + [0] * (n - k)  # the left half's corner
+    if k < n:
+        meter.charge((2 * y_bound + 1) ** (n - k))
+    right = next(grid_chunks([0] * k + [-y_bound] * (n - k),
+                             [0] * k + [y_bound] * (n - k)))
+    values = evaluate_batch(form, right)
+    order = np.argsort(values, kind="stable")
+    right, values = right[order], values[order]
     pending: List[np.ndarray] = []
     rows = 0
-    for chunk in grid_chunks([-y_bound] * n, [y_bound] * n, _CHUNK_ROWS):
+    for chunk in grid_chunks([-v for v in top], top, _CHUNK_ROWS):
         meter.charge(chunk.shape[0])
-        points = chunk[evaluate_batch(form, chunk) == 0]
-        pending.append(points[np.any(points, axis=1)])
-        rows += pending[-1].shape[0]
-        if rows >= _CHUNK_ROWS:
-            yield np.concatenate(pending)
-            pending, rows = [], 0
+        targets = -evaluate_batch(form, chunk)
+        first = np.searchsorted(values, targets)
+        fan = np.searchsorted(values, targets, side="right") - first
+        for pairs, partners in _pair_blocks(first, fan):
+            if k < n:
+                meter.charge(pairs.shape[0])
+            points = chunk[pairs] + right[partners]
+            pending.append(points[np.any(points, axis=1)])
+            rows += pending[-1].shape[0]
+            if rows >= _CHUNK_ROWS:
+                yield np.concatenate(pending)
+                pending, rows = [], 0
     if rows:
         yield np.concatenate(pending)
 
@@ -914,7 +960,8 @@ def _orbit_tally(form: HomogeneousForm, y_bound: int, meter: _Budget,
                  ) -> Tuple[List[Tuple[int, ...]], List[int],
                             List[Tuple[np.ndarray, np.ndarray]]]:
     """(leaders, sizes, blocks) of the nonzero zeros y of F in [-Y, Y]^n,
-    scanned in grid order with every row charged to the meter.
+    listed in grid order by :func:`_base_point_blocks`, which charges the
+    meter.
 
     The base points fall into orbits: two share one when a symmetry of F
     maps the line through one onto the line through the other
@@ -951,9 +998,11 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
                   rho: int) -> StratumReport:
     """Count base points on the hypersurface with Hessian corank >= rho.
 
-    Scans 0 < |y| <= Y exactly, then reuses the collected sup-norms to build
-    the dyadic growth table and a least-squares fitted exponent of the count
-    against the box size (nan when fewer than two dyadic boxes are nonempty).
+    Lists 0 < |y| <= Y exactly (:func:`_base_point_blocks`: for the quintic
+    at Y = 32 two half grids of 65^2 rows, not the 65^4 rows of the box),
+    then reuses the collected sup-norms to build the dyadic growth table
+    and a least-squares fitted exponent of the count against the box size
+    (nan when fewer than two dyadic boxes are nonempty).
 
     The corank is computed once per orbit leader of :func:`_orbit_tally`:
     the Hessian scales as H(k y) = k^(d-2) H(y), and H_F(sigma y) =
@@ -1134,32 +1183,33 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     P(s) by a Moebius step, and the proportional pairs are sum_t P(t)
     floor(Y / t) 2 floor(X / t).
 
-    A breakdown, a stratum or a form that is not diagonal keeps the scan
-    of the y-box.  The fiber of y depends only on the line through y (the
-    slice values scale as c_j(x, k y) = k^(d-j) c_j(x, y)), and a signed
-    permutation sigma with F o sigma = +-F maps it onto the fiber of sigma
-    y: sigma keeps the sup-norm box and the zero set, maps the slicing
-    lattice at y onto the one at sigma y and keeps the Hessian corank, so
-    the total, proportional and stratified counts and the number of points
-    enumerated (for a diagonal form, the charge of its convolution) are
-    the same.  So one scan of the y-box (:func:`_orbit_tally`) tallies the
-    orbits of primitive directions +-y under the group spanned by the sign
-    changes and signed transpositions that are symmetries of F, by a
-    closed-form key per line (:func:`_orbit_components`), and the x-side
-    is counted once per orbit, at its leader (:func:`_pairs_at_base_point`),
-    under a meter of its own.  For a diagonal F the leaders' fibers outside
-    the stratum are counted together, as one batch of
-    :func:`_diagonal_fibers` per run of leaders whose x-boxes hold at most
-    ``_CONVOLVE_ROWS`` points in all: ``count --fixture fermat-3-4 --X 2
-    --Y 5 --breakdown --csv`` (11 leaders, one batch) takes 2.8 ms
-    in-process against 7.2 ms with one convolution per leader (medians of
-    200 calls, 2-core VM).  ``budget`` bounds each leader's fiber and what
-    is charged in all: the pencil path's convolutions, or the box rows of
-    the scan plus, for each base point, the charge of its fiber, as if
-    counted afresh.  A batch that a leader's meter refuses is counted again
-    one leader at a time, so the refusal is the one that counting the
-    leaders in turn, each followed by the charge of its base points, meets
-    first.
+    A breakdown, a stratum or a form that is not diagonal lists the base
+    points (:func:`_base_point_blocks`).  The fiber of y depends only on the
+    line through y (the slice values scale as c_j(x, k y) = k^(d-j) c_j(x,
+    y)), and a signed permutation sigma with F o sigma = +-F maps it onto
+    the fiber of sigma y: sigma keeps the sup-norm box and the zero set,
+    maps the slicing lattice at y onto the one at sigma y and keeps the
+    Hessian corank, so the total, proportional and stratified counts and the
+    number of points enumerated (for a diagonal form, the charge of its
+    convolution) are the same.  So one listing of the base points
+    (:func:`_orbit_tally`), by a meet in the middle of two half grids of the
+    y-box, tallies the orbits of primitive directions +-y under the group
+    spanned by the sign changes and signed transpositions that are
+    symmetries of F, by a closed-form key per line
+    (:func:`_orbit_components`), and the x-side is counted once per orbit,
+    at its leader (:func:`_pairs_at_base_point`), under a meter of its
+    own.  For a diagonal F the leaders' fibers outside the stratum are
+    counted together, as one batch of :func:`_diagonal_fibers` per run of
+    leaders whose x-boxes hold at most ``_CONVOLVE_ROWS`` points in all:
+    ``count --fixture fermat-3-4 --X 2 --Y 5 --breakdown --csv`` (11
+    leaders, one batch) takes 2.8 ms in-process against 7.2 ms with one
+    convolution per leader (medians of 200 calls, 2-core VM).  ``budget``
+    bounds each leader's fiber and what is charged in all: the pencil path's
+    convolutions, or the charge of listing the base points plus, for each
+    base point, the charge of its fiber, as if counted afresh.  A batch that
+    a leader's meter refuses is counted again one leader at a time, so the
+    refusal is the one that counting the leaders in turn, each followed by
+    the charge of its base points, meets first.
 
     Raises:
         DomainError: X < 1 or Y < 1.

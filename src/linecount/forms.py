@@ -625,6 +625,9 @@ def _grid_block(lows: Sequence[int], sides: Sequence[int], start: int,
     block = np.empty((stop - start, len(sides)), dtype=np.int64)
     stride = 1
     for i in range(len(sides) - 1, -1, -1):
+        if sides[i] == 1:  # one digit, and the stride stays
+            block[:, i] = lows[i]
+            continue
         first, last = start // stride, (stop - 1) // stride
         digits = _digit_run(first, last - first + 1, sides[i])
         digits += int(lows[i])

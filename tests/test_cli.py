@@ -1,7 +1,9 @@
 """Tests for the command-line entry point."""
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from linecount.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     RunManifest,
+    _csv_count,
     _jsonable,
     _minimal_admissible_n,
     build_parser,
@@ -24,7 +27,7 @@ from linecount.cli import (
 )
 from linecount.counting import count_fixed_y, count_pairs
 from linecount.density import chi_global_padic, singular_series_truncated
-from linecount.errors import DomainError
+from linecount.errors import DomainError, LineCountError
 from linecount.fixtures import diagonal_quadric, fermat_form, fermat_quintic
 from linecount.forms import form_to_json, load_form
 from test_counting import split_quadric
@@ -221,6 +224,45 @@ class TestCount:
                           "--X", "1", "--Y", "1")
         assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) \
             == out["total"]
+
+
+def dictwriter_csv(per_y):
+    """The breakdown CSV as ``csv.DictWriter`` renders it, each cell through
+    ``_jsonable``: the rendering that the direct text of ``_csv_count``
+    must reproduce byte for byte."""
+    if not per_y:
+        return ""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=["y", "count"],
+                            lineterminator="\n")
+    writer.writeheader()
+    for key, count in sorted(per_y.items()):
+        writer.writerow({"y": _jsonable(key), "count": _jsonable(count)})
+    return buffer.getvalue()
+
+
+class TestBreakdownCsv:
+    """The breakdown CSV is written straight to text, byte for byte as
+    ``csv.DictWriter`` wrote it."""
+
+    @pytest.mark.parametrize("fixture, form, rows", [
+        ("fermat-3-4", fermat_form(4, 3), 330),
+        ("fermat-2-3", fermat_form(3, 2), 0),  # no nonzero zeros
+    ])
+    def test_cli_matches_dictwriter(self, capsys, fixture, form, rows):
+        code, text = run_cli(capsys, "count", "--fixture", fixture,
+                             "--X", "2", "--Y", "5", "--breakdown", "--csv")
+        per_y = count_pairs(form, 2, 5, breakdown=True).to_json()["per_y"]
+        assert code == EXIT_OK and len(per_y) == rows
+        assert text == dictwriter_csv(per_y)
+        assert bool(text) == bool(rows)
+
+    def test_counts_past_double_precision(self):
+        """A count of 2^53 or more, which ``_jsonable`` turns into a
+        string, prints the same digits."""
+        per_y = {"1 -1 0": 2 ** 53, "-3 0 2": 2 ** 70 + 1, "0 0 1": 5}
+        assert _csv_count({"per_y": per_y}) == dictwriter_csv(per_y)
+        assert _csv_count({"per_y": {}}) == ""
 
 
 class TestWorkers:
@@ -556,11 +598,57 @@ class TestLedgerCommand:
         assert all(line.split(",")[1] == "True" for line in lines[1:])
 
     def test_minimal_dimension_is_minimal(self):
-        n = _minimal_admissible_n("uniform-strict", 5, 1, Fraction(1, 1250))
+        n, _ = _minimal_admissible_n("uniform-strict", 5, 1,
+                                     Fraction(1, 1250))
         assert n == 3410
         from linecount.exponents import preset_profile
         with pytest.raises(Exception):
             preset_profile("uniform-strict", 5, n - 1, 1, Fraction(1, 1250))
+
+    @pytest.mark.parametrize("preset", ["uniform-strict",
+                                        "uniform-relaxed"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_closed_form_matches_bisection(self, d, preset):
+        """The closed-form minimal dimension equals the bisection over
+        ``preset_profile`` (kept here as the oracle), or both find no
+        admissible dimension, and the profile is the preset's there."""
+        from linecount.exponents import preset_profile
+
+        def admissible(n, rho, psi):
+            try:
+                preset_profile(preset, d, n, rho, psi)
+            except LineCountError:
+                return False
+            return True
+
+        def bisection(rho, psi):
+            low = max(rho + 2, d * (d + 1) // 2 + 2)
+            high = max(low, 64)
+            while not admissible(high, rho, psi):
+                high *= 2
+                if high > 1 << 40:
+                    return None
+            while low < high:
+                mid = (low + high) // 2
+                if admissible(mid, rho, psi):
+                    high = mid
+                else:
+                    low = mid + 1
+            return high
+
+        big = d * (d + 1) // 2
+        for psi in (Fraction(1, 2 * d ** 4), Fraction(1, 3 * d ** 4 + 7),
+                    Fraction(1, d ** 4), Fraction(2)):
+            for rho in (0, 1, 3, big + 1, big + 2, big + 5):
+                want = bisection(rho, psi)
+                if want is None:
+                    with pytest.raises(DomainError,
+                                       match="no admissible dimension"):
+                        _minimal_admissible_n(preset, d, rho, psi)
+                    continue
+                n, profile = _minimal_admissible_n(preset, d, rho, psi)
+                assert n == want
+                assert profile == preset_profile(preset, d, n, rho, psi)
 
     def test_bad_psi_is_validation(self, capsys):
         code, out = run_json(capsys, "ledger", "--d", "5", "--psi", "2/1",

@@ -521,22 +521,26 @@ class TestCountPairs:
             count_pairs(QUADRIC, 3, 3, budget=50)
 
     def test_budget_holds_across_workers(self):
-        """The scan charges 12145 points: the 625 rows of the y-box and
-        the fibers of 128 base points in 9 orbits, none over 125 points.
-        Each leader's fiber fits a budget of 10000, but the total is
-        charged to it too, so 10000 is refused and 12145 is not."""
+        """The scan charges 11699 points: listing the base points (the
+        5^2 + 5^2 rows of the two half grids and the 129 zeros of the
+        y-box) and the fibers of 128 base points in 9 orbits, none over
+        125 points.  Each leader's fiber fits a budget of 10000, but the
+        total is charged to it too, so 10000 is refused and 11699 is
+        not."""
+        assert lister_charge(QUADRIC, 2) == 25 + 25 + 129
         with pytest.raises(ResourceLimit) as info:
             count_pairs(QUADRIC, 2, 2, budget=10000)
         assert info.value.needed > 10000
-        assert count_pairs(QUADRIC, 2, 2, budget=12145).total \
+        assert count_pairs(QUADRIC, 2, 2, budget=11699).total \
             == count_pairs(QUADRIC, 2, 2).total
 
     def test_budget_boundary_with_repeated_directions(self):
         """Multiples of a direction reuse its fiber but are charged as if
-        counted again: the sequential scan needs exactly 12145 points."""
+        counted again: the sequential scan needs exactly 11699 points."""
+        assert per_base_point_oracle(QUADRIC, 2, 2, False, None)[1] == 11699
         with pytest.raises(ResourceLimit):
-            count_pairs(QUADRIC, 2, 2, budget=12144)
-        assert count_pairs(QUADRIC, 2, 2, budget=12145).total \
+            count_pairs(QUADRIC, 2, 2, budget=11698)
+        assert count_pairs(QUADRIC, 2, 2, budget=11699).total \
             == count_pairs(QUADRIC, 2, 2).total
 
 
@@ -613,15 +617,17 @@ class TestDirectionReuse:
     def test_stratum_charge_outside_the_stratum(self, monkeypatch):
         """quadric-5 has no base point of Hessian corank >= 1, so with
         stratum_rho = 1 every fiber is the convolution and no lattice is
-        scanned: the charge is the 5^5 rows of the y-box plus the
-        convolution charge of every base point's fiber."""
+        scanned: the charge is that of listing the base points (the
+        5^3 + 5^2 rows of the two half grids and the 65 zeros of the
+        y-box) plus the convolution charge of every base point's fiber."""
         form = diagonal_quadric(5)
         base_points = [y for y in itertools.product(range(-2, 3), repeat=5)
                        if any(y) and evaluate_form(form, y) == 0]
         assert all(hessian_corank(form, y) == 0 for y in base_points)
-        needed = 5 ** 5 + sum(diagonal_fiber_charge(form, y, 2)
-                              for y in base_points)
-        assert needed == 12565
+        assert lister_charge(form, 2) == 5 ** 3 + 5 ** 2 + 65
+        needed = lister_charge(form, 2) + sum(
+            diagonal_fiber_charge(form, y, 2) for y in base_points)
+        assert needed == 9655
         calls = counted(monkeypatch, "slicing_lattice")
         with pytest.raises(ResourceLimit):
             count_pairs(form, 2, 2, stratum_rho=1, exclude_proportional=True,
@@ -646,13 +652,30 @@ def signed_relabel(form, perm, signs):
                            coeffs=coeffs)
 
 
+def lister_charge(form, y_bound):
+    """What listing the base points of [-Y, Y]^n charges, derived from the
+    monomials: with k the prefix of coordinates that no monomial crosses
+    nearest n / 2, the (2Y + 1)^k and (2Y + 1)^(n - k)
+    rows of the two half grids plus every zero of F in the box, the zero
+    vector included; with no such prefix, the (2Y + 1)^n rows of the box."""
+    n, side = form.nvars, 2 * y_bound + 1
+    cuts = [k for k in range(1, n) if not any(
+        any(e[:k]) and any(e[k:]) for e in form.coeffs)]
+    if not cuts:
+        return side ** n
+    k = min(cuts, key=lambda k: max(k, n - k))  # either of two: one charge
+    return side ** k + side ** (n - k) + sum(
+        1 for y in itertools.product(range(-y_bound, y_bound + 1), repeat=n)
+        if evaluate_form(form, y) == 0)
+
+
 def per_base_point_oracle(form, x_bound, y_bound, exclude_proportional,
                           stratum_rho):
     """count_pairs with a fresh _pairs_at_base_point call for every base
     point and no reuse: ((total, proportional, stratified, per_y), the
-    points the scan charges)."""
+    points the scan charges: :func:`lister_charge` and every fiber's)."""
     meter = counting._Budget(None, counting._ROW_WORK)
-    meter.charge((2 * y_bound + 1) ** form.nvars)
+    meter.charge(lister_charge(form, y_bound))
     total = proportional = stratified = 0
     per_y = {}
     box = range(-y_bound, y_bound + 1)
@@ -741,16 +764,20 @@ class TestOrbitReuse:
         self.check(form, x_bound, min(y_bound, 5 - n),
                    exclude_proportional, rho)
 
-    @pytest.mark.parametrize("form, needed", [
-        (diagonal_quadric(5), 56647),
-        (parse_form("x1^3 - x2^3 + x3^3 + x4^3", n_hint=4), 11221),
+    @pytest.mark.parametrize("form, halves, zeros, needed", [
+        (diagonal_quadric(5), 7 ** 3 + 7 ** 2, 273, 40505),
+        (parse_form("x1^3 - x2^3 + x3^3 + x4^3", n_hint=4), 7 ** 2 + 7 ** 2,
+         127, 9045),
     ])
-    def test_budget_boundary(self, form, needed):
+    def test_budget_boundary(self, form, halves, zeros, needed):
         """Reused fibers are charged as if counted again: the scan at
         (X, Y) = (2, 3), kept by a breakdown, needs exactly ``needed``,
-        the 7^n rows of the y-box plus the convolution charge of every
-        base point's fiber, as when every base point was counted afresh."""
-        assert needed == 7 ** form.nvars + sum(
+        the rows of the two half grids and the zeros of the y-box that
+        listing the base points forms, plus the convolution charge of
+        every base point's fiber, as when every base point was counted
+        afresh."""
+        assert lister_charge(form, 3) == halves + zeros
+        assert needed == halves + zeros + sum(
             diagonal_fiber_charge(form, y, 2)
             for y in itertools.product(range(-3, 4), repeat=form.nvars)
             if any(y) and evaluate_form(form, y) == 0)
@@ -1164,6 +1191,161 @@ def per_y_stratum_scan(form, y_bound, rho):
         dyadic.append((size, sum(1 for m in norms if m <= size)))
         size *= 2
     return len(norms), tuple(dyadic)
+
+
+def scanned_blocks(form, y_bound, meter):
+    """The scan of the y-box that listed the base points before the meet
+    in the middle, kept as the oracle of a form with no split: each chunk
+    of ``_CHUNK_ROWS`` rows of the box charged and then evaluated, and the
+    nonzero zeros gathered into blocks of at least ``_CHUNK_ROWS`` rows."""
+    n = form.nvars
+    pending, rows = [], 0
+    for chunk in forms.grid_chunks([-y_bound] * n, [y_bound] * n,
+                                   counting._CHUNK_ROWS):
+        meter.charge(chunk.shape[0])
+        points = chunk[evaluate_batch(form, chunk) == 0]
+        pending.append(points[np.any(points, axis=1)])
+        rows += pending[-1].shape[0]
+        if rows >= counting._CHUNK_ROWS:
+            yield np.concatenate(pending)
+            pending, rows = [], 0
+    if rows:
+        yield np.concatenate(pending)
+
+
+@st.composite
+def signed_diagonal_forms(draw):
+    """(F, Y): F = sum a_i x_i^d with n = 1..6, d = 2..5 and signed a_i,
+    some of them 0, and Y in 1..4, cut so that the box holds at most 9^4
+    points."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(2, 5))
+    a = draw(st.lists(st.sampled_from([-3, -2, -1, -1, 0, 1, 1, 2]),
+                      min_size=n, max_size=n).filter(any))
+    form = HomogeneousForm(nvars=n, degree=d, coeffs={
+        tuple(d if k == i else 0 for k in range(n)): c
+        for i, c in enumerate(a) if c})
+    return form, min(draw(st.integers(1, 4)), {5: 2, 6: 1}.get(n, 4))
+
+
+def scaled_cubic(scale):
+    """scale * (x1^3 - x2^3 + x3^3 - x4^3)."""
+    return HomogeneousForm(nvars=4, degree=3, coeffs={
+        (3, 0, 0, 0): scale, (0, 3, 0, 0): -scale,
+        (0, 0, 3, 0): scale, (0, 0, 0, 3): -scale})
+
+
+class TestBasePointLister:
+    """The base points are listed by a meet in the middle of two half
+    grids: joined, the blocks are the base points of the per-row scan in
+    grid order, and the charge is :func:`lister_charge`."""
+
+    @staticmethod
+    def check(form, y_bound):
+        meter = counting._Budget(None, counting._ROW_WORK)
+        blocks = list(counting._base_point_blocks(form, y_bound, meter))
+        assert [tuple(y) for block in blocks for y in block.tolist()] \
+            == [y for y, _ in row_base_points(form, y_bound)]
+        assert all(block.shape[0] >= counting._CHUNK_ROWS
+                   for block in blocks[:-1])
+        assert meter.spent == lister_charge(form, y_bound)
+        return blocks, meter.spent
+
+    @given(signed_diagonal_forms())
+    @settings(max_examples=60, deadline=None)
+    def test_signed_diagonal_forms(self, case):
+        self.check(*case)
+
+    def test_multi_component_form(self):
+        """x1^2 x2 + x3^3 - x4^3 splits after x2 into two half grids of
+        9^2 rows, where the box has 9^4."""
+        _, spent = self.check(parse_form("x1^2*x2 + x3^3 - x4^3", n_hint=4),
+                              4)
+        assert spent == 81 + 81 + 205
+
+    @pytest.mark.parametrize("rows", [None, 5, 64])
+    @pytest.mark.parametrize("form, y_bound", [
+        (random_dense_form(3, 3, seed=0), 4),
+        (parse_form("x1*x2 + x2*x3 + x1*x3", n_hint=3), 4),
+        (parse_form("x1*x3 + x2*x4", n_hint=4), 2),  # no prefix splits it
+    ])
+    def test_forms_without_a_split_are_scanned(self, monkeypatch, rows, form,
+                                               y_bound):
+        """A form that no prefix of the coordinates splits is listed by
+        the scan of the box: the same blocks, the same charge and the same
+        refusals."""
+        if rows:
+            monkeypatch.setattr(counting, "_CHUNK_ROWS", rows)
+        blocks, spent = self.check(form, y_bound)
+        meter = counting._Budget(None, counting._ROW_WORK)
+        assert [block.tolist() for block in blocks] == [
+            block.tolist() for block in scanned_blocks(form, y_bound, meter)]
+        assert spent == meter.spent == (2 * y_bound + 1) ** form.nvars
+        for budget in (1, spent // 2, spent - 1):
+            refusals = []
+            for lister in (counting._base_point_blocks, scanned_blocks):
+                with pytest.raises(ResourceLimit) as info:
+                    list(lister(form, y_bound, counting._Budget(
+                        budget, counting._ROW_WORK)))
+                refusals.append(str(info.value))
+            assert refusals[0] == refusals[1]
+
+    @pytest.mark.parametrize("rows, pairs", [(5, None), (7, 3), (64, 20)])
+    @pytest.mark.parametrize("form, y_bound", [
+        (diagonal_quadric(5), 3),
+        (fermat_form(4, 3), 4),
+        (parse_form("x1^2*x2 + x3^3 - x4^3", n_hint=4), 3),
+    ])
+    def test_small_blocks(self, monkeypatch, rows, pairs, form, y_bound):
+        """With chunks of a few rows, and blocks of a few pairs, the left
+        grid is matched in many chunks, and no block pairs more than
+        ``_CONVOLVE_ROWS`` rows unless one left row alone has more
+        matches."""
+        monkeypatch.setattr(counting, "_CHUNK_ROWS", rows)
+        if pairs:
+            monkeypatch.setattr(counting, "_CONVOLVE_ROWS", pairs)
+        sizes = []
+        original = counting._pair_blocks
+
+        def recorded(first, fan):
+            for left, partners in original(first, fan):
+                sizes.append((left.shape[0], np.unique(left).shape[0]))
+                yield left, partners
+
+        monkeypatch.setattr(counting, "_pair_blocks", recorded)
+        self.check(form, y_bound)
+        assert len(sizes) > 1
+        assert all(size <= counting._CONVOLVE_ROWS or left == 1
+                   for size, left in sizes)
+        if pairs == 3:  # F(l, 0) = 0 has more partners than that
+            assert any(size > 3 for size, _ in sizes)
+
+    @pytest.mark.parametrize("form, rows, dtypes", [
+        (scaled_cubic(10 ** 17), None, {object}),
+        # chunks of two rows, some of entries at most 1, whose values fit
+        (scaled_cubic(10 ** 17), 2, {object, np.int64}),
+        # no split: the right half is the one point 0, of value 0 in int64
+        (HomogeneousForm(nvars=3, degree=2, coeffs={
+            (1, 1, 0): 10 ** 17, (0, 1, 1): 10 ** 17, (1, 0, 1): 10 ** 17}),
+         None, {object, np.int64}),
+    ])
+    def test_values_past_int64(self, monkeypatch, form, rows, dtypes):
+        """Coefficients of 10^17 put the values at Y = 4 past what the
+        int64 preflight allows, so they are matched as Python ints, also
+        against values of the other half that fit int64."""
+        if rows:
+            monkeypatch.setattr(counting, "_CHUNK_ROWS", rows)
+        seen = set()
+        original = counting.evaluate_batch
+
+        def recorded(form, points):
+            values = original(form, points)
+            seen.add(values.dtype)
+            return values
+
+        monkeypatch.setattr(counting, "evaluate_batch", recorded)
+        self.check(form, 4)
+        assert seen == {np.dtype(t) for t in dtypes}
 
 
 class TestHessianCorank:
