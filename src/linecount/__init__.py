@@ -24,10 +24,8 @@ from .errors import (
 )
 from .forms import (
     HomogeneousForm,
-    Monomial,
     PencilExpansion,
     Polynomial,
-    RationalForm,
     b_coefficient_vector,
     discrete_difference,
     evaluate_form,
@@ -36,13 +34,11 @@ from .forms import (
     gradient,
     hessian,
     integer_slice_form,
-    is_line_generator_pair,
     iterated_difference,
     load_form,
     multilinear_evaluate,
     parse_form,
     pencil_coefficients,
-    slice_form,
 )
 
 __version__ = "0.1.0"

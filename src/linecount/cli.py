@@ -183,19 +183,6 @@ def _render_json(payload) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _render_csv(rows: Sequence[Dict[str, object]]) -> str:
-    import csv
-    if not rows:
-        return ""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()),
-                            lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _jsonable(v) for k, v in row.items()})
-    return buffer.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # Flag parsing helpers
 # ---------------------------------------------------------------------------
@@ -360,7 +347,7 @@ def _run_count(args, form) -> dict:
 def _csv_count(payload: dict) -> str:
     """The breakdown as CSV, written straight to text: a key holds only
     digits, '-' and spaces and a count only digits, so no cell needs
-    quoting.  An empty breakdown prints nothing, as :func:`_render_csv`."""
+    quoting.  An empty breakdown prints nothing, not even the header."""
     if not payload["per_y"]:
         return ""
     return "y,count\n" + "".join(
@@ -644,10 +631,12 @@ def _run_ledger(args, form=None) -> dict:
 
 
 def _csv_ledger(payload: dict) -> str:
-    rows = [{"condition": name, "holds": entry["holds"],
-             "slack": entry["slack"]}
-            for name, entry in sorted(payload["conditions"].items())]
-    return _render_csv(rows)
+    """The conditions as CSV, written straight to text: a label holds only
+    letters and '-', and a slack only digits, '-' and '/', so no cell
+    needs quoting."""
+    return "condition,holds,slack\n" + "".join(
+        f"{name},{entry['holds']},{entry['slack']}\n"
+        for name, entry in sorted(payload["conditions"].items()))
 
 
 def _configure_lattice(parser) -> None:

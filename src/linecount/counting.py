@@ -594,13 +594,17 @@ def _row_ids(rows: np.ndarray) -> np.ndarray:
 # Shared enumeration plumbing
 # ---------------------------------------------------------------------------
 
-def _condition_mask(conditions, chunk: np.ndarray) -> np.ndarray:
-    """Rows of ``chunk`` at which every slice of ``conditions`` (pairs from
-    :func:`nonzero_slices`) vanishes."""
+def _condition_mask(polys: Sequence, chunk: np.ndarray,
+                    modulus: Optional[int] = None) -> np.ndarray:
+    """One bool per row of ``chunk``: True where every poly of ``polys``
+    vanishes, over Z when ``modulus`` is None and mod ``modulus``
+    otherwise."""
     mask = np.ones(chunk.shape[0], dtype=bool)
-    for _, condition in conditions:
-        values = evaluate_batch(condition, chunk)
-        mask &= (values == 0)
+    for poly in polys:
+        values = evaluate_batch(poly, chunk)
+        if modulus is not None:
+            values = residues_mod(values, modulus)
+        mask &= values == 0
         if not mask.any():
             break
     return mask
@@ -674,7 +678,7 @@ def _fiber(form: HomogeneousForm, y: Tuple[int, ...], x_bound: int,
     except ZeroVectorInput:  # the gradient vanishes at y
         chunks = grid_chunks([-x_bound] * form.nvars, [x_bound] * form.nvars,
                              _CHUNK_ROWS)
-    conditions = nonzero_slices(form, y)
+    conditions = [sliced for _, sliced in nonzero_slices(form, y)]
     count = stratified = 0
     for chunk in chunks:
         meter.charge(chunk.shape[0])

@@ -28,8 +28,8 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
 import numpy as np
 
 from . import __version__
-from .counting import (DEFAULT_COUNT_BUDGET, _Budget, _convolution_count,
-                       _variable_components)
+from .counting import (DEFAULT_COUNT_BUDGET, _Budget, _condition_mask,
+                       _convolution_count, _variable_components)
 from .errors import DimensionMismatch, DomainError, ZeroVectorInput
 from .forms import (
     HomogeneousForm,
@@ -148,16 +148,6 @@ def _residue_grid(nvars: int, modulus: int) -> Iterator[np.ndarray]:
 # Congruence counting: direct scan and Hensel lifting
 # ---------------------------------------------------------------------------
 
-def _solution_mask(polys: Sequence[Polynomial], block: np.ndarray,
-                   modulus: int) -> np.ndarray:
-    mask = np.ones(block.shape[0], dtype=bool)
-    for poly in polys:
-        mask &= residues_mod(evaluate_batch(poly, block), modulus) == 0
-        if not mask.any():
-            break
-    return mask
-
-
 def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
                                p: int, H: int, *,
                                budget: Optional[int] = DEFAULT_COUNT_BUDGET
@@ -208,7 +198,7 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
     total = 0
     fiber = p ** ((H - 1) * nvars)
     for block in _residue_grid(nvars, p):
-        mask = _solution_mask(active, block, p)
+        mask = _condition_mask(active, block, p)
         for point in block[mask]:
             rows = [[int(cell(tuple(int(v) for v in point)))
                      for cell in row] for row in jacobian]
@@ -219,8 +209,8 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
                 lifted = 0
                 for tail in _residue_grid(nvars, p ** (H - 1)):
                     pts = point[None, :] + p * tail
-                    lifted += int(_solution_mask(active, pts,
-                                                 modulus).sum())
+                    lifted += int(_condition_mask(active, pts,
+                                                  modulus).sum())
                 total += lifted
     return total
 
@@ -247,7 +237,7 @@ def _slice_system(form: HomogeneousForm, y: Sequence[int],
     if primitive:
         n = form.nvars
         rows[0] = Polynomial(nvars=n, coeffs={
-            tuple(int(i == k) for i in range(n)): Fraction(h)
+            tuple(int(i == k) for i in range(n)): h
             for k, h in enumerate(linear.vector) if h})
     return rows
 
@@ -861,7 +851,7 @@ def _quadric_pair_count(form: HomogeneousForm, modulus: int,
     ledger.charge(modulus ** n)
     solutions = []
     for block in _residue_grid(n, modulus):
-        solutions.append(block[_solution_mask([form], block, modulus)])
+        solutions.append(block[_condition_mask([form], block, modulus)])
     points = np.concatenate(solutions, axis=0)
     if points.shape[0] == 0:
         return 0

@@ -36,7 +36,7 @@ from .errors import (
 from .exponents import ExponentProfile
 from .forms import (
     HomogeneousForm,
-    RationalForm,
+    Polynomial,
     evaluate_batch,
     format_rational,
     grid_chunks,
@@ -131,7 +131,7 @@ def _coerce_frequency(alpha, d: Optional[int]) -> FrequencyPoint:
 # Shared slice machinery
 # ---------------------------------------------------------------------------
 
-def _box_fractions(slices: Sequence[Tuple[int, RationalForm]],
+def _box_fractions(slices: Sequence[Tuple[int, Polynomial]],
                    point: FrequencyPoint,
                    ambient: np.ndarray) -> np.ndarray:
     """Exact-mod-1 phase fractions for every row of ``ambient``, float64."""

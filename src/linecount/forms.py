@@ -1,9 +1,12 @@
 """Exact algebra of integer homogeneous forms.
 
 A homogeneous form F of degree d in n variables is stored sparsely as a map
-from exponent tuples to coefficients.  Everything in this module is exact:
-coefficients are Python ints or :class:`fractions.Fraction`, and the only
-floating point is the float64 mode of the batch evaluator, which serves the
+from exponent tuples to integer coefficients, a :class:`HomogeneousForm`.
+Every polynomial derived from it (its integer slices, partial derivatives
+and differences) is a :class:`Polynomial`, the same map without the
+homogeneity requirement.  Everything in this module is exact: coefficients
+are Python ints or :class:`fractions.Fraction`, and the only floating point
+is the float64 mode of the batch evaluator, which serves the
 quasi-Monte-Carlo estimators and never decides an exact result.
 
 The central identity is the pencil expansion.  Writing Phi for the symmetric
@@ -69,24 +72,9 @@ _VARIABLE_RE = re.compile(r"^x([1-9][0-9]*)$")
 _MAX_PARSED_EXPONENT = 1000
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """One term of a form: an exponent tuple and its nonzero coefficient."""
-
-    exponents: Exponent
-    coefficient: Fraction
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
-
-def _graded_lex_key(exponents: Exponent) -> Tuple[int, Exponent]:
-    return (sum(exponents), exponents)
-
-
 def _sorted_items(coeffs: Mapping[Exponent, object]) -> List[Tuple[Exponent, object]]:
-    return sorted(coeffs.items(), key=lambda item: _graded_lex_key(item[0]))
+    """The terms in graded-lexicographic order of their exponents."""
+    return sorted(coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
 
 
 def _validate_coeffs(nvars: int, coeffs: Mapping[Exponent, object],
@@ -138,7 +126,7 @@ class CompiledForm:
 
 
 class _Sparse:
-    """What the three sparse polynomial classes share.
+    """What the input form and its derived polynomials share.
 
     They are immutable, so their compiled monomials and their partial
     derivatives are built once, on first use.
@@ -147,12 +135,6 @@ class _Sparse:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def monomials(self) -> Tuple[Monomial, ...]:
-        """Terms in graded-lexicographic order (deterministic)."""
-        return tuple(Monomial(e, Fraction(c))
-                     for e, c in _sorted_items(self.coeffs))
 
     def __call__(self, point: IntVector):
         """Exact value at an integer point (see :func:`evaluate_form`)."""
@@ -173,11 +155,9 @@ class _Sparse:
 
     @functools.cached_property
     def partials(self) -> tuple:
-        """The first partial derivatives d/dx_1, ..., d/dx_n, exact.
-
-        A Polynomial differentiates to Polynomials; a homogeneous form to
-        RationalForms of one degree less (degree 0 stays 0).  Coefficients
-        keep their type, so an integer form has integer derivatives.
+        """The first partial derivatives d/dx_1, ..., d/dx_n as
+        Polynomials, exact.  Coefficients keep their type, so an integer
+        form has integer derivatives.
         """
         out = []
         for t in range(self.nvars):
@@ -189,12 +169,7 @@ class _Sparse:
                 _add_term(coeffs, tuple(v - 1 if i == t else v
                                         for i, v in enumerate(exponents)),
                           e * coefficient)
-            if isinstance(self, Polynomial):
-                out.append(Polynomial(nvars=self.nvars, coeffs=coeffs))
-            else:
-                out.append(RationalForm(nvars=self.nvars,
-                                        degree=max(self.degree - 1, 0),
-                                        coeffs=coeffs))
+            out.append(Polynomial(nvars=self.nvars, coeffs=coeffs))
         return tuple(out)
 
 
@@ -239,29 +214,16 @@ class HomogeneousForm(_Sparse):
 
 
 @dataclass(frozen=True)
-class RationalForm(_Sparse):
-    """Homogeneous polynomial with exact rational coefficients.
+class Polynomial(_Sparse):
+    """Sparse polynomial with exact int or Fraction coefficients, possibly
+    inhomogeneous and possibly zero (an empty coefficient map).
 
-    Used for slices of an integer form and other derived forms; the zero
-    polynomial (empty coefficient map) is allowed here, and so is degree 0.
+    The one type of every polynomial derived from a form: integer slices,
+    partial derivatives and differences.
     """
 
     nvars: int
-    degree: int
-    coeffs: Mapping[Exponent, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        _validate_coeffs(self.nvars, self.coeffs, self.degree)
-
-
-@dataclass(frozen=True)
-class Polynomial(_Sparse):
-    """General (possibly inhomogeneous) sparse polynomial, exact rational."""
-
-    nvars: int
-    coeffs: Mapping[Exponent, Fraction] = field(default_factory=dict)
+    coeffs: Mapping[Exponent, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _validate_coeffs(self.nvars, self.coeffs)
@@ -489,7 +451,7 @@ def evaluate_form(form, point: IntVector):
     """Exact value of a form (or general polynomial) at an integer point.
 
     Args:
-        form: HomogeneousForm, RationalForm or Polynomial.
+        form: HomogeneousForm or Polynomial.
         point: integer vector of length ``form.nvars``.
 
     Returns:
@@ -539,8 +501,8 @@ def evaluate_batch(form, points: np.ndarray) -> np.ndarray:
     ``[evaluate_form(form, p) for p in points]``.
 
     Args:
-        form: form with integer coefficients (rational forms must be scaled
-            by their common denominator first).
+        form: form or polynomial with integer coefficients (a Fraction
+            coefficient that is not an integer is refused).
         points: array of shape (m, nvars).
 
     Returns:
@@ -684,14 +646,8 @@ def pencil_coefficients(form: HomogeneousForm, x: IntVector,
         evaluate_form(c_j, point) for c_j in form.pencil))
 
 
-def is_line_generator_pair(form: HomogeneousForm, x: IntVector,
-                           y: IntVector) -> bool:
-    """True when the whole pencil {u*x + v*y} lies inside F = 0."""
-    return pencil_coefficients(form, x, y).is_line
-
-
 def integer_slice_form(form: HomogeneousForm, y: IntVector,
-                       j: int) -> RationalForm:
+                       j: int) -> Polynomial:
     """The integer-scaled slice binom(d, j) * Phi(x, .., x, y, .., y).
 
     This is the pencil form c_j(x, y) with y put in, the coefficient of u^j
@@ -705,8 +661,9 @@ def integer_slice_form(form: HomogeneousForm, y: IntVector,
         j: slice degree, 0 <= j <= d.
 
     Returns:
-        Degree-j homogeneous form in x with integer coefficients (returned
-        as a RationalForm; possibly the zero form).
+        Polynomial in x, homogeneous of degree j or zero, with int
+        coefficients.  At j = d it is F itself, and at j = 1 it is
+        grad F(y) . x.
     """
     _check_point(form, y)
     if not 0 <= j <= form.degree:
@@ -716,29 +673,11 @@ def integer_slice_form(form: HomogeneousForm, y: IntVector,
     out: Dict[Exponent, int] = {}
     for key, coefficient in form.pencil[j].coeffs.items():
         _add_term(out, key[:n], _term_value(coefficient, y, key[n:]))
-    return RationalForm(nvars=n, degree=j,
-                        coeffs={e: Fraction(c) for e, c in out.items()})
-
-
-def slice_form(form: HomogeneousForm, y: IntVector, j: int) -> RationalForm:
-    """The degree-j slice Phi(x, ..., x, y, ..., y) with j slots x.
-
-    Satisfies binom(d, j) * slice_form(F, y, j)(x) = c_j(x, y) for every x,
-    where c_j comes from :func:`pencil_coefficients`; at j = d the slice is
-    F itself, and d * slice_form(F, y, 1)(x) equals gradient(F, y) . x.
-
-    Returns:
-        RationalForm of degree j (coefficients rational in general).
-    """
-    scaled = integer_slice_form(form, y, j)
-    binom = math.comb(form.degree, j)
-    return RationalForm(
-        nvars=form.nvars, degree=j,
-        coeffs={e: c / binom for e, c in scaled.coeffs.items()})
+    return Polynomial(nvars=n, coeffs=out)
 
 
 def nonzero_slices(form: HomogeneousForm, y: IntVector,
-                   lowest: int = 2) -> List[Tuple[int, RationalForm]]:
+                   lowest: int = 2) -> List[Tuple[int, Polynomial]]:
     """The integer slices of degree lowest..d that are not identically zero,
     as (degree, slice) pairs in increasing degree.
 
@@ -780,40 +719,32 @@ def hessian(form: HomogeneousForm, point: IntVector,
 # Differencing and polarisation
 # ---------------------------------------------------------------------------
 
-def _as_polynomial(p) -> Polynomial:
-    if isinstance(p, Polynomial):
-        return p
-    return Polynomial(nvars=p.nvars,
-                      coeffs={e: Fraction(c) for e, c in p.coeffs.items()})
-
-
 def discrete_difference(p, h: IntVector) -> Polynomial:
     """Forward difference p(x + h) - p(x), exact.
 
-    Accepts a HomogeneousForm, RationalForm or Polynomial; iterating the
-    operator with shifts h_1, ..., h_k yields the k-fold difference, whose
-    degree drops by one per nonzero shift.
+    Accepts a HomogeneousForm or Polynomial; iterating the operator with
+    shifts h_1, ..., h_k yields the k-fold difference, whose degree drops
+    by one per nonzero shift.
     """
-    poly = _as_polynomial(p)
-    if len(h) != poly.nvars:
+    if len(h) != p.nvars:
         raise DimensionMismatch(
-            f"shift has length {len(h)}, polynomial has {poly.nvars} variables")
-    out: Dict[Exponent, Fraction] = {}
-    for exponents, coefficient in poly.coeffs.items():
+            f"shift has length {len(h)}, polynomial has {p.nvars} variables")
+    out: Dict[Exponent, object] = {}
+    for exponents, coefficient in p.coeffs.items():
         # expand prod_i (x_i + h_i)^{e_i} and subtract the original term
         for k, rest, weight in _expanded_terms(coefficient, exponents):
             weight = _term_value(weight, h, rest)
             _add_term(out, k, weight - coefficient if k == exponents
                       else weight)
-    return Polynomial(nvars=poly.nvars, coeffs=out)
+    return Polynomial(nvars=p.nvars, coeffs=out)
 
 
-def iterated_difference(p, shifts: Sequence[IntVector]) -> Polynomial:
-    """Apply :func:`discrete_difference` once per shift, left to right."""
-    poly = _as_polynomial(p)
+def iterated_difference(p, shifts: Sequence[IntVector]):
+    """Apply :func:`discrete_difference` once per shift, left to right
+    (``p`` itself when there is none)."""
     for h in shifts:
-        poly = discrete_difference(poly, h)
-    return poly
+        p = discrete_difference(p, h)
+    return p
 
 
 def multilinear_evaluate(form: HomogeneousForm,

@@ -226,18 +226,20 @@ class TestCount:
             == out["total"]
 
 
-def dictwriter_csv(per_y):
-    """The breakdown CSV as ``csv.DictWriter`` renders it, each cell through
-    ``_jsonable``: the rendering that the direct text of ``_csv_count``
-    must reproduce byte for byte."""
-    if not per_y:
+def dictwriter_csv(fieldnames, rows):
+    """The CSV of ``rows`` (one tuple of cells per row) as
+    ``csv.DictWriter`` renders it under ``fieldnames``, each cell through
+    ``_jsonable``: the rendering that the direct text of ``_csv_count`` and
+    ``_csv_ledger`` must reproduce byte for byte.  No rows print nothing."""
+    if not rows:
         return ""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=["y", "count"],
+    writer = csv.DictWriter(buffer, fieldnames=fieldnames,
                             lineterminator="\n")
     writer.writeheader()
-    for key, count in sorted(per_y.items()):
-        writer.writerow({"y": _jsonable(key), "count": _jsonable(count)})
+    for row in rows:
+        writer.writerow({name: _jsonable(cell)
+                         for name, cell in zip(fieldnames, row)})
     return buffer.getvalue()
 
 
@@ -254,15 +256,35 @@ class TestBreakdownCsv:
                              "--X", "2", "--Y", "5", "--breakdown", "--csv")
         per_y = count_pairs(form, 2, 5, breakdown=True).to_json()["per_y"]
         assert code == EXIT_OK and len(per_y) == rows
-        assert text == dictwriter_csv(per_y)
+        assert text == dictwriter_csv(["y", "count"],
+                                       sorted(per_y.items()))
         assert bool(text) == bool(rows)
 
     def test_counts_past_double_precision(self):
         """A count of 2^53 or more, which ``_jsonable`` turns into a
         string, prints the same digits."""
         per_y = {"1 -1 0": 2 ** 53, "-3 0 2": 2 ** 70 + 1, "0 0 1": 5}
-        assert _csv_count({"per_y": per_y}) == dictwriter_csv(per_y)
+        assert _csv_count({"per_y": per_y}) == dictwriter_csv(
+            ["y", "count"], sorted(per_y.items()))
         assert _csv_count({"per_y": {}}) == ""
+
+
+class TestLedgerCsv:
+    """The ledger CSV is written straight to text, byte for byte as
+    ``csv.DictWriter`` wrote it."""
+
+    @pytest.mark.parametrize("flags", [
+        ("--d", "5"),
+        ("--d", "7", "--preset", "uniform-relaxed"),
+    ])
+    def test_cli_matches_dictwriter(self, capsys, flags):
+        code, out = run_json(capsys, "ledger", *flags)
+        assert code == EXIT_OK
+        code, text = run_cli(capsys, "ledger", *flags, "--csv")
+        assert code == EXIT_OK
+        rows = [(name, entry["holds"], entry["slack"])
+                for name, entry in sorted(out["conditions"].items())]
+        assert text == dictwriter_csv(["condition", "holds", "slack"], rows)
 
 
 class TestWorkers:

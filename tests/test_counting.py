@@ -39,9 +39,9 @@ from linecount.forms import (
     evaluate_batch,
     evaluate_form,
     gradient,
-    is_line_generator_pair,
     nonzero_slices,
     parse_form,
+    pencil_coefficients,
 )
 from linecount.lattice import enumerate_points, slicing_lattice
 
@@ -60,7 +60,7 @@ def oracle_pair_count(form, x_bound, y_bound):
         for y in itertools.product(range(-y_bound, y_bound + 1), repeat=n):
             if not any(y):
                 continue
-            if is_line_generator_pair(form, x, y):
+            if pencil_coefficients(form, x, y).is_line:
                 total += 1
     return total
 
@@ -426,7 +426,6 @@ class TestPencilPairs:
 def _pencil_tail(form, x, y):
     """Pencil coefficients of degree >= 1 in x, from the interpolation route
     (independent of the slice-form evaluation used by the counters)."""
-    from linecount.forms import pencil_coefficients
     coeffs = pencil_coefficients(form, x, y).coefficients
     return coeffs[1:]
 
@@ -488,7 +487,7 @@ class TestCountPairs:
                 rank_one = all(
                     x[i] * y[j] == x[j] * y[i]
                     for i in range(4) for j in range(i + 1, 4))
-                if rank_one and is_line_generator_pair(QUADRIC, x, y):
+                if rank_one and pencil_coefficients(QUADRIC, x, y).is_line:
                     direct += 1
         assert report.proportional_pairs == direct
 
@@ -507,7 +506,7 @@ class TestCountPairs:
                     continue
                 if hessian_corank(QUINTIC, y) < 2:
                     continue
-                if is_line_generator_pair(QUINTIC, x, y):
+                if pencil_coefficients(QUINTIC, x, y).is_line:
                     direct += 1
         assert report.stratified == direct
         assert report.total == count_pairs(QUINTIC, 1, 1).total

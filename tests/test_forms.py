@@ -26,6 +26,7 @@ from linecount.forms import (
     HomogeneousForm,
     Polynomial,
     b_coefficient_vector,
+    compiled_monomials,
     discrete_difference,
     evaluate_batch,
     evaluate_form,
@@ -34,12 +35,10 @@ from linecount.forms import (
     gradient,
     hessian,
     integer_slice_form,
-    is_line_generator_pair,
     iterated_difference,
     multilinear_evaluate,
     parse_form,
     pencil_coefficients,
-    slice_form,
 )
 
 QUINTIC = fermat_quintic()
@@ -180,10 +179,13 @@ class TestPencil:
             assert lhs == rhs
 
     def test_line_pair_predicate(self):
-        assert is_line_generator_pair(QUINTIC, (1, -1, 0, 0), (0, 0, 1, -1))
-        assert not is_line_generator_pair(QUINTIC, (1, 0, 0, 0), (0, 1, 0, 0))
+        assert pencil_coefficients(QUINTIC, (1, -1, 0, 0),
+                                   (0, 0, 1, -1)).is_line
+        assert not pencil_coefficients(QUINTIC, (1, 0, 0, 0),
+                                       (0, 1, 0, 0)).is_line
         y = (1, -1, 0, 0)
-        assert is_line_generator_pair(QUINTIC, tuple(2 * v for v in y), y)
+        assert pencil_coefficients(QUINTIC, tuple(2 * v for v in y),
+                                   y).is_line
 
 
 # ---------------------------------------------------------------------------
@@ -191,28 +193,29 @@ class TestPencil:
 # ---------------------------------------------------------------------------
 
 class TestSlices:
+    """integer_slice_form(F, y, j) is c_j(x, y) = binom(d, j) *
+    Phi(x, .., x, y, .., y) as a polynomial in x."""
+
     def test_quintic_degree_two_slice(self):
-        slice2 = slice_form(QUINTIC, Y0, 2)
-        assert dict(slice2.coeffs) == {
-            (0, 0, 2, 0): Fraction(1), (0, 0, 0, 2): Fraction(-1)}
+        slice2 = integer_slice_form(QUINTIC, Y0, 2)
+        assert dict(slice2.coeffs) == {(0, 0, 2, 0): 10, (0, 0, 0, 2): -10}
 
     def test_quintic_degree_one_slice(self):
-        slice1 = slice_form(QUINTIC, Y0, 1)
-        assert dict(slice1.coeffs) == {
-            (0, 0, 1, 0): Fraction(1), (0, 0, 0, 1): Fraction(1)}
+        slice1 = integer_slice_form(QUINTIC, Y0, 1)
+        assert dict(slice1.coeffs) == {(0, 0, 1, 0): 5, (0, 0, 0, 1): 5}
 
     def test_top_slice_is_form_itself(self):
-        top = slice_form(QUINTIC, Y0, 5)
-        assert {e: int(c) for e, c in top.coeffs.items()} == dict(QUINTIC.coeffs)
+        top = integer_slice_form(QUINTIC, Y0, 5)
+        assert dict(top.coeffs) == dict(QUINTIC.coeffs)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            slice_form(QUINTIC, Y0, 6)
+            integer_slice_form(QUINTIC, Y0, 6)
         with pytest.raises(IndexOutOfRange):
-            slice_form(QUINTIC, Y0, -1)
+            integer_slice_form(QUINTIC, Y0, -1)
 
     def test_scaled_slice_consistency(self):
-        """binom(d,j) * slice == pencil coefficient, on random samples."""
+        """The slice at x is the pencil coefficient, on random samples."""
         rng = random.Random(99)
         for trial in range(200):
             n = rng.randint(2, 4)
@@ -222,18 +225,16 @@ class TestSlices:
             y = [rng.randint(-3, 3) for _ in range(n)]
             pencil = pencil_coefficients(form, x, y)
             for j in range(d + 1):
-                value = math.comb(d, j) * evaluate_form(
-                    slice_form(form, y, j), x)
-                assert value == pencil.coefficients[j]
                 scaled = evaluate_form(integer_slice_form(form, y, j), x)
                 assert scaled == pencil.coefficients[j]
 
     def test_integer_slice_has_integer_coefficients(self):
         for j in range(6):
             sliced = integer_slice_form(QUINTIC, (2, -3, 5, 7), j)
-            assert all(c.denominator == 1 for c in sliced.coeffs.values())
+            assert all(type(c) is int for c in sliced.coeffs.values())
 
     def test_linear_slice_matches_gradient(self):
+        """c_1(x, y) = grad F(y) . x."""
         rng = random.Random(5)
         for trial in range(100):
             n = rng.randint(2, 4)
@@ -242,8 +243,22 @@ class TestSlices:
             y = [rng.randint(-3, 3) for _ in range(n)]
             x = [rng.randint(-3, 3) for _ in range(n)]
             grad = gradient(form, y)
-            lhs = d * evaluate_form(slice_form(form, y, 1), x)
+            lhs = evaluate_form(integer_slice_form(form, y, 1), x)
             assert lhs == sum(g * v for g, v in zip(grad, x))
+
+    def test_quadratic_slice_matches_hessian(self):
+        """2 c_2(x, y) = x^T H(y) x."""
+        rng = random.Random(6)
+        for trial in range(100):
+            n = rng.randint(2, 4)
+            d = rng.randint(2, 5)
+            form = random_dense_form(n, d, seed=2500 + trial)
+            y = [rng.randint(-3, 3) for _ in range(n)]
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            matrix = hessian(form, y)
+            lhs = 2 * evaluate_form(integer_slice_form(form, y, 2), x)
+            assert lhs == sum(x[i] * matrix[i][k] * x[k]
+                              for i in range(n) for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +489,8 @@ def test_homogeneity_scaling(form, lam, data):
 @given(small_forms())
 @settings(max_examples=30, deadline=None)
 def test_monomials_canonical_and_nonzero(form):
-    mons = form.monomials
-    keys = [(m.total_degree, m.exponents) for m in mons]
+    matrix, coefficients = compiled_monomials(form)
+    keys = [(sum(row), tuple(row)) for row in matrix.tolist()]
     assert keys == sorted(keys)
-    assert all(m.coefficient != 0 for m in mons)
+    assert len(keys) == len(form.coeffs)
+    assert all(c != 0 for c in coefficients)

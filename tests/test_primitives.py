@@ -142,10 +142,9 @@ class TestEvaluateBatch:
         assert calls == [form]
 
     def test_rational_coefficients_are_refused(self):
-        form = forms.RationalForm(nvars=1, degree=1,
-                                  coeffs={(1,): Fraction(1, 2)})
+        poly = forms.Polynomial(nvars=1, coeffs={(1,): Fraction(1, 2)})
         with pytest.raises(ValueError):
-            evaluate_batch(form, np.array([[2]]))
+            evaluate_batch(poly, np.array([[2]]))
 
 
 class TestDerivatives:
