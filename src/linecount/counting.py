@@ -36,11 +36,12 @@ from .errors import (
 from .forms import (
     HomogeneousForm,
     Polynomial,
-    echelon,
     evaluate_batch,
     evaluate_form,
     grid_chunks,
     hessian,
+    integer_kernel,
+    matrix_rank,
     nonzero_slices,
     residues_mod,
 )
@@ -119,8 +120,9 @@ class M2Report:
 
     ``span_dim`` comes from the span of the Hessian kernel together with the
     base point; ``system_dim`` from the rank of the degree-2 coefficient
-    system restricted to the slicing lattice.  The two computations share no
-    linear algebra, so agreement is a real consistency check.
+    system restricted to the slicing lattice.  The two systems are
+    independent and share only the elimination routine, so agreement is a
+    real consistency check.
     """
 
     span_dim: int
@@ -737,7 +739,7 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
 
 def hessian_corank(form: HomogeneousForm, y: IntVector) -> int:
     """Exact dimension of the kernel of the Hessian at y (over Q)."""
-    return form.nvars - echelon(hessian(form, y)).rank
+    return form.nvars - matrix_rank(hessian(form, y))
 
 
 def _primitive_direction(y: IntVector) -> Tuple[int, ...]:
@@ -1048,10 +1050,11 @@ def stratum_count(form: HomogeneousForm, y_bound: int,
 def m2_dimension(form: HomogeneousForm, y: IntVector) -> M2Report:
     """Dimension of the space of second-order tangent directions at y.
 
-    Computed two independent ways: (a) the span of the Hessian kernel
-    together with y, and (b) the solution space of the degree-2 coefficient
-    system written in the slicing-lattice basis.  The report carries both
-    so callers can flag disagreement.
+    Computed from two independent systems, each ranked by the one
+    elimination routine: (a) the span of the Hessian kernel together with
+    y, and (b) the solution space of the degree-2 coefficient system
+    written in the slicing-lattice basis.  The report carries both so
+    callers can flag disagreement.
 
     Raises:
         ZeroVectorInput: y = 0.
@@ -1065,7 +1068,7 @@ def m2_dimension(form: HomogeneousForm, y: IntVector) -> M2Report:
     if evaluate_form(form, y) != 0:
         raise NotOnHypersurface(f"F{tuple(y)} != 0")
     matrix = hessian(form, y)
-    span_dim = echelon(echelon(matrix).nullspace() + [list(y)]).rank
+    span_dim = matrix_rank(integer_kernel(matrix) + [list(y)])
 
     try:
         basis = [list(row) for row in slicing_lattice(form, y).basis]
@@ -1078,7 +1081,7 @@ def m2_dimension(form: HomogeneousForm, y: IntVector) -> M2Report:
               for i in range(form.nvars)]
     system = [[sum(basis[a][i] * h_rows[i][b] for i in range(form.nvars))
                for b in range(len(basis))] for a in range(len(basis))]
-    system_dim = len(basis) - echelon(system).rank
+    system_dim = len(basis) - matrix_rank(system)
     return M2Report(span_dim=span_dim, system_dim=system_dim)
 
 
@@ -1216,11 +1219,13 @@ def count_pairs(form: HomogeneousForm, x_bound: int, y_bound: int, *,
     the charge of its base points, meets first.
 
     Raises:
-        DomainError: X < 1 or Y < 1.
+        DomainError: X < 1 or Y < 1, or ``stratum_rho`` outside 1..n.
         ResourceLimit: the count exceeded the budget.
     """
     if x_bound < 1 or y_bound < 1:
         raise DomainError("x_bound and y_bound must be at least 1")
+    if stratum_rho is not None and not 1 <= stratum_rho <= form.nvars:
+        raise DomainError(f"rho must be in 1..{form.nvars}")
     meter = _Budget(budget, _ROW_WORK)
     if not breakdown and stratum_rho is None and _is_diagonal(form):
         total, proportional = _pencil_pairs(form, x_bound, y_bound, meter)

@@ -34,11 +34,11 @@ from .errors import DimensionMismatch, DomainError, ZeroVectorInput
 from .forms import (
     HomogeneousForm,
     Polynomial,
-    echelon,
     evaluate_batch,
     form_to_json,
     format_rational,
     grid_chunks,
+    matrix_rank,
     nonzero_slices,
     residues_mod,
 )
@@ -202,7 +202,7 @@ def count_congruence_solutions(polys: Sequence[Polynomial], nvars: int,
         for point in block[mask]:
             rows = [[int(cell(tuple(int(v) for v in point)))
                      for cell in row] for row in jacobian]
-            if echelon(rows, p).rank == r:
+            if matrix_rank(rows, p) == r:
                 total += p ** ((H - 1) * (nvars - r))
             else:
                 ledger.charge(fiber)

@@ -331,11 +331,14 @@ def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
 
     Raises:
         IndexOutOfRange: i outside 1..d-1.
+        DomainError: ``trials`` < 0.
         ResourceLimit: the shift enumeration exceeds the budget.
     """
     d = form.degree
     if not 1 <= i <= d - 1:
         raise IndexOutOfRange(f"difference count {i} outside 1..{d - 1}")
+    if trials < 0:
+        raise DomainError("trials must be nonnegative")
     point = _coerce_frequency(alpha, d)
     lattice = slicing_lattice(form, y)
     bounds = box_profile(lattice, x_bound).int_bounds

@@ -31,15 +31,15 @@ the pencil also gives :func:`discrete_difference` its shifted terms.
 The module also holds the one implementation of three primitives the rest
 of the package shares: :func:`evaluate_batch`, the batch evaluator whose
 mode (int64, exact object, float64) follows the dtype of its points, with
-:func:`residues_mod` for the mod-q reduction of its values; :func:`echelon`,
-the exact Gauss-Jordan elimination over Q or F_p behind every rank,
-rational kernel, determinant and solve (the integer kernel of a slicing
-lattice is a Hermite normal form, in :mod:`linecount.lattice`); and
-:func:`grid_chunks`, the lexicographic integer grid in row chunks.  It
-also holds the "p/q" text of rationals, :func:`parse_rational` and
-:func:`format_rational`, which every JSON output uses.  Each form object
-compiles its monomials and builds its partial derivatives and its pencil
-forms once, on first use.
+:func:`residues_mod` for the mod-q reduction of its values;
+:func:`hermite_normal_form`, the one exact elimination, which every rank
+over Q or F_p (:func:`matrix_rank`), saturated integer kernel
+(:func:`integer_kernel`) and dual basis reads; and :func:`grid_chunks`,
+the lexicographic integer grid in row chunks.  It also holds the "p/q"
+text of rationals, :func:`parse_rational` and :func:`format_rational`,
+which every JSON output uses.  Each form object compiles its monomials
+and builds its partial derivatives and its pencil forms once, on first
+use.
 """
 
 from __future__ import annotations
@@ -827,7 +827,7 @@ def b_coefficient_vector(form: HomogeneousForm, y: IntVector,
         if sum(g * b for g, b in zip(grad, row)) != 0:
             raise BasisNotSpanning(
                 "basis vector not orthogonal to the gradient at y")
-    if echelon(basis).rank != s:
+    if matrix_rank(basis) != s:
         raise BasisNotSpanning("basis rows are linearly dependent")
     if len(shifts) != j - 1:
         raise DimensionMismatch(
@@ -851,98 +851,75 @@ def b_coefficient_vector(form: HomogeneousForm, y: IntVector,
 # Exact elimination
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Echelon:
-    """Reduced row echelon form of a matrix over Q or over F_p.
-
-    Fields:
-        rows: the reduced rows, pivot rows first; a pivot entry is 1 and the
-            rest of its column is 0.  Entries are Fractions over Q and
-            residues in [0, p) over F_p.
-        pivots: the pivot column of each pivot row, increasing.
-        width: only the first ``width`` columns were searched for pivots.
-        det: determinant of the leading width x width block when the matrix
-            has ``width`` rows, else 0.
-        modulus: p, or None over Q.
+def hermite_normal_form(rows: Sequence[IntVector]) -> List[List[int]]:
+    """Row-style Hermite normal form (pivots positive, entries above them
+    reduced into [0, pivot)); zero rows are dropped.
     """
-
-    rows: Tuple[Tuple, ...]
-    pivots: Tuple[int, ...]
-    width: int
-    det: object
-    modulus: Optional[int]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def nullspace(self) -> List[List]:
-        """Basis of the kernel of the first ``width`` columns: one vector per
-        free column, 1 there and 0 at the other free columns."""
-        zero, one = (Fraction(0), Fraction(1)) if self.modulus is None \
-            else (0, 1)
-        basis = []
-        for col in range(self.width):
-            if col in self.pivots:
-                continue
-            vector = [zero] * self.width
-            vector[col] = one
-            for row, pivot in zip(self.rows, self.pivots):
-                vector[pivot] = -row[col] if self.modulus is None \
-                    else -row[col] % self.modulus
-            basis.append(vector)
-        return basis
-
-
-def echelon(rows: Sequence[Sequence[int]], modulus: Optional[int] = None,
-            width: Optional[int] = None) -> Echelon:
-    """Gauss-Jordan elimination over Q (``modulus`` None) or F_p (p prime).
-
-    Pivots are sought in the first ``width`` columns (all by default) and
-    row operations act on whole rows, so eliminating [A | B] with A square
-    and invertible leaves [I | A^-1 B].  Serves ranks, rational kernels,
-    determinants and linear solves alike.
-    """
-    if modulus is None:
-        matrix = [[Fraction(v) for v in row] for row in rows]
-    else:
-        matrix = [[v % modulus for v in row] for row in rows]
-    ncols = len(matrix[0]) if matrix else 0
-    width = ncols if width is None else width
-    pivots: List[int] = []
-    det = 1
-    for col in range(width):
-        rank = len(pivots)
-        if rank == len(matrix):
-            break
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]),
-                     None)
-        if pivot is None:
+    matrix = [list(map(int, row)) for row in rows]
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    pivot_row = 0
+    for col in range(ncols):
+        # find a row at or below pivot_row with nonzero entry in col, and
+        # run a gcd sweep so only one survives
+        while True:
+            nonzero = [i for i in range(pivot_row, len(matrix))
+                       if matrix[i][col] != 0]
+            if len(nonzero) <= 1:
+                break
+            nonzero.sort(key=lambda i: abs(matrix[i][col]))
+            small, other = nonzero[0], nonzero[1]
+            factor = matrix[other][col] // matrix[small][col]
+            matrix[other] = [a - factor * b
+                             for a, b in zip(matrix[other], matrix[small])]
+        survivors = [i for i in range(pivot_row, len(matrix))
+                     if matrix[i][col] != 0]
+        if not survivors:
             continue
-        if pivot != rank:
-            matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-            det = -det
-        lead = matrix[rank][col]
-        det *= lead
-        if modulus is None:
-            row = [v / lead for v in matrix[rank]]
-        else:
-            inverse = pow(lead, -1, modulus)
-            row = [v * inverse % modulus for v in matrix[rank]]
-        matrix[rank] = row
-        for r, other in enumerate(matrix):
-            factor = other[col]
-            if r == rank or not factor:
-                continue
-            if modulus is None:
-                matrix[r] = [a - factor * b for a, b in zip(other, row)]
-            else:
-                matrix[r] = [(a - factor * b) % modulus
-                             for a, b in zip(other, row)]
-        pivots.append(col)
-    if len(pivots) != width or len(matrix) != width:
-        det = 0
-    det = Fraction(det) if modulus is None else det % modulus
-    return Echelon(rows=tuple(tuple(row) for row in matrix),
-                   pivots=tuple(pivots), width=width, det=det,
-                   modulus=modulus)
+        r = survivors[0]
+        matrix[pivot_row], matrix[r] = matrix[r], matrix[pivot_row]
+        if matrix[pivot_row][col] < 0:
+            matrix[pivot_row] = [-v for v in matrix[pivot_row]]
+        pivot = matrix[pivot_row][col]
+        for i in range(pivot_row):
+            factor = matrix[i][col] // pivot  # floor => remainder in [0, pivot)
+            if factor:
+                matrix[i] = [a - factor * b
+                             for a, b in zip(matrix[i], matrix[pivot_row])]
+        pivot_row += 1
+    return [row for row in matrix[:pivot_row]]
+
+
+def matrix_rank(rows: Sequence[IntVector],
+                modulus: Optional[int] = None) -> int:
+    """Rank of an integer matrix A over Q, or over F_p for a prime
+    ``modulus`` p.
+
+    Over Q it is the number of rows of the Hermite normal form.  Over F_p,
+    the rows of [A mod p ; p I] span a lattice L with pZ^n inside it, of
+    index p^(n - rank_p A); so every pivot of its Hermite normal form is 1
+    or p, and the unit pivots number rank_p A.
+    """
+    if modulus is None or not rows:
+        return len(hermite_normal_form(rows))
+    n = len(rows[0])
+    hnf = hermite_normal_form(
+        [[v % modulus for v in row] for row in rows]
+        + [[modulus if i == j else 0 for j in range(n)] for i in range(n)])
+    return sum(1 for i, row in enumerate(hnf) if row[i] == 1)
+
+
+def integer_kernel(rows: Sequence[IntVector]) -> List[List[int]]:
+    """Saturated basis of {k in Z^n : A k = 0}, in Hermite normal form.
+
+    The rows (column i of A | e_i) span {(A k, k) : k in Z^n}, so the rows
+    of their Hermite normal form that vanish on the left are (0 | k) with
+    A k = 0, and they span every such k (Cohen, *A Course in Computational
+    Algebraic Number Theory*, Sec. 2.4).
+    """
+    m, n = len(rows), len(rows[0])
+    hnf = hermite_normal_form(
+        [[row[i] for row in rows] + [int(i == j) for j in range(n)]
+         for i in range(n)])
+    return [row[m:] for row in hnf if not any(row[:m])]

@@ -18,9 +18,8 @@ All arithmetic here is exact (int / Fraction, and int64 arrays only where
 a bound proves that no value overflows); determinants are kept squared so
 no square roots ever appear.  The squared covolume needs no elimination:
 the kernel's is |l / content(l)|^2, and LLL carries it along as its
-integer d_s.  Two eliminations remain: :func:`hermite_normal_form` over Z
-for the kernel, and :func:`linecount.forms.echelon` over Q for the dual
-basis.
+integer d_s.  The kernel and the dual basis both read the one exact
+elimination, :func:`linecount.forms.hermite_normal_form`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,12 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVectorInput
-from .forms import HomogeneousForm, echelon, gradient
+from .forms import (
+    HomogeneousForm,
+    gradient,
+    hermite_normal_form,
+    integer_kernel,
+)
 
 IntVector = Sequence[int]
 
@@ -106,60 +110,29 @@ class BoxProfile:
 # Exact integer linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def hermite_normal_form(rows: Sequence[IntVector]) -> List[List[int]]:
-    """Row-style Hermite normal form (pivots positive, entries above them
-    reduced into [0, pivot)); zero rows are dropped.
-    """
-    matrix = [list(map(int, row)) for row in rows]
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    pivot_row = 0
-    for col in range(ncols):
-        # find a row at or below pivot_row with nonzero entry in col, and
-        # run a gcd sweep so only one survives
-        while True:
-            nonzero = [i for i in range(pivot_row, len(matrix))
-                       if matrix[i][col] != 0]
-            if len(nonzero) <= 1:
-                break
-            nonzero.sort(key=lambda i: abs(matrix[i][col]))
-            small, other = nonzero[0], nonzero[1]
-            factor = matrix[other][col] // matrix[small][col]
-            matrix[other] = [a - factor * b
-                             for a, b in zip(matrix[other], matrix[small])]
-        survivors = [i for i in range(pivot_row, len(matrix))
-                     if matrix[i][col] != 0]
-        if not survivors:
-            continue
-        r = survivors[0]
-        matrix[pivot_row], matrix[r] = matrix[r], matrix[pivot_row]
-        if matrix[pivot_row][col] < 0:
-            matrix[pivot_row] = [-v for v in matrix[pivot_row]]
-        pivot = matrix[pivot_row][col]
-        for i in range(pivot_row):
-            factor = matrix[i][col] // pivot  # floor => remainder in [0, pivot)
-            if factor:
-                matrix[i] = [a - factor * b
-                             for a, b in zip(matrix[i], matrix[pivot_row])]
-        pivot_row += 1
-    return [row for row in matrix[:pivot_row]]
-
-
 def gram_matrix(rows: Sequence[IntVector]) -> List[List[int]]:
     return [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
 
 
 def dual_basis(lattice: IntegerLattice) -> List[List[Fraction]]:
-    """Rows d_t with d_t . b_u = delta_{tu}: the matrix (B B^T)^{-1} B,
-    read off one elimination of [B B^T | B]."""
+    """Rows d_t with d_t . b_u = delta_{tu}: the matrix (B B^T)^{-1} B.
+
+    The Hermite normal form of [B B^T | B] is U [B B^T | B] = [T | U B]
+    for a unimodular U, with T upper triangular and invertible, so
+    (B B^T)^{-1} B = T^{-1} (U B), solved by back substitution."""
     s = lattice.rank
-    reduced = echelon([gram + list(row) for gram, row
-                       in zip(gram_matrix(lattice.basis), lattice.basis)],
-                      width=s)
-    if reduced.rank != s:  # cannot happen for independent rows
-        raise ValueError("basis rows are dependent")
-    return [list(row[s:]) for row in reduced.rows]
+    hnf = hermite_normal_form([gram + list(row) for gram, row
+                               in zip(gram_matrix(lattice.basis),
+                                      lattice.basis)])
+    dual: List[List[Fraction]] = [[] for _ in range(s)]
+    for t in reversed(range(s)):
+        row = hnf[t]
+        rest = [Fraction(v) for v in row[s:]]
+        for u in range(t + 1, s):
+            if row[u]:
+                rest = [a - row[u] * b for a, b in zip(rest, dual[u])]
+        dual[t] = [a / row[t] for a in rest]
+    return dual
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +182,19 @@ def linear_slice_coefficients(form: HomogeneousForm,
 
 def kernel_lattice(l: IntVector) -> IntegerLattice:
     """Saturated integer kernel of a single linear form, in Hermite normal
-    form.
-
-    The rows (l_i | e_i) span {(l . x, x) : x in Z^n}, so their Hermite
-    normal form has gcd(l) as its first pivot, in column 0, and below it
-    the rows (0 | x) with l . x = 0: a saturated kernel basis, itself in
-    Hermite normal form (Cohen, *A Course in Computational Algebraic
-    Number Theory*, Sec. 2.4).
+    form: :func:`linecount.forms.integer_kernel` of the 1 x n matrix [l].
 
     Raises:
         ZeroVectorInput: l = 0 (no hyperplane to slice along).
     """
     l = [int(v) for v in l]
-    n = len(l)
-    if n < 2:
+    if len(l) < 2:
         raise ZeroVectorInput("need an ambient dimension of at least 2")
     if all(v == 0 for v in l):
         raise ZeroVectorInput("kernel of the zero form is not a hyperplane")
-    first, *kernel = hermite_normal_form(
-        [[v] + [int(i == j) for j in range(n)] for i, v in enumerate(l)])
-    # the first pivot is content(l); the kernel has covolume |l / content|
-    content = first[0]
-    return _packaged([row[1:] for row in kernel],
+    # the kernel has covolume |l / content(l)|
+    content = math.gcd(*l)
+    return _packaged(integer_kernel([l]),
                      sum((v // content) ** 2 for v in l))
 
 

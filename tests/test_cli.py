@@ -200,6 +200,14 @@ class TestCount:
         assert out["error"]["type"] == "DomainError"
         assert flag[0] in out["error"]["message"]
 
+    @pytest.mark.parametrize("rho", ["-3", "0", "9"])
+    def test_pair_rho_out_of_range(self, capsys, rho):
+        code, out = run_json(capsys, "count", "--fixture", "quadric-5",
+                             "--X", "1", "--Y", "1", "--rho", rho)
+        assert code == EXIT_VALIDATION
+        assert out["error"] == {"type": "DomainError",
+                                "message": "rho must be in 1..5"}
+
     def test_pair_total_matches_library(self, capsys):
         code, out = run_json(capsys, "count", "--fixture", "fermat-3-3",
                              "--X", "2", "--Y", "1")
@@ -422,6 +430,14 @@ class TestArcs:
         assert code == EXIT_OK
         assert out["passed"] is True
         assert out["lattice_points"] == 27
+
+    def test_weyl_negative_trials_refused(self, capsys):
+        code, out = run_json(capsys, "arcs", "--fixture", "quintic",
+                             "--y", "0,0,1,-1", "--alpha", "1/3,1/5,2/7,1/2",
+                             "--X", "3", "--weyl", "1", "--trials", "-1")
+        assert code == EXIT_VALIDATION
+        assert out["error"]["type"] == "DomainError"
+        assert "trials" in out["error"]["message"]
 
     def test_nested_with_explicit_profile(self, capsys):
         code, out = run_json(capsys, "arcs", "--fixture", "quintic",

@@ -9,7 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linecount import counting, forms
@@ -39,6 +40,7 @@ from linecount.forms import (
     evaluate_batch,
     evaluate_form,
     gradient,
+    hessian,
     nonzero_slices,
     parse_form,
     pencil_coefficients,
@@ -514,6 +516,14 @@ class TestCountPairs:
     def test_bounds_validated(self):
         with pytest.raises(DomainError):
             count_pairs(QUINTIC, 0, 1)
+
+    @pytest.mark.parametrize("form", [QUINTIC, random_dense_form(4, 3, 0)])
+    @pytest.mark.parametrize("rho", [-3, 0, 5, 9])
+    def test_stratum_rho_validated(self, form, rho):
+        """The corank range stratum_count refuses, on the pencil path of a
+        diagonal form and on the base-point listing alike."""
+        with pytest.raises(DomainError, match=r"rho must be in 1\.\.4"):
+            count_pairs(form, 1, 1, stratum_rho=rho)
 
     def test_budget_exhaustion(self):
         with pytest.raises(ResourceLimit):
@@ -1347,7 +1357,43 @@ class TestBasePointLister:
         assert seen == {np.dtype(t) for t in dtypes}
 
 
+@st.composite
+def padded_dense_forms(draw):
+    """A random dense form in the first k of n variables, so that its
+    Hessian has corank at least n - k."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n))
+    dense = random_dense_form(k, draw(st.integers(2, 4)),
+                              draw(st.integers(0, 10 ** 6)))
+    return HomogeneousForm(
+        nvars=n, degree=dense.degree,
+        coeffs={e + (0,) * (n - k): c for e, c in dense.coeffs.items()})
+
+
+def through_point(form, y):
+    """y_j^d F - F(y) x_j^d for the first j with y_j != 0: a form with the
+    zero y, or None when that cancels to 0."""
+    j = next(i for i, v in enumerate(y) if v)
+    pure = tuple(form.degree if i == j else 0 for i in range(form.nvars))
+    coeffs = {e: y[j] ** form.degree * c for e, c in form.coeffs.items()}
+    coeffs[pure] = coeffs.get(pure, 0) - evaluate_form(form, y)
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    return HomogeneousForm(nvars=form.nvars, degree=form.degree,
+                           coeffs=coeffs) if coeffs else None
+
+
+def points_of(n):
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+
+
 class TestHessianCorank:
+    @given(padded_dense_forms(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy_rank(self, form, data):
+        y = data.draw(points_of(form.nvars))
+        assert hessian_corank(form, y) \
+            == form.nvars - sympy.Matrix(hessian(form, y)).rank()
+
     def test_fixture_values(self):
         assert hessian_corank(QUINTIC, Y0) == 2
         assert hessian_corank(QUINTIC, (1, 1, 1, 1)) == 0
@@ -1467,6 +1513,26 @@ class TestM2Dimension:
                     assert report.agree, (degree, n, y, report)
                     checked += 1
         assert checked == 100
+
+    @given(padded_dense_forms(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_both_dimensions_match_sympy(self, form, data):
+        """span_dim is dim(ker H + <y>) from sympy's nullspace of H, and
+        system_dim is s minus the rank of B H B^T, B the slicing-lattice
+        basis (the identity where the gradient vanishes)."""
+        y = data.draw(points_of(form.nvars).filter(any))
+        form = through_point(form, y)
+        assume(form is not None)
+        matrix = sympy.Matrix(hessian(form, y))
+        span = sympy.Matrix.hstack(*matrix.nullspace(), sympy.Matrix(y))
+        try:
+            basis = sympy.Matrix(slicing_lattice(form, y).basis)
+        except ZeroVectorInput:
+            basis = sympy.eye(form.nvars)
+        report = m2_dimension(form, y)
+        assert report.span_dim == span.rank()
+        assert report.system_dim \
+            == basis.rows - (basis * matrix * basis.T).rank()
 
     def test_errors(self):
         with pytest.raises(ZeroVectorInput):

@@ -468,6 +468,11 @@ class TestWeylInequality:
         with pytest.raises(IndexOutOfRange):
             weyl_inequality_check(CUBIC, YC, FrequencyPoint.zero(3), 3, 2)
 
+    def test_negative_trials_refused(self):
+        with pytest.raises(DomainError, match="trials"):
+            weyl_inequality_check(CUBIC, YC, FrequencyPoint.zero(3), 1, 2,
+                                  trials=-1)
+
     def test_budget_exhaustion(self):
         with pytest.raises(ResourceLimit):
             weyl_inequality_check(CUBIC, YC, FrequencyPoint.zero(3), 2, 3,

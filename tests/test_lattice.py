@@ -10,7 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import linecount.lattice as lattice_module
@@ -19,13 +20,14 @@ from linecount.fixtures import (
     QUINTIC_BASE_POINT,
     fermat_form,
     fermat_quintic,
+    random_dense_form,
 )
-from linecount.forms import echelon
+from linecount.forms import hermite_normal_form
 from linecount.lattice import (
     box_profile,
+    dual_basis,
     enumerate_points,
     gram_matrix,
-    hermite_normal_form,
     kernel_lattice,
     lattice_to_json,
     linear_slice_coefficients,
@@ -44,12 +46,9 @@ def quintic_lattice():
 
 
 def covolume_squared(rows):
-    """det(B B^T) by one Fraction elimination of the Gram matrix: the oracle
-    of the covolumes that kernel_lattice and reduce_basis take without
-    one."""
-    det = echelon(gram_matrix(rows)).det
-    assert det.denominator == 1
-    return int(det)
+    """det(B B^T) by sympy: the oracle of the covolumes that kernel_lattice
+    and reduce_basis take without an elimination."""
+    return int(sympy.Matrix(gram_matrix(rows)).det())
 
 
 def lattice_from_basis(rows):
@@ -430,6 +429,30 @@ def _det3(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+class TestDualBasis:
+    @given(st.integers(2, 5), st.integers(2, 4), st.integers(0, 10 ** 6),
+           st.lists(st.integers(-4, 4), min_size=5, max_size=5),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy_on_random_forms(self, n, degree, seed, y,
+                                           reduced):
+        """(B B^T)^-1 B by sympy, on the slicing lattice of a random dense
+        form, as stored (Hermite normal form) or LLL-reduced."""
+        y = y[:n]
+        assume(any(y))
+        sliced = linear_slice_coefficients(random_dense_form(n, degree, seed),
+                                           y)
+        assume(not sliced.all_zero)
+        lat = kernel_lattice(sliced.vector)
+        if reduced:
+            lat = reduce_basis(lat)
+        basis = sympy.Matrix(lat.basis)
+        expected = (basis * basis.T).inv() * basis
+        assert dual_basis(lat) == [
+            [Fraction(int(v.p), int(v.q)) for v in expected.row(t)]
+            for t in range(lat.rank)]
+
+
 class TestDiscriminantWindow:
     def test_covolume_comparable_to_gradient_norm(self):
         """sqrt(covolume_sq)/|l|_inf stays within [1/n, n] on random y."""
@@ -580,7 +603,8 @@ CAPS = st.sampled_from([1, 2, 3, 7, 64, 1 << 14])
 
 @st.composite
 def kernel_lattices(draw):
-    """Kernels of random skewed forms, as stored (echelon) or reduced."""
+    """Kernels of random skewed forms, as stored (Hermite normal form) or
+    reduced."""
     n = draw(st.integers(2, 6))
     l = draw(st.lists(SKEWED, min_size=n, max_size=n).filter(any))
     lat = kernel_lattice(l)

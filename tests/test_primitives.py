@@ -1,12 +1,13 @@
 """The shared primitives of ``forms`` against independent oracles.
 
 The batch evaluator is pinned to the scalar evaluator in its exact modes
-and, in float mode, to the per-monomial float loop it replaced; the
-echelon routine to sympy over Q and over GF(p); the grid enumerator to
-``itertools.product``.
+and, in float mode, to the per-monomial float loop it replaced; the ranks
+and integer kernels read off the Hermite normal form to sympy over Q and
+over GF(p); the grid enumerator to ``itertools.product``.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,12 +21,14 @@ from linecount import forms
 from linecount.forms import (
     HomogeneousForm,
     compiled_monomials,
-    echelon,
     evaluate_batch,
     evaluate_form,
     gradient,
     grid_chunks,
+    hermite_normal_form,
     hessian,
+    integer_kernel,
+    matrix_rank,
     residues_mod,
 )
 
@@ -171,9 +174,9 @@ class TestDerivatives:
 # ---------------------------------------------------------------------------
 
 @st.composite
-def integer_matrices(draw, square=False):
+def integer_matrices(draw):
     rows = draw(st.integers(1, 4))
-    cols = rows if square else draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
     entry = st.integers(-4, 4)
     matrix = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                            min_size=rows, max_size=rows))
@@ -185,68 +188,50 @@ def integer_matrices(draw, square=False):
     return matrix
 
 
-def as_fractions(vector):
-    return [Fraction(int(v.p), int(v.q)) for v in vector]
+def maximal_minors_gcd(rows):
+    """gcd of the k x k minors of a k x n integer matrix: 1 exactly when
+    its rows are a saturated basis of the lattice they span over Q."""
+    k = len(rows)
+    g = 0
+    for columns in itertools.combinations(range(len(rows[0])), k):
+        minor = sympy.Matrix([[row[c] for c in columns] for row in rows])
+        g = math.gcd(g, int(minor.det()))
+    return g
 
 
-class TestEchelonOverQ:
+class TestRankOverQ:
     @given(integer_matrices())
     @settings(max_examples=80, deadline=None)
-    def test_rank_and_nullspace_match_sympy(self, rows):
-        reduced = echelon(rows)
-        matrix = sympy.Matrix(rows)
-        assert reduced.rank == matrix.rank()
-        assert reduced.nullspace() == [as_fractions(v)
-                                       for v in matrix.nullspace()]
-        assert [list(r) for r in reduced.rows] == [
-            as_fractions(matrix.rref()[0].row(i)) for i in range(len(rows))]
+    def test_rank_matches_sympy(self, rows):
+        assert matrix_rank(rows) == sympy.Matrix(rows).rank()
 
-    @given(integer_matrices(square=True))
+    @given(integer_matrices())
     @settings(max_examples=80, deadline=None)
-    def test_determinant_matches_sympy(self, rows):
-        assert echelon(rows).det == Fraction(int(sympy.Matrix(rows).det()))
-
-    @given(integer_matrices(square=True),
-           st.lists(st.integers(-5, 5), min_size=4, max_size=4))
-    @settings(max_examples=80, deadline=None)
-    def test_solve_matches_sympy(self, rows, rhs):
-        size = len(rows)
-        rhs = rhs[:size]
-        reduced = echelon([row + [b] for row, b in zip(rows, rhs)],
-                          width=size)
-        matrix = sympy.Matrix(rows)
-        if matrix.det() == 0:
-            assert reduced.rank < size
-            assert reduced.det == 0
-        else:
-            assert reduced.rank == size
-            assert [row[size] for row in reduced.rows] \
-                == as_fractions(matrix.LUsolve(sympy.Matrix(rhs)))
+    def test_integer_kernel_is_saturated(self, rows):
+        """n - rank vectors, each with A k = 0, spanning a saturated
+        lattice, and already in Hermite normal form."""
+        kernel = integer_kernel(rows)
+        assert len(kernel) == len(rows[0]) - sympy.Matrix(rows).rank()
+        for vector in kernel:
+            assert all(sum(a * v for a, v in zip(row, vector)) == 0
+                       for row in rows)
+        if kernel:
+            assert maximal_minors_gcd(kernel) == 1
+            assert hermite_normal_form(kernel) == kernel
 
     def test_empty_matrix(self):
-        reduced = echelon([])
-        assert reduced.rank == 0 and reduced.det == 1
+        assert matrix_rank([]) == 0
+        assert matrix_rank([], 5) == 0
 
 
-class TestEchelonOverFp:
+class TestRankOverFp:
     @given(integer_matrices(), st.sampled_from([2, 3, 5, 7, 11]))
     @settings(max_examples=80, deadline=None)
     def test_rank_matches_domain_matrix(self, rows, p):
         field = sympy.GF(p)
         domain = DomainMatrix([[field(v) for v in row] for row in rows],
                               (len(rows), len(rows[0])), field)
-        reduced = echelon(rows, p)
-        assert reduced.rank == domain.rank()
-        kernel = reduced.nullspace()
-        assert len(kernel) == len(rows[0]) - reduced.rank
-        for vector in kernel:
-            assert all(sum(a * v for a, v in zip(row, vector)) % p == 0
-                       for row in rows)
-
-    @given(integer_matrices(square=True), st.sampled_from([2, 3, 5, 7]))
-    @settings(max_examples=60, deadline=None)
-    def test_determinant_mod_p(self, rows, p):
-        assert echelon(rows, p).det == int(sympy.Matrix(rows).det()) % p
+        assert matrix_rank(rows, p) == domain.rank()
 
 
 # ---------------------------------------------------------------------------
