@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
@@ -399,7 +400,7 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 # 4 (q - 2^29).  An estimator describes its points as columns: column j is
 # Sobol' coordinate k_j scaled to [-|r_j|, |r_j|) with the sign of r_j, or
 # zero.  The loop turns the words of a column straight into points, one
-# XOR and one multiply into buffers allocated once per call.
+# XOR and one multiply into buffers allocated once per worker.
 # The loop builds, for every row, only the columns the integrand reads on
 # every row; the integrand asks for whole points only at the rows it keeps
 # (the window estimators: the rows inside the first window).  The slab
@@ -412,17 +413,40 @@ def chi_p_fixed_y(form: HomogeneousForm, y: Sequence[int], p: int, H: int,
 # binary tree (:func:`_streamed_mean`).  That is numpy's pairwise order,
 # so each mean is bit for bit ``np.mean`` of the scramble's whole value
 # vector, for any tile size, while no buffer grows with the sample count.
+#
+# The scrambles are independent until they are combined, so the slab
+# integrals, whose rows each cost a transcendental (``np.sin``,
+# ``np.exp``) that numpy computes with the GIL released, run them on up
+# to min(SCRAMBLES, usable CPUs) threads once a scramble fills a tile.
+# Each thread has its own buffers and tiles; with w threads, thread t
+# runs scrambles t, t + w, ..., and scramble i's mean goes to slot i, so
+# every mean is the same double for any number of threads.  Measured on
+# quadric-5 at y = e1 with 2^22 samples (median of 15, 2-core Xeon, one
+# BLAS thread; tracemalloc peak of the loop), the integral / oscillatory
+# estimates took
+#
+#     tile rows            2^12       2^13       2^14       2^15
+#     one thread        156/185    132/164    139/162    143/170 ms
+#     two threads       136/156    101/119     86/99      78/102 ms
+#     traced peak, two    0.9/1.0    1.7/2.1    3.3/3.9    6.7/7.7 MB
+#
+# so a slab tile has 2^14 rows: 2^15 gains little more and doubles the
+# memory of every thread, and below 2^14 the GIL hand-offs of the ufunc
+# calls eat the gain.  The window estimators keep one thread: their values
+# are booleans of one polynomial, and on two threads the window estimate
+# took 32 ms against 26 ms, with a traced peak of 5.2 against 2.6 MB.
 
-#: Values per Sobol' coordinate of a tile.  The tile rule: a tile holds
-#: QMC_TILE * dim values of the coordinates built for every row, so it has
-#: 2^t QMC_TILE rows, 2^t <= dim / (coordinates built) < 2^(t + 1):
-#: QMC_TILE rows when every coordinate is built, as for the slab
-#: integrals, and 4 QMC_TILE for a window on quadric-5 at a unit y, whose
-#: first window reads one of five coordinates.  On quadric-5 at y = e1
-#: with 2^22 samples, QMC_TILE = 2^11, 2^12, 2^13, 2^14 and 2^15 took 126,
-#: 110, 94, 94 and 100 ms for the integral and 24, 19, 18, 21 and 27 ms for
-#: the window estimate (median of 7, 2-core Xeon, one BLAS thread).
+#: Values per Sobol' coordinate of a window estimator's tile.  The window
+#: tile rule: a tile holds QMC_TILE * dim values of the coordinates built
+#: for every row, so it has 2^t QMC_TILE rows, 2^t <= dim / (coordinates
+#: built) < 2^(t + 1): 4 QMC_TILE for a window on quadric-5 at a unit y,
+#: whose first window reads one of five coordinates.  On quadric-5 at
+#: y = e1 with 2^22 samples, QMC_TILE = 2^11, 2^12, 2^13, 2^14 and 2^15
+#: took 24, 19, 18, 21 and 27 ms for the window estimate (median of 7,
+#: 2-core Xeon, one BLAS thread).
 QMC_TILE = 1 << 13
+#: Rows of a slab integral's tile (see above).
+_SLAB_TILE = 1 << 14
 
 
 def _sample_means(dim: int, columns: Sequence[Tuple[int, float]],
@@ -445,10 +469,15 @@ def _sample_means(dim: int, columns: Sequence[Tuple[int, float]],
     array in which only the columns ``reads`` are built (the others read
     +0), a function ``rows(idx)`` that returns every column of the points
     at rows ``idx`` as a new F-ordered array, and a buffer of ``dtype``
-    with one entry per row, into which it writes one value per row.  A
-    tile holds QMC_TILE * dim values of the coordinates in ``reads`` (see
-    QMC_TILE); the buffer is reused by every tile, so the memory does not
-    depend on ``samples``.
+    with one entry per row, into which it writes one value per row.  For
+    bool values (the windows) a tile holds QMC_TILE * dim values of the
+    coordinates in ``reads`` (see QMC_TILE) and one thread runs; for
+    numeric values (the slab integrals) a tile has _SLAB_TILE rows, and
+    the scrambles run on min(SCRAMBLES, usable CPUs) threads, the calling
+    thread among them, when a scramble fills a tile.  The buffers are
+    reused by every tile of a thread, so the memory does not depend on
+    ``samples``.  Every thread is joined before the call returns, and the
+    first exception a thread raised is raised again here.
 
     Raises:
         DomainError: fewer than one sample.
@@ -470,8 +499,15 @@ def _sample_means(dim: int, columns: Sequence[Tuple[int, float]],
     source = source.astype(np.intp)
     scale *= sobol.CENTRED_UNIT
     built = [j for j in sorted(reads) if scale[j]]
-    tile = min(QMC_TILE << ((dim // max(1, len(set(source[built]))))
-                            .bit_length() - 1), 1 << exponent)
+    workers = 1
+    if dtype == bool:
+        tile = QMC_TILE << ((dim // max(1, len(set(source[built]))))
+                            .bit_length() - 1)
+    else:
+        tile = _SLAB_TILE
+        if tile <= 1 << exponent and hasattr(os, "sched_getaffinity"):
+            workers = min(SCRAMBLES, len(os.sched_getaffinity(0)))
+    tile = min(tile, 1 << exponent)
     # runs [column, coordinate, length] of consecutive built columns of
     # consecutive coordinates, each one XOR and one multiply per tile
     runs: List[List[int]] = []
@@ -481,24 +517,50 @@ def _sample_means(dim: int, columns: Sequence[Tuple[int, float]],
             runs[-1][2] += 1
         else:
             runs.append([j, source[j], 1])
-    points = np.zeros((tile, len(columns)), order="F")
-    words = np.empty((len(built), tile), dtype=np.uint32)
-    values = np.empty(tile, dtype=dtype)
+    means: List = [None] * SCRAMBLES
+    errors: List[BaseException] = []
 
-    def filled(scramble_seed: int) -> Iterator[np.ndarray]:
-        for table, offset in sobol.tiles(dim, exponent, scramble_seed, tile):
-            for j, k, n in runs:
-                np.bitwise_xor(table[k:k + n], offset[k:k + n, None],
-                               out=words[:n])
-                np.multiply(words[:n].view(np.int32), scale[j:j + n, None],
-                            out=points.T[j:j + n])
-            rows = functools.partial(_whole_rows, table, offset, source,
-                                     scale)
-            integrand(points, rows, values)
-            yield values
+    def work(first: int) -> None:
+        # a worker has buffers of its own and runs scrambles first,
+        # first + workers, ... until a worker fails
+        points = np.zeros((tile, len(columns)), order="F")
+        words = np.empty((len(built), tile), dtype=np.uint32)
+        values = np.empty(tile, dtype=dtype)
 
-    means = [_streamed_mean(filled(seed + i), 1 << exponent)
-             for i in range(SCRAMBLES)]
+        def filled(scramble_seed: int) -> Iterator[np.ndarray]:
+            for table, offset in sobol.tiles(dim, exponent, scramble_seed,
+                                             tile):
+                for j, k, n in runs:
+                    np.bitwise_xor(table[k:k + n], offset[k:k + n, None],
+                                   out=words[:n])
+                    np.multiply(words[:n].view(np.int32),
+                                scale[j:j + n, None], out=points.T[j:j + n])
+                rows = functools.partial(_whole_rows, table, offset, source,
+                                         scale)
+                integrand(points, rows, values)
+                yield values
+
+        try:
+            for i in range(first, SCRAMBLES, workers):
+                if errors:
+                    break
+                means[i] = _streamed_mean(filled(seed + i), 1 << exponent)
+        except BaseException as exc:
+            errors.append(exc)
+
+    # the calling thread is one of the workers
+    helpers: List[threading.Thread] = []
+    try:
+        for first in range(1, workers):
+            helper = threading.Thread(target=work, args=(first,))
+            helper.start()
+            helpers.append(helper)
+        work(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     return total, means
 
 

@@ -482,6 +482,19 @@ class TestDensityCommand:
         value = mean[0] if isinstance(mean, list) else mean
         assert value / math.sqrt(2) == pytest.approx(8, abs=0.2)
 
+    def test_integral_output_does_not_depend_on_cpus(self, capsys,
+                                                     monkeypatch):
+        """The slab integral's scrambles run on one thread per usable CPU
+        (up to 16); the output is byte-identical for one CPU and two."""
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, count=cpus: set(range(count)))
+            runs.append(run_cli(capsys, "density", "--fixture", "quadric-5",
+                                "--y", "1,0,0,0,0", "--integral", "16",
+                                "--samples", "1048576"))
+        assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+
     @pytest.mark.parametrize("budget,code", [(5869, EXIT_RESOURCE),
                                              (5870, EXIT_OK)])
     def test_chi_p_pairs_charge_boundary(self, capsys, budget, code):

@@ -5,7 +5,10 @@ import functools
 import itertools
 import math
 import os
+import sys
+import threading
 import tracemalloc
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -1628,8 +1631,9 @@ def tile_samples(tile):
             density.SCRAMBLES * tile * 4]
 
 
-#: Sample counts for a loop that builds every coordinate of every row,
-#: as the slab integrands do: its tiles hold QMC_TILE rows.
+#: Sample counts whose scrambles hold a quarter, one and four QMC_TILE
+#: rows.  For a slab integral that is an eighth, a half and two tiles,
+#: and the last count runs its scrambles on the usable CPUs.
 TILE_SAMPLES = tile_samples(density.QMC_TILE)
 
 #: The ten signed unit base points of quadric-5.  Each slab basis is a
@@ -1746,8 +1750,9 @@ class TestSamplingLoop:
     def test_signed_unit_base_points(self, which):
         """Every signed unit y of quadric-5: the slab integrands sample the
         ambient points with no matmul and no box test, the window builds
-        one coordinate on every row; scrambles of a quarter, one and four
-        tiles, by turns."""
+        one coordinate on every row; scrambles of an eighth, a half and two
+        slab tiles and of a quarter, one and four window tiles, by
+        turns."""
         y = UNIT_POINTS[which]
         _, radii, basis, _ = density._slab_geometry(QUADRIC5, y, 2)
         columns = density._signed_columns(basis, radii)
@@ -1877,8 +1882,9 @@ class TestBoxTestSkip:
 
 class TestTileLayout:
     """Integrands and the slab estimators read each coordinate as one
-    contiguous column, and a tile holds QMC_TILE * dim values of the
-    coordinates built for every row."""
+    contiguous column.  A window's tile holds QMC_TILE * dim values of the
+    coordinates built for every row; a slab integral's tile holds
+    _SLAB_TILE rows."""
 
     @pytest.mark.parametrize("samples", [100, TILE_SAMPLES[0],
                                          TILE_SAMPLES[2]])
@@ -1894,9 +1900,10 @@ class TestTileLayout:
                               np.float64, integrand)
         assert layouts and set(layouts) == {(3, True, True)}
 
-    #: (dim, reads, samples per scramble, tile rows): QMC_TILE 2^t rows
-    #: for 2^t <= dim / (coordinates read on every row) < 2^(t + 1), and
-    #: the whole scramble when it is smaller.
+    #: (dim, reads, samples per scramble, tile rows) of the window rule,
+    #: for bool values: QMC_TILE 2^t rows for 2^t <= dim / (coordinates
+    #: read on every row) < 2^(t + 1), and the whole scramble when it is
+    #: smaller.
     RULE = [(5, [0], 1 << 17, 4 * density.QMC_TILE),
             (5, [4], 1 << 15, 4 * density.QMC_TILE),
             (5, range(5), 1 << 15, density.QMC_TILE),
@@ -1906,22 +1913,39 @@ class TestTileLayout:
             (10, [5, 6, 7, 8, 9], 1 << 10, 1 << 10),
             (5, [0], 8, 8)]
 
-    @pytest.mark.parametrize("dim, reads, rows, tile", RULE)
-    def test_tile_rule(self, dim, reads, rows, tile):
-        """Only the columns read on every row are built; the others read
-        zero."""
+    #: (dim, reads, samples per scramble, dtype, tile rows) of the slab
+    #: rule, for numeric values: _SLAB_TILE rows whatever is read, and the
+    #: whole scramble when it is smaller.
+    SLAB_RULE = [(5, range(5), 1 << 15, np.float64, density._SLAB_TILE),
+                 (5, [0], 1 << 15, complex, density._SLAB_TILE),
+                 (3, [1], 1 << 14, np.float64, density._SLAB_TILE),
+                 (4, range(4), 1 << 12, np.float64, 1 << 12),
+                 (5, [0], 8, complex, 8)]
+
+    @staticmethod
+    def tiles(dim, reads, rows, dtype):
+        """The point shapes the integrand gets; only the columns read on
+        every row are built, the others read zero."""
         shapes = set()
 
         def integrand(points, rows_of, out):
             shapes.add(points.shape)
             assert all(points[:, j].any() == (j in reads)
                        for j in range(dim))
-            out[:] = 0.0
+            out[:] = 0
 
         density._sample_means(dim, unit_columns(dim), reads,
-                              rows * density.SCRAMBLES, 1, None, np.float64,
+                              rows * density.SCRAMBLES, 1, None, dtype,
                               integrand)
-        assert shapes == {(tile, dim)}
+        return shapes
+
+    @pytest.mark.parametrize("dim, reads, rows, tile", RULE)
+    def test_tile_rule(self, dim, reads, rows, tile):
+        assert self.tiles(dim, reads, rows, bool) == {(tile, dim)}
+
+    @pytest.mark.parametrize("dim, reads, rows, dtype, tile", SLAB_RULE)
+    def test_slab_tile_rule(self, dim, reads, rows, dtype, tile):
+        assert self.tiles(dim, reads, rows, dtype) == {(tile, dim)}
 
     @staticmethod
     def layouts(estimator, y, monkeypatch):
@@ -1961,6 +1985,127 @@ class TestTileLayout:
         and no row is box-tested."""
         assert self.layouts(estimator, (0, 0, 0, -1, 0), monkeypatch) == {
             ("evaluate_batch", 5, True)}
+
+
+def usable_cpus(monkeypatch, count):
+    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs, and
+    return the list of the threads the sampling loop starts."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+    monkeypatch.setattr(density, "threading",
+                        types.SimpleNamespace(Thread=Recorded))
+    return started
+
+
+class TestThreads:
+    """The slab integrals run their scrambles on min(SCRAMBLES, usable
+    CPUs) threads, the calling thread among them, once a scramble fills a
+    tile; the seeded estimates do not depend on the number of threads, and
+    no thread outlives the call."""
+
+    ESTIMATORS = {
+        "integral": lambda y, samples: singular_integral_truncated(
+            QUADRIC5, y, 16, samples, seed=9),
+        "oscillatory": lambda y, samples: oscillatory_v(
+            QUADRIC5, y, [0.3], 2, samples, seed=9),
+    }
+
+    #: Two tiles per scramble.
+    SAMPLES = 2 * density.SCRAMBLES * density._SLAB_TILE
+
+    @pytest.mark.parametrize("y", [(1, 0, 0, 0, 0), (3, 4, 0, 0, 5)])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_estimate_does_not_depend_on_cpus(self, name, y, monkeypatch):
+        """At e1 (a signed coordinate basis) and at (3, 4, 0, 0, 5) (the
+        matmul and the box test)."""
+        estimates = []
+        for cpus in (1, 2, 3, 16):
+            started = usable_cpus(monkeypatch, cpus)
+            estimates.append(self.ESTIMATORS[name](y, self.SAMPLES))
+            assert len(started) == cpus - 1
+        assert all(estimate == estimates[0] for estimate in estimates)
+
+    def test_more_threads_than_cores_switching_often(self, monkeypatch):
+        """Sixteen threads that switch every 10 microseconds: a scramble
+        lost, run twice or written to another slot would change the
+        estimate."""
+        usable_cpus(monkeypatch, 1)
+        want = self.ESTIMATORS["integral"]((3, 4, 0, 0, 5), self.SAMPLES)
+        started = usable_cpus(monkeypatch, 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = self.ESTIMATORS["integral"]((3, 4, 0, 0, 5), self.SAMPLES)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want and len(started) == 15
+
+    @pytest.mark.parametrize("samples", [density.SCRAMBLES * 1000,
+                                         density.SCRAMBLES * (1 << 13)])
+    def test_scrambles_below_a_tile_run_on_one_thread(self, samples,
+                                                      monkeypatch):
+        started = usable_cpus(monkeypatch, 2)
+        self.ESTIMATORS["integral"]((1, 0, 0, 0, 0), samples)
+        assert started == []
+
+    def test_windows_run_on_one_thread(self, monkeypatch):
+        started = usable_cpus(monkeypatch, 4)
+        real_density_window(QUADRIC5, (1, 0, 0, 0, 0), [0.1, 0.1],
+                            self.SAMPLES)
+        chi_global_real(QUADRIC4, [0.5, 0.5, 0.5], self.SAMPLES)
+        assert started == []
+
+    def test_a_failing_scramble_raises_in_the_caller(self, monkeypatch):
+        """An integrand that raises in scramble 5 raises the same exception
+        in the caller, after every thread has ended."""
+        before = threading.active_count()
+        started = usable_cpus(monkeypatch, 4)
+        drawing = threading.local()
+        real = sobol.tiles
+
+        def tiles(dim, exponent, seed, tile):
+            drawing.seed = seed
+            return real(dim, exponent, seed, tile)
+
+        monkeypatch.setattr(sobol, "tiles", tiles)
+        error = RuntimeError("scramble 5")
+
+        def integrand(points, rows, out):
+            if drawing.seed == 100 + 5:
+                raise error
+            out[:] = 1.0
+
+        with pytest.raises(RuntimeError) as raised:
+            density._sample_means(3, unit_columns(3), range(3),
+                                  self.SAMPLES, 100, None, np.float64,
+                                  integrand)
+        assert raised.value is error
+        assert len(started) == 3
+        assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        """A refused budget starts no thread; a run joins those it
+        started."""
+        before = threading.active_count()
+        started = usable_cpus(monkeypatch, 2)
+        with pytest.raises(ResourceLimit):
+            singular_integral_truncated(QUADRIC5, (1, 0, 0, 0, 0), 16,
+                                        self.SAMPLES,
+                                        budget=self.SAMPLES - 1)
+        assert started == []
+        assert threading.active_count() == before
+        singular_integral_truncated(QUADRIC5, (1, 0, 0, 0, 0), 16,
+                                    self.SAMPLES, budget=self.SAMPLES)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
 
 
 def first_window_reads(monkeypatch):
