@@ -9,7 +9,6 @@ arithmetic that drives the admissible-parameter bookkeeping.
 """
 
 from .errors import (
-    BasisNotSpanning,
     DimensionMismatch,
     DomainError,
     FormSyntaxError,
@@ -26,17 +25,13 @@ from .forms import (
     HomogeneousForm,
     PencilExpansion,
     Polynomial,
-    b_coefficient_vector,
-    discrete_difference,
     evaluate_form,
     form_from_json,
     form_to_json,
     gradient,
     hessian,
     integer_slice_form,
-    iterated_difference,
     load_form,
-    multilinear_evaluate,
     parse_form,
     pencil_coefficients,
 )

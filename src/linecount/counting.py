@@ -629,7 +629,8 @@ def _diagonal_fibers(form: HomogeneousForm, ys: Sequence[Tuple[int, ...]],
     :func:`_convolution_counts` over Z, a leader per base point.  The value
     vectors (binom(d, j) a_i y_i^(d-j) x^j)_(j=1..d) of variable i at x are
     built for every y at once from the coefficients, in int64 when the
-    radix of c_j allows and as Python ints otherwise.  A signed permutation
+    radix of c_j allows and as Python ints otherwise, on the first call of
+    the tables, so after the grid rows are charged.  A signed permutation
     sigma with F o sigma = +-F, which maps the value vectors at y onto
     those at sigma y up to one sign, keeps the charge.
     """
@@ -642,18 +643,20 @@ def _diagonal_fibers(form: HomogeneousForm, ys: Sequence[Tuple[int, ...]],
                                         dtype=object)
     # (leader, variable, j) -> binom(d, j) a_i y_i^(d - j), exactly
     coefficients = scales * np.array(ys, dtype=object)[:, :, None] ** (d - j)
-    powers = np.arange(-x_bound, x_bound + 1, dtype=object)[:, None] ** j
     largest = np.abs(coefficients).sum(axis=1).max(axis=0)
     radices = [2 * int(m) * x_bound ** k + 1
                for k, m in enumerate(largest, start=1)]
-    values = []
-    for k, radix in enumerate(radices):
-        dtype = np.int64 if radix < 2 ** 62 else object
-        values.append(coefficients[:, :, k, None].astype(dtype)
-                      * powers[:, k].astype(dtype))
+    values: List[np.ndarray] = []
 
     def tables(members: Sequence[int], rows: Optional[int]
                ) -> Iterator[List[List[np.ndarray]]]:
+        if not values:
+            powers = np.arange(-x_bound, x_bound + 1,
+                               dtype=object)[:, None] ** j
+            for k, radix in enumerate(radices):
+                dtype = np.int64 if radix < 2 ** 62 else object
+                values.append(coefficients[:, :, k, None].astype(dtype)
+                              * powers[:, k].astype(dtype))
         yield [[v[:, i] for v in values] for i in members]
 
     return _convolution_counts(tables, [1] * n, [2 * x_bound + 1] * n,

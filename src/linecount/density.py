@@ -1013,13 +1013,13 @@ def predict_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
     primes = _primes_up_to(p_max)
     factors: Dict[int, DensityEstimate] = {}
     for p in primes:
-        cached = cache.get(form, None, p, H) if cache else None
+        cached = cache.get(form, p, H) if cache else None
         if cached is not None:
             factors[p] = DensityEstimate(kind="p-adic", value=cached)
             continue
         factors[p] = chi_global_padic(form, p, H, budget=budget)
         if cache:
-            cache.put(form, None, p, H, factors[p].value)
+            cache.put(form, p, H, factors[p].value)
     main = Fraction(x_bound * y_bound) ** (n - D)
     main *= _real_mean(chi_inf)
     for estimate in factors.values():
@@ -1053,13 +1053,17 @@ def _primes_up_to(limit: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 class EulerCache:
-    """Content-addressed store for exact local factors.
+    """Content-addressed store for exact local factors of the pair system.
 
-    Keys combine the form's coefficient table, the base point (or None for
-    the global pair system), the prime, the level, the normalisation
-    convention and the package version, so a cache entry can never be
-    replayed against different inputs, nor against a factor computed
-    under another convention or by another version.
+    Keys combine the form's coefficient table, the prime, the level, the
+    normalisation convention and the package version (and ``"y": null``,
+    so older files still hit), so a cache entry can never be replayed
+    against different inputs, nor against a factor computed under another
+    convention or by another version.
+
+    Raises:
+        ValueError: the file holds anything but a JSON object of "p/q"
+            strings.
     """
 
     def __init__(self, path: str) -> None:
@@ -1068,28 +1072,29 @@ class EulerCache:
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as handle:
                 self._table = json.load(handle)
+            if not (isinstance(self._table, dict) and all(
+                    isinstance(v, str) for v in self._table.values())):
+                raise ValueError(f"{path} is not a JSON object of "
+                                 f"\"p/q\" strings")
 
     @staticmethod
-    def _key(form: HomogeneousForm, y: Optional[Sequence[int]], p: int,
-             H: int) -> str:
+    def _key(form: HomogeneousForm, p: int, H: int) -> str:
         payload = json.dumps(
-            {"form": form_to_json(form),
-             "y": None if y is None else [int(v) for v in y],
-             "p": p, "H": H, "convention": _PAIR_CONVENTION,
-             "version": __version__},
+            {"form": form_to_json(form), "y": None, "p": p, "H": H,
+             "convention": _PAIR_CONVENTION, "version": __version__},
             sort_keys=True)
         # imported here, so that a run without a cache does not load it
         import hashlib
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def get(self, form: HomogeneousForm, y: Optional[Sequence[int]],
-            p: int, H: int) -> Optional[Fraction]:
-        raw = self._table.get(self._key(form, y, p, H))
+    def get(self, form: HomogeneousForm, p: int,
+            H: int) -> Optional[Fraction]:
+        raw = self._table.get(self._key(form, p, H))
         return None if raw is None else Fraction(raw)
 
-    def put(self, form: HomogeneousForm, y: Optional[Sequence[int]],
-            p: int, H: int, value: Fraction) -> None:
-        self._table[self._key(form, y, p, H)] = format_rational(value)
+    def put(self, form: HomogeneousForm, p: int, H: int,
+            value: Fraction) -> None:
+        self._table[self._key(form, p, H)] = format_rational(value)
         # write a sibling file and rename it over the cache, so a failed
         # write leaves the previous cache intact
         import tempfile

@@ -32,10 +32,6 @@ class IndexOutOfRange(LineCountError):
     """A degree-slice index lies outside 0..d."""
 
 
-class BasisNotSpanning(LineCountError):
-    """A supplied basis does not span the slicing lattice."""
-
-
 class ZeroVectorInput(LineCountError):
     """An operation that needs a nonzero vector received the zero vector."""
 

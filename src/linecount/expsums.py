@@ -321,13 +321,15 @@ def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
 
     The shifts run in ``itertools.product`` order.  For each prefix
     h_1..h_(i-1) the last shifts h_i are batched by window shape (see
-    :func:`_last_shift_sums`); each shift tuple's window size times 2^i is
-    charged to ``budget`` in that order before the prefix is computed, and
-    the |inner(h)| are added one at a time in that order, so the ratios
-    and the point at which ResourceLimit fires are those of a loop over the
-    single tuples.  A prefix holds index tables of O(#shifts * (rank + 2^i))
-    entries and the blocks of one window shape, at most 2^(i + rank) times
-    the box; the product of the shifts is never held.
+    :func:`_last_shift_sums`) and the |inner(h)| are added one at a time
+    in that order, so the ratios are those of a loop over the single
+    tuples.  Such a loop charges each tuple's window size times 2^i to
+    ``budget``; all of it is charged before any table is built, and a
+    refusal needs what the loop would have spent at its first charge over
+    the budget (:func:`_charge_windows`).  A prefix holds index tables of
+    O(#shifts * (rank + 2^i)) entries and the blocks of one window shape,
+    at most 2^(i + rank) times the box; the product of the shifts is never
+    held.
 
     Raises:
         IndexOutOfRange: i outside 1..d-1.
@@ -342,30 +344,29 @@ def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
     point = _coerce_frequency(alpha, d)
     lattice = slicing_lattice(form, y)
     bounds = box_profile(lattice, x_bound).int_bounds
+    sides = [2 * b + 1 for b in bounds]
+    _charge_windows(sides, i, trials + 1,
+                    _Budget(budget, "window cells summed"))
     grid = next(grid_chunks([-b for b in bounds], bounds))
     ambient = grid @ np.asarray(lattice.basis, dtype=np.int64)
     slices = nonzero_slices(form, y)
     box_count = grid.shape[0]
-    ledger = _Budget(budget, "window cells summed")
 
-    rng = random.Random(seed)
-    points = [point]
-    for _ in range(trials):
-        points.append(FrequencyPoint(
-            {j: Fraction(rng.randrange(2 ** 16), 2 ** 16)
-             for j in range(2, d + 1)}))
-
-    cells = np.arange(box_count).reshape([2 * b + 1 for b in bounds])
+    cells = np.arange(box_count).reshape(sides)
     shifts = next(grid_chunks([-2 * b for b in bounds],
                               [2 * b for b in bounds]))
     groups = _shape_groups(shifts)
+    rng = random.Random(seed)
     ratios = []
-    for trial_point in points:
+    for trial in range(trials + 1):
+        trial_point = point if trial == 0 else FrequencyPoint(
+            {j: Fraction(rng.randrange(2 ** 16), 2 ** 16)
+             for j in range(2, d + 1)})
         base = _box_fractions(slices, trial_point, ambient)
         total_inner = 0.0
         for prefix in itertools.product(shifts, repeat=i - 1):
             for value in _last_shift_sums(base, cells, prefix, shifts,
-                                          groups, ledger):
+                                          groups):
                 total_inner += value
         lhs = exponential_sum_U(form, y, trial_point, x_bound,
                                 eta_samples, seed=seed) ** (2 ** i)
@@ -376,6 +377,50 @@ def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
                       trials=trials, seed=seed, ratios=tuple(ratios),
                       max_ratio=max_ratio,
                       passed=max_ratio <= 1 + 1e-9)
+
+
+def _charge_windows(sides: Sequence[int], i: int, rounds: int,
+                    ledger: _Budget) -> None:
+    """Charge ``ledger`` the window cells that :func:`weyl_inequality_check`
+    sums at ``rounds`` frequency points: their total when it fits, and
+    otherwise what the loop over the single shift tuples would have spent
+    at its first charge over the limit, so that the refusal is the loop's.
+
+    The box has sides 2 B_c + 1 and the shift tuple h_1..h_i costs
+    2^i * prod_c max(2 B_c + 1 - sum_t |h_t[c]|, 0) at every point, so
+    the tuples that share their leading coordinates cost a product over c
+    of ``free_sum(r, m)``: the sum of max(m - sum |h[c]|, 0) over the r
+    shifts whose coordinate c is still free, m the side less the chosen
+    |h_t[c]|.  The coordinates are walked in ``itertools.product`` order,
+    one at a time, skipping every value whose tuples all fit, down to the
+    tuple whose charge crosses the limit.
+    """
+    def free_sum(r: int, m: int) -> int:
+        # the coefficient of x^m in x (1 + x)^r / (1 - x)^(r + 2): the
+        # |h| of one shift weigh (1 + x) / (1 - x), and max(m, 0) has
+        # x / (1 - x)^2; a shift with |h| >= m adds nothing, so the bound
+        # |h| < 2 B_c + 1 on the shifts never binds
+        return sum(math.comb(r, k) * math.comb(m + r - k, r + 1)
+                   for k in range(r + 1))
+
+    every = math.prod(free_sum(i, side) for side in sides) << i
+    if ledger.limit is None or rounds * every <= ledger.limit:
+        ledger.charge(rounds * every)
+        return
+    spent = max(ledger.limit, 0) // every * every   # the rounds that fit
+    room, free = list(sides), [i] * len(sides)
+    for _ in range(i):
+        for c in range(len(sides)):
+            free[c] -= 1
+            others = math.prod(free_sum(r, m) for k, (r, m) in
+                               enumerate(zip(free, room)) if k != c)
+            for v in range(1 - room[c], room[c]):   # the nonempty windows
+                cost = others * free_sum(free[c], room[c] - abs(v)) << i
+                if spent + cost > ledger.limit:
+                    room[c] -= abs(v)
+                    break
+                spent += cost
+    ledger.charge(spent + cost)
 
 
 def _shape_groups(shifts: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -391,10 +436,9 @@ def _shape_groups(shifts: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
 def _last_shift_sums(base: np.ndarray, cells: np.ndarray,
                      prefix: Sequence[np.ndarray], shifts: np.ndarray,
                      groups: Tuple[np.ndarray, List[np.ndarray]],
-                     ledger: _Budget) -> List[float]:
+                     ) -> List[float]:
     """|inner(prefix + (h,))| for the last shifts h of ``shifts`` whose
-    window is not empty, in the order of ``shifts``; each window size
-    times 2^i is charged to ``ledger`` first, in the same order.
+    window is not empty, in the order of ``shifts``.
 
     ``base`` holds the box's phases in the C order of ``cells``, which
     numbers them.  Axis c of the window of h_1..h_i has width
@@ -412,10 +456,7 @@ def _last_shift_sums(base: np.ndarray, cells: np.ndarray,
     room = np.array(cells.shape) - np.abs(head).sum(axis=0)
     if room.min() <= 0:             # h_i = 0 has the widest window
         return []
-    widths = room - np.abs(shifts)
-    kept = (widths > 0).all(axis=1)
-    for size in widths[kept].prod(axis=1).tolist():
-        ledger.charge(size << i)
+    kept = (room - np.abs(shifts) > 0).all(axis=1)
     magnitudes, members = groups
     windows = room - magnitudes
     nonempty = np.flatnonzero((windows > 0).all(axis=1))

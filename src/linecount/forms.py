@@ -2,8 +2,8 @@
 
 A homogeneous form F of degree d in n variables is stored sparsely as a map
 from exponent tuples to integer coefficients, a :class:`HomogeneousForm`.
-Every polynomial derived from it (its integer slices, partial derivatives
-and differences) is a :class:`Polynomial`, the same map without the
+Every polynomial derived from it (its integer slices and partial
+derivatives) is a :class:`Polynomial`, the same map without the
 homogeneity requirement.  Everything in this module is exact: coefficients
 are Python ints or :class:`fractions.Fraction`, and the only floating point
 is the float64 mode of the batch evaluator, which serves the
@@ -25,8 +25,7 @@ code takes them whole, :func:`pencil_coefficients` evaluates them at
 piece x -> Phi(x, ..., x, y, ..., y) is the "slice" of F along y; the
 integer rescaling binom(d, j) * slice = c_j(x, y) is what all congruence
 and exponential-sum code in this package works with, because its values
-are guaranteed integers.  The binomial expansion of c * (x + h)^e behind
-the pencil also gives :func:`discrete_difference` its shifted terms.
+are guaranteed integers.
 
 The module also holds the one implementation of three primitives the rest
 of the package shares: :func:`evaluate_batch`, the batch evaluator whose
@@ -57,7 +56,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    BasisNotSpanning,
     DimensionMismatch,
     FormSyntaxError,
     IndexOutOfRange,
@@ -201,13 +199,16 @@ class HomogeneousForm(_Sparse):
         c_j is the coefficient of u^j in F(u*x + y), homogeneous of degree
         d with integer coefficients; variables 0..n-1 are the x block and
         n..2n-1 the y block.  The term x^k y^(e-k) of c_{|k|} comes from
-        the monomial x^e of F alone, so no two terms collide.
+        the monomial x^e of F alone, with weight prod_i binom(e_i, k_i)
+        times its coefficient, so no two terms collide.
         """
         coeffs: List[Dict[Exponent, int]] = [{} for _ in
                                              range(self.degree + 1)]
         for exponents, coefficient in self.coeffs.items():
-            for k, rest, weight in _expanded_terms(coefficient, exponents):
-                coeffs[sum(k)][k + rest] = weight
+            for k in itertools.product(*(range(e + 1) for e in exponents)):
+                rest = tuple(e - kk for e, kk in zip(exponents, k))
+                coeffs[sum(k)][k + rest] = coefficient * math.prod(
+                    math.comb(e, kk) for e, kk in zip(exponents, k))
         return tuple(HomogeneousForm(nvars=2 * self.nvars,
                                      degree=self.degree, coeffs=c)
                      for c in coeffs)
@@ -218,8 +219,8 @@ class Polynomial(_Sparse):
     """Sparse polynomial with exact int or Fraction coefficients, possibly
     inhomogeneous and possibly zero (an empty coefficient map).
 
-    The one type of every polynomial derived from a form: integer slices,
-    partial derivatives and differences.
+    The one type of every polynomial derived from a form: integer slices
+    and partial derivatives.
     """
 
     nvars: int
@@ -619,22 +620,6 @@ def _digit_run(first: int, count: int, side: int) -> np.ndarray:
 # Pencil expansion and slices
 # ---------------------------------------------------------------------------
 
-def _expanded_terms(coefficient, exponents: Exponent,
-                   ) -> Iterator[Tuple[Exponent, Exponent, object]]:
-    """The terms of coefficient * prod_i (x_i + h_i)^e_i: one triple
-    (k, e - k, coefficient * prod_i binom(e_i, k_i)) per k with
-    0 <= k_i <= e_i, the last entry the weight of x^k h^(e - k).
-
-    The package's one binomial expansion: the pencil forms substitute
-    u*x + y, and :func:`discrete_difference` a fixed shift h.
-    """
-    for k in itertools.product(*(range(e + 1) for e in exponents)):
-        weight = coefficient
-        for e, kk in zip(exponents, k):
-            weight *= math.comb(e, kk)
-        yield k, tuple(e - kk for e, kk in zip(exponents, k)), weight
-
-
 def pencil_coefficients(form: HomogeneousForm, x: IntVector,
                         y: IntVector) -> PencilExpansion:
     """Exact coefficients c_j of u^j v^(d-j) in F(u*x + v*y): the pencil
@@ -713,138 +698,6 @@ def hessian(form: HomogeneousForm, point: IntVector,
         for j in range(i, n):
             rows[i][j] = rows[j][i] = evaluate_form(partial.partials[j], point)
     return tuple(tuple(r) for r in rows)
-
-
-# ---------------------------------------------------------------------------
-# Differencing and polarisation
-# ---------------------------------------------------------------------------
-
-def discrete_difference(p, h: IntVector) -> Polynomial:
-    """Forward difference p(x + h) - p(x), exact.
-
-    Accepts a HomogeneousForm or Polynomial; iterating the operator with
-    shifts h_1, ..., h_k yields the k-fold difference, whose degree drops
-    by one per nonzero shift.
-    """
-    if len(h) != p.nvars:
-        raise DimensionMismatch(
-            f"shift has length {len(h)}, polynomial has {p.nvars} variables")
-    out: Dict[Exponent, object] = {}
-    for exponents, coefficient in p.coeffs.items():
-        # expand prod_i (x_i + h_i)^{e_i} and subtract the original term
-        for k, rest, weight in _expanded_terms(coefficient, exponents):
-            weight = _term_value(weight, h, rest)
-            _add_term(out, k, weight - coefficient if k == exponents
-                      else weight)
-    return Polynomial(nvars=p.nvars, coeffs=out)
-
-
-def iterated_difference(p, shifts: Sequence[IntVector]):
-    """Apply :func:`discrete_difference` once per shift, left to right
-    (``p`` itself when there is none)."""
-    for h in shifts:
-        p = discrete_difference(p, h)
-    return p
-
-
-def multilinear_evaluate(form: HomogeneousForm,
-                         vectors: Sequence[IntVector]) -> Fraction:
-    """The symmetric d-linear form Phi at (v_1, ..., v_d), exact.
-
-    Phi is recovered from F by finite-difference polarisation:
-
-        Phi(v_1, .., v_d) = (1/d!) * sum_{S nonempty} (-1)^(d-|S|) F(sum_S v_i),
-
-    so d! * Phi(v_1, ..., v_d) is always an integer, and Phi(x, ..., x) = F(x).
-    """
-    d = form.degree
-    if len(vectors) != d:
-        raise DimensionMismatch(
-            f"need exactly {d} vectors, got {len(vectors)}")
-    for v in vectors:
-        _check_point(form, v)
-    n = form.nvars
-    total = 0
-    for mask in range(1, 1 << d):
-        point = [0] * n
-        bits = 0
-        m = mask
-        index = 0
-        while m:
-            if m & 1:
-                bits += 1
-                vec = vectors[index]
-                for i in range(n):
-                    point[i] += vec[i]
-            m >>= 1
-            index += 1
-        value = evaluate_form(form, point)
-        total += value if (d - bits) % 2 == 0 else -value
-    return Fraction(total, math.factorial(d))
-
-
-def b_coefficient_vector(form: HomogeneousForm, y: IntVector,
-                         basis: Sequence[IntVector], j: int,
-                         shifts: Sequence[IntVector]) -> Tuple[Fraction, ...]:
-    """Linear coefficients of the polarised degree-j slice in lattice coordinates.
-
-    Writing Psi_j(xi) for the slice Phi(x, .., x, y, .., y) pulled back
-    through x = sum_m xi_m b_m (b_m the basis rows), the polar form of Psi_j
-    evaluated at (e_m, h_1, ..., h_{j-1}) is
-
-        B_m(h_1, .., h_{j-1}) = Phi(b_m, B^T h_1, .., B^T h_{j-1}, y, .., y),
-
-    and Psi_j's polarisation satisfies
-    Psi_j(xi, h_1, .., h_{j-1}) = sum_m xi_m B_m(h_1, .., h_{j-1}).
-
-    Args:
-        form: the form F.
-        y: base point (fills the last d - j slots).
-        basis: s linearly independent integer vectors orthogonal to
-            gradient(F, y), rows of the lattice basis.
-        j: slice degree, 2 <= j <= d.
-        shifts: j - 1 lattice-coordinate vectors of length s.
-
-    Returns:
-        Tuple of s exact rationals (B_1, ..., B_s).
-
-    Raises:
-        IndexOutOfRange: j outside 2..d.
-        BasisNotSpanning: basis not of rank n - 1 or not orthogonal to the
-            gradient at y.
-        DimensionMismatch: wrong shift count or lengths.
-    """
-    _check_point(form, y)
-    if not 2 <= j <= form.degree:
-        raise IndexOutOfRange(f"slice degree {j} outside 2..{form.degree}")
-    n = form.nvars
-    s = n - 1
-    if len(basis) != s or any(len(row) != n for row in basis):
-        raise BasisNotSpanning(
-            f"basis must consist of {s} vectors of length {n}")
-    grad = gradient(form, y)
-    for row in basis:
-        if sum(g * b for g, b in zip(grad, row)) != 0:
-            raise BasisNotSpanning(
-                "basis vector not orthogonal to the gradient at y")
-    if matrix_rank(basis) != s:
-        raise BasisNotSpanning("basis rows are linearly dependent")
-    if len(shifts) != j - 1:
-        raise DimensionMismatch(
-            f"need {j - 1} shift vectors, got {len(shifts)}")
-    for h in shifts:
-        if len(h) != s:
-            raise DimensionMismatch(
-                f"shift vectors live in {s} lattice coordinates")
-    ambient_shifts = [
-        [sum(h[m] * basis[m][i] for m in range(s)) for i in range(n)]
-        for h in shifts
-    ]
-    out = []
-    for m in range(s):
-        slots = [list(basis[m])] + ambient_shifts + [list(y)] * (form.degree - j)
-        out.append(multilinear_evaluate(form, slots))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

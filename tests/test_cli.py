@@ -611,6 +611,16 @@ class TestPredictCommand:
         stored = json.load(open(cache))
         assert len(stored) == 2
 
+    def test_malformed_cache_is_a_validation_error(self, capsys, tmp_path):
+        cache = tmp_path / "euler.json"
+        cache.write_text("[]")
+        code, out = run_json(capsys, "predict", "--fixture", "quadric-4",
+                             "--X", "5", "--Y", "5", "--p-max", "3",
+                             "--epsilon", "1,1,1", "--samples", "2048",
+                             "--cache", str(cache))
+        assert code == EXIT_VALIDATION
+        assert out["error"]["type"] == "ValueError"
+
     def test_pair_mode_needs_its_flags(self, capsys):
         code, out = run_json(capsys, "predict", "--fixture", "quadric-4",
                              "--X", "5")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from collections import defaultdict
 from unittest import mock
@@ -187,6 +188,20 @@ class TestCountFixedY:
             count_fixed_y(QUINTIC, Y0, 20, budget=10)
         assert info.value.budget == 10
         assert info.value.needed > 10
+
+    def test_diagonal_refusal_tabulates_nothing(self):
+        """A diagonal fiber refused at the charge of its grid rows builds
+        none of its (2X + 1)-row value tables (64 MB at X = 2 * 10^5)."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit) as info:
+                count_fixed_y(diagonal_quadric(5), (1, 0, 0, 0, 0),
+                              2 * 10 ** 5, budget=10 ** 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.needed == 5 * (4 * 10 ** 5 + 1)
+        assert peak < 2 ** 22
 
     def test_budget_holds_across_workers(self):
         """One meter charges all 11^3 = 1331 lattice points, so budgets of

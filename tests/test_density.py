@@ -2341,7 +2341,7 @@ class TestPredictions:
                                                           monkeypatch):
         path = os.path.join(tmp_path, "euler.json")
         cache = EulerCache(path)
-        cache.put(QUADRIC4, None, 2, 1, Fraction(3, 4))
+        cache.put(QUADRIC4, 2, 1, Fraction(3, 4))
 
         def crash(obj, handle, **kwargs):
             handle.write('{"truncated')
@@ -2349,11 +2349,11 @@ class TestPredictions:
 
         monkeypatch.setattr("linecount.density.json.dump", crash)
         with pytest.raises(OSError):
-            cache.put(QUADRIC4, None, 3, 1, Fraction(1, 2))
+            cache.put(QUADRIC4, 3, 1, Fraction(1, 2))
         monkeypatch.undo()
         reloaded = EulerCache(path)
-        assert reloaded.get(QUADRIC4, None, 2, 1) == Fraction(3, 4)
-        assert reloaded.get(QUADRIC4, None, 3, 1) is None
+        assert reloaded.get(QUADRIC4, 2, 1) == Fraction(3, 4)
+        assert reloaded.get(QUADRIC4, 3, 1) is None
         assert os.listdir(tmp_path) == ["euler.json"]
 
     @pytest.mark.parametrize("name, other", [
@@ -2364,10 +2364,10 @@ class TestPredictions:
             self, tmp_path, monkeypatch, name, other):
         path = os.path.join(tmp_path, "euler.json")
         monkeypatch.setattr(density, name, other)
-        EulerCache(path).put(QUADRIC4, None, 2, 1, Fraction(3, 4))
-        assert EulerCache(path).get(QUADRIC4, None, 2, 1) == Fraction(3, 4)
+        EulerCache(path).put(QUADRIC4, 2, 1, Fraction(3, 4))
+        assert EulerCache(path).get(QUADRIC4, 2, 1) == Fraction(3, 4)
         monkeypatch.undo()
-        assert EulerCache(path).get(QUADRIC4, None, 2, 1) is None
+        assert EulerCache(path).get(QUADRIC4, 2, 1) is None
 
     def test_euler_cache_round_trip(self, tmp_path):
         path = os.path.join(tmp_path, "euler.json")
@@ -2375,9 +2375,9 @@ class TestPredictions:
         first = predict_pairs(QUADRIC4, 10, 10, 3, 1, [1.0] * 3, 2048,
                               seed=9, cache=cache)
         reloaded = EulerCache(path)
-        assert reloaded.get(QUADRIC4, None, 2, 1) \
+        assert reloaded.get(QUADRIC4, 2, 1) \
             == chi_global_padic(QUADRIC4, 2, 1).value
-        assert reloaded.get(QUADRIC4, None, 2, 2) is None
+        assert reloaded.get(QUADRIC4, 2, 2) is None
         again = predict_pairs(QUADRIC4, 10, 10, 3, 1, [1.0] * 3, 2048,
                               seed=9, cache=reloaded)
         assert again.main_term == first.main_term

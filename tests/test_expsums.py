@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -41,10 +42,8 @@ from linecount.fixtures import (
 )
 from linecount.forms import (
     Polynomial,
-    b_coefficient_vector,
     grid_chunks,
     integer_slice_form,
-    iterated_difference,
     nonzero_slices,
 )
 from linecount.lattice import box_profile, enumerate_points, slicing_lattice
@@ -117,14 +116,6 @@ def phase_polynomial(form, y, basis, alpha):
                 for j, sliced in nonzero_slices(form, y) if point[j]
                 for exponents, value in sliced.coeffs.items()}
     return pullback(Polynomial(nvars=n, coeffs=combined), basis)
-
-
-def differenced_phase(form, y, basis, alpha, h_list):
-    """Exact iterated forward difference of the phase polynomial: each step
-    replaces p(xi) by p(xi + h) - p(xi), dropping the degree by one per
-    nonzero shift."""
-    return iterated_difference(phase_polynomial(form, y, basis, alpha),
-                               [list(h) for h in h_list])
 
 
 def random_point(d, rng, denominator=997):
@@ -530,6 +521,37 @@ class TestWeylInequality:
                                   seed=5, budget=total - 1)
         assert got.value.needed == total
 
+    @pytest.mark.parametrize("budget", [-1, 0, 1, 1000])
+    def test_small_budgets_refuse_like_per_shift(self, budget):
+        """Budgets at and below zero refuse at the first tuple whose window
+        is not empty, with the per-shift loop's charge."""
+        alpha = random_point(5, random.Random(3))
+        with pytest.raises(ResourceLimit) as want:
+            per_shift_weyl(QUINTIC, YQ, alpha, 2, 1, trials=1, seed=3,
+                           budget=budget)
+        with pytest.raises(ResourceLimit) as got:
+            weyl_inequality_check(QUINTIC, YQ, alpha, 2, 1, trials=1,
+                                  seed=3, budget=budget)
+        assert (str(got.value), got.value.needed) \
+            == (str(want.value), want.value.needed)
+
+    def test_refusal_tabulates_nothing(self):
+        """A run whose charges overrun the budget is refused at the charge
+        the shift loop would cross, before the box, the (4B + 1)^3 shifts
+        and their index tables exist (which took 67 MB at X = 20)."""
+        point = FrequencyPoint({2: Fraction(1, 3), 3: Fraction(1, 5),
+                                4: Fraction(2, 7), 5: Fraction(1, 2)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit) as got:
+                weyl_inequality_check(QUINTIC, YQ, point, 1, 20,
+                                      budget=10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.value.needed == 10005722
+        assert peak < 2 ** 22
+
     def test_report_json(self):
         report = weyl_inequality_check(CUBIC, YC, FrequencyPoint.zero(3),
                                        1, 2)
@@ -540,54 +562,6 @@ class TestWeylInequality:
 
 
 class TestDifferencedPhase:
-    def test_zero_shift_gives_zero(self):
-        basis = slicing_lattice(CUBIC, YC).basis
-        point = FrequencyPoint({2: Fraction(1, 3), 3: Fraction(1, 4)})
-        poly = differenced_phase(CUBIC, YC, basis, point, [[0, 0]])
-        assert poly.is_zero
-
-    def test_one_difference_of_quadratic_phase_is_affine(self):
-        basis = slicing_lattice(CUBIC, YC).basis
-        point = FrequencyPoint({2: Fraction(1, 3), 3: Fraction(0)})
-        poly = differenced_phase(CUBIC, YC, basis, point, [[1, -1]])
-        assert poly.degree <= 1
-
-    def test_full_differencing_kills_top_degree(self):
-        basis = slicing_lattice(CUBIC, YC).basis
-        point = FrequencyPoint({2: Fraction(0), 3: Fraction(1, 2)})
-        poly = differenced_phase(CUBIC, YC, basis, point,
-                                 [[1, 0], [0, 1], [1, 1]])
-        assert poly.degree <= 0
-
-    @pytest.mark.parametrize("j", [2, 3])
-    def test_linear_part_matches_polarised_coefficients(self, j):
-        rng = random.Random(100 + j)
-        d = 3
-        scale = Fraction(1, math.comb(d, j) * math.factorial(j))
-        checked = 0
-        seed = 0
-        while checked < 30:
-            seed += 1
-            form = random_dense_form(3, d, seed)
-            y = tuple(rng.randint(-3, 3) for _ in range(3))
-            try:
-                lattice = slicing_lattice(form, y)
-            except ZeroVectorInput:
-                continue
-            basis = lattice.basis
-            s = lattice.rank
-            shifts = [[rng.randint(-2, 2) for _ in range(s)]
-                      for _ in range(j - 1)]
-            point = FrequencyPoint(
-                {i: scale if i == j else Fraction(0)
-                 for i in range(2, d + 1)})
-            poly = differenced_phase(form, y, basis, point, shifts)
-            expected = b_coefficient_vector(form, y, basis, j, shifts)
-            for m in range(s):
-                e = tuple(1 if t == m else 0 for t in range(s))
-                assert poly.coeffs.get(e, Fraction(0)) == expected[m]
-            checked += 1
-
     def test_phase_polynomial_evaluates_like_slices(self):
         basis = slicing_lattice(QUINTIC, YQ).basis
         point = FrequencyPoint({2: Fraction(1, 3), 3: Fraction(1, 5),
@@ -601,12 +575,6 @@ class TestDifferencedPhase:
             direct = sum(point[jj] * integer_slice_form(QUINTIC, YQ, jj)(x)
                          for jj in range(2, 6))
             assert poly(xi) == direct
-
-    def test_shift_length_mismatch(self):
-        basis = slicing_lattice(CUBIC, YC).basis
-        point = FrequencyPoint.zero(3)
-        with pytest.raises(DimensionMismatch):
-            differenced_phase(CUBIC, YC, basis, point, [[1, 2, 3]])
 
 
 class TestMajorArcWitness:

@@ -1,15 +1,12 @@
-"""Exact form algebra: parsing, pencil expansion, slices, polarisation."""
+"""Exact form algebra: parsing, pencil expansion, slices."""
 
-import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecount.errors import (
-    BasisNotSpanning,
     DimensionMismatch,
     FormSyntaxError,
     IndexOutOfRange,
@@ -18,16 +15,11 @@ from linecount.errors import (
 )
 from linecount.fixtures import (
     QUINTIC_BASE_POINT,
-    fermat_form,
     fermat_quintic,
     random_dense_form,
 )
 from linecount.forms import (
-    HomogeneousForm,
-    Polynomial,
-    b_coefficient_vector,
     compiled_monomials,
-    discrete_difference,
     evaluate_batch,
     evaluate_form,
     form_from_json,
@@ -35,9 +27,6 @@ from linecount.forms import (
     gradient,
     hessian,
     integer_slice_form,
-    iterated_difference,
-    matrix_rank,
-    multilinear_evaluate,
     parse_form,
     pencil_coefficients,
 )
@@ -301,168 +290,6 @@ class TestDerivatives:
             for i in range(n):
                 assert sum(matrix[i][j] * x[j] for j in range(n)) \
                     == (d - 1) * grad[i]
-
-
-# ---------------------------------------------------------------------------
-# Differencing
-# ---------------------------------------------------------------------------
-
-class TestDifferencing:
-    def test_square_univariate(self):
-        p = Polynomial(nvars=1, coeffs={(2,): Fraction(1)})
-        diff = discrete_difference(p, (3,))
-        assert dict(diff.coeffs) == {(1,): Fraction(6), (0,): Fraction(9)}
-
-    def test_degree_drop(self):
-        rng = random.Random(23)
-        for trial in range(50):
-            n = rng.randint(1, 3)
-            d = rng.randint(1, 5)
-            form = random_dense_form(n, d, seed=4000 + trial)
-            h = [rng.randint(-3, 3) for _ in range(n)]
-            if all(v == 0 for v in h):
-                h[0] = 1
-            diff = discrete_difference(form, h)
-            assert diff.degree == d - 1
-
-    def test_d_fold_difference_is_constant(self):
-        form = fermat_form(2, 3)
-        shifts = [(1, 0), (0, 2), (3, 1)]
-        result = iterated_difference(form, shifts)
-        assert result.degree <= 0
-
-    def test_d_plus_one_fold_difference_vanishes(self):
-        form = fermat_form(2, 3)
-        shifts = [(1, 0), (0, 2), (3, 1), (1, 1)]
-        assert iterated_difference(form, shifts).is_zero
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            discrete_difference(QUINTIC, (1, 2))
-
-    def test_difference_matches_pointwise(self):
-        inhomogeneous = Polynomial(nvars=3, coeffs={
-            (0, 0, 0): Fraction(7, 3), (1, 0, 0): Fraction(-1, 2),
-            (0, 2, 1): Fraction(5, 4), (3, 0, 2): Fraction(2),
-            (1, 1, 1): Fraction(-3, 7)})
-        for poly in (random_dense_form(3, 4, seed=77), inhomogeneous):
-            for h in [(2, -1, 3), (0, 0, -2), (0, 0, 0)]:
-                diff = discrete_difference(poly, h)
-                for x in [(0, 0, 0), (1, 2, 3), (-4, 5, -6)]:
-                    shifted = [a + b for a, b in zip(x, h)]
-                    assert evaluate_form(diff, x) == \
-                        evaluate_form(poly, shifted) - evaluate_form(poly, x)
-
-
-# ---------------------------------------------------------------------------
-# Polarisation
-# ---------------------------------------------------------------------------
-
-class TestMultilinear:
-    def test_diagonal_slots(self):
-        e1 = (1, 0, 0, 0)
-        assert multilinear_evaluate(QUINTIC, [e1] * 5) == 1
-
-    def test_mixed_slots_vanish_for_diagonal_form(self):
-        e1, e2 = (1, 0, 0, 0), (0, 1, 0, 0)
-        assert multilinear_evaluate(QUINTIC, [e1] * 4 + [e2]) == 0
-
-    def test_round_trip(self):
-        rng = random.Random(31)
-        for trial in range(100):
-            n = rng.randint(2, 4)
-            d = rng.randint(2, 5)
-            form = random_dense_form(n, d, seed=5000 + trial)
-            x = [rng.randint(-4, 4) for _ in range(n)]
-            assert multilinear_evaluate(form, [x] * d) == \
-                evaluate_form(form, x)
-
-    def test_symmetry(self):
-        form = random_dense_form(3, 4, seed=41)
-        vectors = [(1, 0, 2), (0, 1, -1), (2, 2, 0), (1, -1, 1)]
-        reference = multilinear_evaluate(form, vectors)
-        rng = random.Random(1)
-        for _ in range(8):
-            shuffled = vectors[:]
-            rng.shuffle(shuffled)
-            assert multilinear_evaluate(form, shuffled) == reference
-
-    def test_denominator_divides_d_factorial(self):
-        rng = random.Random(43)
-        for trial in range(100):
-            n = rng.randint(2, 4)
-            d = rng.randint(2, 5)
-            form = random_dense_form(n, d, seed=6000 + trial)
-            vectors = [[rng.randint(-3, 3) for _ in range(n)]
-                       for _ in range(d)]
-            value = multilinear_evaluate(form, vectors)
-            assert (value * math.factorial(d)).denominator == 1
-
-    def test_wrong_slot_count(self):
-        with pytest.raises(DimensionMismatch):
-            multilinear_evaluate(QUINTIC, [(1, 0, 0, 0)] * 4)
-
-
-# ---------------------------------------------------------------------------
-# B-coefficient vectors
-# ---------------------------------------------------------------------------
-
-QUINTIC_LATTICE_BASIS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, -1)]
-
-
-class TestBCoefficients:
-    def test_quintic_fixture_vanishes(self):
-        """The degree-2 slice pulled back to the lattice is identically 0."""
-        vec = b_coefficient_vector(
-            QUINTIC, Y0, QUINTIC_LATTICE_BASIS, 2, [(0, 0, 1)])
-        assert vec == (Fraction(0), Fraction(0), Fraction(0))
-
-    def test_zero_shifts_give_zero_vector(self):
-        vec = b_coefficient_vector(
-            QUINTIC, Y0, QUINTIC_LATTICE_BASIS, 3, [(0, 0, 0), (0, 0, 0)])
-        assert all(v == 0 for v in vec)
-
-    def test_symmetric_in_shifts(self):
-        h1, h2 = (1, 2, 3), (-1, 0, 2)
-        a = b_coefficient_vector(QUINTIC, Y0, QUINTIC_LATTICE_BASIS, 3, [h1, h2])
-        b = b_coefficient_vector(QUINTIC, Y0, QUINTIC_LATTICE_BASIS, 3, [h2, h1])
-        assert a == b
-
-    def test_polarisation_identity(self):
-        """Psi_j(xi, h_1, .., h_{j-1}) = sum_m xi_m B_m on a non-degenerate case."""
-        form = random_dense_form(3, 3, seed=123)
-        y = (1, 1, 1)
-        grad = gradient(form, y)
-        # build two independent integer vectors orthogonal to grad
-        g1, g2, g3 = grad
-        basis = [(g2, -g1, 0), (0, g3, -g2)]
-        assert matrix_rank(basis) == 2
-        j = 2
-        h = (2, -3)
-        vec = b_coefficient_vector(form, y, basis, j, [h])
-        ambient_h = [sum(h[m] * basis[m][i] for m in range(2)) for i in range(3)]
-        for xi in [(1, 0), (0, 1), (2, 5), (-1, 3)]:
-            ambient_xi = [sum(xi[m] * basis[m][i] for m in range(2))
-                          for i in range(3)]
-            direct = multilinear_evaluate(
-                form, [ambient_xi, ambient_h, list(y)])
-            assert direct == sum(Fraction(x) * b for x, b in zip(xi, vec))
-
-    def test_rejects_non_orthogonal_basis(self):
-        with pytest.raises(BasisNotSpanning):
-            b_coefficient_vector(
-                QUINTIC, Y0,
-                [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], 2, [(0, 0, 1)])
-
-    def test_rejects_rank_deficient_basis(self):
-        with pytest.raises(BasisNotSpanning):
-            b_coefficient_vector(
-                QUINTIC, Y0,
-                [(1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, -1)], 2, [(0, 0, 1)])
-
-    def test_index_range(self):
-        with pytest.raises(IndexOutOfRange):
-            b_coefficient_vector(QUINTIC, Y0, QUINTIC_LATTICE_BASIS, 1, [])
 
 
 # ---------------------------------------------------------------------------
