@@ -1,7 +1,8 @@
 """Command-line entry point orchestrating counting, densities, and ledgers.
 
 JSON is the only machine output; ``--csv`` projects the tabular sections of
-``count --breakdown`` and ``ledger`` instead.  Rationals serialize as "p/q"
+``count --breakdown`` and ``ledger`` instead.  A result prints as its fields
+unless its class defines ``to_json``.  Rationals serialize as "p/q"
 strings and integers beyond the exact double range as decimal strings, so
 every value survives a round trip through standard parsers.  Floats use the
 canonical shortest representation, which is deterministic for identical
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -39,7 +41,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -93,7 +94,7 @@ class _SubcommandParser(_Parser):
         return namespace, extras
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunManifest:
     """Replayable record of one invocation."""
 
@@ -105,18 +106,6 @@ class RunManifest:
     tool_version: str
     wall_time: float
     outputs_digest: str
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "argv": list(self.argv),
-            "form_hash": self.form_hash,
-            "parameters": self.parameters,
-            "seeds": list(self.seeds),
-            "tool_version": self.tool_version,
-            "wall_time": self.wall_time,
-            "outputs_digest": self.outputs_digest,
-        }
 
     @staticmethod
     def from_file(path: str) -> "RunManifest":
@@ -176,6 +165,9 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if hasattr(value, "to_json"):
         return _jsonable(value.to_json())
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     raise DomainError(f"cannot serialize {type(value).__name__} to JSON")
 
 
@@ -370,7 +362,7 @@ def _run_expsum(args, form) -> dict:
     alpha = FrequencyPoint.from_values(args.alpha)
     value = exponential_sum_T(form, args.y, alpha, args.P,
                               budget=args.budget)
-    return {"P": args.P, "alpha": alpha.to_json(), "y": list(args.y),
+    return {"P": args.P, "alpha": alpha.alpha, "y": list(args.y),
             "value": value, "abs": float(abs(value))}
 
 
@@ -407,27 +399,23 @@ def _run_arcs(args, form) -> dict:
     if args.witness is not None:
         witness = major_arc_witness(alpha, args.X, args.witness,
                                     budget=args.budget)
-        return {"mode": "witness", "X": args.X, "alpha": alpha.to_json(),
+        return {"mode": "witness", "X": args.X, "alpha": alpha.alpha,
                 "window": args.witness, "member": witness is not None,
-                "witness": None if witness is None else witness.to_json()}
+                "witness": witness}
     if args.y is None:
         raise DomainError("--y is required for --weyl and --nested")
     if args.weyl is not None:
         report = weyl_inequality_check(form, args.y, alpha, args.weyl,
                                        args.X, trials=args.trials,
                                        seed=args.seed, budget=args.budget)
-        payload = report.to_json()
-        payload["mode"] = "weyl"
-        return payload
+        return {**_jsonable(report), "mode": "weyl"}
     profile, n, rho, psi = _profile_from_flags(args, form.degree)
     y_sup, mu1_sq = arc_geometry(form, args.y)
     report = nested_arc_membership(alpha, args.X, profile, y_sup, mu1_sq,
                                    start_degree=args.start_degree,
                                    budget=args.budget)
-    payload = report.to_json()
-    payload.update({"mode": "nested", "n": n, "rho": rho, "psi": psi,
-                    "y_sup": y_sup, "mu1_sq": mu1_sq})
-    return payload
+    return {**_jsonable(report), "mode": "nested", "n": n, "rho": rho,
+            "psi": psi, "y_sup": y_sup, "mu1_sq": mu1_sq}
 
 
 def _configure_density(parser) -> None:
@@ -616,15 +604,12 @@ def _run_ledger(args, form=None) -> dict:
     report = check_conditions(profile, n, rho)
     payload = {
         "d": args.d, "n": n, "rho": rho, "psi": psi, "preset": args.preset,
-        "profile": profile.to_json(),
-        "conditions": report.to_json(),
+        "profile": profile,
+        "conditions": report.conditions,
         "all_hold": report.all_hold,
     }
     if args.identities is not None:
-        ident = identity_suite(args.identities)
-        payload["identities"] = {"n_max": ident.n_max, "checked": ident.checked,
-                                 "all_hold": ident.all_hold,
-                                 "failures": list(ident.failures)}
+        payload["identities"] = identity_suite(args.identities)
     if args.thresholds:
         payload["thresholds"] = theorem_thresholds(args.d)
     return payload
@@ -635,8 +620,8 @@ def _csv_ledger(payload: dict) -> str:
     letters and '-', and a slack only digits, '-' and '/', so no cell
     needs quoting."""
     return "condition,holds,slack\n" + "".join(
-        f"{name},{entry['holds']},{entry['slack']}\n"
-        for name, entry in sorted(payload["conditions"].items()))
+        f"{name},{check.holds},{format_rational(check.slack)}\n"
+        for name, check in sorted(payload["conditions"].items()))
 
 
 def _configure_lattice(parser) -> None:
@@ -658,9 +643,7 @@ def _run_lattice(args, form) -> dict:
         "hessian_corank": hessian_corank(form, args.y),
     }
     if payload["on_hypersurface"]:
-        report = m2_dimension(form, args.y)
-        payload["m2"] = {"span_dim": report.span_dim,
-                         "system_dim": report.system_dim}
+        payload["m2"] = m2_dimension(form, args.y)
     if args.write:
         with open(args.write, "w", encoding="utf-8") as handle:
             json.dump(form_to_json(form), handle, sort_keys=True, indent=2)
@@ -874,8 +857,7 @@ def _run(argv: List[str], record: bool) -> int:
         manifest = _manifest_for(args, argv, form,
                                  time.monotonic() - started, output)
         with open(args.manifest_out, "w", encoding="utf-8") as handle:
-            json.dump(manifest.to_json(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
+            handle.write(_render_json(manifest))
     if args.subcommand == "selftest" and payload.get("failed"):
         return EXIT_VALIDATION
     return EXIT_OK

@@ -28,6 +28,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DomainError,
     NotOnHypersurface,
     ResourceLimit,
@@ -721,12 +722,16 @@ def count_fixed_y(form: HomogeneousForm, y: IntVector, x_bound: int, *,
 
     Raises:
         ZeroVectorInput: y = 0.
+        DimensionMismatch: y does not have one entry per variable.
         ResourceLimit: the enumeration exceeded the budget.
     """
     if all(v == 0 for v in y):
         raise ZeroVectorInput("base point must be nonzero")
     if x_bound < 0:
         raise DomainError("x_bound must be nonnegative")
+    if len(y) != form.nvars:    # the diagonal path forms no linear slice
+        raise DimensionMismatch(
+            f"base point has length {len(y)}, form has {form.nvars} variables")
     if not _is_diagonal(form) and linear_slice_coefficients(form, y).all_zero:
         warnings.warn(
             f"gradient vanishes at y={tuple(y)}; scanning the full box",

@@ -709,9 +709,11 @@ def oscillatory_v(form: HomogeneousForm, y: Sequence[int], beta,
 
     Raises:
         ZeroVectorInput: degenerate base point.
-        DomainError: fewer than 1000 samples.
+        DomainError: X <= 0, or fewer than 1000 samples.
         ResourceLimit: the rounded sample count exceeds ``budget``.
     """
+    if x_bound <= 0:
+        raise DomainError("the slab scale X must be positive")
     if samples < 1000:
         raise DomainError("oscillatory integrals need at least 10^3 samples")
     d = form.degree
@@ -971,7 +973,12 @@ def predict_fixed_y(form: HomogeneousForm, y: Sequence[int], x_bound: int,
     divided by the two factors is exactly the power of X.  ``budget``
     bounds each prime-power residue count of the series and, separately,
     the QMC samples of the integral.
+
+    Raises:
+        DomainError: X < 1.
     """
+    if x_bound < 1:
+        raise DomainError("x_bound must be at least 1")
     s = form.nvars - 1
     D = form.degree * (form.degree + 1) // 2
     series = singular_series_truncated(form, y, window, budget=budget)
@@ -1006,7 +1013,12 @@ def predict_pairs(form: HomogeneousForm, x_bound: int, y_bound: int,
     equations over 2n variables) is recorded in the components.
     ``budget`` bounds each exact count of :func:`chi_global_padic` and,
     separately, the QMC samples of the real factor.
+
+    Raises:
+        DomainError: X < 1 or Y < 1.
     """
+    if x_bound < 1 or y_bound < 1:
+        raise DomainError("x_bound and y_bound must be at least 1")
     n = form.nvars
     D = form.degree * (form.degree + 1) // 2
     chi_inf = chi_global_real(form, epsilon, samples, seed, budget=budget)

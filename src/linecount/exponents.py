@@ -112,24 +112,6 @@ class ExponentProfile:
         steps = {self.step(j) for j in range(2, self.d + 1)}
         return len(steps) == 1
 
-    def to_json(self) -> dict:
-        def table(values: Mapping[int, Fraction]) -> dict:
-            return {str(j): format_rational(v)
-                    for j, v in sorted(values.items())}
-        return {
-            "d": self.d,
-            "psi": format_rational(self.psi),
-            "varpi": format_rational(self.varpi),
-            "theta": table(self.theta),
-            "k": table(self.k),
-            "delta": table(self.delta),
-            "nu": table(self.nu),
-            "omega": table(self.omega),
-            "Omega": table(self.Omega),
-            "sigma": table(self.sigma),
-            "Sigma": table(self.Sigma),
-        }
-
 
 def derive_profile(d: int, theta, k, psi: RationalLike,
                    varpi: RationalLike, delta) -> ExponentProfile:
@@ -220,13 +202,6 @@ class ConditionReport:
     def failing(self) -> Tuple[str, ...]:
         return tuple(label for label, check in self.conditions.items()
                      if not check.holds)
-
-    def to_json(self) -> dict:
-        return {
-            label: {"holds": check.holds,
-                    "slack": format_rational(check.slack)}
-            for label, check in self.conditions.items()
-        }
 
 
 def _strict(margin: Fraction) -> ConditionCheck:

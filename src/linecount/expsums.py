@@ -38,7 +38,6 @@ from .forms import (
     HomogeneousForm,
     Polynomial,
     evaluate_batch,
-    format_rational,
     grid_chunks,
     nonzero_slices,
     parse_rational,
@@ -108,10 +107,6 @@ class FrequencyPoint:
             else:
                 table[j] = Fraction(value)
         return cls(table, dyadic_input=dyadic)
-
-    def to_json(self) -> dict:
-        return {str(j): format_rational(v)
-                for j, v in sorted(self.alpha.items())}
 
 
 def _coerce_frequency(alpha, d: Optional[int]) -> FrequencyPoint:
@@ -287,18 +282,6 @@ class WeylReport:
     ratios: Tuple[float, ...]
     max_ratio: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "x_bound": self.x_bound,
-            "lattice_points": self.lattice_points,
-            "trials": self.trials,
-            "seed": self.seed,
-            "ratios": list(self.ratios),
-            "max_ratio": self.max_ratio,
-            "passed": self.passed,
-        }
 
 
 def weyl_inequality_check(form: HomogeneousForm, y: Sequence[int], alpha,
@@ -502,16 +485,6 @@ class MajorArcWitness:
     distances: Dict[int, Fraction]
     window: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "numerators": {str(j): b for j, b in
-                           sorted(self.numerators.items())},
-            "distances": {str(j): format_rational(v)
-                          for j, v in sorted(self.distances.items())},
-            "window": format_rational(self.window),
-        }
-
 
 def major_arc_witness(alpha, x_bound: int, window: RationalLike, *,
                       budget: Optional[int] = DEFAULT_COUNT_BUDGET,
@@ -574,19 +547,6 @@ class NestedArcReport:
     margins: Dict[int, Fraction]
     slack: Optional[Fraction]
 
-    def to_json(self) -> dict:
-        return {
-            "member": self.member,
-            "start_degree": self.start_degree,
-            "assignment": None if self.assignment is None else {
-                str(i): list(pair)
-                for i, pair in sorted(self.assignment.items())},
-            "margins": {str(i): format_rational(v)
-                        for i, v in sorted(self.margins.items())},
-            "slack": None if self.slack is None
-            else format_rational(self.slack),
-        }
-
 
 def _int_root(value: int, k: int) -> int:
     """floor(value ** (1/k)) for nonnegative integers, exactly."""
@@ -604,39 +564,18 @@ def _int_root(value: int, k: int) -> int:
     return lo
 
 
-def _power_bound(x_bound: int, exponent: Fraction, y_sup: int, y_power: int,
-                 mu1_sq: int, mu_power: int) -> Tuple[int, int]:
-    """The bound X^exponent * y_sup^y_power * mu1^mu_power as (N, 2r).
+def _cleared_bound(x_bound: int, exponent: Fraction, y_sup: int,
+                   y_power: int, mu1_sq: int,
+                   mu_power: int) -> Tuple[Fraction, int]:
+    """The bound X^exponent * y_sup^y_power * mu1^mu_power as (B, k).
 
-    Returns integers (N, k) so that "value <= bound" can be decided as
-    value^k <= N; k = 2 * denominator(exponent) clears both the fractional
-    power of X and the square root in mu1.
+    "value <= bound" is decided as value^k <= B: k = 2 * denominator(
+    exponent) clears both the fractional power of X and the square root
+    in mu1, and B is an exact rational (the exponent may be negative).
     """
     p, r = exponent.numerator, exponent.denominator
-    if p < 0:
-        raise DomainError("negative exponent needs the rational comparator")
-    n = (x_bound ** (2 * p)) * (y_sup ** (2 * r * y_power)) \
-        * (mu1_sq ** (r * mu_power))
-    return n, 2 * r
-
-
-def _distance_bound(x_bound: int, omega: Fraction, degree: int, y_sup: int,
-                    y_power: int, mu1_sq: int,
-                    mu_power: int) -> Tuple[Fraction, int]:
-    """The bound X^(omega - degree) * y_sup^y_power * mu1^mu_power.
-
-    Returned as (B, k): the comparison "delta <= bound" is decided as
-    delta^k <= B with k = 2 * denominator(omega); B is an exact rational
-    (the X exponent may be negative).
-    """
-    p, r = omega.numerator, omega.denominator
-    k = 2 * r
-    x_exp = 2 * (p - degree * r)
-    if x_exp >= 0:
-        x_part = Fraction(x_bound ** x_exp)
-    else:
-        x_part = Fraction(1, x_bound ** (-x_exp))
-    return (x_part * y_sup ** (k * y_power) * mu1_sq ** (r * mu_power)), k
+    return (Fraction(x_bound) ** (2 * p) * y_sup ** (2 * r * y_power)
+            * mu1_sq ** (r * mu_power)), 2 * r
 
 
 def arc_geometry(form: HomogeneousForm, y: Sequence[int]) -> Tuple[int, int]:
@@ -688,16 +627,16 @@ def nested_arc_membership(alpha, x_bound: int, profile: ExponentProfile,
         ledger.charge(1 + (2 * nu.numerator * x_bits
                            + 2 * nu.denominator * (d - i) * y_bits
                            + nu.denominator * mu_bits) // 256)
-        n, k = _power_bound(x_bound, nu, y_sup, d - i, mu1_sq, 1)
-        caps[i] = _int_root(n, k)
+        # nu_i = (i - 1) theta_i > 0, so the cleared cap is an integer
+        bound, k = _cleared_bound(x_bound, nu, y_sup, d - i, mu1_sq, 1)
+        caps[i] = _int_root(int(bound), k)
         omega = profile.omega[i]
         p, r = omega.numerator, omega.denominator
         ledger.charge(1 + (2 * abs(p - i * r) * x_bits
                            + 2 * r * profile.D(d - i) * y_bits
                            + r * (d - i + 1) * mu_bits) // 256)
-        bounds_table[i] = _distance_bound(x_bound, omega, i, y_sup,
-                                          profile.D(d - i), mu1_sq,
-                                          d - i + 1)
+        bounds_table[i] = _cleared_bound(x_bound, omega - i, y_sup,
+                                         profile.D(d - i), mu1_sq, d - i + 1)
 
     assignment: Dict[int, Tuple[int, int]] = {}
     margins: Dict[int, Fraction] = {}

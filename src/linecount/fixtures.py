@@ -50,6 +50,8 @@ def random_dense_form(nvars: int, degree: int, seed: int,
 
 
 def _monomials_of_degree(nvars: int, degree: int):
+    if nvars == 0:
+        return
     if nvars == 1:
         yield (degree,)
         return

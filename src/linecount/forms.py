@@ -173,7 +173,7 @@ class _Sparse:
 
 @dataclass(frozen=True)
 class HomogeneousForm(_Sparse):
-    """Integer homogeneous polynomial of degree >= 1.
+    """Nonzero integer homogeneous polynomial of degree >= 1.
 
     Fields:
         nvars: number of variables n.
@@ -186,6 +186,8 @@ class HomogeneousForm(_Sparse):
     coeffs: Mapping[Exponent, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not self.coeffs:
+            raise ZeroForm("a form needs at least one nonzero monomial")
         if self.degree < 1:
             raise ValueError("a form must have degree >= 1")
         _validate_coeffs(self.nvars, self.coeffs, self.degree)
@@ -409,8 +411,6 @@ def form_from_json(obj: dict) -> HomogeneousForm:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormSyntaxError(f"malformed form object: {exc}") from exc
     coeffs = {e: c for e, c in coeffs.items() if c}
-    if not coeffs:
-        raise ZeroForm("form object carries no surviving monomials")
     return HomogeneousForm(nvars=nvars, degree=degree, coeffs=coeffs)
 
 

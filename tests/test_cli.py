@@ -85,6 +85,49 @@ class TestSerialization:
         with pytest.raises(DomainError):
             _jsonable(object())
 
+    def test_dataclass_renders_its_fields(self):
+        """A dataclass instance prints as its fields, each rendered in turn,
+        unless its class defines ``to_json``; a dataclass type is no
+        value."""
+        manifest = RunManifest(command="count", argv=["count"],
+                               form_hash=None, parameters={"X": 2 ** 60},
+                               seeds=[], tool_version="v", wall_time=0.5,
+                               outputs_digest="d")
+        assert _jsonable(manifest)["parameters"] == {"X": str(2 ** 60)}
+        report = count_pairs(fermat_form(3, 3), 1, 1)
+        assert _jsonable(report) == _jsonable(report.to_json())
+        with pytest.raises(DomainError):
+            _jsonable(RunManifest)
+
+
+class TestRenderedOutput:
+    """The stdout of the commands that print results as their fields,
+    pinned by sha256 to what the hand-written serializers printed."""
+
+    QUINTIC = ("--fixture", "quintic", "--y", "0,0,1,-1")
+    ALPHA = ("--alpha", "1/3,1/5,2/7,1/2")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("ledger", "--d", "5", "--identities", "7", "--thresholds"),
+         "2397e132f6c4748b33e802dd5f5c566f21c7b5b5a91b591788986a17981c8cfa"),
+        (("ledger", "--d", "5", "--csv"),
+         "1485496fa40cb8395f31904b8658aa1f1290997ea4c09480f515d7dfe19a8999"),
+        (("arcs", *QUINTIC, "--alpha", "0,0,0,1/1000000000", "--X", "10",
+          "--nested"),
+         "3a75212ca064c118c6433493e0095750e6f9b388d4f7b79c62d729ea7c606ecc"),
+        (("arcs", *QUINTIC, *ALPHA, "--X", "100", "--witness", "300000"),
+         "507451afbc5dc19180d9c1e26839ef9b4357f443024de85c4cbe239bc89dfb67"),
+        (("arcs", *QUINTIC, *ALPHA, "--X", "3", "--weyl", "1", "--trials",
+          "2"),
+         "6b61278128632d3c7ce4a0110132df83432e682d611e6448dab4c5b728794d31"),
+        (("lattice", *QUINTIC),
+         "a67d606ab9037b8bf59bbe1e744d15fa963f0ce2429eb33d8fc8c59603313f9e"),
+    ], ids=["ledger", "ledger-csv", "nested", "witness", "weyl", "lattice"])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestExitCodes:
     def test_pair_count_succeeds(self, capsys, quintic_file):
@@ -174,6 +217,32 @@ class TestExitCodes:
                              "--X", "1", "--Y", "1")
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("argv", [
+        ("--fixture", "quadric-0", "--y", "1", "--X", "2"),
+        ("--fixture", "random-3-0-1", "--y", "1", "--X", "2"),
+        ("--fixture", "fermat-3-0", "--X", "2", "--Y", "2"),
+    ], ids=["quadric", "random", "fermat"])
+    def test_zero_variable_fixture_is_validation(self, capsys, argv):
+        code, out = run_json(capsys, "count", *argv)
+        assert code == EXIT_VALIDATION
+        assert out["error"]["type"] == "ZeroForm"
+
+    @pytest.mark.parametrize("argv", [
+        ("predict", "--fixture", "quadric-5", "--y", "1,0,0,0,0",
+         "--X", "-4", "--W", "2"),
+        ("predict", "--fixture", "quadric-5", "--X", "-4", "--Y", "4",
+         "--p-max", "3", "--epsilon", "0.5,0.5,0.5"),
+        ("predict", "--fixture", "quadric-5", "--X", "4", "--Y", "0",
+         "--p-max", "3", "--epsilon", "0.5,0.5,0.5"),
+        ("density", "--fixture", "quadric-5", "--y", "1,0,0,0,0",
+         "--oscillatory", "0.1", "--X", "-2", "--samples", "1000"),
+    ], ids=["predict-fixed-y", "predict-pairs-X", "predict-pairs-Y",
+            "oscillatory"])
+    def test_nonpositive_box_is_validation(self, capsys, argv):
+        code, out = run_json(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out["error"]["type"] == "DomainError"
+
     def test_conflicting_count_modes(self, capsys):
         code, out = run_json(capsys, "count", "--fixture", "quintic",
                              "--X", "1", "--Y", "1", "--y", "0,0,1,-1")
@@ -189,6 +258,14 @@ class TestCount:
                              "--X", "2", "--y", "0,0,1,-1")
         assert code == EXIT_OK
         assert out["total"] == count_fixed_y(fermat_quintic(), (0, 0, 1, -1), 2)
+
+    def test_fixed_y_base_point_length_on_diagonal_form(self, capsys):
+        code, out = run_json(capsys, "count", "--fixture", "quintic",
+                             "--y", "0,0,1", "--X", "2")
+        assert code == EXIT_VALIDATION
+        assert out["error"] == {
+            "type": "DimensionMismatch",
+            "message": "base point has length 3, form has 4 variables"}
 
     @pytest.mark.parametrize("flag", [("--rho", "1"), ("--breakdown",),
                                       ("--exclude-proportional",),
@@ -761,6 +838,18 @@ class TestManifest:
         code, second = run_cli(capsys, "--from-manifest", manifest_path)
         assert code == EXIT_OK
         assert second == first
+
+    def test_seed_past_double_precision(self, capsys, tmp_path):
+        """The manifest renders like the output: a seed of 2^53 or more is
+        a decimal string in ``seeds`` as in ``parameters``."""
+        path = tmp_path / "run.json"
+        seed = str(2 ** 53 + 1)
+        code, _ = run_cli(capsys, "arcs", "--fixture", "quintic", "--alpha",
+                          "0,0,0,0", "--X", "3", "--witness", "2", "--seed",
+                          seed, "--manifest-out", str(path))
+        assert code == EXIT_OK
+        raw = json.loads(path.read_text())
+        assert raw["seeds"] == [seed] and raw["parameters"]["seed"] == seed
 
     def test_replay_checks_the_digest(self, capsys, tmp_path):
         """A manifest whose digest differs in one hex digit from the

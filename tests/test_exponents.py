@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linecount.cli import _jsonable
 from linecount.errors import DomainError, PsiOutOfRange
 from linecount.exponents import (
     CONDITION_LABELS,
@@ -90,7 +91,7 @@ class TestDeriveProfile:
 
     def test_json_round_trip_strings(self):
         prof = _steady_profile()
-        blob = prof.to_json()
+        blob = _jsonable(prof)
         assert blob["psi"] == "1/1250"
         assert parse_rational(blob["theta"]["2"]) == prof.theta[2]
 
@@ -156,7 +157,7 @@ class TestConditions:
 
     def test_report_json(self):
         prof = _steady_profile()
-        blob = check_conditions(prof, 3410, 1).to_json()
+        blob = _jsonable(check_conditions(prof, 3410, 1).conditions)
         assert set(blob) == set(CONDITION_LABELS)
         for entry in blob.values():
             assert isinstance(entry["holds"], bool)

@@ -55,6 +55,11 @@ class TestParse:
         with pytest.raises(ZeroForm):
             parse_form("x1*x2 - x2*x1")
 
+    def test_cancelled_form_object_rejected(self):
+        with pytest.raises(ZeroForm):
+            form_from_json({"n": 2, "d": 2, "monomials": [
+                {"exp": [2, 0], "coef": "1"}, {"exp": [2, 0], "coef": "-1"}]})
+
     def test_malformed(self):
         with pytest.raises(FormSyntaxError):
             parse_form("x1 + ")
